@@ -15,20 +15,37 @@ import (
 // 3 vs the string "3"). The scheduling service keys its memoization
 // cache with Digests over (matrix, algorithm, topology, params); two
 // requests share a cache slot iff their digests agree field for field.
+//
+// Fields are staged in a fixed buffer and handed to SHA-256 in large
+// writes, one per 64 integer fields; the hashed byte stream is exactly
+// the concatenation of the tagged fields.
 type Digest struct {
 	h   hash.Hash
-	buf [10]byte
+	n   int // staged bytes in buf
+	buf [digestBufLen]byte
 }
+
+// digestBufLen holds 64 tagged integer fields: nine SHA-256 blocks.
+const digestBufLen = 64 * 9
 
 // NewDigest returns an empty SHA-256-backed digest.
 func NewDigest() *Digest {
 	return &Digest{h: sha256.New()}
 }
 
+// flush hands the staged bytes to the hash.
+func (d *Digest) flush() {
+	d.h.Write(d.buf[:d.n])
+	d.n = 0
+}
+
 func (d *Digest) tagged(tag byte, v uint64) {
-	d.buf[0] = tag
-	binary.BigEndian.PutUint64(d.buf[1:9], v)
-	d.h.Write(d.buf[:9])
+	if d.n+9 > len(d.buf) {
+		d.flush()
+	}
+	d.buf[d.n] = tag
+	binary.BigEndian.PutUint64(d.buf[d.n+1:], v)
+	d.n += 9
 }
 
 // Int64 mixes one signed integer field.
@@ -52,12 +69,20 @@ func (d *Digest) Bool(v bool) {
 // String mixes one length-prefixed string field.
 func (d *Digest) String(s string) {
 	d.tagged('s', uint64(len(s)))
-	d.h.Write([]byte(s))
+	for len(s) > 0 {
+		if d.n == len(d.buf) {
+			d.flush()
+		}
+		c := copy(d.buf[d.n:], s)
+		d.n += c
+		s = s[c:]
+	}
 }
 
 // Sum returns the 32-byte hash of everything mixed so far. The digest
 // remains usable; further writes extend the same stream.
 func (d *Digest) Sum() [32]byte {
+	d.flush()
 	var out [32]byte
 	d.h.Sum(out[:0])
 	return out

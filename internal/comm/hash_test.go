@@ -1,7 +1,10 @@
 package comm
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -89,4 +92,51 @@ func TestDigestExtendsAfterSum(t *testing.T) {
 	if d.Hex() == first {
 		t.Error("writes after Sum did not extend the digest")
 	}
+}
+
+// TestDigestStreamIsTaggedFields pins the hashed byte stream: whatever
+// the digest buffers, the hash is SHA-256 over the plain concatenation
+// of tagged fields — a type byte, then a big-endian uint64, then the
+// bytes of a string. The sequence crosses the buffer boundary in both
+// integer and string fields, and sums midway.
+func TestDigestStreamIsTaggedFields(t *testing.T) {
+	d := NewDigest()
+	var stream []byte
+	field := func(tag byte, v uint64) {
+		stream = append(stream, tag)
+		stream = binary.BigEndian.AppendUint64(stream, v)
+	}
+	check := func(at string) {
+		t.Helper()
+		if got, want := d.Sum(), sha256.Sum256(stream); got != want {
+			t.Fatalf("%s: digest %x, want SHA-256 of the tagged stream %x", at, got, want)
+		}
+	}
+	long := strings.Repeat("0123456789abcdef", 100) // longer than the buffer
+	for i := 0; i < 300; i++ {
+		switch i % 7 {
+		case 0:
+			d.String("phase")
+			field('s', 5)
+			stream = append(stream, "phase"...)
+		case 3:
+			d.Uint64(uint64(i) << 40)
+			field('u', uint64(i)<<40)
+		case 5:
+			d.Bool(i%2 == 1)
+			field('b', uint64(i%2))
+		default:
+			d.Int64(int64(-i))
+			field('i', uint64(int64(-i)))
+		}
+		if i == 150 {
+			check("midway")
+			d.String(long)
+			field('s', uint64(len(long)))
+			stream = append(stream, long...)
+		}
+	}
+	d.Float64(0.5)
+	field('f', 0x3fe0000000000000)
+	check("end")
 }

@@ -2,8 +2,10 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -150,6 +152,56 @@ func FuzzSimulateRequest(f *testing.F) {
 		srv.ServeHTTP(rec, req) // must not panic
 		if rec.Code == 0 {
 			t.Fatalf("no status written for input %q", body)
+		}
+	})
+}
+
+// FuzzWireTriples holds the hand-written triple decoder to the oracle
+// it replaces: for every document json.Valid accepts, decoding into
+// WireTriples and into a plain [][3]int64 through encoding/json must
+// both succeed or both fail, and on success agree element for
+// element, nil against empty included. Called directly on arbitrary
+// bytes, the decoder must never panic.
+func FuzzWireTriples(f *testing.F) {
+	for _, seed := range []string{
+		// nulls and empties
+		`null`, `[]`, `[null]`, `[[]]`, `[[null,null,null]]`,
+		// short and long triples
+		`[[1,2]]`, `[[1,2,3,4]]`, `[[1,2,3,"x",{"a":[1]}]]`, `[[1,2,3,"a\"]b",[1,[2]],true,null]]`,
+		`[[0,1,512],[1,2,512],[2,0]]`,
+		// number forms
+		`[[1.5,2,3]]`, `[[1e3,2,3]]`, `[[1E3,2,3]]`, `[[-0,2,3]]`, `[[0.0,2,3]]`,
+		// wrong types
+		`[["1",2,3]]`, `[[true,2,3]]`, `[[false,2,3]]`, `[[[1],2,3]]`, `[[{},2,3]]`,
+		`[1]`, `["x"]`, `[{}]`, `[true]`, `{}`, `"x"`, `7`, `true`,
+		// int64 bounds, and one past each
+		`[[9223372036854775807,-9223372036854775808,0]]`,
+		`[[9223372036854775808,0,0]]`, `[[-9223372036854775809,0,0]]`,
+		`[[0,0,99999999999999999999999]]`,
+		// whitespace everywhere
+		" \t\n[ \r[ 1 , 2 ,\n3 ] , null ,[ ] , [4,\t5,6, \"skip\" ]\n]\r\n ",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, doc string) {
+		var direct WireTriples
+		_ = direct.UnmarshalJSON([]byte(doc)) // must not panic, valid or not
+		if !json.Valid([]byte(doc)) {
+			return
+		}
+		var want [][3]int64
+		wantErr := json.Unmarshal([]byte(doc), &want)
+		var got WireTriples
+		gotErr := json.Unmarshal([]byte(doc), &got)
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("%q: encoding/json error %v, WireTriples error %v", doc, wantErr, gotErr)
+		}
+		if wantErr != nil {
+			return
+		}
+		if (want == nil) != (got == nil) || !slices.Equal(want, [][3]int64(got)) {
+			t.Fatalf("%q: encoding/json decoded %v (nil %v), WireTriples %v (nil %v)",
+				doc, want, want == nil, got, got == nil)
 		}
 	})
 }

@@ -15,6 +15,7 @@ package service
 import (
 	"compress/gzip"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -56,6 +57,9 @@ func newFleetLayer(opts Options) (*fleet.Fleet, error) {
 			}
 			if k != key {
 				return nil, errRecordKey
+			}
+			if !json.Valid(value) {
+				return nil, errRecordJSON
 			}
 			return value, nil
 		},
@@ -108,8 +112,11 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 
 // handleCachePut accepts a write-behind push: a USCR record computed
 // by a peer for a key this daemon owns. The record must decode, pass
-// its CRC, and embed the key it was addressed to; anything else is
-// rejected before touching the cache.
+// its CRC, embed the key it was addressed to, and carry a JSON value;
+// anything else is rejected before touching the cache. The JSON check
+// matters beyond hygiene: hits splice cached results into the response
+// envelope verbatim, so a non-JSON value would be served as a 200 with
+// an invalid body.
 func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 	s.requests[epCache].Add(1)
 	key := r.PathValue("key")
@@ -134,6 +141,10 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 	}
 	if k != key {
 		writeError(w, badRequest("record key %s does not match path key %s", k, key))
+		return
+	}
+	if !json.Valid(value) {
+		writeError(w, badRequest("bad record: %v", errRecordJSON))
 		return
 	}
 	// A pushed record is a computed response this daemon owns: memoize
@@ -161,11 +172,13 @@ func (ds *diskStore) readRecord(key string) []byte {
 // peerFill serves a cache miss from the key's fleet owner: when fleet
 // mode is on and this daemon does not own the key, the owner (hedged
 // to the next-ranked peer) is asked for the canonical record under
-// the caller's single-flight slot. The fetched JSON form is memoized
-// memory-only — the owner already persists it; re-persisting here
-// would double the fleet's disk footprint — and rendered to binary on
-// demand like any cached entry. ok=false on any failure: the caller
-// computes locally, so a peer can never make this daemon unavailable.
+// the caller's single-flight slot. The fleet's Decode hook has already
+// rejected any record that is corrupt, keyed elsewhere, or not JSON.
+// The fetched JSON form is memoized memory-only — the owner already
+// persists it; re-persisting here would double the fleet's disk
+// footprint — and rendered to binary on demand like any cached entry.
+// ok=false on any failure: the caller computes locally, so a peer can
+// never make this daemon unavailable.
 func (s *Server) peerFill(ctx context.Context, ep int, key string, enc encoding,
 	decodeDoc func([]byte) (wireDoc, error)) ([]byte, bool) {
 	if s.fleet == nil || s.fleet.Owns(key) {

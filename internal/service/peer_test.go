@@ -346,6 +346,16 @@ func TestFleetRejectsCorruptPeerRecords(t *testing.T) {
 			rec[len(rec)-1] ^= 0xff
 			return rec
 		}},
+		// Well framed, right key, valid CRC, but not JSON: hits splice
+		// cached results into the envelope verbatim, so this must read
+		// as a miss, never enter the cache.
+		{"not json", func(key string) []byte {
+			rec, err := encodeRecord(key, []byte("not json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rec
+		}},
 	}
 	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {
@@ -544,6 +554,50 @@ func TestCacheEndpointContract(t *testing.T) {
 	st, raw = getJSON(t, ts.URL+"/v1/cache/"+env.Key, nil)
 	if st != http.StatusOK || !bytes.Equal(raw, onDisk) {
 		t.Fatalf("disk-backed GET: status %d, verbatim=%v", st, bytes.Equal(raw, onDisk))
+	}
+}
+
+// TestCachePutRejectsNonJSONRecord: a correctly framed record whose
+// value is not JSON is refused with 400 and never cached. Before the
+// check the PUT answered 204, and from then on every JSON and binary
+// /v1/schedule for that key answered 500 until the entry was evicted.
+func TestCachePutRejectsNonJSONRecord(t *testing.T) {
+	req := ScheduleRequest{Matrix: testMatrix(t, 8, 3, 512, 5), Algorithm: "RS_NL"}
+	_, refTS := newTestServer(t, Options{Workers: 1})
+	_, want, _ := postCapture(t, refTS.URL+"/v1/schedule", req, "")
+	var env Envelope
+	if err := json.Unmarshal(want, &env); err != nil {
+		t.Fatal(err)
+	}
+
+	svc, ts := newTestServer(t, Options{Workers: 1})
+	rec, err := encodeRecord(env.Key, []byte("not json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	put, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/cache/"+env.Key, bytes.NewReader(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(put)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ee ErrorEnvelope
+	err = json.NewDecoder(resp.Body).Decode(&ee)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || err != nil || ee.Err.Code != CodeBadRequest {
+		t.Fatalf("PUT non-JSON record: status %d, code %q (%v), want 400 %s", resp.StatusCode, ee.Err.Code, err, CodeBadRequest)
+	}
+	if _, ok := svc.cache.get(env.Key); ok {
+		t.Fatal("non-JSON record entered the cache")
+	}
+	// The key still serves, in both encodings, exactly as elsewhere.
+	if st, got, _ := postCapture(t, ts.URL+"/v1/schedule", req, ""); st != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("JSON schedule after refused PUT: status %d\ngot:  %s\nwant: %s", st, got, want)
+	}
+	if st, got, _ := postCapture(t, ts.URL+"/v1/schedule", req, ContentTypeBinary); st != http.StatusOK {
+		t.Fatalf("binary schedule after refused PUT: status %d: %s", st, got)
 	}
 }
 

@@ -65,6 +65,10 @@ var (
 	errRecordLength   = errors.New("record length mismatch")
 	errRecordChecksum = errors.New("record checksum mismatch")
 	errRecordKey      = errors.New("bad record key")
+	// errRecordJSON rejects a well-framed record whose value is not a
+	// JSON document. The codec itself stores opaque values; the service
+	// checks this where an outside record enters the memo cache.
+	errRecordJSON = errors.New("record value is not JSON")
 )
 
 // encodeRecord serializes one cache entry. Keys are hex content hashes
@@ -333,12 +337,13 @@ func (ds *diskStore) gc() {
 }
 
 // load warm-starts the memory cache: it reads the newest maxEntries
-// records and feeds them to into in oldest-to-newest order, so the
+// records and feeds them to accept in oldest-to-newest order, so the
 // restored LRU order matches the records' ages. Corrupt, truncated,
-// oversized, or unreadable records are counted, deleted, and skipped —
-// a damaged cache dir costs recomputation, never a crashed daemon.
-// Returns the number of entries restored.
-func (ds *diskStore) load(into func(key string, value []byte)) int {
+// oversized, or unreadable records — and records accept refuses — are
+// counted, deleted, and skipped: a damaged cache dir costs
+// recomputation, never a crashed daemon. Returns the number of entries
+// restored.
+func (ds *diskStore) load(accept func(key string, value []byte) bool) int {
 	recs := ds.scan()
 	if len(recs) > ds.maxEntries {
 		recs = recs[len(recs)-ds.maxEntries:] // newest maxEntries
@@ -363,7 +368,10 @@ func (ds *diskStore) load(into func(key string, value []byte)) int {
 			ds.dropCorrupt(path)
 			continue
 		}
-		into(key, value)
+		if !accept(key, value) {
+			ds.dropCorrupt(path)
+			continue
+		}
 		loaded++
 	}
 	ds.gc()

@@ -230,6 +230,52 @@ func TestWarmRestartSkipsCorruptRecords(t *testing.T) {
 	}
 }
 
+// TestWarmRestartSkipsNonJSONRecord: a record file that is correctly
+// framed but whose value is not JSON is skipped, counted on
+// unschedd_disk_load_errors_total and deleted, like any corrupt record.
+// Before the check it loaded, and every JSON and binary /v1/schedule
+// for its key answered 500 until the entry was evicted.
+func TestWarmRestartSkipsNonJSONRecord(t *testing.T) {
+	req := ScheduleRequest{Matrix: testMatrix(t, 16, 4, 1024, 9), Algorithm: "RS_N"}
+	_, refTS := newTestServer(t, Options{Workers: 1})
+	var want Envelope
+	if status, raw := postJSON(t, refTS.URL+"/v1/schedule", req, &want); status != http.StatusOK {
+		t.Fatalf("reference schedule: status %d: %s", status, raw)
+	}
+
+	dir := t.TempDir()
+	rec, err := encodeRecord(want.Key, []byte("not json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, want.Key+recordSuffix)
+	if err := os.WriteFile(path, rec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	svc, ts := newTestServer(t, Options{Workers: 1, CacheDir: dir})
+	if warm := svc.warmLoaded.Load(); warm != 0 {
+		t.Errorf("warm-loaded %d entries, want the non-JSON record skipped", warm)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Error("non-JSON record still on disk after load")
+	}
+	if m := getMetrics(t, ts); !strings.Contains(m, "unschedd_disk_load_errors_total 1\n") {
+		t.Error("non-JSON record not counted on unschedd_disk_load_errors_total")
+	}
+	var got Envelope
+	if status, raw := postJSON(t, ts.URL+"/v1/schedule", req, &got); status != http.StatusOK {
+		t.Fatalf("JSON schedule after skipped record: status %d: %s", status, raw)
+	}
+	if got.Cached || !bytes.Equal(got.Result, want.Result) {
+		t.Error("schedule after skipped record is not the freshly computed result")
+	}
+	body, _ := json.Marshal(req)
+	if resp, raw := doWire(t, ts, "/v1/schedule", body, map[string]string{"Accept": ContentTypeBinary}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("binary schedule after skipped record: status %d: %s", resp.StatusCode, raw)
+	}
+}
+
 // TestDiskStoreBounds: GC holds the store to its entry and byte
 // budgets, evicting oldest records first.
 func TestDiskStoreBounds(t *testing.T) {
@@ -302,7 +348,7 @@ func TestWarmLoadNewestFirst(t *testing.T) {
 		}
 	}
 	var order []string
-	n := ds.load(func(key string, value []byte) { order = append(order, key) })
+	n := ds.load(func(key string, value []byte) bool { order = append(order, key); return true })
 	if n != 3 {
 		t.Fatalf("loaded %d entries, want 3", n)
 	}

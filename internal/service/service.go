@@ -285,7 +285,15 @@ func NewServer(opts Options) (*Server, error) {
 		}
 		// Load before starting the writer so warm restart never races a
 		// GC pass; loaded entries skip the hit/miss counters entirely.
-		s.warmLoaded.Store(int64(disk.load(s.cache.put)))
+		// A record whose value is not JSON is skipped as corrupt: hits
+		// splice cached results into the envelope verbatim.
+		s.warmLoaded.Store(int64(disk.load(func(key string, value []byte) bool {
+			if !json.Valid(value) {
+				return false
+			}
+			s.cache.put(key, value)
+			return true
+		})))
 		disk.start()
 		s.disk = disk
 	}
@@ -596,15 +604,11 @@ func (s *Server) respondMemoized(w http.ResponseWriter, r *http.Request, cn conn
 		writeError(w, err)
 		return
 	}
-	var body []byte
+	body := make([]byte, 0, len(payload)+len(key)+64) // 64 covers either envelope's framing
 	if cn.enc == encBinary {
-		body = appendBinaryEnvelope(make([]byte, 0, len(payload)+len(key)+16), key, cached, payload)
+		body = appendBinaryEnvelope(body, key, cached, payload)
 	} else {
-		body, err = json.Marshal(Envelope{Key: key, Cached: cached, Result: payload})
-		if err != nil {
-			writeError(w, err)
-			return
-		}
+		body = appendJSONEnvelope(body, key, cached, payload)
 	}
 	s.writeNegotiated(w, cn, key, body)
 }

@@ -118,8 +118,8 @@ func codedRequest(code, format string, args ...any) *apiError {
 // WireMatrix is the wire form of a communication matrix: the dimension
 // and the nonzero entries as [src, dst, bytes] triples.
 type WireMatrix struct {
-	N        int        `json:"n"`
-	Messages [][3]int64 `json:"messages"`
+	N        int         `json:"n"`
+	Messages WireTriples `json:"messages"`
 }
 
 // WireTopology names the network a request targets, in either of two
@@ -176,7 +176,7 @@ type ScheduleRequest struct {
 }
 
 // WirePhase is one schedule phase as [src, dst, bytes] triples.
-type WirePhase [][3]int64
+type WirePhase = WireTriples
 
 // WireSchedule is the wire form of a computed schedule, reusable as
 // the input of /v1/simulate.
@@ -231,7 +231,8 @@ type SimulateResult struct {
 
 // Envelope is the outer document of every synchronous response. Result
 // is the memoized part: on a cache hit it is returned byte for byte as
-// first computed.
+// first computed. The daemon writes the document by hand
+// (appendJSONEnvelope) in exactly json.Marshal's form of this type.
 type Envelope struct {
 	Key    string          `json:"key"`
 	Cached bool            `json:"cached"`
@@ -348,7 +349,7 @@ func resolveMatrix(mj *WireMatrix) (*comm.Matrix, error) {
 // NewWireMatrix converts a dense matrix back to wire form.
 func NewWireMatrix(m *comm.Matrix) *WireMatrix {
 	msgs := m.Messages()
-	out := &WireMatrix{N: m.N(), Messages: make([][3]int64, len(msgs))}
+	out := &WireMatrix{N: m.N(), Messages: make(WireTriples, len(msgs))}
 	for i, msg := range msgs {
 		out.Messages[i] = [3]int64{int64(msg.Src), int64(msg.Dst), msg.Bytes}
 	}

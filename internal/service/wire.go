@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -216,6 +217,23 @@ func appendBinaryEnvelope(dst []byte, key string, cached bool, payload []byte) [
 	dst = comm.AppendUvarint(dst, uint64(len(key)))
 	dst = append(dst, key...)
 	return append(dst, payload...)
+}
+
+// appendJSONEnvelope writes the JSON response envelope around a cached
+// result: the Envelope document, spliced by hand so a hit costs one copy
+// of the result instead of json.Marshal's validating re-scan of it. The
+// result goes out verbatim, which is safe because every cached JSON
+// result is valid: computed here by json.Marshal, or checked with
+// json.Valid where a record from a peer or the disk enters the cache.
+// Keys are hex content hashes and need no escaping.
+func appendJSONEnvelope(dst []byte, key string, cached bool, result []byte) []byte {
+	dst = append(dst, `{"key":"`...)
+	dst = append(dst, key...)
+	dst = append(dst, `","cached":`...)
+	dst = strconv.AppendBool(dst, cached)
+	dst = append(dst, `,"result":`...)
+	dst = append(dst, result...)
+	return append(dst, '}')
 }
 
 func appendString(dst []byte, s string) []byte {

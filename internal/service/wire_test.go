@@ -52,6 +52,27 @@ func gunzip(t *testing.T, raw []byte) []byte {
 	return out
 }
 
+// TestJSONEnvelopeMatchesMarshal: the spliced JSON envelope is byte for
+// byte what json.Marshal makes of Envelope for any compact result, so
+// clients decoding Envelope see no change.
+func TestJSONEnvelopeMatchesMarshal(t *testing.T) {
+	key := strings.Repeat("0f", 32)
+	for _, result := range []string{
+		`{}`, `null`, `"x"`, `[1,2]`, `-0.5`,
+		`{"chosen":"RS_NL","seed":-3,"link_free":true,"schedule":{"phases":[[[0,1,2]],[]]}}`,
+	} {
+		for _, cached := range []bool{false, true} {
+			want, err := json.Marshal(Envelope{Key: key, Cached: cached, Result: json.RawMessage(result)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := appendJSONEnvelope(nil, key, cached, []byte(result)); !bytes.Equal(got, want) {
+				t.Errorf("result %s cached=%v:\n got: %s\nwant: %s", result, cached, got, want)
+			}
+		}
+	}
+}
+
 // TestContentNegotiationMatrix is the satellite table test: every
 // encoding x compression x revalidation combination against one
 // request, all answers agreeing with the canonical JSON result.

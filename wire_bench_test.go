@@ -2,10 +2,11 @@ package unsched
 
 // Wire-format benchmarks, tracked by cmd/benchgate in CI alongside the
 // paper tables: the binary matrix codec against its JSON triple form,
-// and the service's negotiated response path end to end over HTTP —
-// cached JSON, cached binary+gzip, and If-None-Match revalidation.
-// Each reports the actual transfer size as wire_bytes so a regression
-// in either speed or compactness trips the gate.
+// the JSON request decode every shipped matrix pays, and the service's
+// negotiated response path end to end over HTTP — cached JSON, cached
+// binary+gzip, and If-None-Match revalidation. Each reports the actual
+// transfer size as wire_bytes so a regression in either speed or
+// compactness trips the gate.
 
 import (
 	"bytes"
@@ -30,14 +31,19 @@ func wireBenchMatrix(b *testing.B, n int) *comm.Matrix {
 	return m
 }
 
-func benchWireEncodeJSON(b *testing.B, n int) {
+// wireBenchDoc is wireBenchMatrix in wire form.
+func wireBenchDoc(b *testing.B, n int) WireMatrix {
 	m := wireBenchMatrix(b, n)
 	msgs := m.Messages()
 	triples := make([][3]int64, len(msgs))
 	for i, msg := range msgs {
 		triples[i] = [3]int64{int64(msg.Src), int64(msg.Dst), msg.Bytes}
 	}
-	doc := WireMatrix{N: m.N(), Messages: triples}
+	return WireMatrix{N: m.N(), Messages: triples}
+}
+
+func benchWireEncodeJSON(b *testing.B, n int) {
+	doc := wireBenchDoc(b, n)
 	var enc []byte
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -62,6 +68,32 @@ func benchWireEncodeBinary(b *testing.B, n int) {
 	}
 	b.ReportMetric(float64(len(enc)), "wire_bytes")
 }
+
+// benchWireDecodeJSON decodes a /v1/schedule body that ships the
+// matrix: the first stage of every such request, hit or miss.
+func benchWireDecodeJSON(b *testing.B, n int) {
+	doc := wireBenchDoc(b, n)
+	body, err := json.Marshal(ScheduleRequest{Matrix: &doc, Algorithm: "RS_NL"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var req ScheduleRequest
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req = ScheduleRequest{}
+		if err := json.Unmarshal(body, &req); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if req.Matrix == nil || len(req.Matrix.Messages) != len(doc.Messages) {
+		b.Fatal("decoded request lost its messages")
+	}
+	b.ReportMetric(float64(len(body)), "wire_bytes")
+}
+
+func BenchmarkWireDecodeMatrixJSON_256(b *testing.B)  { benchWireDecodeJSON(b, 256) }
+func BenchmarkWireDecodeMatrixJSON_1024(b *testing.B) { benchWireDecodeJSON(b, 1024) }
 
 func BenchmarkWireEncodeMatrixJSON_256(b *testing.B)    { benchWireEncodeJSON(b, 256) }
 func BenchmarkWireEncodeMatrixBinary_256(b *testing.B)  { benchWireEncodeBinary(b, 256) }
