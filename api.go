@@ -1,6 +1,7 @@
 package unsched
 
 import (
+	"fmt"
 	"math/rand"
 
 	"unsched/internal/comm"
@@ -302,18 +303,21 @@ func SimulateAC(net Topology, params Params, o *ACOrder, m *Matrix) (Result, err
 	return ipsc.RunAC(net, params, o, m)
 }
 
-// Simulate dispatches a schedule to the execution protocol the paper
-// pairs it with: S1 for LP (exchange semantics) and RS_NL, S2 for
-// everything else.
+// Simulate runs a schedule under the execution protocol the algorithm
+// table pairs with its algorithm — LP for LP, S1 for the link-free
+// schedules, S2 for the rest — the pairing /v1/simulate applies under
+// "auto". A tag outside the table is an error, and so is AC, which has
+// no phases: run it with SimulateAC.
 func Simulate(net Topology, params Params, s *Schedule) (Result, error) {
-	switch s.Algorithm {
-	case "LP":
-		return SimulateLP(net, params, s)
-	case "RS_NL":
-		return SimulateS1(net, params, s)
-	default:
-		return SimulateS2(net, params, s)
+	alg, ok := sched.Lookup(s.Algorithm)
+	if !ok || alg.Build == nil {
+		return Result{}, fmt.Errorf("unsched: Simulate takes a phased schedule of a table algorithm, got %q (run AC with SimulateAC)", s.Algorithm)
 	}
+	mach, err := ipsc.NewMachine(net, params)
+	if err != nil {
+		return Result{}, err
+	}
+	return mach.Run(alg.Protocol, s)
 }
 
 // ScheduleFor runs the algorithm the paper recommends for the (d, M)

@@ -4,6 +4,9 @@ import (
 	"context"
 	"math/rand"
 	"testing"
+
+	"unsched/internal/ipsc"
+	"unsched/internal/sched"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -33,30 +36,46 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 }
 
+// TestSimulateDispatch: Simulate runs every phased table entry under
+// the entry's own protocol, the pairing /v1/simulate applies under
+// "auto". Before it read the table, Simulate ran RS_NL_SZ and
+// GREEDY_LF_LINK under S2 while the daemon ran them under S1. AC and
+// tags outside the table are errors, not a silent S2 run.
 func TestSimulateDispatch(t *testing.T) {
-	cube := NewCube(6)
-	rng := rand.New(rand.NewSource(2))
-	m, err := UniformRandom(64, 4, 1024, rng)
+	cube := NewCube(4)
+	params := DefaultIPSC860()
+	m, err := MixedSizes(16, 5, 64, 8192, rand.New(rand.NewSource(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := DefaultIPSC860()
-	for _, build := range []func() (*Schedule, error){
-		func() (*Schedule, error) { return LP(m) },
-		func() (*Schedule, error) { return RSN(m, rng) },
-		func() (*Schedule, error) { return RSNL(m, cube, rng) },
-		func() (*Schedule, error) { return Greedy(m) },
-	} {
-		s, err := build()
-		if err != nil {
-			t.Fatal(err)
+	core := sched.NewCore(cube)
+	mach, err := ipsc.NewMachine(cube, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alg := range sched.Algorithms {
+		if alg.Build == nil {
+			continue
 		}
-		res, err := Simulate(cube, params, s)
+		s, err := alg.Build(core, m, rand.New(rand.NewSource(5)))
 		if err != nil {
-			t.Fatalf("%s: %v", s.Algorithm, err)
+			t.Fatalf("%s: %v", alg.Tag, err)
 		}
-		if res.MakespanUS <= 0 {
-			t.Errorf("%s: no makespan", s.Algorithm)
+		got, err := Simulate(cube, params, s)
+		if err != nil {
+			t.Fatalf("%s: %v", alg.Tag, err)
+		}
+		want, err := mach.Run(alg.Protocol, s)
+		if err != nil {
+			t.Fatalf("%s under %s: %v", alg.Tag, alg.Protocol, err)
+		}
+		if got != want || got.MakespanUS <= 0 {
+			t.Errorf("%s: Simulate = %+v, %s run = %+v", alg.Tag, got, alg.Protocol, want)
+		}
+	}
+	for _, tag := range []string{"AC", "RS-NL", ""} {
+		if _, err := Simulate(cube, params, &Schedule{Algorithm: tag, N: 16}); err == nil {
+			t.Errorf("Simulate accepted a %q schedule", tag)
 		}
 	}
 }

@@ -57,12 +57,14 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"unsched/internal/expt"
 	"unsched/internal/hypercube"
 	"unsched/internal/plot"
 	"unsched/internal/quality"
+	"unsched/internal/sched"
 	"unsched/internal/topo"
 	"unsched/internal/workload"
 )
@@ -93,7 +95,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	dim := fs.Int("dim", 6, "hypercube dimension (6 = the paper's 64-node machine)")
 	topoSpec := fs.String("topo", "", "topology spec (cube:D, mesh:WxH, torus:WxH, ring:N, graph:N:a-b,...); exclusive with -dim")
 	workloads := fs.String("workload", "", "comma-separated workload specs for the workloads target (uniform:D:BYTES, halo:WxH:BYTES, ...)")
-	algorithm := fs.String("algorithm", "auto", "policy the autoeval target evaluates: auto (the calibrated pick) or a fixed tag (AC, LP, RS_N, RS_NL)")
+	// autoeval's policies: auto, or one of the campaign contenders.
+	policies := []string{"auto"}
+	for _, a := range expt.Algorithms {
+		policies = append(policies, string(a))
+	}
+	algorithm := fs.String("algorithm", "auto", "policy the autoeval target evaluates: auto (the calibrated pick) or a fixed tag ("+sched.WantList(policies[1:]...)+")")
 	qualityDB := fs.String("quality-db", "", "append the auto targets' calibration records to this quality store file")
 	parallel := fs.Int("parallel", 0, "worker goroutines; 0 means GOMAXPROCS")
 	progress := fs.Bool("progress", false, "report campaign progress on stderr")
@@ -117,10 +124,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *qualityDB != "" && !autoTarget {
 		return fmt.Errorf("-quality-db applies only to the autoeval and autofallback targets")
 	}
-	switch *algorithm {
-	case "auto", "AC", "LP", "RS_N", "RS_NL":
-	default:
-		return fmt.Errorf("unknown -algorithm %q (want auto, AC, LP, RS_N, or RS_NL)", *algorithm)
+	if !slices.Contains(policies, *algorithm) {
+		return fmt.Errorf("unknown -algorithm %q (want %s)", *algorithm, sched.WantList(policies...))
 	}
 
 	// Profiling brackets everything the command measures — topology
@@ -159,10 +164,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if n := net.Nodes(); n&(n-1) != 0 {
-		// Every target compares the paper's four contenders, and LP's
-		// XOR pairing exists only on power-of-two machines.
-		return fmt.Errorf("the experiment grids include LP, which needs a power-of-two node count; %s has %d nodes", net.Name(), n)
+	if err := expt.FitError(net.Nodes()); err != nil {
+		// Every target compares the paper's four contenders.
+		return fmt.Errorf("the experiment grids cannot run on %s: %w", net.Name(), err)
 	}
 	cfg := expt.DefaultConfig()
 	cfg.Topology = net

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"strings"
 	"text/tabwriter"
 
 	"unsched/internal/comm"
@@ -48,7 +49,7 @@ func main() {
 	pattern := flag.String("pattern", "dregular", "workload: dregular|random|hotspot|bitcomp|alltoall|mixed, or any workload spec (halo:WxH:BYTES, spmv:NNZ:BYTES, perm:BYTES, ...)")
 	topoName := flag.String("topo", "cube", "topology: cube|mesh|torus (mesh/torus need a square node count)")
 	load := flag.String("load", "", "load a communication matrix from file instead of generating")
-	alg := flag.String("alg", "", "run one algorithm (auto|AC|LP|RS_N|RS_NL|GREEDY|GREEDY_LF); default: compare all")
+	alg := flag.String("alg", "", "run one algorithm (auto|"+strings.Join(sched.Tags(), "|")+"); default: compare every algorithm that fits the machine")
 	seed := flag.Int64("seed", 7, "random seed")
 	doTrace := flag.Bool("trace", false, "print the phase-by-phase schedule")
 	doGantt := flag.Bool("gantt", false, "print a per-node phase occupancy chart")
@@ -67,16 +68,18 @@ func main() {
 	}
 
 	if *server != "" {
-		algs := []string{"AC", "LP", "RS_N", "RS_NL", "RS_NL_SZ", "GREEDY", "GREEDY_LF"}
-		if *alg != "" {
-			algs = []string{*alg}
-		}
 		var m *comm.Matrix
+		nodes := *n
 		if *load != "" {
 			var err error
 			if m, err = buildMatrix(*load, *pattern, *n, *d, *bytes, *seed); err != nil {
 				fatal(err)
 			}
+			nodes = m.N()
+		}
+		algs := fitting(nodes)
+		if *alg != "" {
+			algs = []string{*alg}
 		}
 		req, err := remoteRequest(m, *pattern, *n, *d, *bytes, *topoName, *seed)
 		if err != nil {
@@ -104,7 +107,7 @@ func main() {
 		fmt.Print(trace.MatrixHeatmap(m))
 	}
 
-	algs := []string{"AC", "LP", "RS_N", "RS_NL", "RS_NL_SZ", "GREEDY", "GREEDY_LF"}
+	algs := fitting(m.N())
 	if *alg != "" {
 		algs = []string{*alg}
 	}
@@ -191,40 +194,43 @@ func buildTopology(name string, n int) (topo.Topology, error) {
 	}
 }
 
+// fitting returns the tags of the table algorithms that can schedule
+// an n-processor matrix, in table order: the rule auto's Pick applies.
+func fitting(n int) []string {
+	var tags []string
+	for _, a := range sched.Algorithms {
+		if a.Fits(n) {
+			tags = append(tags, a.Tag)
+		}
+	}
+	return tags
+}
+
 func runOne(tw *tabwriter.Writer, name string, m *comm.Matrix, net topo.Topology,
 	params costmodel.Params, seed int64, doTrace, doGantt bool, savePath string) error {
-	rng := rand.New(rand.NewSource(seed))
-	if name == "AC" {
-		order, err := sched.AC(m)
+	a, ok := sched.Lookup(name)
+	if !ok {
+		return fmt.Errorf("unknown algorithm %q (want %s)", name, sched.WantList(append([]string{"auto"}, sched.Tags()...)...))
+	}
+	core := sched.NewCoreDirect(net)
+	mach, err := ipsc.NewMachine(net, params)
+	if err != nil {
+		return err
+	}
+	if a.Build == nil {
+		order, err := core.AC(m)
 		if err != nil {
 			return err
 		}
-		res, err := ipsc.RunAC(net, params, order, m)
+		res, err := mach.RunAC(order, m)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(tw, "AC\t-\t-\t0.00\t%.2f\t-\n", res.MakespanUS/1000)
+		fmt.Fprintf(tw, "%s\t-\t-\t0.00\t%.2f\t-\n", name, res.MakespanUS/1000)
 		return nil
 	}
 
-	var s *sched.Schedule
-	var err error
-	switch name {
-	case "LP":
-		s, err = sched.LP(m)
-	case "RS_N":
-		s, err = sched.RSN(m, rng)
-	case "RS_NL":
-		s, err = sched.RSNL(m, net, rng)
-	case "RS_NL_SZ":
-		s, err = sched.RSNLSized(m, net, rng)
-	case "GREEDY":
-		s, err = sched.Greedy(m)
-	case "GREEDY_LF":
-		s, err = sched.GreedyLargestFirst(m)
-	default:
-		return fmt.Errorf("unknown algorithm %q", name)
-	}
+	s, err := a.Build(core, m, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		return err
 	}
@@ -236,15 +242,7 @@ func runOne(tw *tabwriter.Writer, name string, m *comm.Matrix, net topo.Topology
 		linkFree = "no"
 	}
 
-	var res ipsc.Result
-	switch name {
-	case "LP":
-		res, err = ipsc.RunLP(net, params, s)
-	case "RS_NL", "RS_NL_SZ":
-		res, err = ipsc.RunS1(net, params, s)
-	default:
-		res, err = ipsc.RunS2(net, params, s)
-	}
+	res, err := mach.Run(a.Protocol, s)
 	if err != nil {
 		return err
 	}

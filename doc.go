@@ -16,7 +16,9 @@
 //     with pairwise-exchange priority (§5)
 //
 // plus a deterministic greedy baseline and largest-first variants for
-// non-uniform message sizes.
+// non-uniform message sizes. One algorithm table (internal/sched)
+// records each one's tag, paired execution protocol and machine
+// constraint; Simulate and the unschedd daemon read the pairing there.
 //
 // Because the iPSC/860 no longer exists, the package ships two
 // substitutes for it: a deterministic discrete-event simulator of the

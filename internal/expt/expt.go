@@ -72,6 +72,20 @@ const (
 // Algorithms lists the contenders in the paper's column order.
 var Algorithms = []Algorithm{AC, LP, RSN, RSNL}
 
+// FitError explains why the campaign grids cannot run on an n-node
+// machine: every cell measures all the contenders, so each must fit
+// (sched.Algorithm.Fits). It is nil when they all do.
+func FitError(n int) error {
+	for _, alg := range Algorithms {
+		// Every contender is a table entry; runOne fails otherwise.
+		entry, _ := sched.Lookup(string(alg))
+		if err := entry.FitError(n); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Config parameterizes a measurement campaign.
 type Config struct {
 	// Topology is the machine the campaign measures. Any deterministic-
@@ -157,47 +171,31 @@ func (c Config) MeasureCell(d int, msgBytes int64) (map[Algorithm]Cell, error) {
 // runOne schedules and simulates one sample under one algorithm on
 // the given reusable machine and scheduler core, returning the run's
 // evaluation artifact: the core's Outcome with the simulated makespan
-// filled in. Core methods consume the identical RNG stream as the
-// package-level functions, so results are bit-identical to the
-// pre-core harness.
+// filled in. The algorithm's table entry (sched.Algorithms) names the
+// core method and the protocol it runs under. Core methods consume
+// the identical RNG stream as the package-level functions, so results
+// are bit-identical to the pre-core harness.
 func (c Config) runOne(mach *ipsc.Machine, core *sched.Core, alg Algorithm, m *comm.Matrix, rng *rand.Rand) (sched.Outcome, error) {
-	var (
-		s   *sched.Schedule
-		err error
-	)
-	switch alg {
-	case AC:
-		order, acErr := core.AC(m)
-		if acErr != nil {
-			return sched.Outcome{}, acErr
-		}
-		res, acErr := mach.RunAC(order, m)
-		if acErr != nil {
-			return sched.Outcome{}, acErr
-		}
-		o := core.LastOutcome(sched.Features{}, c.Params)
-		o.EstCommUS = res.MakespanUS
-		return o, nil
-	case LP:
-		s, err = core.LP(m)
-	case RSN:
-		s, err = core.RSN(m, rng)
-	case RSNL:
-		s, err = core.RSNL(m, rng)
-	default:
+	entry, ok := sched.Lookup(string(alg))
+	if !ok {
 		return sched.Outcome{}, fmt.Errorf("expt: unknown algorithm %q", alg)
 	}
-	if err != nil {
-		return sched.Outcome{}, err
-	}
-	var res ipsc.Result
-	switch alg {
-	case LP:
-		res, err = mach.RunLP(s)
-	case RSN:
-		res, err = mach.RunS2(s)
-	default: // RSNL
-		res, err = mach.RunS1(s)
+	var (
+		res ipsc.Result
+		err error
+	)
+	if entry.Build == nil {
+		var order *sched.ACOrder
+		if order, err = core.AC(m); err != nil {
+			return sched.Outcome{}, err
+		}
+		res, err = mach.RunAC(order, m)
+	} else {
+		var s *sched.Schedule
+		if s, err = entry.Build(core, m, rng); err != nil {
+			return sched.Outcome{}, err
+		}
+		res, err = mach.Run(entry.Protocol, s)
 	}
 	if err != nil {
 		return sched.Outcome{}, err

@@ -381,6 +381,23 @@ func (m *Machine) RunS2(s *sched.Schedule) (Result, error) {
 	return m.run(appendS2(m.progArena(), s, m.params, m.recvArena()))
 }
 
+// Run simulates the phased schedule s under the named execution
+// protocol: "S1", "S2", or "LP", the protocols a sched.Algorithm entry
+// pairs with a phased schedule. AC runs take a send order and the
+// matrix instead; use RunAC.
+func (m *Machine) Run(protocol string, s *sched.Schedule) (Result, error) {
+	switch protocol {
+	case "S1":
+		return m.RunS1(s)
+	case "S2":
+		return m.RunS2(s)
+	case "LP":
+		return m.RunLP(s)
+	default:
+		return Result{}, fmt.Errorf("ipsc: no phased protocol %q (want S1, S2, or LP)", protocol)
+	}
+}
+
 // RunAC simulates the asynchronous algorithm on the matrix.
 func RunAC(net topo.Topology, params costmodel.Params, o *sched.ACOrder, com *comm.Matrix) (Result, error) {
 	m, err := NewMachine(net, params)

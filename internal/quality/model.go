@@ -154,10 +154,10 @@ func (m *Model) BinRankings() map[string][]string {
 // f on the named topology: the calibrated bin if one exists, the
 // committed fallback table's bin otherwise, and the fixed default
 // ranking as the last resort. The result is never empty and never
-// contains an algorithm the matrix cannot run (LP needs a
-// power-of-two node count). Pick on a nil model uses the fallback
-// chain alone. The first element is what algorithm "auto" resolves
-// to; the prefix is what auto_race races.
+// contains an algorithm the matrix cannot run (sched.Algorithm.Fits:
+// LP needs a power-of-two node count). Pick on a nil model uses the
+// fallback chain alone. The first element is what algorithm "auto"
+// resolves to; the prefix is what auto_race races.
 func (m *Model) Pick(topoName string, f sched.Features) []string {
 	key := BinKey(TopoKind(topoName), f)
 	var ranked []string
@@ -170,11 +170,14 @@ func (m *Model) Pick(topoName string, f sched.Features) []string {
 	if len(ranked) == 0 {
 		ranked = defaultRanking
 	}
-	powTwo := f.Nodes > 0 && f.Nodes&(f.Nodes-1) == 0
+	// Tags outside the table pass through unfiltered.
+	fitsAll := sched.FitsAll(f.Nodes)
 	out := make([]string, 0, len(ranked))
 	for _, tag := range ranked {
-		if tag == "LP" && !powTwo {
-			continue
+		if !fitsAll {
+			if alg, ok := sched.Lookup(tag); ok && !alg.Fits(f.Nodes) {
+				continue
+			}
 		}
 		out = append(out, tag)
 	}

@@ -99,7 +99,7 @@ func TestRSNLSizedValid(t *testing.T) {
 func TestRSNLSizedRowsDescending(t *testing.T) {
 	m := mixedMatrix(t, 86)
 	ccom := comm.NewCompressed(m, rand.New(rand.NewSource(2)))
-	sortRowsBySize(ccom, m)
+	NewCoreDirect(nil).sortRowsBySize(ccom, m)
 	for i := 0; i < m.N(); i++ {
 		var prev int64 = 1 << 62
 		for z := 0; z < ccom.Remaining(i); z++ {

@@ -52,10 +52,3 @@ func RSNLNoPairwise(m *comm.Matrix, net topo.Topology, rng *rand.Rand) (*Schedul
 func RSNLSized(m *comm.Matrix, net topo.Topology, rng *rand.Rand) (*Schedule, error) {
 	return NewCoreDirect(net).RSNLSized(m, rng)
 }
-
-// sortRowsBySize reorders every CCOM row into descending message-size
-// order; see Core.sortRowsBySize. Kept as a standalone helper for
-// callers (and tests) that hold a CCOM without a Core.
-func sortRowsBySize(ccom *comm.Compressed, m *comm.Matrix) {
-	(&Core{}).sortRowsBySize(ccom, m)
-}

@@ -580,10 +580,10 @@ func TestGreedyLargestFirstLinkFree(t *testing.T) {
 
 // --- cross-algorithm properties ---
 
-// Property: every scheduler produces a valid, covering, node-
-// contention-free schedule on random inputs.
+// Property: every phased algorithm of the table produces a valid,
+// covering, node-contention-free schedule on random inputs.
 func TestAllSchedulersValidProperty(t *testing.T) {
-	cube := cube64()
+	core := NewCoreDirect(cube64())
 	f := func(seed int64, dRaw uint8) bool {
 		d := 1 + int(dRaw)%48
 		rng := rand.New(rand.NewSource(seed))
@@ -591,34 +591,12 @@ func TestAllSchedulersValidProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		schedules := []*Schedule{}
-		if s, err := LP(m); err != nil {
-			return false
-		} else {
-			schedules = append(schedules, s)
-		}
-		if s, err := RSN(m, rng); err != nil {
-			return false
-		} else {
-			schedules = append(schedules, s)
-		}
-		if s, err := RSNL(m, cube, rng); err != nil {
-			return false
-		} else {
-			schedules = append(schedules, s)
-		}
-		if s, err := Greedy(m); err != nil {
-			return false
-		} else {
-			schedules = append(schedules, s)
-		}
-		if s, err := GreedyLargestFirst(m); err != nil {
-			return false
-		} else {
-			schedules = append(schedules, s)
-		}
-		for _, s := range schedules {
-			if s.Validate(m) != nil {
+		for _, alg := range Algorithms {
+			if alg.Build == nil {
+				continue
+			}
+			s, err := alg.Build(core, m, rng)
+			if err != nil || s.Validate(m) != nil {
 				return false
 			}
 		}

@@ -24,7 +24,7 @@ import (
 
 	"unsched/internal/comm"
 	"unsched/internal/costmodel"
-	"unsched/internal/ipsc"
+	"unsched/internal/expt"
 	"unsched/internal/quality"
 	"unsched/internal/sched"
 	"unsched/internal/topo"
@@ -131,21 +131,16 @@ func (s *Server) scoreSchedule(net topo.Topology, m *comm.Matrix, res *ScheduleR
 			runErr = err
 			return
 		}
-		if res.Schedule == nil || (res.Schedule.Algorithm == "AC" && len(res.Schedule.Phases) == 0) {
+		if isACRun(res.Schedule) {
 			if m == nil {
 				if m, err = resolveMatrix(res.Matrix); err != nil {
 					runErr = err
 					return
 				}
 			}
-			order, err := sched.AC(m)
+			r, err := simulate(mach, "AC", nil, m)
 			if err != nil {
 				runErr = err
-				return
-			}
-			r, err := mach.RunAC(order, m)
-			if err != nil {
-				runErr = simulateError(err)
 				return
 			}
 			score = r.MakespanUS
@@ -161,17 +156,9 @@ func (s *Server) scoreSchedule(net topo.Topology, m *comm.Matrix, res *ScheduleR
 			runErr = err
 			return
 		}
-		var r ipsc.Result
-		switch protocol {
-		case "LP":
-			r, err = mach.RunLP(sc)
-		case "S1":
-			r, err = mach.RunS1(sc)
-		default:
-			r, err = mach.RunS2(sc)
-		}
+		r, err := simulate(mach, protocol, sc, nil)
 		if err != nil {
-			runErr = simulateError(err)
+			runErr = err
 			return
 		}
 		score = r.MakespanUS + float64(params.CompTimeNS(sc.Ops))/1000
@@ -205,11 +192,10 @@ func (c *tagCounters) inc(tag string) {
 // so scrapers see a stable base series set — and any other tag that
 // has actually counted.
 func (c *tagCounters) series() ([]string, []int64) {
-	base := []string{"AC", "LP", "RS_N", "RS_NL"}
 	c.mu.Lock()
-	tags := make(map[string]int64, len(base)+len(c.m))
-	for _, t := range base {
-		tags[t] = 0
+	tags := make(map[string]int64, len(expt.Algorithms)+len(c.m))
+	for _, a := range expt.Algorithms {
+		tags[string(a)] = 0
 	}
 	for t, v := range c.m {
 		tags[t] = v

@@ -247,11 +247,10 @@ func resolveCampaign(req *CampaignRequest) (expt.Config, []expt.Point, string, e
 	if nodes > 1<<maxCampaignDim {
 		return fail(badRequest("campaign topology %s has %d nodes, limit %d", net.Name(), nodes, 1<<maxCampaignDim))
 	}
-	if nodes&(nodes-1) != 0 {
-		// The §6 grid compares all four contenders, and LP's XOR
-		// pairing exists only for power-of-two machines; reject here
-		// instead of letting the async job fail at its first LP cell.
-		return fail(badRequest("campaigns include LP, which needs a power-of-two node count; topology %s has %d nodes", net.Name(), nodes))
+	if err := expt.FitError(nodes); err != nil {
+		// The §6 grid compares all four contenders; reject here instead
+		// of letting the async job fail at its first cell.
+		return fail(badRequest("campaigns cannot run on topology %s: %v", net.Name(), err))
 	}
 	if req.Samples < 1 || req.Samples > maxCampaignSamples {
 		return fail(badRequest("samples %d out of range [1,%d]", req.Samples, maxCampaignSamples))

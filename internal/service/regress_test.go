@@ -10,10 +10,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"unsched/internal/sched"
 )
 
 // TestSimulateRejectsUnknownScheduleAlgorithm: /v1/simulate must 400 a
@@ -53,26 +56,52 @@ func TestSimulateRejectsUnknownScheduleAlgorithm(t *testing.T) {
 }
 
 // TestUnknownScheduleAlgorithmErrorListsEveryKnownTag: the 400 for an
-// unknown schedule algorithm must name every tag the service actually
-// accepts. Before the fix the want-list omitted AC even though
-// knownScheduleAlgorithms accepts it: a client sending the lowercase
-// typo "ac" was told AC does not exist. The test ranges over the
-// accepting set itself, so the message and the set cannot drift apart
-// again.
+// unknown algorithm must name every tag the service actually accepts.
+// Before the fix the simulate want-list omitted AC even though the
+// service accepted it: a client sending the lowercase typo "ac" was
+// told AC does not exist. Both endpoints' want-lists are generated
+// from the algorithm table, and the test ranges over the table
+// itself, so the messages and the accepted set cannot drift apart
+// again. The simulate message predates the table and is also pinned
+// byte for byte.
 func TestUnknownScheduleAlgorithmErrorListsEveryKnownTag(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
-	req := SimulateRequest{Schedule: &WireSchedule{
-		Algorithm: "ac", N: 4, Phases: []WirePhase{{{0, 1, 256}}},
-	}}
-	var env ErrorEnvelope
-	status, raw := postJSON(t, ts.URL+"/v1/simulate", req, &env)
-	if status != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400 (%s)", status, raw)
+	var tags []string
+	for _, alg := range sched.Algorithms {
+		tags = append(tags, alg.Tag)
 	}
-	for tag := range knownScheduleAlgorithms {
-		if !strings.Contains(env.Error, tag) {
-			t.Errorf("error message %q does not offer accepted tag %s", env.Error, tag)
+	// offered parses the alternatives out of "... (want a, b, or c)".
+	offered := func(msg string) []string {
+		_, list, _ := strings.Cut(msg, "(want ")
+		var out []string
+		for _, tag := range strings.Split(strings.TrimSuffix(list, ")"), ", ") {
+			out = append(out, strings.TrimPrefix(tag, "or "))
 		}
+		return out
+	}
+
+	var sim ErrorEnvelope
+	status, raw := postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{Schedule: &WireSchedule{
+		Algorithm: "ac", N: 4, Phases: []WirePhase{{{0, 1, 256}}},
+	}}, &sim)
+	if status != http.StatusBadRequest {
+		t.Fatalf("simulate: status %d, want 400 (%s)", status, raw)
+	}
+	const simWant = `unknown schedule algorithm "ac" (want AC, LP, RS_N, RS_NL, RS_NL_SZ, GREEDY, GREEDY_LF, or GREEDY_LF_LINK)`
+	if sim.Error != simWant {
+		t.Errorf("simulate error %q, want %q", sim.Error, simWant)
+	}
+	if got := offered(sim.Error); !slices.Equal(got, tags) {
+		t.Errorf("simulate offers %q, want the table's %q", got, tags)
+	}
+
+	var sch ErrorEnvelope
+	status, raw = postJSON(t, ts.URL+"/v1/schedule", ScheduleRequest{Algorithm: "ac"}, &sch)
+	if status != http.StatusBadRequest || sch.Err.Code != CodeUnknownAlgorithm {
+		t.Fatalf("schedule: status %d code %q, want 400 %s (%s)", status, sch.Err.Code, CodeUnknownAlgorithm, raw)
+	}
+	if got, want := offered(sch.Error), append([]string{"auto"}, tags...); !slices.Equal(got, want) {
+		t.Errorf("schedule offers %q, want %q", got, want)
 	}
 }
 

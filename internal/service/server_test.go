@@ -21,6 +21,7 @@ import (
 	"unsched/internal/expt"
 	"unsched/internal/hypercube"
 	"unsched/internal/mesh"
+	"unsched/internal/sched"
 	"unsched/internal/topo"
 	"unsched/internal/workload"
 )
@@ -103,7 +104,7 @@ func TestHealthz(t *testing.T) {
 
 func TestScheduleEndpointAlgorithms(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2})
-	for _, alg := range []string{"auto", "AC", "LP", "RS_N", "RS_NL", "RS_NL_SZ", "GREEDY", "GREEDY_LF"} {
+	for _, alg := range append([]string{"auto"}, sched.Tags()...) {
 		req := ScheduleRequest{Matrix: testMatrix(t, 16, 4, 4096, 1), Algorithm: alg}
 		var env Envelope
 		status, raw := postJSON(t, ts.URL+"/v1/schedule", req, &env)

@@ -76,7 +76,6 @@ import (
 	"time"
 
 	"unsched/internal/comm"
-	"unsched/internal/costmodel"
 	"unsched/internal/des"
 	"unsched/internal/expt"
 	"unsched/internal/fleet"
@@ -644,13 +643,6 @@ func decodeSimulateDoc(raw []byte) (wireDoc, error) {
 
 // --- /v1/schedule ---------------------------------------------------
 
-// scheduleAlgorithms are the names POST /v1/schedule accepts: every
-// algorithm the core implements, plus "auto".
-var scheduleAlgorithms = map[string]bool{
-	"auto": true, "AC": true, "LP": true, "RS_N": true, "RS_NL": true,
-	"RS_NL_SZ": true, "GREEDY": true, "GREEDY_LF": true, "GREEDY_LF_LINK": true,
-}
-
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	s.requests[epSchedule].Add(1)
 	cn, err := s.negotiate(r)
@@ -687,8 +679,8 @@ func (s *Server) scheduleJob(ctx context.Context, req *ScheduleRequest) (string,
 	if req.Algorithm == "" {
 		req.Algorithm = "auto"
 	}
-	if !scheduleAlgorithms[req.Algorithm] {
-		return "", nil, codedRequest(CodeUnknownAlgorithm, "unknown algorithm %q", req.Algorithm)
+	if _, ok := sched.Lookup(req.Algorithm); !ok && req.Algorithm != "auto" {
+		return "", nil, unknownAlgorithm(req.Algorithm)
 	}
 	if req.Workload != "" {
 		return s.scheduleWorkloadJob(ctx, req)
@@ -776,73 +768,40 @@ func (s *Server) scheduleWorkloadJob(ctx context.Context, req *ScheduleRequest) 
 	return key, compute, nil
 }
 
-// chooseAlgorithm is the paper's Figure-5 operating-point policy: AC
-// for short-protocol messages, LP for dense large-message patterns,
-// RS_NL otherwise. The service's "auto" no longer routes through it —
-// scheduleJob resolves auto against the calibrated quality model
-// before fingerprinting — but buildSchedule keeps it as the fallback
-// for direct library callers that pass "auto" themselves.
-func chooseAlgorithm(m *comm.Matrix, net topo.Topology) string {
-	params := costmodel.DefaultIPSC860()
-	d := m.Density()
-	bytes := m.MaxMessageBytes()
-	switch {
-	case bytes <= params.ShortMaxBytes:
-		return "AC"
-	case d >= net.Nodes()/2 && bytes > 1024:
-		return "LP"
-	default:
-		return "RS_NL"
-	}
+// unknownAlgorithm is /v1/schedule's answer to a tag outside the
+// algorithm table, listing every tag it accepts.
+func unknownAlgorithm(tag string) error {
+	want := sched.WantList(append([]string{"auto"}, sched.Tags()...)...)
+	return codedRequest(CodeUnknownAlgorithm, "unknown algorithm %q (want %s)", tag, want)
 }
 
-// buildSchedule runs the chosen scheduler on the worker's reusable
+// buildSchedule runs the table entry for tag on the worker's reusable
 // core. It is pure in its inputs: everything it returns derives from
-// (matrix, algorithm, topology, seed) — core reuse cannot change a
+// (matrix, tag, topology, seed) — core reuse cannot change a
 // schedule, because core methods consume the identical RNG stream as
 // the package-level functions — which is what makes memoization and
 // deterministic re-computation equivalent.
-func buildSchedule(core *sched.Core, m *comm.Matrix, algorithm string, net topo.Topology, seed int64) (*ScheduleResult, error) {
-	chosen := algorithm
-	if chosen == "auto" {
-		chosen = chooseAlgorithm(m, net)
+func buildSchedule(core *sched.Core, m *comm.Matrix, tag string, net topo.Topology, seed int64) (*ScheduleResult, error) {
+	alg, ok := sched.Lookup(tag)
+	if !ok {
+		// Reachable through auto: a calibration store may rank a tag
+		// this build does not serve.
+		return nil, unknownAlgorithm(tag)
 	}
-	res := &ScheduleResult{Chosen: chosen, Topology: net.Name(), Seed: seed}
-	if chosen == "AC" {
+	res := &ScheduleResult{Chosen: tag, Topology: net.Name(), Seed: seed}
+	if alg.Build == nil {
 		// Nothing to schedule: AC fires asynchronously. The wire
 		// schedule carries the algorithm tag and no phases; /v1/simulate
 		// accepts it together with the matrix.
 		if err := m.Validate(); err != nil {
 			return nil, badRequest("%v", err)
 		}
-		res.Schedule = &WireSchedule{Algorithm: "AC", N: m.N()}
+		res.Schedule = &WireSchedule{Algorithm: tag, N: m.N()}
 		return res, nil
 	}
-	rng := rand.New(rand.NewSource(seed))
-	var (
-		sc  *sched.Schedule
-		err error
-	)
-	switch chosen {
-	case "LP":
-		sc, err = core.LP(m)
-	case "RS_N":
-		sc, err = core.RSN(m, rng)
-	case "RS_NL":
-		sc, err = core.RSNL(m, rng)
-	case "RS_NL_SZ":
-		sc, err = core.RSNLSized(m, rng)
-	case "GREEDY":
-		sc, err = core.Greedy(m)
-	case "GREEDY_LF":
-		sc, err = core.GreedyLargestFirst(m)
-	case "GREEDY_LF_LINK":
-		sc, err = core.GreedyLargestFirstLinkFree(m)
-	default:
-		return nil, codedRequest(CodeUnknownAlgorithm, "unknown algorithm %q", chosen)
-	}
+	sc, err := alg.Build(core, m, rand.New(rand.NewSource(seed)))
 	if err != nil {
-		return nil, badRequest("%s: %v", chosen, err)
+		return nil, badRequest("%s: %v", tag, err)
 	}
 	res.LinkFree = core.ValidateLinkFree(sc) == nil
 	res.Schedule = scheduleWire(sc)
@@ -869,9 +828,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// An absent schedule, or an AC schedule (which has no phases),
-	// means an asynchronous run driven directly by the matrix.
-	isAC := req.Schedule == nil || (req.Schedule.Algorithm == "AC" && len(req.Schedule.Phases) == 0)
+	isAC := isACRun(req.Schedule)
 	var (
 		sc *sched.Schedule
 		m  *comm.Matrix
@@ -925,29 +882,9 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		var result ipsc.Result
-		switch protocol {
-		case "AC":
-			order, err := sched.AC(m)
-			if err != nil {
-				return nil, badRequest("%v", err)
-			}
-			result, err = mach.RunAC(order, m)
-			if err != nil {
-				return nil, simulateError(err)
-			}
-		case "S1":
-			if result, err = mach.RunS1(sc); err != nil {
-				return nil, simulateError(err)
-			}
-		case "S2":
-			if result, err = mach.RunS2(sc); err != nil {
-				return nil, simulateError(err)
-			}
-		case "LP":
-			if result, err = mach.RunLP(sc); err != nil {
-				return nil, simulateError(err)
-			}
+		result, err := simulate(mach, protocol, sc, m)
+		if err != nil {
+			return nil, err
 		}
 		return &SimulateResult{
 			Topology:       net.Name(),
@@ -961,11 +898,33 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// isACRun reports whether a simulate request is an asynchronous run
+// driven directly by the matrix: it carries no schedule, or an AC
+// schedule (which has no phases).
+func isACRun(ws *WireSchedule) bool {
+	return ws == nil || (ws.Algorithm == "AC" && len(ws.Phases) == 0)
+}
+
+// simulate runs a resolved simulation on mach: an AC run fires the
+// matrix's send order, a phased schedule runs under its protocol.
+func simulate(mach *ipsc.Machine, protocol string, sc *sched.Schedule, m *comm.Matrix) (ipsc.Result, error) {
+	if protocol != "AC" {
+		res, err := mach.Run(protocol, sc)
+		return res, simulateError(err)
+	}
+	order, err := sched.AC(m)
+	if err != nil {
+		return ipsc.Result{}, badRequest("%v", err)
+	}
+	res, err := mach.RunAC(order, m)
+	return res, simulateError(err)
+}
+
 // simulateError maps a simulator failure onto the API error model.
 // Tripping the event bound is the request's doing — an input whose
 // event cascade outran nodes x 1e6 events — not a server fault, so it
 // answers 422 with a stable code instead of the generic 500 the bare
-// error would produce.
+// error would produce. A nil error stays nil.
 func simulateError(err error) error {
 	var le *des.LimitError
 	if errors.As(err, &le) {
@@ -989,14 +948,9 @@ func resolveProtocol(requested string, isAC bool, sc *sched.Schedule) (string, e
 	}
 	switch requested {
 	case "", "auto":
-		switch sc.Algorithm {
-		case "LP":
-			return "LP", nil
-		case "RS_NL", "RS_NL_SZ", "GREEDY_LF_LINK":
-			return "S1", nil
-		default:
-			return "S2", nil
-		}
+		// resolveSchedule admitted only phased table entries.
+		alg, _ := sched.Lookup(sc.Algorithm)
+		return alg.Protocol, nil
 	case "S1", "S2", "LP":
 		return requested, nil
 	default:

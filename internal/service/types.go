@@ -151,13 +151,13 @@ type ScheduleRequest struct {
 	// participates in the cache key, and the generated matrix is
 	// returned in the result so the client can feed /v1/simulate.
 	Workload string `json:"workload,omitempty"`
-	// Algorithm is AC, LP, RS_N, RS_NL, RS_NL_SZ, GREEDY, GREEDY_LF,
-	// GREEDY_LF_LINK, or "auto" (the default). Auto resolves to a
-	// concrete tag BEFORE the request is fingerprinted — through the
-	// calibrated quality model when the daemon has one (see
-	// Options.QualityStore), through the committed fallback table
-	// otherwise — so an auto request shares its cache slot, ETag, and
-	// bit-identical response with the equivalent direct request.
+	// Algorithm is a tag of the algorithm table (sched.Algorithms) or
+	// "auto" (the default). Auto resolves to a concrete tag BEFORE the
+	// request is fingerprinted — through the calibrated quality model
+	// when the daemon has one (see Options.QualityStore), through the
+	// committed fallback table otherwise — so an auto request shares
+	// its cache slot, ETag, and bit-identical response with the
+	// equivalent direct request.
 	Algorithm string        `json:"algorithm,omitempty"`
 	Topology  *WireTopology `json:"topology,omitempty"`
 	// AutoRace, with algorithm "auto", additionally runs the model's
@@ -489,32 +489,26 @@ func scheduleWire(s *sched.Schedule) *WireSchedule {
 	return out
 }
 
-// knownScheduleAlgorithms are the algorithm tags a wire schedule may
-// carry into /v1/simulate: everything the system can produce. The tag
-// picks the execution protocol under "auto" (resolveProtocol), so an
-// unknown tag must be a 400, not a silent fall-through: before this
-// set existed, the typo "RS-NL" ran under S2 — the RS_N pairing — and
-// changed the measured number instead of erroring.
-var knownScheduleAlgorithms = map[string]bool{
-	"AC": true, "LP": true, "RS_N": true, "RS_NL": true, "RS_NL_SZ": true,
-	"GREEDY": true, "GREEDY_LF": true, "GREEDY_LF_LINK": true,
-}
-
 // resolveSchedule validates the wire schedule and builds the phase
 // form, rejecting unknown algorithm tags, node contention, and
-// out-of-range entries.
+// out-of-range entries. The tag picks the execution protocol under
+// "auto" (resolveProtocol), so an unknown tag must be a 400, not a
+// silent fall-through: before the check existed, the typo "RS-NL" ran
+// under S2 — the RS_N pairing — and changed the measured number
+// instead of erroring.
 func resolveSchedule(sj *WireSchedule) (*sched.Schedule, error) {
 	if sj == nil {
 		return nil, badRequest("missing schedule")
 	}
-	if !knownScheduleAlgorithms[sj.Algorithm] {
-		// The want-list must name everything knownScheduleAlgorithms
-		// accepts — AC included, even though an AC schedule is rejected
-		// one gate later for carrying no phases: a client that sent
-		// "ac" should learn the tag exists, not that it doesn't.
-		return nil, badRequest("unknown schedule algorithm %q (want AC, LP, RS_N, RS_NL, RS_NL_SZ, GREEDY, GREEDY_LF, or GREEDY_LF_LINK)", sj.Algorithm)
+	alg, ok := sched.Lookup(sj.Algorithm)
+	if !ok {
+		// The want-list names every table tag — AC included, even
+		// though an AC schedule is rejected one gate later for carrying
+		// no phases: a client that sent "ac" should learn the tag
+		// exists, not that it doesn't.
+		return nil, badRequest("unknown schedule algorithm %q (want %s)", sj.Algorithm, sched.WantList(sched.Tags()...))
 	}
-	if sj.Algorithm == "AC" {
+	if alg.Build == nil {
 		// resolveSchedule is only reached for schedules with phases; an
 		// AC run is driven by the matrix and has none.
 		return nil, badRequest("an AC schedule carries no phases; send the matrix instead")
