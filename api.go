@@ -92,8 +92,9 @@ type (
 	SchedCore = sched.Core
 	// RouteTable is a CSR-packed precomputation of all n^2
 	// deterministic routes of a Topology: built once (O(n^2 * diameter)
-	// memory), immutable, safe to share across any number of cores and
-	// goroutines.
+	// memory), immutable, safe to share across any number of cores,
+	// machines and goroutines. Past a hop budget it is lazy instead,
+	// storing nothing and generating routes on the fly.
 	RouteTable = topo.RouteTable
 	// Server is the unschedd scheduling service: schedule/simulate/
 	// campaign endpoints over a bounded worker pool with a
@@ -376,12 +377,16 @@ func NewSimMachine(net Topology, params Params) (*SimMachine, error) {
 	return ipsc.NewMachine(net, params)
 }
 
-// NewRouteTable precomputes every deterministic route of net, to be
-// shared read-only by any number of scheduler cores (and goroutines).
+// NewRouteTable returns the route table of net, to be shared read-only
+// by any number of scheduler cores, simulator machines and goroutines.
+// The table picks its own mode: it precomputes every deterministic
+// route when the estimated footprint, n^2 * (diameter+1)/2 hop
+// entries, fits a 2^26-hop budget (~268 MB), and otherwise stays lazy,
+// generating each route on the fly.
 func NewRouteTable(net Topology) *RouteTable { return topo.NewRouteTable(net) }
 
-// NewSchedCore returns a reusable scheduler core for net, precomputing
-// its route table. Drive it through its RSNL/RSN/LP/... methods; one
+// NewSchedCore returns a reusable scheduler core for net over
+// NewRouteTable(net). Drive it through its RSNL/RSN/LP/... methods; one
 // core serves an arbitrarily long schedule sequence without
 // reallocating scratch state. Create one per goroutine — a core must
 // not be shared concurrently. For many cores over one topology, build

@@ -638,28 +638,28 @@ func BenchmarkSimulatorRSNL_1024(b *testing.B) {
 }
 
 // BenchmarkRouteTableBitset is the occupancy micro-benchmark under the
-// simulator: probe-claim-release of whole routes against the packed
-// []uint64 channel bitset, word-at-a-time through the table's mask
-// spans. One op is one full probe+claim+probe+release cycle over a
-// route of the 64-node cube.
+// schedulers and the simulator: probe-claim-release of whole routes in
+// a topo.Occupancy over the dense table, word-at-a-time through the
+// table's mask spans. One op is one full probe+claim+probe+release
+// cycle over a route of the 64-node cube.
 func BenchmarkRouteTableBitset(b *testing.B) {
 	cube := hypercube.MustNew(6)
 	rt := topo.NewRouteTable(cube)
-	if !rt.Masked() {
-		b.Fatal("cube table should carry mask spans")
+	if rt.Lazy() {
+		b.Fatal("cube table should be dense")
 	}
-	busy := make([]uint64, topo.BitsetWords(cube.NumChannels()))
+	occ := topo.NewOccupancy(rt)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src := i & 63
 		dst := (i * 31) & 63
-		if rt.RouteFree(busy, src, dst) {
-			rt.ClaimRoute(busy, src, dst)
-			if rt.RouteFree(busy, src, dst) && src != dst {
+		if occ.CheckPath(src, dst) {
+			occ.MarkPath(src, dst)
+			if occ.CheckPath(src, dst) && src != dst {
 				b.Fatal("claimed route reads free")
 			}
-			rt.ReleaseRoute(busy, src, dst)
+			occ.ReleasePath(src, dst)
 		}
 	}
 }
@@ -780,10 +780,10 @@ func BenchmarkRouteTableBuild(b *testing.B) {
 
 func BenchmarkEcubeRouting(b *testing.B) {
 	cube := hypercube.MustNew(6)
-	var buf []hypercube.Channel
+	var buf []int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = cube.Route(i%64, (i*31)%64, buf[:0])
+		buf = cube.RouteIDs(i%64, (i*31)%64, buf[:0])
 	}
 	_ = buf
 }

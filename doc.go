@@ -104,10 +104,13 @@
 // the size of PATHS can be much smaller". NewRouteTable precomputes
 // all n^2 routes of a Topology into a CSR-packed read-only table
 // (O(n^2 * diameter) memory: ~64 KB for the 64-node cube), built once
-// and shared across any number of goroutines. Precomputation costs
-// one route generation per pair, so it pays off as soon as a topology
-// serves more than a handful of schedules; for one-shot scheduling the
-// package-level functions keep generating routes on the fly.
+// and shared across any number of goroutines; past a 2^26-hop budget
+// it returns a lazy table that generates routes on the fly instead.
+// Precomputation costs one route generation per pair, so it pays off
+// as soon as a topology serves more than a handful of schedules; for
+// one-shot scheduling the package-level functions keep generating
+// routes on the fly. Schedulers and the simulator claim channels in
+// the same bitset occupancy over either kind of table.
 //
 // NewSchedCore pairs such a table with a reusable scheduler instance
 // (SchedCore) that owns all scheduling scratch — CCOM row storage,

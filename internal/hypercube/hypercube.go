@@ -58,193 +58,35 @@ func (c *Cube) Nodes() int { return c.n }
 // Contains reports whether node id is a valid address in the cube.
 func (c *Cube) Contains(node int) bool { return node >= 0 && node < c.n }
 
-// Neighbor returns the neighbor of node across dimension d.
-func (c *Cube) Neighbor(node, d int) int {
-	return node ^ (1 << uint(d))
-}
-
 // Distance returns the Hamming distance between two node addresses,
 // which is the e-cube route length in hops.
 func Distance(a, b int) int {
 	return bits.OnesCount(uint(a ^ b))
 }
 
-// Link identifies one undirected physical link of the cube: the link
-// in dimension Dim attached to the endpoint with the lower address.
-// Lo always has bit Dim clear, so (Lo, Dim) names each link uniquely.
-type Link struct {
-	Lo  int // lower-addressed endpoint (bit Dim is 0)
-	Dim int // dimension the link crosses
-}
-
-// Channel is one direction of a physical link. iPSC/860 links are
-// full-duplex: the two directions carry independent circuits, which is
-// why a pairwise exchange can proceed concurrently and why the XOR
-// permutations used by LP are contention-free (their routes are
-// disjoint at channel granularity, not wire granularity).
-type Channel struct {
-	Link Link
-	Up   bool // true when traversed from Lo toward the higher address
-}
-
-// LinkBetween returns the link joining two adjacent nodes. It panics
-// if the nodes are not adjacent; adjacency is a static property of the
-// caller's loop structure, not runtime input.
-func LinkBetween(a, b int) Link {
-	x := a ^ b
-	if bits.OnesCount(uint(x)) != 1 {
-		panic(fmt.Sprintf("hypercube: nodes %d and %d are not adjacent", a, b))
-	}
-	d := bits.TrailingZeros(uint(x))
-	lo := a
-	if b < a {
-		lo = b
-	}
-	return Link{Lo: lo, Dim: d}
-}
-
-// Index maps the link to a dense index in [0, NumLinks()) for use as
-// an array subscript by the link-occupancy tables (the PATHS structure
-// of the paper, stored densely instead of n x n).
-func (c *Cube) LinkIndex(l Link) int {
-	// Links in dimension d: the 2^(dim-1) nodes with bit d clear.
-	// Compact the address by deleting bit d.
-	lowMask := (1 << uint(l.Dim)) - 1
-	compact := (l.Lo & lowMask) | ((l.Lo >> uint(l.Dim+1)) << uint(l.Dim))
-	return l.Dim*(c.n/2) + compact
-}
-
-// NumLinks returns the number of physical links: dim * 2^(dim-1).
-func (c *Cube) NumLinks() int {
-	if c.dim == 0 {
-		return 0
-	}
-	return c.dim * (c.n / 2)
-}
-
-// NumChannels returns the number of directed channels, 2 * NumLinks().
-func (c *Cube) NumChannels() int { return 2 * c.NumLinks() }
-
-// ChannelIndex maps a directed channel to a dense index in
-// [0, NumChannels()).
-func (c *Cube) ChannelIndex(ch Channel) int {
-	idx := 2 * c.LinkIndex(ch.Link)
-	if ch.Up {
-		idx++
-	}
-	return idx
-}
-
-// Route appends the e-cube route from src to dst to buf, as directed
-// channels, and returns the extended slice. The route fixes address
-// bits LSB-first, exactly as the iPSC/860 hardware does. An empty
-// route (src == dst) appends nothing. Route panics if either node is
-// outside the cube; node IDs come from schedule structures that are
-// validated on construction.
-func (c *Cube) Route(src, dst int, buf []Channel) []Channel {
-	if !c.Contains(src) || !c.Contains(dst) {
-		panic(fmt.Sprintf("hypercube: route %d->%d outside %d-cube", src, dst, c.dim))
-	}
-	cur := src
-	diff := src ^ dst
-	for diff != 0 {
-		d := bits.TrailingZeros(uint(diff))
-		next := cur ^ (1 << uint(d))
-		buf = append(buf, Channel{Link: LinkBetween(cur, next), Up: next > cur})
-		cur = next
-		diff &^= 1 << uint(d)
-	}
-	return buf
-}
-
-// RouteNodes returns the node sequence visited by the e-cube route
-// from src to dst, including both endpoints.
-func (c *Cube) RouteNodes(src, dst int) []int {
-	nodes := []int{src}
-	cur := src
-	diff := src ^ dst
-	for diff != 0 {
-		d := bits.TrailingZeros(uint(diff))
-		cur ^= 1 << uint(d)
-		nodes = append(nodes, cur)
-		diff &^= 1 << uint(d)
-	}
-	return nodes
-}
-
-// RoutesDisjoint reports whether the e-cube routes a1->b1 and a2->b2
-// share any directed channel. It allocates nothing beyond two small
-// route buffers and is intended for tests and validators; the
-// scheduler uses an occupancy table instead.
-func (c *Cube) RoutesDisjoint(a1, b1, a2, b2 int) bool {
-	var buf1, buf2 [32]Channel
-	r1 := c.Route(a1, b1, buf1[:0])
-	r2 := c.Route(a2, b2, buf2[:0])
-	for _, l1 := range r1 {
-		for _, l2 := range r2 {
-			if l1 == l2 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// GrayCode returns the i-th binary-reflected Gray code. Consecutive
-// Gray codes differ in one bit, so walking Gray codes walks a
-// Hamiltonian path on the cube.
-func GrayCode(i int) int { return i ^ (i >> 1) }
-
-// InverseGray returns j such that GrayCode(j) == g.
-func InverseGray(g int) int {
-	j := 0
-	for g != 0 {
-		j ^= g
-		g >>= 1
-	}
-	return j
-}
-
-// XORPairs enumerates the pairing used by the LP (linear permutation)
-// algorithm: in phase k, node i exchanges with node i XOR k. The
-// pairing is an involution (a perfect matching of the node set) for
-// every k in [1, n-1], and the e-cube routes of distinct pairs in the
-// same phase are mutually link-disjoint — the classic property that
-// makes XOR permutations congestion-free on hypercubes.
-func (c *Cube) XORPairs(k int) [][2]int {
-	if k <= 0 || k >= c.n {
-		return nil
-	}
-	pairs := make([][2]int, 0, c.n/2)
-	for i := 0; i < c.n; i++ {
-		j := i ^ k
-		if i < j {
-			pairs = append(pairs, [2]int{i, j})
-		}
-	}
-	return pairs
-}
-
-// RecursiveDoublingSchedule returns, for each of dim rounds, the
-// dimension crossed in that round. In round r every node exchanges
-// with its neighbor across dimension r; after all rounds each node
-// holds the combined data of all nodes. This is the concatenate
-// (allgather) schedule referenced in the paper (§4: "all processors
-// can participate in a concatenate operation"), used by the runtime
-// scheduling path to assemble the full COM matrix on every node.
-func (c *Cube) RecursiveDoublingSchedule() []int {
-	dims := make([]int, c.dim)
-	for i := range dims {
-		dims[i] = i
-	}
-	return dims
-}
+// NumChannels returns the number of directed channels: each of the
+// dim * 2^(dim-1) full-duplex links carries two independent circuits,
+// one per direction, which is why a pairwise exchange can proceed
+// concurrently and why the XOR permutations used by LP are
+// contention-free (their routes are disjoint at channel granularity,
+// not wire granularity).
+func (c *Cube) NumChannels() int { return c.dim * c.n }
 
 // Name implements topo.Topology.
 func (c *Cube) Name() string { return fmt.Sprintf("hypercube-%d", c.dim) }
 
-// RouteIDs implements topo.Topology: the e-cube route as dense
-// directed-channel indices.
+// RouteIDs implements topo.Topology: it appends the e-cube route from
+// src to dst to buf as dense directed-channel indices and returns the
+// extended slice. The route fixes address bits LSB-first, exactly as
+// the iPSC/860 hardware does; an empty route (src == dst) appends
+// nothing. RouteIDs panics if either node is outside the cube; node
+// IDs come from schedule structures that are validated on
+// construction.
+//
+// Channel numbering: the link crossing dimension d between lo (bit d
+// clear) and lo|1<<d has index d*2^(dim-1) + lo with bit d deleted, so
+// links are dense per dimension; its upward direction (toward the
+// higher address) is channel 2*link+1 and its downward one 2*link.
 func (c *Cube) RouteIDs(src, dst int, buf []int) []int {
 	if !c.Contains(src) || !c.Contains(dst) {
 		panic(fmt.Sprintf("hypercube: route %d->%d outside %d-cube", src, dst, c.dim))
@@ -253,10 +95,16 @@ func (c *Cube) RouteIDs(src, dst int, buf []int) []int {
 	diff := src ^ dst
 	for diff != 0 {
 		d := bits.TrailingZeros(uint(diff))
-		next := cur ^ (1 << uint(d))
-		buf = append(buf, c.ChannelIndex(Channel{Link: LinkBetween(cur, next), Up: next > cur}))
-		cur = next
-		diff &^= 1 << uint(d)
+		bit := 1 << uint(d)
+		// Within dimension d, a link's index is cur with bit d deleted.
+		link := d*(c.n/2) + (cur&(bit-1) | cur>>uint(d+1)<<uint(d))
+		up := 0
+		if cur&bit == 0 {
+			up = 1
+		}
+		buf = append(buf, 2*link+up)
+		cur ^= bit
+		diff &^= bit
 	}
 	return buf
 }
@@ -271,9 +119,4 @@ func (c *Cube) Diameter() int { return c.dim }
 // String implements fmt.Stringer.
 func (c *Cube) String() string {
 	return fmt.Sprintf("hypercube(dim=%d, nodes=%d)", c.dim, c.n)
-}
-
-// String implements fmt.Stringer for Link.
-func (l Link) String() string {
-	return fmt.Sprintf("link(%d--%d)", l.Lo, l.Lo^(1<<uint(l.Dim)))
 }

@@ -1,7 +1,9 @@
 package hypercube
 
 import (
-	"math/bits"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 )
@@ -72,24 +74,6 @@ func TestMustNewPanics(t *testing.T) {
 	MustNew(-1)
 }
 
-func TestNeighbor(t *testing.T) {
-	c := MustNew(6)
-	if got := c.Neighbor(0, 0); got != 1 {
-		t.Errorf("Neighbor(0,0) = %d, want 1", got)
-	}
-	if got := c.Neighbor(5, 2); got != 1 {
-		t.Errorf("Neighbor(5,2) = %d, want 1", got)
-	}
-	// Involution: neighbor of neighbor is self.
-	for node := 0; node < c.Nodes(); node++ {
-		for d := 0; d < c.Dim(); d++ {
-			if got := c.Neighbor(c.Neighbor(node, d), d); got != node {
-				t.Fatalf("Neighbor involution broken at node %d dim %d", node, d)
-			}
-		}
-	}
-}
-
 func TestDistance(t *testing.T) {
 	if Distance(0, 0) != 0 {
 		t.Error("Distance(0,0) != 0")
@@ -102,80 +86,100 @@ func TestDistance(t *testing.T) {
 	}
 }
 
-func TestLinkBetween(t *testing.T) {
-	l := LinkBetween(4, 5)
-	if l.Lo != 4 || l.Dim != 0 {
-		t.Errorf("LinkBetween(4,5) = %+v, want {4,0}", l)
+// oneHop returns the single channel id of the route from node across
+// dimension d.
+func oneHop(t *testing.T, c *Cube, node, d int) int {
+	t.Helper()
+	ids := c.RouteIDs(node, node^(1<<uint(d)), nil)
+	if len(ids) != 1 {
+		t.Fatalf("route %d->%d has %d hops, want 1", node, node^(1<<uint(d)), len(ids))
 	}
-	// Order-independent.
-	if LinkBetween(5, 4) != l {
-		t.Error("LinkBetween not symmetric")
-	}
+	return ids[0]
 }
 
-func TestLinkBetweenPanicsOnNonAdjacent(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("LinkBetween(0,3) did not panic")
-		}
-	}()
-	LinkBetween(0, 3)
-}
-
+// Channel ids are dense and unique: every directed channel of the cube
+// is the one-hop route of exactly one (node, dimension) pair, and the
+// two directions of a link are distinct channels 2*link and 2*link+1
+// of one link index, whichever endpoint the route starts from.
 func TestLinkIndexDenseAndUnique(t *testing.T) {
-	for dim := 1; dim <= 7; dim++ {
+	for dim := 0; dim <= 7; dim++ {
 		c := MustNew(dim)
-		seen := make(map[int]Link)
-		count := 0
+		seen := make(map[int][2]int)
 		for node := 0; node < c.Nodes(); node++ {
 			for d := 0; d < c.Dim(); d++ {
-				nb := c.Neighbor(node, d)
-				if nb < node {
-					continue // count each undirected link once
+				id := oneHop(t, c, node, d)
+				if id < 0 || id >= c.NumChannels() {
+					t.Fatalf("dim %d: route %d across %d: channel %d out of [0,%d)", dim, node, d, id, c.NumChannels())
 				}
-				l := LinkBetween(node, nb)
-				idx := c.LinkIndex(l)
-				if idx < 0 || idx >= c.NumLinks() {
-					t.Fatalf("dim %d: LinkIndex(%v) = %d out of [0,%d)", dim, l, idx, c.NumLinks())
+				if prev, dup := seen[id]; dup {
+					t.Fatalf("dim %d: channel %d used by %v and %v", dim, id, prev, [2]int{node, d})
 				}
-				if prev, dup := seen[idx]; dup {
-					t.Fatalf("dim %d: LinkIndex collision: %v and %v both map to %d", dim, prev, l, idx)
+				seen[id] = [2]int{node, d}
+				back := oneHop(t, c, node^(1<<uint(d)), d)
+				if back>>1 != id>>1 || back == id {
+					t.Fatalf("dim %d: %d<->%d directions are channels %d and %d, want one link's two", dim, node, node^(1<<uint(d)), id, back)
 				}
-				seen[idx] = l
-				count++
 			}
 		}
-		if count != c.NumLinks() {
-			t.Fatalf("dim %d: enumerated %d links, NumLinks() = %d", dim, count, c.NumLinks())
+		if len(seen) != c.NumChannels() {
+			t.Fatalf("dim %d: enumerated %d channels, NumChannels() = %d", dim, len(seen), c.NumChannels())
 		}
 	}
+}
+
+// The link between nodes 4 and 5 crosses dimension 0 and is link 2 of
+// that dimension (4 with bit 0 deleted); either direction names the
+// same link, 4->5 as its up channel and 5->4 as its down channel.
+func TestLinkBetween(t *testing.T) {
+	c := MustNew(6)
+	if up := oneHop(t, c, 4, 0); up != 2*2+1 {
+		t.Errorf("route 4->5 is channel %d, want 5", up)
+	}
+	if down := oneHop(t, c, 5, 0); down != 2*2 {
+		t.Errorf("route 5->4 is channel %d, want 4", down)
+	}
+}
+
+// routeNodes decodes the node sequence of the route src->dst from its
+// channel ids, using the documented numbering: channel id crosses
+// dimension id/2/2^(dim-1).
+func routeNodes(c *Cube, src, dst int) (nodes, dims []int) {
+	nodes = []int{src}
+	for _, id := range c.RouteIDs(src, dst, nil) {
+		d := (id / 2) / (c.Nodes() / 2)
+		dims = append(dims, d)
+		nodes = append(nodes, nodes[len(nodes)-1]^(1<<uint(d)))
+	}
+	return nodes, dims
 }
 
 func TestRouteBasics(t *testing.T) {
 	c := MustNew(6)
 	// Empty route for src == dst.
-	if r := c.Route(17, 17, nil); len(r) != 0 {
-		t.Errorf("Route(17,17) has %d links, want 0", len(r))
+	if r := c.RouteIDs(17, 17, nil); len(r) != 0 {
+		t.Errorf("RouteIDs(17,17) has %d channels, want 0", len(r))
 	}
-	// One-hop route.
-	r := c.Route(0, 1, nil)
-	if len(r) != 1 || r[0] != (Channel{Link: Link{Lo: 0, Dim: 0}, Up: true}) {
-		t.Errorf("Route(0,1) = %v", r)
+	// One-hop route: the up channel of link 0 (0--1, dimension 0).
+	if r := c.RouteIDs(0, 1, nil); len(r) != 1 || r[0] != 1 {
+		t.Errorf("RouteIDs(0,1) = %v, want [1]", r)
 	}
 	// Reverse direction uses the down channel of the same wire.
-	r = c.Route(1, 0, nil)
-	if len(r) != 1 || r[0] != (Channel{Link: Link{Lo: 0, Dim: 0}, Up: false}) {
-		t.Errorf("Route(1,0) = %v", r)
+	if r := c.RouteIDs(1, 0, nil); len(r) != 1 || r[0] != 0 {
+		t.Errorf("RouteIDs(1,0) = %v, want [0]", r)
 	}
-	// e-cube fixes LSB first: 0 -> 6 (binary 110) goes 0 -> 2 -> 6.
-	nodes := c.RouteNodes(0, 6)
+	// e-cube fixes LSB first: 0 -> 6 (binary 110) goes 0 -> 2 -> 6,
+	// up link 32 (0--2) then up link 66 (2--6).
+	if r := c.RouteIDs(0, 6, nil); len(r) != 2 || r[0] != 65 || r[1] != 133 {
+		t.Errorf("RouteIDs(0,6) = %v, want [65 133]", r)
+	}
+	nodes, _ := routeNodes(c, 0, 6)
 	want := []int{0, 2, 6}
 	if len(nodes) != len(want) {
-		t.Fatalf("RouteNodes(0,6) = %v, want %v", nodes, want)
+		t.Fatalf("route 0->6 visits %v, want %v", nodes, want)
 	}
 	for i := range want {
 		if nodes[i] != want[i] {
-			t.Fatalf("RouteNodes(0,6) = %v, want %v", nodes, want)
+			t.Fatalf("route 0->6 visits %v, want %v", nodes, want)
 		}
 	}
 }
@@ -185,9 +189,9 @@ func TestRouteLengthEqualsHamming(t *testing.T) {
 	c := MustNew(6)
 	for src := 0; src < c.Nodes(); src++ {
 		for dst := 0; dst < c.Nodes(); dst++ {
-			r := c.Route(src, dst, nil)
-			if len(r) != Distance(src, dst) {
-				t.Fatalf("route %d->%d has %d links, Hamming %d", src, dst, len(r), Distance(src, dst))
+			r := c.RouteIDs(src, dst, nil)
+			if len(r) != Distance(src, dst) || len(r) != c.Hops(src, dst) {
+				t.Fatalf("route %d->%d has %d channels, Hamming %d", src, dst, len(r), Distance(src, dst))
 			}
 		}
 	}
@@ -197,11 +201,9 @@ func TestRouteLengthEqualsHamming(t *testing.T) {
 func TestRouteDimensionOrder(t *testing.T) {
 	c := MustNew(8)
 	f := func(a, b uint16) bool {
-		src := int(a) % c.Nodes()
-		dst := int(b) % c.Nodes()
-		r := c.Route(src, dst, nil)
-		for i := 1; i < len(r); i++ {
-			if r[i].Link.Dim <= r[i-1].Link.Dim {
+		_, dims := routeNodes(c, int(a)%c.Nodes(), int(b)%c.Nodes())
+		for i := 1; i < len(dims); i++ {
+			if dims[i] <= dims[i-1] {
 				return false
 			}
 		}
@@ -212,19 +214,20 @@ func TestRouteDimensionOrder(t *testing.T) {
 	}
 }
 
-// Property: the route actually connects src to dst (each link adjacent
-// to the previous node, ending at dst).
+// Property: the route actually connects src to dst (each channel
+// leaves the node the previous one entered, ending at dst).
 func TestRouteConnects(t *testing.T) {
 	c := MustNew(8)
 	f := func(a, b uint16) bool {
 		src := int(a) % c.Nodes()
 		dst := int(b) % c.Nodes()
-		nodes := c.RouteNodes(src, dst)
+		nodes, _ := routeNodes(c, src, dst)
 		if nodes[0] != src || nodes[len(nodes)-1] != dst {
 			return false
 		}
-		for i := 1; i < len(nodes); i++ {
-			if Distance(nodes[i-1], nodes[i]) != 1 {
+		for i, id := range c.RouteIDs(src, dst, nil) {
+			// The hop's channel is the one-hop route between its ends.
+			if one := c.RouteIDs(nodes[i], nodes[i+1], nil); len(one) != 1 || one[0] != id {
 				return false
 			}
 		}
@@ -239,108 +242,76 @@ func TestRoutePanicsOutsideCube(t *testing.T) {
 	c := MustNew(3)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Route outside cube did not panic")
+			t.Fatal("RouteIDs outside cube did not panic")
 		}
 	}()
-	c.Route(0, 9, nil)
+	c.RouteIDs(0, 9, nil)
+}
+
+// routesDisjoint reports whether the e-cube routes a1->b1 and a2->b2
+// share no directed channel.
+func routesDisjoint(c *Cube, a1, b1, a2, b2 int) bool {
+	for _, x := range c.RouteIDs(a1, b1, nil) {
+		for _, y := range c.RouteIDs(a2, b2, nil) {
+			if x == y {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func TestRoutesDisjoint(t *testing.T) {
 	c := MustNew(6)
 	// Same source bit-0 link shared: 0->1 and 0->3 (0->1->3) share link 0--1.
-	if c.RoutesDisjoint(0, 1, 0, 3) {
+	if routesDisjoint(c, 0, 1, 0, 3) {
 		t.Error("routes 0->1 and 0->3 should share link 0--1")
 	}
 	// Parallel edges in different subcubes are disjoint.
-	if !c.RoutesDisjoint(0, 1, 2, 3) {
+	if !routesDisjoint(c, 0, 1, 2, 3) {
 		t.Error("routes 0->1 and 2->3 should be disjoint")
 	}
-}
-
-func TestGrayCode(t *testing.T) {
-	// Consecutive Gray codes differ by one bit.
-	for i := 1; i < 1024; i++ {
-		if bits.OnesCount(uint(GrayCode(i)^GrayCode(i-1))) != 1 {
-			t.Fatalf("Gray codes %d and %d differ in != 1 bit", i-1, i)
-		}
-	}
-	// Inverse property.
-	for i := 0; i < 1024; i++ {
-		if InverseGray(GrayCode(i)) != i {
-			t.Fatalf("InverseGray(GrayCode(%d)) != %d", i, i)
-		}
-	}
-}
-
-func TestXORPairsIsPerfectMatching(t *testing.T) {
-	c := MustNew(6)
-	for k := 1; k < c.Nodes(); k++ {
-		pairs := c.XORPairs(k)
-		if len(pairs) != c.Nodes()/2 {
-			t.Fatalf("k=%d: %d pairs, want %d", k, len(pairs), c.Nodes()/2)
-		}
-		seen := make(map[int]bool)
-		for _, p := range pairs {
-			if p[0]^p[1] != k {
-				t.Fatalf("k=%d: pair %v does not XOR to k", k, p)
-			}
-			if seen[p[0]] || seen[p[1]] {
-				t.Fatalf("k=%d: node repeated in matching", k)
-			}
-			seen[p[0]] = true
-			seen[p[1]] = true
-		}
-	}
-}
-
-func TestXORPairsInvalidK(t *testing.T) {
-	c := MustNew(4)
-	if c.XORPairs(0) != nil {
-		t.Error("XORPairs(0) should be nil")
-	}
-	if c.XORPairs(16) != nil {
-		t.Error("XORPairs(n) should be nil")
-	}
-}
-
-func TestRecursiveDoublingSchedule(t *testing.T) {
-	c := MustNew(6)
-	dims := c.RecursiveDoublingSchedule()
-	if len(dims) != 6 {
-		t.Fatalf("schedule length %d, want 6", len(dims))
-	}
-	// Simulate allgather coverage: after round r, each node's set doubles.
-	sets := make([]map[int]bool, c.Nodes())
-	for i := range sets {
-		sets[i] = map[int]bool{i: true}
-	}
-	for _, d := range dims {
-		next := make([]map[int]bool, c.Nodes())
-		for i := range next {
-			next[i] = make(map[int]bool)
-			for k := range sets[i] {
-				next[i][k] = true
-			}
-			for k := range sets[c.Neighbor(i, d)] {
-				next[i][k] = true
-			}
-		}
-		sets = next
-	}
-	for i, s := range sets {
-		if len(s) != c.Nodes() {
-			t.Fatalf("node %d holds %d pieces after concatenate, want %d", i, len(s), c.Nodes())
-		}
+	// The two directions of one wire are independent channels.
+	if !routesDisjoint(c, 0, 1, 1, 0) {
+		t.Error("routes 0->1 and 1->0 should be disjoint")
 	}
 }
 
 func TestStringers(t *testing.T) {
 	c := MustNew(6)
-	if c.String() == "" {
-		t.Error("Cube.String empty")
+	if c.String() != "hypercube(dim=6, nodes=64)" {
+		t.Errorf("Cube.String() = %q", c.String())
 	}
-	l := Link{Lo: 4, Dim: 1}
-	if l.String() != "link(4--6)" {
-		t.Errorf("Link.String() = %q", l.String())
+}
+
+// routesDigest is the SHA-256 of every RouteIDs route of the cubes of
+// dimension 0 through 8, each route written as its length and ids in
+// little-endian uint32s, in (dim, src, dst) order. It pins the channel
+// numbering that route tables, occupancy bitsets and every simulated
+// schedule depend on.
+const routesDigest = "7e2b0b411f46d4e42c3e3d42c69f1e081bc32fa169c1d11ce6963bc76d11e072"
+
+func TestRouteIDsNumberingPinned(t *testing.T) {
+	h := sha256.New()
+	var buf []int
+	var word [4]byte
+	put := func(v int) {
+		binary.LittleEndian.PutUint32(word[:], uint32(v))
+		h.Write(word[:])
+	}
+	for dim := 0; dim <= 8; dim++ {
+		c := MustNew(dim)
+		for src := 0; src < c.Nodes(); src++ {
+			for dst := 0; dst < c.Nodes(); dst++ {
+				buf = c.RouteIDs(src, dst, buf[:0])
+				put(len(buf))
+				for _, id := range buf {
+					put(id)
+				}
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != routesDigest {
+		t.Fatalf("route digest %s, want %s: the channel numbering changed", got, routesDigest)
 	}
 }

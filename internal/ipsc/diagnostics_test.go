@@ -71,7 +71,7 @@ func TestPendingSummary(t *testing.T) {
 
 // TestMachinesShareRouteTableConcurrently is the campaign-worker
 // memory model under the race detector: many machines, one dense
-// RouteTable. The table must be read-only in the hot path (routeFree/
+// RouteTable. The table must be read-only in the hot path (check/
 // claim/release touch only per-machine occupancy words), so parallel
 // simulations over the shared table are race-free and bit-identical
 // to sequential ones.

@@ -40,12 +40,12 @@
 //     indices;
 //   - barrier arrival counts and waiter lists are flat slices indexed
 //     by barrier id (phase number), recycled across runs;
-//   - channel occupancy is a packed []uint64 bitset; when the Machine
-//     is built over a dense topo.RouteTable the free/claim/release
-//     walks go word-at-a-time through the table's precomputed masks;
+//   - channel occupancy is one topo.Occupancy, the packed bitset the
+//     schedulers claim routes in too; over a dense topo.RouteTable
+//     its check/claim/release walks go word-at-a-time through the
+//     table's precomputed masks;
 //   - per-run programs compile into a machine-owned [][]op arena whose
-//     inner capacities persist across runs (Run* methods only; the
-//     package-level Compile* functions still allocate fresh programs).
+//     inner capacities persist across runs.
 //
 // After the first run on a given workload shape, Reset restores every
 // arena without freeing, so a reused Machine simulates allocation-free.
@@ -82,24 +82,26 @@ const (
 // use; create one per goroutine.
 //
 // Passing a *topo.RouteTable as the topology (a RouteTable is itself a
-// Topology) switches channel-occupancy checks to the table's
-// word-at-a-time bitset masks; any other topology routes on the fly.
+// Topology) makes the machine walk that table — word-at-a-time masks
+// when it is dense; any other topology is wrapped in a lazy table and
+// routes on the fly.
 type Machine struct {
-	net    topo.Topology
-	routes *topo.RouteTable // non-nil: dense table, word-mask occupancy path
+	// routes is the machine's route table, lazy over a plain topology.
+	// Hops is read from it directly rather than through the Topology
+	// interface: every transfer start and receive posting asks, and on
+	// a dense table the lookup is two adjacent int32 loads.
+	routes *topo.RouteTable
+	// chans holds the directed channels of every active circuit.
+	chans  *topo.Occupancy
 	params costmodel.Params
 	eng    *des.Engine
 	nodes  []node
-	// chanBusy is the packed channel-occupancy bitset: bit i marks
-	// directed channel i held by an active circuit.
-	chanBusy []uint64
 	// busy packs each node's circuit occupancy into one byte —
 	// busyTx for an active outgoing transfer, busyRx for an incoming
 	// one. tryStart probes these for random peers on every retry, so
 	// keeping all nodes' flags in a few cache lines matters more than
 	// keeping them next to the rest of the node state.
-	busy     []uint8
-	routeBuf []int
+	busy []uint8
 	// attempts is the per-run arena of transfer/exchange attempts;
 	// pending queues the arena indices of attempts blocked on
 	// resources, in FIFO order.
@@ -192,16 +194,17 @@ func NewMachine(net topo.Topology, params costmodel.Params) (*Machine, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	n := net.Nodes()
+	rt, ok := net.(*topo.RouteTable)
+	if !ok {
+		rt = topo.NewRouteTableLazy(net)
+	}
+	n := rt.Nodes()
 	m := &Machine{
-		net:       net,
+		routes:    rt,
+		chans:     topo.NewOccupancy(rt),
 		params:    params,
 		eng:       des.New(),
-		chanBusy:  make([]uint64, topo.BitsetWords(net.NumChannels())),
 		maxEvents: int64(n) * 1_000_000,
-	}
-	if rt, ok := net.(*topo.RouteTable); ok && !rt.Lazy() {
-		m.routes = rt
 	}
 	m.eng.SetHandler(m.handle)
 	// Per-node state is carved out of four contiguous allocations so a
@@ -233,15 +236,14 @@ func (m *Machine) SetMaxEvents(v int64) {
 }
 
 // Reset returns the machine to its initial state while keeping every
-// backing allocation: the event heap, the channel-occupancy bitset,
-// the route buffer, the attempt and barrier arenas, and all per-node
-// vectors. After Reset the machine is indistinguishable from a freshly
-// built one, so a single Machine can drive an arbitrarily long
-// sequence of runs allocation-free.
+// backing allocation: the event heap, the channel occupancy, the
+// attempt and barrier arenas, and all per-node vectors. After Reset
+// the machine is indistinguishable from a freshly built one, so a
+// single Machine can drive an arbitrarily long sequence of runs
+// allocation-free.
 func (m *Machine) Reset() {
 	m.eng.Reset()
-	clear(m.chanBusy)
-	m.routeBuf = m.routeBuf[:0]
+	m.chans.Reset()
 	m.attempts = m.attempts[:0]
 	m.pending = m.pending[:0]
 	for i := range m.barrierCount {
@@ -395,7 +397,7 @@ func (m *Machine) advance(nd *node) {
 			// signal before the local resume.
 			src := int(o.peer)
 			cost := m.params.PostOverheadUS
-			flight := m.params.SignalTime(m.hops(nd.id, src))
+			flight := m.params.SignalTime(m.routes.Hops(nd.id, src))
 			m.eng.AfterEvent(cost+flight, evReady, int32(src), int32(nd.id))
 			nd.pc++
 			m.eng.AfterEvent(cost, evAdvance, int32(nd.id), 0)
@@ -557,54 +559,6 @@ func (m *Machine) retryPending() {
 	m.pending = remaining
 }
 
-// routeFree reports whether all channels of the deterministic route
-// are free. Over a dense route table this is a word-at-a-time mask
-// test; otherwise the route is generated and tested bit by bit.
-func (m *Machine) routeFree(src, dst int) bool {
-	if m.routes != nil {
-		return m.routes.RouteFree(m.chanBusy, src, dst)
-	}
-	m.routeBuf = m.net.RouteIDs(src, dst, m.routeBuf[:0])
-	for _, id := range m.routeBuf {
-		if m.chanBusy[id>>6]&(uint64(1)<<(uint(id)&63)) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func (m *Machine) setRoute(src, dst int, busy bool) {
-	if m.routes != nil {
-		if busy {
-			m.routes.ClaimRoute(m.chanBusy, src, dst)
-		} else {
-			m.routes.ReleaseRoute(m.chanBusy, src, dst)
-		}
-		return
-	}
-	m.routeBuf = m.net.RouteIDs(src, dst, m.routeBuf[:0])
-	if busy {
-		for _, id := range m.routeBuf {
-			m.chanBusy[id>>6] |= uint64(1) << (uint(id) & 63)
-		}
-	} else {
-		for _, id := range m.routeBuf {
-			m.chanBusy[id>>6] &^= uint64(1) << (uint(id) & 63)
-		}
-	}
-}
-
-// hops returns the route length, bypassing the Topology interface
-// dispatch when a dense route table is attached: Hops is called on
-// every transfer start and every receive posting, and the table lookup
-// is two adjacent int32 loads.
-func (m *Machine) hops(src, dst int) int {
-	if m.routes != nil {
-		return m.routes.Hops(src, dst)
-	}
-	return m.net.Hops(src, dst)
-}
-
 // tryStart checks resources and, if available, claims them and
 // schedules the completion event. Returns false if the attempt must
 // wait.
@@ -631,12 +585,12 @@ func (m *Machine) tryStart(ai int32) bool {
 	if a.async && m.busy[a.src]&busyTx != 0 {
 		return false
 	}
-	if !m.routeFree(int(a.src), int(a.dst)) {
+	if !m.chans.CheckPath(int(a.src), int(a.dst)) {
 		return false
 	}
-	hops := m.hops(int(a.src), int(a.dst))
+	hops := m.routes.Hops(int(a.src), int(a.dst))
 	dur := m.params.TransferTime(a.bytes, hops)
-	m.setRoute(int(a.src), int(a.dst), true)
+	m.chans.MarkPath(int(a.src), int(a.dst))
 	m.busy[a.src] |= busyTx
 	if !short {
 		m.busy[a.dst] |= busyRx
@@ -655,7 +609,7 @@ func (m *Machine) finishTransfer(ai int32) {
 	a := m.attempts[ai]
 	src, dst := &m.nodes[a.src], &m.nodes[a.dst]
 	short := a.bytes <= m.params.ShortMaxBytes
-	m.setRoute(int(a.src), int(a.dst), false)
+	m.chans.ReleasePath(int(a.src), int(a.dst))
 	m.busy[a.src] &^= busyTx
 	if !short {
 		m.busy[a.dst] &^= busyRx
@@ -691,10 +645,10 @@ func (m *Machine) tryStartExchange(ai int32) bool {
 	if m.busy[a.src] != 0 || m.busy[a.dst] != 0 {
 		return false
 	}
-	if !m.routeFree(int(a.src), int(a.dst)) || !m.routeFree(int(a.dst), int(a.src)) {
+	if !m.chans.CheckPath(int(a.src), int(a.dst)) || !m.chans.CheckPath(int(a.dst), int(a.src)) {
 		return false
 	}
-	hops := m.hops(int(a.src), int(a.dst))
+	hops := m.routes.Hops(int(a.src), int(a.dst))
 	fwd, rev := 0.0, 0.0
 	if a.bytes > 0 {
 		fwd = m.params.TransferTime(a.bytes, hops)
@@ -707,8 +661,8 @@ func (m *Machine) tryStartExchange(ai int32) bool {
 	// a data-less sync phase — LP walks all n-1 of them — costs the
 	// signal flight plus software overhead.
 	dur := m.params.SyncOverheadUS + m.params.SignalTime(hops) + maxf(fwd, rev)
-	m.setRoute(int(a.src), int(a.dst), true)
-	m.setRoute(int(a.dst), int(a.src), true)
+	m.chans.MarkPath(int(a.src), int(a.dst))
+	m.chans.MarkPath(int(a.dst), int(a.src))
 	m.busy[a.src] = busyTx | busyRx
 	m.busy[a.dst] = busyTx | busyRx
 	m.waitedUS += m.eng.Now() - a.queuedAt
@@ -723,8 +677,8 @@ func (m *Machine) tryStartExchange(ai int32) bool {
 func (m *Machine) finishExchange(ai int32) {
 	a := m.attempts[ai]
 	lo, hi := &m.nodes[a.src], &m.nodes[a.dst]
-	m.setRoute(int(a.src), int(a.dst), false)
-	m.setRoute(int(a.dst), int(a.src), false)
+	m.chans.ReleasePath(int(a.src), int(a.dst))
+	m.chans.ReleasePath(int(a.dst), int(a.src))
 	m.busy[a.src] = 0
 	m.busy[a.dst] = 0
 	lo.atExchange = false

@@ -87,22 +87,20 @@ func (o op) String() string {
 	}
 }
 
-// CompileS1 translates a phase schedule into per-node programs under
-// the S1 protocol (paper §6): at each phase, a receiver posts its
-// buffer and signals the sender; the sender transfers on receipt of
-// the signal; matched send/receive pairs between the same two nodes
-// become pairwise exchanges. Receivers do not block on the arrival
-// itself — §6's loose synchrony gates only the sends; arrivals are
-// confirmed at the end, like S2's final step. This is the execution
-// the paper uses for LP and RS_NL.
-func CompileS1(s *sched.Schedule, params costmodel.Params) [][]op {
-	return appendS1(make([][]op, s.N), s, params, false)
-}
-
-// appendS1 compiles S1 programs into the given per-node slices,
-// appending to whatever capacity they hold — the arena-reusing form
-// behind CompileS1 and Machine.RunS1. withBarriers interleaves a
-// global barrier after every phase (the CompileS1Barrier variant).
+// appendS1 compiles a phase schedule into per-node programs under the
+// S1 protocol (paper §6), appending to whatever capacity the given
+// per-node slices hold: at each phase, a receiver posts its buffer and
+// signals the sender; the sender transfers on receipt of the signal;
+// matched send/receive pairs between the same two nodes become
+// pairwise exchanges. A receiver waits for its phase's arrival before
+// moving on; no global synchronization separates the phases. This is
+// the execution the paper uses for LP and RS_NL.
+//
+// withBarriers interleaves a global barrier after every phase — the
+// strict phase synchronization the paper's algorithms assume in the
+// abstract and that the S1 scheme was designed to avoid (§6). It
+// exists for the ablation benchmark that prices loose synchrony
+// against global synchronization.
 func appendS1(programs [][]op, s *sched.Schedule, params costmodel.Params, withBarriers bool) [][]op {
 	n := s.N
 	for k, p := range s.Phases {
@@ -140,15 +138,6 @@ func appendS1(programs [][]op, s *sched.Schedule, params costmodel.Params, withB
 	return programs
 }
 
-// CompileS1Barrier is CompileS1 with a global barrier after every
-// phase — the strict phase synchronization the paper's algorithms
-// assume in the abstract and that the S1 scheme was designed to avoid
-// (§6). It exists for the ablation benchmark that prices loose
-// synchrony against global synchronization.
-func CompileS1Barrier(s *sched.Schedule, params costmodel.Params) [][]op {
-	return appendS1(make([][]op, s.N), s, params, true)
-}
-
 // RunS1Barrier simulates the schedule under S1 with a global barrier
 // after every phase.
 func RunS1Barrier(net topo.Topology, params costmodel.Params, s *sched.Schedule) (Result, error) {
@@ -162,28 +151,22 @@ func RunS1Barrier(net topo.Topology, params costmodel.Params, s *sched.Schedule)
 // RunS1Barrier is the Machine-reusing form of the package function: it
 // resets the machine and runs s under S1-with-barriers.
 func (m *Machine) RunS1Barrier(s *sched.Schedule) (Result, error) {
-	if m.net.Nodes() != s.N {
-		return Result{}, fmt.Errorf("ipsc: topology %d nodes vs schedule %d", m.net.Nodes(), s.N)
+	if m.routes.Nodes() != s.N {
+		return Result{}, fmt.Errorf("ipsc: topology %d nodes vs schedule %d", m.routes.Nodes(), s.N)
 	}
 	m.Reset()
 	return m.run(appendS1(m.progArena(), s, m.params, true))
 }
 
-// CompileS2 translates a phase schedule into per-node programs under
-// the S2 protocol (paper §6): every node pre-posts all its receive
-// buffers, fires its sends in schedule order without waiting for any
-// signal, and finally confirms all arrivals. The phase structure
-// survives only as the send ordering — which is precisely what the
-// paper says S2 is ("essentially the scheme described in Section 3,
-// with the communication ordering chosen to reduce contention"). Used
-// for RS_N.
-func CompileS2(s *sched.Schedule, params costmodel.Params) [][]op {
-	return appendS2(make([][]op, s.N), s, params, make([]int, s.N))
-}
-
-// appendS2 compiles S2 programs into the given per-node slices, using
-// recvCount (len >= s.N, zeroed here) as the receive-tally scratch —
-// the arena-reusing form behind CompileS2 and Machine.RunS2.
+// appendS2 compiles a phase schedule into per-node programs under the
+// S2 protocol (paper §6), appending to the given per-node slices and
+// using recvCount (len >= s.N, zeroed here) as the receive-tally
+// scratch: every node pre-posts all its receive buffers, fires its
+// sends in schedule order without waiting for any signal, and finally
+// confirms all arrivals. The phase structure survives only as the send
+// ordering — which is precisely what the paper says S2 is
+// ("essentially the scheme described in Section 3, with the
+// communication ordering chosen to reduce contention"). Used for RS_N.
 func appendS2(programs [][]op, s *sched.Schedule, params costmodel.Params, recvCount []int) [][]op {
 	n := s.N
 	recvCount = recvCount[:n]
@@ -216,22 +199,18 @@ func appendS2(programs [][]op, s *sched.Schedule, params costmodel.Params, recvC
 	return programs
 }
 
-// CompileLP translates an LP schedule into programs that perform a
-// pairwise-synchronized exchange with the XOR partner in *every*
+// appendLP compiles an LP schedule into per-node programs, appending
+// to the given per-node slices: each node performs a
+// pairwise-synchronized exchange with its XOR partner in *every*
 // phase, with or without data — exactly how complete-exchange codes
 // drive the iPSC/860 (§4.1: "the entire communication uses pairwise
 // exchanges"). A data-less phase still costs the synchronization
 // handshake, which is why LP is expensive at low density. The schedule
-// must come from sched.LP (phase k pairs i with i XOR (k+1)).
-func CompileLP(s *sched.Schedule, params costmodel.Params) ([][]op, error) {
-	return appendLP(make([][]op, s.N), s, params)
-}
-
-// appendLP compiles LP programs into the given per-node slices — the
-// arena-reusing form behind CompileLP and Machine.RunLP.
+// must come from sched.LP (phase k pairs i with i XOR (k+1)); any
+// other schedule is an error.
 func appendLP(programs [][]op, s *sched.Schedule, params costmodel.Params) ([][]op, error) {
 	if s.Algorithm != "LP" {
-		return nil, fmt.Errorf("ipsc: CompileLP needs an LP schedule, got %s", s.Algorithm)
+		return nil, fmt.Errorf("ipsc: the LP protocol needs an LP schedule, got %s", s.Algorithm)
 	}
 	n := s.N
 	for k, p := range s.Phases {
@@ -262,8 +241,8 @@ func RunLP(net topo.Topology, params costmodel.Params, s *sched.Schedule) (Resul
 // the machine and runs the LP schedule with exchange-every-phase
 // semantics.
 func (m *Machine) RunLP(s *sched.Schedule) (Result, error) {
-	if m.net.Nodes() != s.N {
-		return Result{}, fmt.Errorf("ipsc: topology %d nodes vs schedule %d", m.net.Nodes(), s.N)
+	if m.routes.Nodes() != s.N {
+		return Result{}, fmt.Errorf("ipsc: topology %d nodes vs schedule %d", m.routes.Nodes(), s.N)
 	}
 	programs, err := appendLP(m.progArena(), s, m.params)
 	if err != nil {
@@ -273,16 +252,11 @@ func (m *Machine) RunLP(s *sched.Schedule) (Result, error) {
 	return m.run(programs)
 }
 
-// CompileAC translates the asynchronous algorithm (paper §3, Figure 1)
-// into node programs: pre-post everything, fire the whole send vector
-// in order (csend semantics: each long-protocol send blocks until the
-// transfer completes), then confirm arrivals.
-func CompileAC(o *sched.ACOrder, m *comm.Matrix, params costmodel.Params) [][]op {
-	return appendAC(make([][]op, o.N), o, m, params)
-}
-
-// appendAC compiles AC programs into the given per-node slices — the
-// arena-reusing form behind CompileAC and Machine.RunAC.
+// appendAC compiles the asynchronous algorithm (paper §3, Figure 1)
+// into node programs, appending to the given per-node slices:
+// pre-post everything, fire the whole send vector in order (csend
+// semantics: each long-protocol send blocks until the transfer
+// completes), then confirm arrivals.
 func appendAC(programs [][]op, o *sched.ACOrder, m *comm.Matrix, params costmodel.Params) [][]op {
 	n := o.N
 	for i := 0; i < n; i++ {
@@ -295,19 +269,13 @@ func appendAC(programs [][]op, o *sched.ACOrder, m *comm.Matrix, params costmode
 	return programs
 }
 
-// CompileACAsync is the idealized variant with unbounded asynchronous
-// send depth: a send blocked on a busy receiver does not stall the
-// rest of the send vector. Real NX csend cannot do this for
-// long-protocol messages; the variant exists for the ablation
-// benchmark that measures how much of AC's large-message collapse is
-// head-of-line blocking versus raw contention.
-func CompileACAsync(o *sched.ACOrder, m *comm.Matrix, params costmodel.Params) [][]op {
-	return appendACAsync(make([][]op, o.N), o, m, params)
-}
-
-// appendACAsync compiles the idealized-async programs into the given
-// per-node slices — the arena-reusing form behind CompileACAsync and
-// Machine.RunACAsync.
+// appendACAsync compiles the idealized variant of AC with unbounded
+// asynchronous send depth, appending to the given per-node slices: a
+// send blocked on a busy receiver does not stall the rest of the send
+// vector. Real NX csend cannot do this for long-protocol messages; the
+// variant exists for the ablation benchmark that measures how much of
+// AC's large-message collapse is head-of-line blocking versus raw
+// contention.
 func appendACAsync(programs [][]op, o *sched.ACOrder, m *comm.Matrix, params costmodel.Params) [][]op {
 	n := o.N
 	for i := 0; i < n; i++ {
@@ -333,9 +301,9 @@ func RunACAsync(net topo.Topology, params costmodel.Params, o *sched.ACOrder, co
 
 // RunACAsync is the Machine-reusing form of the package function.
 func (m *Machine) RunACAsync(o *sched.ACOrder, com *comm.Matrix) (Result, error) {
-	if m.net.Nodes() != o.N || com.N() != o.N {
+	if m.routes.Nodes() != o.N || com.N() != o.N {
 		return Result{}, fmt.Errorf("ipsc: size mismatch topology=%d order=%d matrix=%d",
-			m.net.Nodes(), o.N, com.N())
+			m.routes.Nodes(), o.N, com.N())
 	}
 	m.Reset()
 	return m.run(appendACAsync(m.progArena(), o, com, m.params))
@@ -356,8 +324,8 @@ func RunS1(net topo.Topology, params costmodel.Params, s *sched.Schedule) (Resul
 // across runs keeps the per-node state and the event heap warm; the
 // campaign runner gives each worker its own.
 func (m *Machine) RunS1(s *sched.Schedule) (Result, error) {
-	if m.net.Nodes() != s.N {
-		return Result{}, fmt.Errorf("ipsc: topology %d nodes vs schedule %d", m.net.Nodes(), s.N)
+	if m.routes.Nodes() != s.N {
+		return Result{}, fmt.Errorf("ipsc: topology %d nodes vs schedule %d", m.routes.Nodes(), s.N)
 	}
 	m.Reset()
 	return m.run(appendS1(m.progArena(), s, m.params, false))
@@ -374,8 +342,8 @@ func RunS2(net topo.Topology, params costmodel.Params, s *sched.Schedule) (Resul
 
 // RunS2 is the Machine-reusing form of the package function.
 func (m *Machine) RunS2(s *sched.Schedule) (Result, error) {
-	if m.net.Nodes() != s.N {
-		return Result{}, fmt.Errorf("ipsc: topology %d nodes vs schedule %d", m.net.Nodes(), s.N)
+	if m.routes.Nodes() != s.N {
+		return Result{}, fmt.Errorf("ipsc: topology %d nodes vs schedule %d", m.routes.Nodes(), s.N)
 	}
 	m.Reset()
 	return m.run(appendS2(m.progArena(), s, m.params, m.recvArena()))
@@ -409,9 +377,9 @@ func RunAC(net topo.Topology, params costmodel.Params, o *sched.ACOrder, com *co
 
 // RunAC is the Machine-reusing form of the package function.
 func (m *Machine) RunAC(o *sched.ACOrder, com *comm.Matrix) (Result, error) {
-	if m.net.Nodes() != o.N || com.N() != o.N {
+	if m.routes.Nodes() != o.N || com.N() != o.N {
 		return Result{}, fmt.Errorf("ipsc: size mismatch topology=%d order=%d matrix=%d",
-			m.net.Nodes(), o.N, com.N())
+			m.routes.Nodes(), o.N, com.N())
 	}
 	m.Reset()
 	return m.run(appendAC(m.progArena(), o, com, m.params))

@@ -8,6 +8,7 @@ import (
 	"unsched/internal/costmodel"
 	"unsched/internal/hypercube"
 	"unsched/internal/sched"
+	"unsched/internal/topo"
 )
 
 // TestMachineReuseMatchesFresh drives one Machine through every
@@ -107,5 +108,71 @@ func TestMachineReuseSizeMismatch(t *testing.T) {
 	}
 	if _, err := m.RunS2(s); err == nil {
 		t.Error("16-node schedule accepted by 8-node machine")
+	}
+}
+
+// TestRouteModesSimulateIdentically runs every protocol on machines
+// over a dense route table and over the plain topology (which the
+// machine wraps in a lazy table) and requires identical results: the
+// channel occupancy must claim the same circuits whichever way it
+// walks the routes.
+func TestRouteModesSimulateIdentically(t *testing.T) {
+	params := costmodel.DefaultIPSC860()
+	for _, spec := range []string{"cube:4", "mesh:4x4", "torus:4x4", "ring:16"} {
+		net := topo.MustParseSpec(spec).MustBuild()
+		dense, err := NewMachine(topo.NewRouteTable(net), params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lazy, err := NewMachine(net, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mat, err := comm.DRegular(16, 6, 2048, rand.New(rand.NewSource(15)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rsnl, err := sched.RSNL(mat, net, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lp, err := sched.LP(mat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ac, err := sched.AC(mat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// waited sums resource waits, so the comparison is known to
+		// cover circuits blocked on claimed channels.
+		waited := 0.0
+		for _, run := range []struct {
+			name string
+			fn   func(m *Machine) (Result, error)
+		}{
+			{"S1", func(m *Machine) (Result, error) { return m.RunS1(rsnl) }},
+			{"S2", func(m *Machine) (Result, error) { return m.RunS2(rsnl) }},
+			{"S1Barrier", func(m *Machine) (Result, error) { return m.RunS1Barrier(rsnl) }},
+			{"LP", func(m *Machine) (Result, error) { return m.RunLP(lp) }},
+			{"AC", func(m *Machine) (Result, error) { return m.RunAC(ac, mat) }},
+			{"ACAsync", func(m *Machine) (Result, error) { return m.RunACAsync(ac, mat) }},
+		} {
+			want, err := run.fn(lazy)
+			if err != nil {
+				t.Fatalf("%s %s over the topology: %v", spec, run.name, err)
+			}
+			got, err := run.fn(dense)
+			if err != nil {
+				t.Fatalf("%s %s over the table: %v", spec, run.name, err)
+			}
+			if got != want {
+				t.Errorf("%s %s: table %+v, topology %+v", spec, run.name, got, want)
+			}
+			waited += want.ResourceWaitUS
+		}
+		if waited == 0 {
+			t.Errorf("%s: no run waited on a resource", spec)
+		}
 	}
 }

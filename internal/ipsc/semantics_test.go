@@ -251,6 +251,8 @@ func TestMakespanBoundsProperty(t *testing.T) {
 	}
 }
 
+// The LP protocol compiles only LP schedules: appendLP, behind
+// Machine.RunLP, rejects anything else before simulating.
 func TestCompileLPRejectsNonLP(t *testing.T) {
 	m, err := comm.UniformRandom(8, 2, 256, rand.New(rand.NewSource(1)))
 	if err != nil {
@@ -260,16 +262,17 @@ func TestCompileLPRejectsNonLP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CompileLP(s, params()); err == nil {
-		t.Error("CompileLP accepted a non-LP schedule")
+	mach := mustMachine(t, 3)
+	if _, err := mach.RunLP(s); err == nil {
+		t.Error("RunLP compiled a non-LP schedule")
 	}
 	// A forged LP schedule with a non-XOR transfer is also rejected.
 	forged := &sched.Schedule{Algorithm: "LP", N: 8}
 	ph := sched.NewPhase(8)
 	ph.Send[0], ph.Bytes[0] = 3, 100 // phase 0 pairs with XOR 1, not 3
 	forged.Phases = append(forged.Phases, ph)
-	if _, err := CompileLP(forged, params()); err == nil {
-		t.Error("CompileLP accepted a forged LP schedule")
+	if _, err := mach.RunLP(forged); err == nil {
+		t.Error("RunLP compiled a forged LP schedule")
 	}
 }
 

@@ -29,14 +29,14 @@ import (
 // reused Core are bit-identical to ones from the package-level
 // functions given the same inputs and RNG stream.
 //
-// A Core built by NewCore (or NewCoreForTable) checks and marks routes
-// against a precomputed topo.RouteTable, so the RS_NL inner loop is an
-// index walk over flat storage instead of per-call route generation.
-// NewCoreDirect skips the table for one-shot use; the package-level
-// wrapper functions use it, which keeps their cost profile unchanged.
+// Every link-aware method checks and marks routes in a topo.Occupancy
+// over the core's route table. NewCore and NewCoreForTable walk a
+// table built by topo.NewRouteTable (dense when it fits, so the RS_NL
+// inner loop is a word-mask walk over flat storage); NewCoreDirect
+// wraps its topology in a lazy table for one-shot use, which is what
+// the package-level wrapper functions do.
 type Core struct {
-	net topo.Topology    // nil: only topology-free algorithms work
-	rt  *topo.RouteTable // nil: generate routes on the fly
+	rt *topo.RouteTable // nil: only topology-free algorithms work
 
 	ccom comm.Compressed // reusable CCOM row storage
 	occ  *topo.Occupancy // per-schedule claim table (RS_NL family)
@@ -55,10 +55,11 @@ type Core struct {
 	last lastRun // metadata of the most recent run (see LastOutcome)
 }
 
-// NewCore returns a reusable core for net, precomputing net's
-// RouteTable — an O(n^2 * diameter) build paid once and amortized over
-// every schedule the core produces. For a shared table (one per
-// daemon, many cores), build the table once and use NewCoreForTable.
+// NewCore returns a reusable core for net over topo.NewRouteTable(net)
+// — an O(n^2 * diameter) build when the table is dense, paid once and
+// amortized over every schedule the core produces. For a shared table
+// (one per daemon, many cores), build the table once and use
+// NewCoreForTable.
 func NewCore(net topo.Topology) *Core {
 	return NewCoreForTable(topo.NewRouteTable(net))
 }
@@ -67,23 +68,20 @@ func NewCore(net topo.Topology) *Core {
 // The table is read-only and may be shared by any number of cores
 // concurrently; the core's mutable scratch is its own.
 func NewCoreForTable(rt *topo.RouteTable) *Core {
-	return &Core{net: rt.Topology(), rt: rt}
+	return &Core{rt: rt}
 }
 
 // NewCoreDirect returns a core that generates routes on the fly
-// instead of precomputing a table — the right choice when a core
-// serves only a handful of schedules. net may be nil if only the
-// topology-free algorithms (AC, LP, RS_N, GREEDY, GREEDY_LF) are used.
+// through a lazy table instead of precomputing one — the right choice
+// when a core serves only a handful of schedules. net may be nil if
+// only the topology-free algorithms (AC, LP, RS_N, GREEDY, GREEDY_LF)
+// are used.
 func NewCoreDirect(net topo.Topology) *Core {
-	return &Core{net: net}
+	if net == nil {
+		return &Core{}
+	}
+	return &Core{rt: topo.NewRouteTableLazy(net)}
 }
-
-// Topology returns the core's topology (nil for a topology-free core).
-func (c *Core) Topology() topo.Topology { return c.net }
-
-// Table returns the core's precomputed route table, or nil when the
-// core generates routes on the fly.
-func (c *Core) Table() *topo.RouteTable { return c.rt }
 
 // Reset clears the core's scratch state while keeping every backing
 // allocation, the analogue of ipsc.Machine.Reset. It exists to make
@@ -115,38 +113,22 @@ func (c *Core) Reset() {
 // requireNet checks that the core can schedule link-aware algorithms
 // for an n-processor matrix.
 func (c *Core) requireNet(alg string, n int) error {
-	if c.net == nil {
+	if c.rt == nil {
 		return fmt.Errorf("sched: %s needs a topology; build the core with NewCore", alg)
 	}
-	if c.net.Nodes() != n {
-		return fmt.Errorf("sched: %s topology %s has %d nodes, matrix %d", alg, c.net.Name(), c.net.Nodes(), n)
+	if c.rt.Nodes() != n {
+		return fmt.Errorf("sched: %s topology %s has %d nodes, matrix %d", alg, c.rt.Name(), c.rt.Nodes(), n)
 	}
 	return nil
 }
 
-// hops returns the deterministic route length from src to dst, reading
-// the precomputed table when one exists.
-func (c *Core) hops(src, dst int) int {
-	if c.rt != nil {
-		return c.rt.Hops(src, dst)
-	}
-	return c.net.Hops(src, dst)
-}
-
 // occupancy returns the core's per-schedule claim table, building it
-// on first use (over the route table when the core has one).
+// on first use.
 func (c *Core) occupancy() *topo.Occupancy {
 	if c.occ == nil {
-		c.occ = c.newOccupancy()
+		c.occ = topo.NewOccupancy(c.rt)
 	}
 	return c.occ
-}
-
-func (c *Core) newOccupancy() *topo.Occupancy {
-	if c.rt != nil {
-		return topo.NewOccupancyTable(c.rt)
-	}
-	return topo.NewOccupancy(c.net)
 }
 
 // phaseOcc returns the claim table for phase k of a link-aware list
@@ -158,7 +140,7 @@ func (c *Core) phaseOcc(k int) *topo.Occupancy {
 		o.Reset()
 		return o
 	}
-	o := c.newOccupancy()
+	o := topo.NewOccupancy(c.rt)
 	c.occPool = append(c.occPool, o)
 	return o
 }
@@ -249,7 +231,7 @@ func (c *Core) rsn(m *comm.Matrix, rng *rand.Rand, shuffle bool) (*Schedule, err
 // --- RS_NL ----------------------------------------------------------
 
 // RSNL is the reusable-core form of the package-level RSNL (§5,
-// Figure 4), checking routes against the core's occupancy backend.
+// Figure 4), checking routes against the core's occupancy.
 func (c *Core) RSNL(m *comm.Matrix, rng *rand.Rand) (*Schedule, error) {
 	return c.rsnl(m, rng, true)
 }
@@ -334,7 +316,7 @@ func (c *Core) rsnl(m *comm.Matrix, rng *rand.Rand, pairwise bool) (*Schedule, e
 				if trecv[y] != -1 {
 					continue
 				}
-				ops += int64(c.hops(x, y))
+				ops += int64(c.rt.Hops(x, y))
 				if !occ.CheckPath(x, y) {
 					continue
 				}
@@ -342,7 +324,7 @@ func (c *Core) rsnl(m *comm.Matrix, rng *rand.Rand, pairwise bool) (*Schedule, e
 				// reverse message is still pending and both the
 				// reverse circuit and both endpoints allow it.
 				if pairwise && rem[y*n+x] && tsend[y] == -1 && trecv[x] == -1 {
-					ops += int64(c.hops(y, x))
+					ops += int64(c.rt.Hops(y, x))
 					if occ.CheckPath(y, x) {
 						_, bytes := ccom.Remove(x, z)
 						backBytes := removeFrom(y, x)
@@ -422,7 +404,7 @@ func (c *Core) RSNLSized(m *comm.Matrix, rng *rand.Rand) (*Schedule, error) {
 				if trecv[y] != -1 {
 					continue
 				}
-				ops += int64(c.hops(x, y))
+				ops += int64(c.rt.Hops(x, y))
 				if !occ.CheckPath(x, y) {
 					continue
 				}
@@ -698,7 +680,7 @@ func (c *Core) GreedyLargestFirstLinkFree(m *comm.Matrix) (*Schedule, error) {
 	for _, msg := range msgs {
 		placed := false
 		for k := 0; k < len(s.Phases); k++ {
-			ops += 1 + int64(c.hops(msg.Src, msg.Dst))
+			ops += 1 + int64(c.rt.Hops(msg.Src, msg.Dst))
 			if !c.sendBusy[k*n+msg.Src] && !c.recvBusy[k*n+msg.Dst] && c.occPool[k].CheckPath(msg.Src, msg.Dst) {
 				place(k, msg)
 				placed = true

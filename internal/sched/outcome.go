@@ -126,8 +126,8 @@ func (c *Core) LastOutcome(f Features, params costmodel.Params) Outcome {
 		SchedCostNS: params.CompTimeNS(c.last.ops),
 		Features:    f,
 	}
-	if c.net != nil {
-		o.TopoName = c.net.Name()
+	if c.rt != nil {
+		o.TopoName = c.rt.Name()
 	}
 	return o
 }

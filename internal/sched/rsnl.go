@@ -18,8 +18,8 @@ import (
 // e-cube routes with Check_Path/Mark_Path over a per-phase channel
 // occupancy table (the paper's PATHS array, stored densely). A
 // reusable Core checks routes against a precomputed topo.RouteTable
-// instead of regenerating them per call; this wrapper allocates a
-// throwaway table-free Core, so its per-call cost is unchanged.
+// instead of regenerating them per call; this wrapper's throwaway Core
+// wraps net in a lazy table and generates each route as it checks it.
 //
 // The pairwise priority is implemented the way the paper's comp costs
 // imply (§5 refers to [15] for "locating pairwise exchanges"): pairs

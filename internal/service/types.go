@@ -26,21 +26,11 @@ const maxRequestBytes = 32 << 20
 // target. Simulator state is O(n^2) — ~150 MB at this cap — so huge
 // machines are built per request instead of cached (see
 // worker.machine), and their route tables fall back to lazy on-the-fly
-// routing instead of the precomputed dense form (see tableCache).
+// routing instead of the precomputed dense form (see
+// topo.NewRouteTable).
 // Campaigns stay capped at 1 << maxCampaignDim nodes: a grid multiplies
 // the per-run cost by cells x samples x algorithms.
 const maxServiceNodes = 4096
-
-// maxRouteTableHops bounds the PRECOMPUTED route-table footprint,
-// measured as NewRouteTable's presize estimate n^2*(diameter+1)/2
-// int32 hop entries (~268 MB of hops). It is a representation budget,
-// not an admission gate: the shared tableCache builds every topology
-// under it dense — word-mask bitset occupancy, O(1) hop lookups — and
-// anything over it (a 1024-node path graph's diameter-1023 table would
-// be ~2 GB) as a lazy table that generates routes on the fly. The
-// budget admits every cube/mesh/torus the service served before graphs
-// existed; the worst is the 32x32 mesh at ~33M hops.
-const maxRouteTableHops = 1 << 26
 
 // Stable machine-readable error codes, carried in every error
 // response's envelope (ErrorEnvelope.Err.Code). Clients branch on
@@ -450,10 +440,10 @@ func buildTopology(tj *WireTopology, n int) (topo.Topology, error) {
 		return nil, badRequest("%v", err)
 	}
 	// No route-table footprint gate here: topologies whose dense table
-	// would blow the maxRouteTableHops budget (high-diameter shapes like
-	// long rings and big tori) get a lazy table from the shared cache
-	// instead — routes generated on the fly, nothing precomputed — so
-	// they are served, just without the dense fast path.
+	// would blow topo.NewRouteTable's hop budget (high-diameter shapes
+	// like long rings and big tori) get a lazy table from the shared
+	// cache instead — routes generated on the fly, nothing precomputed —
+	// so they are served, just without the dense fast path.
 	return net, nil
 }
 

@@ -52,49 +52,59 @@ type worker struct {
 // tableCache shares precomputed route tables daemon-wide: across all
 // workers of the pool and across campaign runners. Tables are
 // immutable after construction, so publishing one pointer serves
-// every goroutine; building under the lock serializes cold-start
-// misses on the same topology instead of duplicating the n^2-route
-// precompute per worker.
+// every goroutine. Each entry is built once, outside the map lock:
+// concurrent cold misses on one topology share a single n^2-route
+// precompute, and a cold build (~0.3 s for a 32x32 mesh) stalls no
+// other topology's requests.
 type tableCache struct {
 	mu     sync.Mutex
-	tables map[string]*topo.RouteTable
+	tables map[string]*tableEntry
+}
+
+// tableEntry is one topology's slot in the cache; once guards the
+// build of rt.
+type tableEntry struct {
+	once sync.Once
+	rt   *topo.RouteTable
 }
 
 func newTableCache() *tableCache {
-	return &tableCache{tables: make(map[string]*topo.RouteTable)}
+	return &tableCache{tables: make(map[string]*tableEntry)}
 }
 
 // maxSharedTables bounds daemon-wide retained route tables. A dense
-// table is capped by the maxRouteTableHops budget (~268 MB worst case,
-// reached only by extreme-but-legal shapes like the 32x32 mesh; the
-// dim-10 cube is ~20 MB) and a lazy table stores no hops at all, so
-// eight retained tables stay bounded even under an adversarial
+// table is capped by topo.NewRouteTable's hop budget (~268 MB worst
+// case, reached only by extreme-but-legal shapes like the 32x32 mesh;
+// the dim-10 cube is ~20 MB) and a lazy table stores no hops at all,
+// so eight retained tables stay bounded even under an adversarial
 // topology mix — and unlike the per-worker caches, this bound does not
 // multiply by worker count.
 const maxSharedTables = 8
 
 // get returns the daemon-shared route table for net, building it on
-// first use. The auto constructor picks the representation: dense
+// first use. topo.NewRouteTable picks the representation: dense
 // (precomputed CSR routes, word-mask bitset occupancy) when the hop
-// footprint fits the maxRouteTableHops budget, lazy (routes generated
-// on the fly, nothing stored) when it would not — which is what lets
-// the service admit high-diameter shapes like a 64x64 torus that the
-// old footprint gate answered 400.
+// footprint fits its budget, lazy (routes generated on the fly,
+// nothing stored) when it would not — which is what lets the service
+// admit high-diameter shapes like a 64x64 torus that the old footprint
+// gate answered 400. An entry evicted mid-build still hands its table
+// to the callers that reached it.
 func (tc *tableCache) get(net topo.Topology) *topo.RouteTable {
 	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	if rt, ok := tc.tables[net.Name()]; ok {
-		return rt
-	}
-	if len(tc.tables) >= maxSharedTables {
-		for k := range tc.tables {
-			delete(tc.tables, k)
-			break
+	e, ok := tc.tables[net.Name()]
+	if !ok {
+		if len(tc.tables) >= maxSharedTables {
+			for k := range tc.tables {
+				delete(tc.tables, k)
+				break
+			}
 		}
+		e = &tableEntry{}
+		tc.tables[net.Name()] = e
 	}
-	rt := topo.NewRouteTableAuto(net, maxRouteTableHops)
-	tc.tables[net.Name()] = rt
-	return rt
+	tc.mu.Unlock()
+	e.once.Do(func() { e.rt = topo.NewRouteTable(net) })
+	return e.rt
 }
 
 type machineKey struct {
@@ -120,9 +130,8 @@ const maxCachedMachineNodes = 1 << maxCampaignDim
 
 // machine returns the worker's reusable machine for (net, params),
 // building and caching it on first use. Machines are built over the
-// daemon-shared route table, so transfers claim and release whole
-// routes word-at-a-time through its bitset spans when the table is
-// dense, and fall back to on-the-fly routing when it is lazy.
+// daemon-shared route table, whose mode decides how their channel
+// occupancy walks each route.
 func (w *worker) machine(net topo.Topology, paramsName string, params costmodel.Params) (*ipsc.Machine, error) {
 	if net.Nodes() > maxCachedMachineNodes {
 		return ipsc.NewMachine(w.tables.get(net), params)

@@ -18,9 +18,6 @@ func TestLazyTableDelegates(t *testing.T) {
 		if !rt.Lazy() {
 			t.Fatalf("%s: NewRouteTableLazy built a dense table", net.Name())
 		}
-		if rt.Masked() {
-			t.Fatalf("%s: lazy table claims mask spans", net.Name())
-		}
 		if rt.HopEntries() != 0 {
 			t.Fatalf("%s: lazy table stores %d hop entries", net.Name(), rt.HopEntries())
 		}
@@ -72,33 +69,39 @@ func TestDenseTableImplementsTopology(t *testing.T) {
 	}
 }
 
-// TestAutoTableChoosesMode checks the footprint-driven mode choice: a
-// generous budget yields a dense table, a tiny one a lazy table, and
-// no budget always dense.
+// TestAutoTableChoosesMode checks that NewRouteTable picks its own
+// mode from the estimated footprint: dense for the paper's machine and
+// for topologies that do not hint a diameter, lazy for high-diameter
+// shapes past the hop budget and for machines whose n^2 routes cannot
+// be indexed by int32 offsets. The lazy cases build nothing, so none
+// of them costs a dense precompute.
 func TestAutoTableChoosesMode(t *testing.T) {
-	net := hypercube.MustNew(6)
-	if rt := topo.NewRouteTableAuto(net, 1<<26); rt.Lazy() {
-		t.Error("64-node cube under a 2^26 budget should be dense")
+	cube := hypercube.MustNew(6)
+	if rt := topo.NewRouteTable(cube); rt.Lazy() || rt.HopEntries() == 0 {
+		t.Error("64-node cube should get a dense table")
 	}
-	if rt := topo.NewRouteTableAuto(net, 64); !rt.Lazy() {
-		t.Error("64-node cube under a 64-hop budget should be lazy")
+	if rt := topo.NewRouteTable(unhinted{cube}); rt.Lazy() {
+		t.Error("a topology without a diameter hint should get a dense table")
 	}
-	if rt := topo.NewRouteTableAuto(net, 0); rt.Lazy() {
-		t.Error("no budget should always build dense")
-	}
-	// The big-mesh shape that motivated the old service gate: 32x32
-	// torus estimated at 1024^2 * (32+1)/2 ≈ 17M hops.
-	big := mesh.MustNew(32, 32, true)
-	if rt := topo.NewRouteTableAuto(big, 1<<20); !rt.Lazy() {
-		t.Error("32x32 torus under a 2^20 budget should be lazy")
+	for _, net := range []topo.Topology{
+		topo.MustNewRing(1024),      // 1024^2 * 513/2 ≈ 269M hops
+		mesh.MustNew(64, 64, false), // 4096^2 * 127/2 ≈ 1.07G hops
+		hypercube.MustNew(16),       // 65536^2 routes overflow int32 offsets
+	} {
+		if rt := topo.NewRouteTable(net); !rt.Lazy() {
+			t.Errorf("%s should get a lazy table", net.Name())
+		}
 	}
 }
 
-// TestBitsetRouteOpsMatchBoolOccupancy drives the word-at-a-time
-// bitset route API and a reference per-channel bool table through the
-// same randomized claim/release/probe sequence on every sweep
-// topology, requiring identical answers throughout. (The per-hop
-// fallback of tables above the span limit is covered by the internal
+// unhinted hides a topology's Diameter method.
+type unhinted struct{ topo.Topology }
+
+// TestBitsetRouteOpsMatchBoolOccupancy drives an Occupancy over every
+// sweep topology's table and a reference per-channel bool table
+// through the same randomized claim/release/probe sequence, requiring
+// identical answers throughout. (The per-hop and lazy walks are
+// covered against the masked one by the internal
 // TestBitsetFallbackMatchesMaskedPath.)
 func TestBitsetRouteOpsMatchBoolOccupancy(t *testing.T) {
 	rng := rand.New(rand.NewSource(860))
@@ -107,11 +110,7 @@ func TestBitsetRouteOpsMatchBoolOccupancy(t *testing.T) {
 		if n < 2 {
 			continue
 		}
-		rt := topo.NewRouteTable(net)
-		if !rt.Masked() {
-			t.Fatalf("%s: sweep table unexpectedly above the span limit", net.Name())
-		}
-		busy := make([]uint64, topo.BitsetWords(net.NumChannels()))
+		occ := topo.NewOccupancy(topo.NewRouteTable(net))
 		ref := make([]bool, net.NumChannels())
 		refFree := func(src, dst int) bool {
 			for _, id := range net.RouteIDs(src, dst, nil) {
@@ -130,19 +129,19 @@ func TestBitsetRouteOpsMatchBoolOccupancy(t *testing.T) {
 		var held []claim
 		for step := 0; step < 2000; step++ {
 			src, dst := rng.Intn(n), rng.Intn(n)
-			if got, want := rt.RouteFree(busy, src, dst), refFree(src, dst); got != want {
-				t.Fatalf("%s step %d: RouteFree(%d,%d) = %v, reference %v",
+			if got, want := occ.CheckPath(src, dst), refFree(src, dst); got != want {
+				t.Fatalf("%s step %d: CheckPath(%d,%d) = %v, reference %v",
 					net.Name(), step, src, dst, got, want)
 			}
 			switch {
 			case rng.Intn(3) == 0 && len(held) > 0:
 				i := rng.Intn(len(held))
 				c := held[i]
-				rt.ReleaseRoute(busy, c.src, c.dst)
+				occ.ReleasePath(c.src, c.dst)
 				refSet(c.src, c.dst, false)
 				held = append(held[:i], held[i+1:]...)
-			case rt.RouteFree(busy, src, dst) && src != dst:
-				rt.ClaimRoute(busy, src, dst)
+			case occ.CheckPath(src, dst) && src != dst:
+				occ.MarkPath(src, dst)
 				refSet(src, dst, true)
 				held = append(held, claim{src, dst})
 			}

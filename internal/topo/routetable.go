@@ -1,7 +1,5 @@
 package topo
 
-import "fmt"
-
 // RouteTable is the §5 observation made concrete: for a regular
 // topology with deterministic routing, every route is a pure function
 // of (src, dst), so all n^2 of them can be computed once and shared.
@@ -21,17 +19,15 @@ import "fmt"
 //
 // A RouteTable is itself a Topology (delegating Name and, in lazy
 // mode, route generation to the topology it wraps), so it can be
-// passed anywhere a Topology goes — in particular to ipsc.NewMachine,
-// which detects it and switches channel-occupancy checks to the
-// word-at-a-time bitset path below.
+// passed anywhere a Topology goes. An Occupancy over it claims
+// channels by walking its storage instead of generating routes.
 //
-// Two storage modes exist. The dense mode above materializes every
-// route. The lazy mode (NewRouteTableLazy, or NewRouteTableAuto past
-// its hop budget) stores nothing and generates routes on the fly
-// through the underlying topology — O(1) memory, so machines far past
-// the dense footprint (4096-node tori and graphs) stay schedulable;
-// consumers that can only walk materialized routes (Route, the bitset
-// route API) must check Lazy() and fall back to RouteIDs.
+// Two storage modes exist, and NewRouteTable picks between them. The
+// dense mode above materializes every route. The lazy mode stores
+// nothing and generates routes on the fly through the underlying
+// topology — O(1) memory, so machines far past the dense footprint
+// (4096-node tori and graphs) stay schedulable at the cost of
+// per-route generation.
 type RouteTable struct {
 	t    Topology
 	n    int
@@ -48,9 +44,9 @@ type RouteTable struct {
 }
 
 // DiameterHinter is optionally implemented by topologies that know
-// their diameter; NewRouteTable uses it to presize the hop storage in
-// one allocation instead of growing it, and NewRouteTableAuto to
-// estimate the dense footprint before paying for it.
+// their diameter; NewRouteTable uses it to estimate the dense
+// footprint before paying for it and to presize the hop storage in
+// one allocation instead of growing it.
 type DiameterHinter interface {
 	Diameter() int
 }
@@ -59,27 +55,56 @@ type DiameterHinter interface {
 // builds word-mask spans. Spans cost up to 12 bytes per hop on top of
 // the 4-byte ids (they usually merge several hops per word and cost
 // much less), so building them unconditionally could triple the
-// footprint of the largest legal tables; past this limit the bitset
-// API falls back to per-hop bit tests over ids, which is still
-// branch-per-hop but allocation-free.
+// footprint of the largest dense tables; past this limit an Occupancy
+// tests one bit per stored hop instead, which is still
+// allocation-free.
 const maskSpanHopLimit = 1 << 23
 
-// NewRouteTable precomputes every deterministic route of t. It panics
-// when n^2 routes cannot be indexed by int32 offsets (n > 46340) —
-// tables that size would not fit in memory anyway; use a lazy table
-// (NewRouteTableLazy) for such machines.
+// denseHopBudget bounds the footprint of a dense table, in estimated
+// int32 hop entries (~268 MB of hops). It admits every cube, mesh and
+// torus up to 1024 nodes — the worst is the 32x32 mesh at ~33M hops —
+// while high-diameter shapes (a 1024-node ring would need ~2 GB, a
+// 64x64 mesh ~4 GB) get a lazy table instead.
+const denseHopBudget = 1 << 26
+
+// NewRouteTable returns the route table of t, deciding its mode from
+// the estimated footprint n^2 * (diameter+1)/2 hop entries: dense when
+// the estimate fits denseHopBudget, lazy otherwise. Topologies that do
+// not hint their diameter are assumed to fit (every built-in one
+// hints). Machines whose n^2 routes cannot be indexed by int32 offsets
+// are always lazy.
 func NewRouteTable(t Topology) *RouteTable {
-	n := t.Nodes()
-	if int64(n)*int64(n) >= int64(1)<<31 {
-		panic(fmt.Sprintf("topo: route table for %d nodes exceeds int32 indexing; use a lazy table", n))
+	n := int64(t.Nodes())
+	if n*n >= int64(1)<<31 {
+		return NewRouteTableLazy(t)
 	}
-	rt := &RouteTable{t: t, n: n, offsets: make([]int32, n*n+1)}
+	var est int64
 	if h, ok := t.(DiameterHinter); ok {
 		// Average route length is roughly half the diameter on the
-		// regular topologies here; presize to that and let append cover
-		// the remainder.
-		rt.ids = make([]int32, 0, n*n*(h.Diameter()+1)/2)
+		// regular topologies here.
+		est = n * n * int64(h.Diameter()+1) / 2
 	}
+	if est > denseHopBudget {
+		return NewRouteTableLazy(t)
+	}
+	return newDenseTable(t, int(est))
+}
+
+// NewRouteTableLazy wraps t as a RouteTable that stores no routes:
+// every walk generates its route on the fly through t, which costs
+// exactly what routing through t directly costs. NewRouteTable returns
+// one for machines past the dense budget, and occupancies, scheduler
+// cores and simulator machines wrap a plain topology in one.
+func NewRouteTableLazy(t Topology) *RouteTable {
+	return &RouteTable{t: t, n: t.Nodes(), lazy: true}
+}
+
+// newDenseTable precomputes every route of t, presizing the hop
+// storage to hint entries when it is nonzero and letting append cover
+// the remainder.
+func newDenseTable(t Topology, hint int) *RouteTable {
+	n := t.Nodes()
+	rt := &RouteTable{t: t, n: n, offsets: make([]int32, n*n+1), ids: make([]int32, 0, hint)}
 	var buf []int
 	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
@@ -94,37 +119,6 @@ func NewRouteTable(t Topology) *RouteTable {
 		rt.buildSpans()
 	}
 	return rt
-}
-
-// NewRouteTableLazy wraps t as a RouteTable that stores no routes:
-// Route lookups are generated on the fly by the topology. Use it where
-// the dense footprint — O(n^2 * diameter) hop entries — exceeds what
-// the deployment wants to retain; everything downstream (scheduler
-// cores, occupancy tables, simulator machines) degrades gracefully to
-// the per-route generation path.
-func NewRouteTableLazy(t Topology) *RouteTable {
-	return &RouteTable{t: t, n: t.Nodes(), lazy: true}
-}
-
-// NewRouteTableAuto builds a dense table when its estimated footprint
-// fits within maxDenseHops hop entries, and a lazy one otherwise. The
-// estimate is n^2 * (diameter+1)/2 — the same presizing heuristic
-// NewRouteTable uses; topologies that do not hint their diameter are
-// assumed dense-worthy (none of the built-in ones abstain).
-// maxDenseHops <= 0 means no budget: always dense.
-func NewRouteTableAuto(t Topology, maxDenseHops int64) *RouteTable {
-	if maxDenseHops > 0 {
-		n := int64(t.Nodes())
-		if n*n >= int64(1)<<31 {
-			return NewRouteTableLazy(t)
-		}
-		if h, ok := t.(DiameterHinter); ok {
-			if est := n * n * int64(h.Diameter()+1) / 2; est > maxDenseHops {
-				return NewRouteTableLazy(t)
-			}
-		}
-	}
-	return NewRouteTable(t)
 }
 
 // buildSpans groups every route's channel ids by bitset word. Within
@@ -156,17 +150,21 @@ func (rt *RouteTable) buildSpans() {
 	}
 }
 
+// spans returns the word-mask spans of the route src->dst: its
+// channels grouped by bitset word, masks[i] the bits in word words[i].
+func (rt *RouteTable) spans(src, dst int) (words []int32, masks []uint64) {
+	k := src*rt.n + dst
+	lo, hi := rt.spanOff[k], rt.spanOff[k+1]
+	words = rt.spanWord[lo:hi]
+	return words, rt.spanMask[lo:hi][:len(words)]
+}
+
 // Topology returns the topology the table was built from.
 func (rt *RouteTable) Topology() Topology { return rt.t }
 
 // Lazy reports whether the table generates routes on the fly instead
-// of storing them. Lazy tables do not support Route or the bitset
-// route API.
+// of storing them. Lazy tables do not support Route.
 func (rt *RouteTable) Lazy() bool { return rt.lazy }
-
-// Masked reports whether word-mask spans were built (dense tables
-// under maskSpanHopLimit hop entries).
-func (rt *RouteTable) Masked() bool { return rt.spanOff != nil }
 
 // Name identifies the underlying topology; a RouteTable is
 // transparent in output and cache keys.
@@ -217,69 +215,3 @@ func (rt *RouteTable) Hops(src, dst int) int {
 // routes — the n^2 * average-route-length term of the memory bound,
 // for tests and capacity planning. Zero for lazy tables.
 func (rt *RouteTable) HopEntries() int { return len(rt.ids) }
-
-// BitsetWords returns the []uint64 length a channel-occupancy bitset
-// needs for numChannels directed channels.
-func BitsetWords(numChannels int) int { return (numChannels + 63) / 64 }
-
-// RouteFree reports whether every channel of the route src->dst is
-// clear in the packed occupancy bitset busy (one bit per directed
-// channel, bit i at busy[i/64]>>(i%64)). On masked tables this is one
-// AND per touched word; otherwise one bit test per hop. Panics on a
-// lazy table.
-func (rt *RouteTable) RouteFree(busy []uint64, src, dst int) bool {
-	if rt.lazy {
-		panic("topo: RouteFree on a lazy table; walk RouteIDs")
-	}
-	k := src*rt.n + dst
-	if rt.spanOff != nil {
-		for s := rt.spanOff[k]; s < rt.spanOff[k+1]; s++ {
-			if busy[rt.spanWord[s]]&rt.spanMask[s] != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	for _, id := range rt.ids[rt.offsets[k]:rt.offsets[k+1]] {
-		if busy[id>>6]&(uint64(1)<<(uint(id)&63)) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// ClaimRoute sets every channel bit of the route src->dst in busy.
-// Panics on a lazy table.
-func (rt *RouteTable) ClaimRoute(busy []uint64, src, dst int) {
-	if rt.lazy {
-		panic("topo: ClaimRoute on a lazy table; walk RouteIDs")
-	}
-	k := src*rt.n + dst
-	if rt.spanOff != nil {
-		for s := rt.spanOff[k]; s < rt.spanOff[k+1]; s++ {
-			busy[rt.spanWord[s]] |= rt.spanMask[s]
-		}
-		return
-	}
-	for _, id := range rt.ids[rt.offsets[k]:rt.offsets[k+1]] {
-		busy[id>>6] |= uint64(1) << (uint(id) & 63)
-	}
-}
-
-// ReleaseRoute clears every channel bit of the route src->dst in busy.
-// Panics on a lazy table.
-func (rt *RouteTable) ReleaseRoute(busy []uint64, src, dst int) {
-	if rt.lazy {
-		panic("topo: ReleaseRoute on a lazy table; walk RouteIDs")
-	}
-	k := src*rt.n + dst
-	if rt.spanOff != nil {
-		for s := rt.spanOff[k]; s < rt.spanOff[k+1]; s++ {
-			busy[rt.spanWord[s]] &^= rt.spanMask[s]
-		}
-		return
-	}
-	for _, id := range rt.ids[rt.offsets[k]:rt.offsets[k+1]] {
-		busy[id>>6] &^= uint64(1) << (uint(id) & 63)
-	}
-}

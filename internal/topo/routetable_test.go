@@ -136,9 +136,10 @@ func TestRouteTableDiameterBound(t *testing.T) {
 	}
 }
 
-// TestOccupancyBackendsAgree drives an on-the-fly Occupancy and a
-// table-backed one through the same randomized Check/Mark/Reset
-// sequence and requires identical observable behaviour at every step.
+// TestOccupancyBackendsAgree drives an Occupancy over a plain topology
+// (routes generated on the fly) and one over its precomputed table
+// through the same randomized Check/Mark/Reset sequence and requires
+// identical observable behaviour at every step.
 func TestOccupancyBackendsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(1994))
 	for _, net := range tableTopologies(t) {
@@ -147,7 +148,7 @@ func TestOccupancyBackendsAgree(t *testing.T) {
 			continue
 		}
 		fly := topo.NewOccupancy(net)
-		tab := topo.NewOccupancyTable(topo.NewRouteTable(net))
+		tab := topo.NewOccupancy(topo.NewRouteTable(net))
 		for step := 0; step < 2000; step++ {
 			switch rng.Intn(10) {
 			case 0: // phase boundary

@@ -7,6 +7,8 @@
 // made concrete. internal/hypercube and internal/mesh implement it.
 package topo
 
+import "math/bits"
+
 // Topology is a network with deterministic routing over directed
 // channels. Channels are identified by dense indices in
 // [0, NumChannels()), so occupancy tables are flat arrays.
@@ -26,97 +28,125 @@ type Topology interface {
 	Hops(src, dst int) int
 }
 
-// Occupancy is a per-phase channel-claim table over any Topology: the
-// generic form of the paper's PATHS array with O(1) amortized
-// clearing. It supports the Check_Path / Mark_Path operations of the
-// RS_NL algorithm (Figure 4).
+// Occupancy is a channel-claim table over a RouteTable: the paper's
+// PATHS array as a packed bitset, one bit per directed channel. The
+// schedulers use it for the Check_Path / Mark_Path operations of RS_NL
+// (Figure 4) and for link-free validation; the simulator claims and
+// releases the channels of every circuit it carries in one.
 //
-// Two route backends exist. NewOccupancy generates each route on the
-// fly through Topology.RouteIDs — right for one-shot use. When built
-// over a precomputed RouteTable (NewOccupancyTable), CheckPath and
-// MarkPath become index walks over the table's flat hop storage with
-// no route generation at all; that is the backend the reusable
-// scheduler cores run on.
+// How a route is walked depends on the table:
+//   - mask spans: dense tables under maskSpanHopLimit group each
+//     route's channels by bitset word, so a check or a claim is one
+//     AND or OR per touched word — the hot case;
+//   - per hop: larger dense tables test one bit per stored hop;
+//   - lazy: lazy tables generate the route into the occupancy's own
+//     scratch, since the table itself is shared read-only.
+//
+// An Occupancy is not safe for concurrent use; the table under it is.
 type Occupancy struct {
-	t     Topology
-	rt    *RouteTable // non-nil: walk precomputed routes instead of generating
-	epoch uint32
-	marks []uint32
-	buf   []int
+	rt   *RouteTable
+	busy []uint64 // bit i of busy[i/64] set: channel i claimed
+	buf  []int    // route scratch of the lazy walk
 }
 
-// NewOccupancy returns an empty claim table for t, generating routes
-// on the fly.
+// NewOccupancy returns an empty claim table for t. It walks t itself
+// when t is a *RouteTable and wraps any other topology in a lazy
+// table.
 func NewOccupancy(t Topology) *Occupancy {
-	return &Occupancy{t: t, epoch: 1, marks: make([]uint32, t.NumChannels())}
+	rt, ok := t.(*RouteTable)
+	if !ok {
+		rt = NewRouteTableLazy(t)
+	}
+	return &Occupancy{rt: rt, busy: make([]uint64, (rt.NumChannels()+63)/64)}
 }
 
-// NewOccupancyTable returns an empty claim table that walks rt's
-// precomputed routes. The table is shared read-only; each Occupancy
-// keeps only its own claim marks. A lazy table stores no routes, so
-// the occupancy falls back to generating them through the underlying
-// topology — same results, per-route generation cost.
-func NewOccupancyTable(rt *RouteTable) *Occupancy {
-	if rt.Lazy() {
-		return NewOccupancy(rt.Topology())
-	}
-	return &Occupancy{t: rt.Topology(), rt: rt, epoch: 1, marks: make([]uint32, rt.NumChannels())}
-}
-
-// Reset clears all claims; O(1) amortized.
-func (o *Occupancy) Reset() {
-	o.epoch++
-	if o.epoch == 0 {
-		for i := range o.marks {
-			o.marks[i] = 0
-		}
-		o.epoch = 1
-	}
-}
+// Reset clears all claims; O(channels/64).
+func (o *Occupancy) Reset() { clear(o.busy) }
 
 // CheckPath reports whether the route src->dst is entirely unclaimed
-// in the current phase (the paper's Check_Path).
+// (the paper's Check_Path).
 func (o *Occupancy) CheckPath(src, dst int) bool {
-	if o.rt != nil {
-		for _, id := range o.rt.Route(src, dst) {
-			if o.marks[id] == o.epoch {
+	rt := o.rt
+	switch {
+	case rt.spanOff != nil:
+		words, masks := rt.spans(src, dst)
+		for i, w := range words {
+			if o.busy[w]&masks[i] != 0 {
 				return false
 			}
 		}
 		return true
+	case rt.lazy:
+		o.buf = rt.t.RouteIDs(src, dst, o.buf[:0])
+		return allClear(o.busy, o.buf)
+	default:
+		return allClear(o.busy, rt.Route(src, dst))
 	}
-	o.buf = o.t.RouteIDs(src, dst, o.buf[:0])
-	for _, id := range o.buf {
-		if o.marks[id] == o.epoch {
+}
+
+// MarkPath claims every channel on the route src->dst (the paper's
+// Mark_Path).
+func (o *Occupancy) MarkPath(src, dst int) {
+	rt := o.rt
+	switch {
+	case rt.spanOff != nil:
+		words, masks := rt.spans(src, dst)
+		for i, w := range words {
+			o.busy[w] |= masks[i]
+		}
+	case rt.lazy:
+		o.buf = rt.t.RouteIDs(src, dst, o.buf[:0])
+		setBits(o.busy, o.buf, true)
+	default:
+		setBits(o.busy, rt.Route(src, dst), true)
+	}
+}
+
+// ReleasePath frees every channel on the route src->dst: the
+// simulator's circuit teardown.
+func (o *Occupancy) ReleasePath(src, dst int) {
+	rt := o.rt
+	switch {
+	case rt.spanOff != nil:
+		words, masks := rt.spans(src, dst)
+		for i, w := range words {
+			o.busy[w] &^= masks[i]
+		}
+	case rt.lazy:
+		o.buf = rt.t.RouteIDs(src, dst, o.buf[:0])
+		setBits(o.busy, o.buf, false)
+	default:
+		setBits(o.busy, rt.Route(src, dst), false)
+	}
+}
+
+// allClear reports whether no channel in ids is set in busy.
+func allClear[T int | int32](busy []uint64, ids []T) bool {
+	for _, id := range ids {
+		if busy[id>>6]&(uint64(1)<<(uint(id)&63)) != 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// MarkPath claims every channel on the route src->dst for the current
-// phase (the paper's Mark_Path).
-func (o *Occupancy) MarkPath(src, dst int) {
-	if o.rt != nil {
-		for _, id := range o.rt.Route(src, dst) {
-			o.marks[id] = o.epoch
+// setBits sets (claim) or clears every channel in ids in busy.
+func setBits[T int | int32](busy []uint64, ids []T, claim bool) {
+	for _, id := range ids {
+		if claim {
+			busy[id>>6] |= uint64(1) << (uint(id) & 63)
+		} else {
+			busy[id>>6] &^= uint64(1) << (uint(id) & 63)
 		}
-		return
-	}
-	o.buf = o.t.RouteIDs(src, dst, o.buf[:0])
-	for _, id := range o.buf {
-		o.marks[id] = o.epoch
 	}
 }
 
 // ClaimedCount returns the number of channels currently claimed;
-// O(channels), for tests and traces.
+// O(channels/64), for tests and traces.
 func (o *Occupancy) ClaimedCount() int {
 	n := 0
-	for _, m := range o.marks {
-		if m == o.epoch {
-			n++
-		}
+	for _, w := range o.busy {
+		n += bits.OnesCount64(w)
 	}
 	return n
 }
