@@ -90,6 +90,69 @@ func renderWireGolden(t *testing.T, ts *httptest.Server, c wireGoldenCase) []byt
 	return out.Bytes()
 }
 
+// TestMetricsGolden pins the full solo /metrics exposition after a
+// fixed sequential script that touches every series a solo daemon
+// moves: a JSON schedule miss and its hit, a binary rendering, a 304,
+// a simulate, a 2-item batch, an auto and an auto_race request, and
+// one 400. Series names, types, order, labels and counts must not
+// drift. gzip stays out: flate output is not pinned across Go
+// versions. Regenerate deliberately with `go test ./internal/service
+// -run TestMetricsGolden -update`.
+func TestMetricsGolden(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 2, QueueDepth: 16})
+	post := func(path string, v any, accept, etag string, want int) []byte {
+		t.Helper()
+		// An explicit identity encoding also keeps the client from
+		// asking for gzip on its own.
+		hdr := map[string]string{"Accept": accept, "Accept-Encoding": "identity"}
+		if etag != "" {
+			hdr["If-None-Match"] = etag
+		}
+		resp, raw := doWire(t, ts, path, indentJSON(t, v), hdr)
+		if resp.StatusCode != want {
+			t.Fatalf("%s: status %d, want %d: %s", path, resp.StatusCode, want, raw)
+		}
+		return raw
+	}
+	shipped := ScheduleRequest{Matrix: testMatrix(t, 16, 4, 4096, 21), Algorithm: "RS_NL"}
+	post("/v1/schedule", shipped, ContentTypeJSON, "", http.StatusOK) // miss
+	var env struct {
+		Key    string
+		Result ScheduleResult
+	}
+	if err := json.Unmarshal(post("/v1/schedule", shipped, ContentTypeJSON, "", http.StatusOK), &env); err != nil { // hit
+		t.Fatal(err)
+	}
+	post("/v1/schedule", shipped, ContentTypeBinary, "", http.StatusOK)
+	post("/v1/schedule", shipped, ContentTypeJSON, etagFor(env.Key, encJSON), http.StatusNotModified)
+	post("/v1/simulate", SimulateRequest{Schedule: env.Result.Schedule}, ContentTypeJSON, "", http.StatusOK)
+	post("/v1/schedule/batch", BatchScheduleRequest{Requests: []ScheduleRequest{
+		shipped,
+		{Matrix: testMatrix(t, 16, 2, 512, 22), Algorithm: "GREEDY"},
+	}}, ContentTypeNDJSON, "", http.StatusOK)
+	post("/v1/schedule", ScheduleRequest{Matrix: testMatrix(t, 16, 4, 4096, 23)}, ContentTypeJSON, "", http.StatusOK)
+	post("/v1/schedule", ScheduleRequest{Matrix: testMatrix(t, 16, 4, 4096, 24), AutoRace: true},
+		ContentTypeJSON, "", http.StatusOK)
+	post("/v1/schedule", ScheduleRequest{Matrix: shipped.Matrix, Algorithm: "NOPE"}, ContentTypeJSON, "",
+		http.StatusBadRequest)
+
+	got := []byte(getMetrics(t, ts))
+	path := filepath.Join("testdata", "metrics_solo.golden")
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("/metrics drifted from %s:\ngot:\n%s\nwant:\n%s", path, got, want)
+	}
+}
+
 // TestWireGoldens pins response bytes and ETags across versions: keys,
 // seeds and bodies of the memoized endpoints must not drift. Regenerate
 // deliberately with `go test ./internal/service -run TestWireGoldens
