@@ -1,12 +1,12 @@
 package unsched
 
 // The benchmark harness regenerates every table and figure of the
-// paper's evaluation as Go benchmarks (see DESIGN.md §4 for the
-// experiment index), plus the ablations of §5. Benchmarks report the
-// measured quantities through b.ReportMetric — comm_ms columns for the
-// tables, fraction series for the overhead figures — so `go test
-// -bench=.` output reads like the paper's tables. The cmd/experiments
-// tool prints the same data in the paper's layout.
+// paper's evaluation as Go benchmarks, plus ablations of the
+// schedulers' design choices. Benchmarks report the measured
+// quantities through b.ReportMetric — comm_ms columns for the tables,
+// fraction series for the overhead figures — so `go test -bench=.`
+// output reads like the paper's tables. The cmd/experiments tool
+// prints the same data in the paper's layout.
 
 import (
 	"context"
@@ -151,7 +151,7 @@ func benchOverhead(b *testing.B, alg expt.Algorithm) {
 func BenchmarkFig10_RSNOverhead(b *testing.B)  { benchOverhead(b, expt.RSN) }
 func BenchmarkFig11_RSNLOverhead(b *testing.B) { benchOverhead(b, expt.RSNL) }
 
-// --- Ablations (DESIGN.md §5) ----------------------------------------
+// --- Ablations -------------------------------------------------------
 
 // Randomized row shuffle vs ascending order in CCOM compression: the
 // paper warns the unshuffled form causes early-phase node contention.

@@ -144,7 +144,10 @@
 // randomized schedulers — and server-generated workloads — derive
 // their RNG seed from that same hash, so identical requests return
 // bit-identical patterns and schedules whether they hit the cache or
-// recompute. A full queue sheds load with 429; Close drains
+// recompute. /v1/schedule and /v1/simulate share one serve path: the
+// body resolves into a job (content key, endpoint, compute) that is
+// revalidated, memoized and encoded the same way, and batch items and
+// auto_race lanes join it at the cache. A full queue sheds load with 429; Close drains
 // gracefully.
 //
 // Daemons scale out without coordination: since the cache is

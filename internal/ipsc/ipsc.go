@@ -1,8 +1,8 @@
 // Package ipsc simulates the Intel iPSC/860: i860 compute nodes on a
 // circuit-switched hypercube with deterministic e-cube routing. It is
-// the machine substitute for the paper's 64-node CalTech system (see
-// DESIGN.md §2) and reproduces the communication behaviour the paper's
-// §2.2 observations describe:
+// the machine substitute for the paper's 64-node CalTech system and
+// reproduces the communication behaviour the paper's §2.2
+// observations describe:
 //
 //  1. each node supports one send and one receive at a time, and a
 //     non-pairwise send + receive at the same node serialize;

@@ -199,6 +199,13 @@ func appendS2(programs [][]op, s *sched.Schedule, params costmodel.Params, recvC
 	return programs
 }
 
+// A ScheduleError is a run refused because the schedule does not fit
+// the protocol it was asked to run under: the input's fault, not the
+// machine's. Callers that serve clients answer it as a bad request.
+type ScheduleError struct{ msg string }
+
+func (e *ScheduleError) Error() string { return e.msg }
+
 // appendLP compiles an LP schedule into per-node programs, appending
 // to the given per-node slices: each node performs a
 // pairwise-synchronized exchange with its XOR partner in *every*
@@ -207,18 +214,18 @@ func appendS2(programs [][]op, s *sched.Schedule, params costmodel.Params, recvC
 // exchanges"). A data-less phase still costs the synchronization
 // handshake, which is why LP is expensive at low density. The schedule
 // must come from sched.LP (phase k pairs i with i XOR (k+1)); any
-// other schedule is an error.
+// other schedule is a *ScheduleError.
 func appendLP(programs [][]op, s *sched.Schedule, params costmodel.Params) ([][]op, error) {
 	if s.Algorithm != "LP" {
-		return nil, fmt.Errorf("ipsc: the LP protocol needs an LP schedule, got %s", s.Algorithm)
+		return nil, &ScheduleError{fmt.Sprintf("ipsc: the LP protocol needs an LP schedule, got %s", s.Algorithm)}
 	}
 	n := s.N
 	for k, p := range s.Phases {
 		for i := 0; i < n; i++ {
 			partner := i ^ (k + 1)
 			if p.Send[i] >= 0 && p.Send[i] != partner {
-				return nil, fmt.Errorf("ipsc: phase %d sends %d->%d, not the XOR partner %d",
-					k, i, p.Send[i], partner)
+				return nil, &ScheduleError{fmt.Sprintf("ipsc: phase %d sends %d->%d, not the XOR partner %d",
+					k, i, p.Send[i], partner)}
 			}
 			programs[i] = append(programs[i],
 				op{kind: opDelay, cost: params.LoopOverheadUS},

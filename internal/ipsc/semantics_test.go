@@ -5,6 +5,7 @@ package ipsc
 // properties, and compile-level validation.
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -263,16 +264,17 @@ func TestCompileLPRejectsNonLP(t *testing.T) {
 		t.Fatal(err)
 	}
 	mach := mustMachine(t, 3)
-	if _, err := mach.RunLP(s); err == nil {
-		t.Error("RunLP compiled a non-LP schedule")
+	var se *ScheduleError
+	if _, err := mach.RunLP(s); !errors.As(err, &se) {
+		t.Errorf("RunLP on a non-LP schedule: %v, want a *ScheduleError", err)
 	}
 	// A forged LP schedule with a non-XOR transfer is also rejected.
 	forged := &sched.Schedule{Algorithm: "LP", N: 8}
 	ph := sched.NewPhase(8)
 	ph.Send[0], ph.Bytes[0] = 3, 100 // phase 0 pairs with XOR 1, not 3
 	forged.Phases = append(forged.Phases, ph)
-	if _, err := mach.RunLP(forged); err == nil {
-		t.Error("RunLP compiled a forged LP schedule")
+	if _, err := mach.RunLP(forged); !errors.As(err, &se) {
+		t.Errorf("RunLP on a forged LP schedule: %v, want a *ScheduleError", err)
 	}
 }
 

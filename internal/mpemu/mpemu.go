@@ -6,9 +6,9 @@
 // operation which will combine each processor's sending vector to form
 // the communication matrix COM and leave a copy at every processor").
 //
-// This is the functional half of the machine substitution (DESIGN.md
-// §2): timing comes from the deterministic simulator in internal/ipsc;
-// mpemu validates behaviour — schedules deadlock-free under real
+// This is the functional half of the machine substitution: timing
+// comes from the deterministic simulator in internal/ipsc; mpemu
+// validates behaviour — schedules deadlock-free under real
 // concurrency, payloads delivered intact, and the runtime-scheduling
 // pipeline (compact row → concatenate → derive identical schedules
 // from a shared seed) actually works end to end.

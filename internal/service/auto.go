@@ -19,11 +19,12 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"sort"
 	"sync"
 
 	"unsched/internal/comm"
-	"unsched/internal/costmodel"
 	"unsched/internal/expt"
 	"unsched/internal/quality"
 	"unsched/internal/sched"
@@ -37,25 +38,23 @@ func (s *Server) qualityModel() *quality.Model {
 	return s.quality.Load()
 }
 
-// autoJob builds the content key and compute closure a concrete
-// algorithm tag would get for the request being resolved. resolveAuto
-// uses it to key race lanes exactly as direct requests are keyed.
-type autoJob func(tag string) (key string, compute func(wk *worker) (wireDoc, error))
-
 // resolveAuto maps "auto" to a concrete algorithm tag for a request
-// with the given features. Without racing, the answer is the model's
-// top pick — a pure function of (topology name, features), computed
-// before any key is derived. With racing, the top-ranked candidates
-// (at most three) are computed and scored on the worker pool, and the
-// cheapest deterministic winner is returned; lanes that fail (shed
-// under load, or unschedulable) drop out of the race rather than
+// on net with the given features; m is the request's matrix (nil for
+// a workload request), and jobFor builds the job a concrete tag gets,
+// so race lanes are keyed exactly as direct requests are. Without
+// racing, the answer is the model's top pick — a pure function of
+// (topology name, features), computed before any key is derived. With
+// racing, the top-ranked candidates (at most three) are computed and
+// scored on the worker pool, and the cheapest deterministic winner is
+// returned; lanes that fail (shed under load, unschedulable, or a
+// cached record without a schedule) drop out of the race rather than
 // failing the request, and losing the whole race falls back to the
 // model's pick.
-func (s *Server) resolveAuto(ctx context.Context, net topo.Topology, m *comm.Matrix, f sched.Features, race bool, job autoJob) string {
+func (s *Server) resolveAuto(ctx context.Context, net topo.Topology, m *comm.Matrix, f sched.Features, race bool, jobFor func(tag string) job) string {
 	ranked := s.qualityModel().Pick(net.Name(), f)
 	chosen := ranked[0]
 	if race && len(ranked) > 1 {
-		if winner, ok := s.raceAuto(ctx, net, m, ranked[:min(3, len(ranked))], job); ok {
+		if winner, ok := s.raceAuto(ctx, net, m, ranked[:min(3, len(ranked))], jobFor); ok {
 			chosen = winner
 			s.autoRaceWins.inc(winner)
 		}
@@ -68,7 +67,7 @@ func (s *Server) resolveAuto(ctx context.Context, net topo.Topology, m *comm.Mat
 // scores it with scoreSchedule. The winner is the lowest score, ties
 // broken on the tag — a total deterministic order, so two servers
 // racing the same request crown the same winner.
-func (s *Server) raceAuto(ctx context.Context, net topo.Topology, m *comm.Matrix, candidates []string, job autoJob) (string, bool) {
+func (s *Server) raceAuto(ctx context.Context, net topo.Topology, m *comm.Matrix, candidates []string, jobFor func(tag string) job) (string, bool) {
 	type lane struct {
 		score float64
 		ok    bool
@@ -79,8 +78,7 @@ func (s *Server) raceAuto(ctx context.Context, net topo.Topology, m *comm.Matrix
 		wg.Add(1)
 		go func(i int, tag string) {
 			defer wg.Done()
-			key, compute := job(tag)
-			raw, _, err := s.memoized(ctx, epSchedule, key, encJSON, false, decodeScheduleDoc, compute)
+			raw, _, err := s.memoized(ctx, jobFor(tag), encJSON, false)
 			if err != nil {
 				return
 			}
@@ -88,7 +86,7 @@ func (s *Server) raceAuto(ctx context.Context, net topo.Topology, m *comm.Matrix
 			if json.Unmarshal(raw, &res) != nil {
 				return
 			}
-			score, err := s.scoreSchedule(net, m, &res)
+			score, err := s.scoreSchedule(ctx, net, m, &res)
 			if err != nil {
 				return
 			}
@@ -115,58 +113,33 @@ func (s *Server) raceAuto(ctx context.Context, net topo.Topology, m *comm.Matrix
 // scoreSchedule prices one race lane: the schedule's simulated
 // makespan on the default machine model plus its modeled scheduling
 // time — the same total the quality store's records carry, so racing
-// and calibration agree on what "best" means. AC lanes (no phases)
-// are driven by the matrix; workload lanes find it echoed in the
-// result. The simulation runs on a pool worker, reusing its machines.
-func (s *Server) scoreSchedule(net topo.Topology, m *comm.Matrix, res *ScheduleResult) (float64, error) {
-	const paramsName = "ipsc860"
-	params := costmodel.DefaultIPSC860()
-	var (
-		score  float64
-		runErr error
-	)
-	err := s.runTask(func(wk *worker) {
-		mach, err := wk.machine(net, paramsName, params)
-		if err != nil {
-			runErr = err
-			return
-		}
-		if isACRun(res.Schedule) {
-			if m == nil {
-				if m, err = resolveMatrix(res.Matrix); err != nil {
-					runErr = err
-					return
-				}
-			}
-			r, err := simulate(mach, "AC", nil, m)
-			if err != nil {
-				runErr = err
-				return
-			}
-			score = r.MakespanUS
-			return
-		}
-		sc, err := resolveSchedule(res.Schedule)
-		if err != nil {
-			runErr = err
-			return
-		}
-		protocol, err := resolveProtocol("", false, sc)
-		if err != nil {
-			runErr = err
-			return
-		}
-		r, err := simulate(mach, protocol, sc, nil)
-		if err != nil {
-			runErr = err
-			return
-		}
-		score = r.MakespanUS + float64(params.CompTimeNS(sc.Ops))/1000
-	})
+// and calibration agree on what "best" means. The makespan is the one
+// /v1/simulate answers for the lane with the default params and
+// protocol: the schedule, or for an AC lane the matrix (workload lanes
+// find it echoed in the result), resolved against the schedule
+// request's own net and m. It runs on a pool worker, reusing its
+// machines, but is not memoized: scoring adds no cache entry and
+// moves no simulate counter. A lane record without a schedule — the
+// cache admits any JSON from a PUT, a peer or the disk — cannot be
+// priced and drops out, as does one sized for another machine (the
+// simulator rejects it).
+func (s *Server) scoreSchedule(ctx context.Context, net topo.Topology, m *comm.Matrix, res *ScheduleResult) (float64, error) {
+	if res.Schedule == nil {
+		return 0, errors.New("race lane: cached result carries no schedule")
+	}
+	req := SimulateRequest{Schedule: res.Schedule}
+	if m == nil && isACRun(res.Schedule) {
+		req.Matrix = res.Matrix
+	}
+	sim, err := resolveSimulation(&req, net, m)
 	if err != nil {
 		return 0, err
 	}
-	return score, runErr
+	doc, err := s.runTask(ctx, sim.run, false)
+	if err != nil {
+		return 0, err
+	}
+	return doc.(*SimulateResult).MakespanUS + float64(sim.params.CompTimeNS(res.Schedule.Ops))/1000, nil
 }
 
 // tagCounters is a per-algorithm-tag counter family for /metrics. A
@@ -187,11 +160,11 @@ func (c *tagCounters) inc(tag string) {
 	c.mu.Unlock()
 }
 
-// series returns the counter family as sorted (tag, value) pairs over
-// the union of the campaign contenders — always emitted, zero or not,
-// so scrapers see a stable base series set — and any other tag that
-// has actually counted.
-func (c *tagCounters) series() ([]string, []int64) {
+// samples returns the counter family as one sample per tag, sorted,
+// over the union of the campaign contenders — always emitted, zero or
+// not, so scrapers see a stable base series set — and any other tag
+// that has actually counted.
+func (c *tagCounters) samples() []sample {
 	c.mu.Lock()
 	tags := make(map[string]int64, len(expt.Algorithms)+len(c.m))
 	for _, a := range expt.Algorithms {
@@ -206,9 +179,9 @@ func (c *tagCounters) series() ([]string, []int64) {
 		names = append(names, t)
 	}
 	sort.Strings(names)
-	vals := make([]int64, len(names))
+	out := make([]sample, len(names))
 	for i, t := range names {
-		vals[i] = tags[t]
+		out[i] = sample{fmt.Sprintf("{algorithm=%q}", t), tags[t]}
 	}
-	return names, vals
+	return out
 }

@@ -7,6 +7,7 @@ package service
 // any server sharing the calibration store.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -16,7 +17,10 @@ import (
 	"testing"
 	"time"
 
+	"unsched/internal/costmodel"
+	"unsched/internal/hypercube"
 	"unsched/internal/quality"
+	"unsched/internal/sched"
 )
 
 // seedQualityStore writes a calibration store whose hypercube/n4/d3/cv0
@@ -223,6 +227,128 @@ func TestAutoRaceDeterministicWinner(t *testing.T) {
 	_, raw := getJSON(t, ts.URL+"/metrics", nil)
 	if want := fmt.Sprintf("unschedd_auto_race_wins_total{algorithm=%q} 1", res.Chosen); !strings.Contains(string(raw), want) {
 		t.Errorf("metrics missing %q", want)
+	}
+}
+
+// TestAutoRaceWinsOnSimulatedCost: the race crowns the cheapest of the
+// model's top three candidates, priced exactly as a client would price
+// them — each scheduled directly, then simulated through /v1/simulate
+// with the default params and protocol, and charged makespan_us plus
+// CompTimeNS(ops)/1000, ties broken on the tag. The fallback table
+// races an LP lane and crowns a tag it did not rank first; the seeded
+// store races an AC lane, which is simulated from the matrix. Scoring
+// is not a simulate request: it adds no cache entry and moves no
+// simulate hit/miss counter.
+func TestAutoRaceWinsOnSimulatedCost(t *testing.T) {
+	for _, calibrated := range []bool{false, true} {
+		t.Run(fmt.Sprintf("calibrated=%v", calibrated), func(t *testing.T) {
+			opts := Options{Workers: 4, QueueDepth: 32}
+			if calibrated {
+				opts.QualityStore = filepath.Join(t.TempDir(), "quality.usqr")
+				seedQualityStore(t, opts.QualityStore)
+			}
+			svc, ts := newTestServer(t, opts)
+			mj := testMatrix(t, 16, 4, 4096, 5)
+			m, err := resolveMatrix(mj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ranked := svc.qualityModel().Pick(hypercube.MustNew(4).Name(), sched.MeasureFeatures(m))
+			if len(ranked) < 3 {
+				t.Fatalf("model ranks %v: want three lanes to race", ranked)
+			}
+			candidates := ranked[:3]
+
+			var env Envelope
+			race := ScheduleRequest{Matrix: mj, Algorithm: "auto", AutoRace: true}
+			if status, raw := postJSON(t, ts.URL+"/v1/schedule", race, &env); status != http.StatusOK {
+				t.Fatalf("race: status %d (%s)", status, raw)
+			}
+			if got := svc.cacheHits[epSimulate].Load() + svc.cacheMisses[epSimulate].Load(); got != 0 {
+				t.Errorf("race scoring moved the simulate hit/miss counters by %d", got)
+			}
+			if got := svc.cache.len(); got != len(candidates) {
+				t.Errorf("race left %d cache entries, want one per lane (%d)", got, len(candidates))
+			}
+
+			params := costmodel.DefaultIPSC860()
+			best, bestScore := "", 0.0
+			for _, tag := range candidates {
+				var denv, senv Envelope
+				direct := ScheduleRequest{Matrix: mj, Algorithm: tag}
+				if status, raw := postJSON(t, ts.URL+"/v1/schedule", direct, &denv); status != http.StatusOK {
+					t.Fatalf("%s: status %d (%s)", tag, status, raw)
+				}
+				res := scheduleResult(t, denv)
+				sim := SimulateRequest{Schedule: res.Schedule}
+				if tag == "AC" {
+					sim.Matrix = mj
+				}
+				if status, raw := postJSON(t, ts.URL+"/v1/simulate", sim, &senv); status != http.StatusOK {
+					t.Fatalf("%s simulate: status %d (%s)", tag, status, raw)
+				}
+				var sr SimulateResult
+				if err := json.Unmarshal(senv.Result, &sr); err != nil {
+					t.Fatal(err)
+				}
+				score := sr.MakespanUS + float64(params.CompTimeNS(res.Schedule.Ops))/1000
+				t.Logf("%s: makespan %.1f us, ops %d, score %.1f", tag, sr.MakespanUS, res.Schedule.Ops, score)
+				if best == "" || score < bestScore || (score == bestScore && tag < best) {
+					best, bestScore = tag, score
+				}
+			}
+			if got := scheduleResult(t, env).Chosen; got != best {
+				t.Errorf("race crowned %s, want the cheapest lane %s", got, best)
+			}
+		})
+	}
+}
+
+// TestAutoRaceDropsUnpriceableLaneRecords: the memo cache admits any
+// JSON record — a PUT /v1/cache/{key}, a fleet peer, a warm load — so
+// a race lane can find a result without a schedule, or with a schedule
+// for another machine size, under its key. Such a lane cannot be
+// priced: it drops out of the race, the request still answers 200 with
+// another lane's result, and the daemon stays up.
+func TestAutoRaceDropsUnpriceableLaneRecords(t *testing.T) {
+	mj := testMatrix(t, 16, 4, 4096, 5)
+	m, err := resolveMatrix(mj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No quality store: the lanes are the fallback table's top three.
+	ranked := (*quality.Model)(nil).Pick(hypercube.MustNew(4).Name(), sched.MeasureFeatures(m))
+	if len(ranked) < 3 {
+		t.Fatalf("model ranks %v: want three lanes to race", ranked)
+	}
+	for _, tag := range ranked[:3] {
+		for _, record := range []string{
+			`{}`,
+			`null`,
+			`{"chosen":"` + tag + `","topology":"hypercube-4"}`,
+			`{"chosen":"RS_N","topology":"hypercube-5","schedule":{"algorithm":"RS_N","n":32,"ops":0,"phases":[]}}`,
+		} {
+			t.Run(tag+" "+record, func(t *testing.T) {
+				svc, ts := newTestServer(t, Options{Workers: 2, QueueDepth: 16})
+				lane, err := svc.scheduleJob(context.Background(), &ScheduleRequest{Matrix: mj, Algorithm: tag})
+				if err != nil {
+					t.Fatal(err)
+				}
+				svc.cache.put(lane.key, []byte(record))
+
+				var env Envelope
+				race := ScheduleRequest{Matrix: mj, Algorithm: "auto", AutoRace: true}
+				if status, raw := postJSON(t, ts.URL+"/v1/schedule", race, &env); status != http.StatusOK {
+					t.Fatalf("race: status %d (%s)", status, raw)
+				}
+				if got := scheduleResult(t, env).Chosen; got == tag {
+					t.Errorf("race crowned the lane whose record cannot be priced (%s)", tag)
+				}
+				if status, raw := getJSON(t, ts.URL+"/healthz", nil); status != http.StatusOK {
+					t.Fatalf("healthz after the race: status %d (%s)", status, raw)
+				}
+			})
+		}
 	}
 }
 

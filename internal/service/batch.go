@@ -144,15 +144,15 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 // path. Failures become the item's structured error — never the
 // stream's: one bad request in a batch must not kill the other 999.
 func (s *Server) batchOne(ctx context.Context, index int, req *ScheduleRequest) BatchItem {
-	key, compute, err := s.scheduleJob(ctx, req)
+	j, err := s.scheduleJob(ctx, req)
 	if err == nil {
 		var (
 			raw    []byte
 			cached bool
 		)
-		raw, cached, err = s.memoized(ctx, epSchedule, key, encJSON, true, decodeScheduleDoc, compute)
+		raw, cached, err = s.memoized(ctx, j, encJSON, true)
 		if err == nil {
-			return BatchItem{Index: index, Key: key, Cached: cached, Result: raw}
+			return BatchItem{Index: index, Key: j.key, Cached: cached, Result: raw}
 		}
 	}
 	ae, ok := err.(*apiError)

@@ -29,9 +29,28 @@ func fuzzServer() *Server {
 	return fuzzSrv
 }
 
+// serveFuzz posts body to path on the shared fuzz server and holds it
+// to the no-5xx contract: whatever the body, the answer is a status
+// the daemon wrote, and a malformed request is the client's fault — a
+// 4xx, never a server error. 503 is the one exception: load shedding
+// by a pool that is shutting down is not a verdict on the input.
+func serveFuzz(t *testing.T, path, body string) {
+	t.Helper()
+	req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
+	rec := httptest.NewRecorder()
+	fuzzServer().ServeHTTP(rec, req) // must not panic
+	if rec.Code == 0 {
+		t.Fatalf("no status written for input %q", body)
+	}
+	if rec.Code >= 500 && rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("input %q answered %d: %s", body, rec.Code, rec.Body)
+	}
+}
+
 // FuzzScheduleRequest drives POST /v1/schedule with arbitrary bodies.
 // The contract: malformed JSON or a malformed matrix must never panic
-// the daemon — every input gets a JSON response with an HTTP status.
+// the daemon or answer a server error — every input gets a JSON
+// response with a status serveFuzz accepts.
 func FuzzScheduleRequest(f *testing.F) {
 	f.Add(`{"matrix":{"n":8,"messages":[[0,1,512],[1,2,512]]},"algorithm":"RS_NL"}`)
 	f.Add(`{"matrix":{"n":4,"messages":[]}}`)
@@ -52,13 +71,7 @@ func FuzzScheduleRequest(f *testing.F) {
 	f.Add(`[]`)
 	f.Add(`{"matrix":{"n":1e9}}`)
 	f.Fuzz(func(t *testing.T, body string) {
-		srv := fuzzServer()
-		req := httptest.NewRequest(http.MethodPost, "/v1/schedule", strings.NewReader(body))
-		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, req) // must not panic
-		if rec.Code == 0 {
-			t.Fatalf("no status written for input %q", body)
-		}
+		serveFuzz(t, "/v1/schedule", body)
 	})
 }
 
@@ -134,8 +147,9 @@ func FuzzCacheRecord(f *testing.F) {
 }
 
 // FuzzSimulateRequest drives POST /v1/simulate the same way; schedules
-// with contention, out-of-range nodes, or absurd phase counts must be
-// rejected, never simulated into a crash.
+// with contention, out-of-range nodes, absurd phase counts, or a shape
+// the LP protocol cannot run must be rejected with a 4xx, never
+// simulated into a crash or a 500.
 func FuzzSimulateRequest(f *testing.F) {
 	f.Add(`{"matrix":{"n":4,"messages":[[0,1,256]]}}`)
 	f.Add(`{"schedule":{"algorithm":"RS_N","n":4,"ops":0,"phases":[[[0,1,256]],[[1,0,256]]]}}`)
@@ -145,14 +159,10 @@ func FuzzSimulateRequest(f *testing.F) {
 	f.Add(`{"schedule":{"algorithm":"RS_N","n":2,"phases":[[[0,1,5]]]},"params":"ipsc2","protocol":"S2"}`)
 	f.Add(`{"schedule":null,"matrix":null}`)
 	f.Add(`{`)
+	f.Add(`{"schedule":{"algorithm":"RS_N","n":4,"ops":0,"phases":[[[0,1,256]]]},"protocol":"LP"}`)
+	f.Add(`{"schedule":{"algorithm":"LP","n":4,"ops":0,"phases":[[[0,2,256]]]}}`)
 	f.Fuzz(func(t *testing.T, body string) {
-		srv := fuzzServer()
-		req := httptest.NewRequest(http.MethodPost, "/v1/simulate", strings.NewReader(body))
-		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, req) // must not panic
-		if rec.Code == 0 {
-			t.Fatalf("no status written for input %q", body)
-		}
+		serveFuzz(t, "/v1/simulate", body)
 	})
 }
 

@@ -10,6 +10,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -150,6 +152,60 @@ func TestMetricsGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("/metrics drifted from %s:\ngot:\n%s\nwant:\n%s", path, got, want)
+	}
+}
+
+// TestMetricsTableMatchesREADME holds README's *Metrics* table to the
+// series the daemon declares: every declared family has a row, every
+// row names a declared family, and the requests row's parenthesized
+// list names exactly the endpoint labels the daemon counts under.
+func TestMetricsTableMatchesREADME(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(raw), "\n### Metrics\n")
+	if !ok {
+		t.Fatal("README has no ### Metrics section")
+	}
+	section, _, _ = strings.Cut(section, "\n### ")
+	var documented, endpoints []string
+	for _, line := range strings.Split(section, "\n") {
+		row, ok := strings.CutPrefix(line, "| `unschedd_")
+		if !ok {
+			continue
+		}
+		name := "unschedd_" + row[:strings.IndexAny(row, "{`")]
+		documented = append(documented, name)
+		if name == "unschedd_requests_total" {
+			// The labels are the backquoted words of the first
+			// parenthesized list.
+			_, list, _ := strings.Cut(row, "(")
+			list, _, _ = strings.Cut(list, ")")
+			for _, label := range strings.Split(list, ",") {
+				endpoints = append(endpoints, strings.Trim(label, " `"))
+			}
+		}
+	}
+	svc, err := NewServer(Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	var declared []string
+	for _, m := range svc.metrics() {
+		declared = append(declared, m.name)
+	}
+	slices.Sort(documented)
+	slices.Sort(declared)
+	if !slices.Equal(documented, declared) {
+		t.Errorf("README Metrics table documents\n%v\nbut the daemon declares\n%v", documented, declared)
+	}
+	slices.Sort(endpoints)
+	labels := slices.Clone(endpointNames[:])
+	slices.Sort(labels)
+	if !slices.Equal(endpoints, labels) {
+		t.Errorf("README requests_total row lists endpoints %v, the daemon counts %v", endpoints, labels)
 	}
 }
 

@@ -3,7 +3,7 @@ package service
 // Fleet mode: the service side of internal/fleet. Three pieces live
 // here — the internal cache-record endpoints peers talk to, the
 // peer-fill step the memoization miss path runs before computing, and
-// the /metrics and /healthz surfaces of the fleet layer.
+// the shard-balance gauge of /metrics.
 //
 // The wire unit is the USCR record from persist.go, verbatim: the
 // same checksummed, self-describing framing the disk store writes is
@@ -169,83 +169,53 @@ func (ds *diskStore) readRecord(key string) []byte {
 	return raw
 }
 
-// peerFill serves a cache miss from the key's fleet owner: when fleet
-// mode is on and this daemon does not own the key, the owner (hedged
-// to the next-ranked peer) is asked for the canonical record under
-// the caller's single-flight slot. The fleet's Decode hook has already
-// rejected any record that is corrupt, keyed elsewhere, or not JSON.
-// The fetched JSON form is memoized memory-only — the owner already
-// persists it; re-persisting here would double the fleet's disk
-// footprint — and rendered to binary on demand like any cached entry.
-// ok=false on any failure: the caller computes locally, so a peer can
-// never make this daemon unavailable.
-func (s *Server) peerFill(ctx context.Context, ep int, key string, enc encoding,
-	decodeDoc func([]byte) (wireDoc, error)) ([]byte, bool) {
-	if s.fleet == nil || s.fleet.Owns(key) {
+// peerFill serves a cache miss of j from the key's fleet owner: when
+// fleet mode is on and this daemon does not own the key, the owner
+// (hedged to the next-ranked peer) is asked for the canonical record
+// under the caller's single-flight slot. The fleet's Decode hook has
+// already rejected any record that is corrupt, keyed elsewhere, or not
+// JSON. The fetched JSON form is memoized memory-only — the owner
+// already persists it; re-persisting here would double the fleet's
+// disk footprint — and rendered to binary on demand like any cached
+// entry. ok=false on any failure: the caller computes locally, so a
+// peer can never make this daemon unavailable.
+func (s *Server) peerFill(ctx context.Context, j job, enc encoding) ([]byte, bool) {
+	if s.fleet == nil || s.fleet.Owns(j.key) {
 		return nil, false
 	}
-	jsonRaw, ok := s.fleet.Fetch(ctx, key)
+	payload, ok := s.fleet.Fetch(ctx, j.key)
 	if !ok {
 		return nil, false
 	}
-	s.cache.put(key, jsonRaw)
-	if enc == encJSON {
-		s.cacheHits[ep].Add(1)
-		return jsonRaw, true
+	s.cache.put(j.key, payload)
+	if enc != encJSON {
+		var err error
+		if payload, err = s.renderBinary(j, payload, variantKey(j.key, enc)); err != nil {
+			// CRC-valid but undecodable means result-document drift
+			// between daemon versions; computing locally is the safe
+			// answer.
+			return nil, false
+		}
 	}
-	doc, err := decodeDoc(jsonRaw)
-	if err != nil {
-		// CRC-valid but undecodable means result-document drift between
-		// daemon versions; computing locally is the safe answer.
-		return nil, false
-	}
-	bin := doc.appendBinaryPayload(nil)
-	s.cache.put(variantKey(key, enc), bin)
-	s.cacheHits[ep].Add(1)
-	return bin, true
+	s.cacheHits[j.ep].Add(1)
+	return payload, true
 }
 
-// emitPeerMetrics writes the fleet series of /metrics. Counters and
-// the lookup-latency summary are emitted even solo (all zero),
-// matching the disk series' convention — scrapers should not need
-// per-deployment series sets. The shard-balance gauge (how many of
-// this daemon's cached keys each member owns) is fleet-only: it has
-// no meaningful solo shape.
-func (s *Server) emitPeerMetrics(w io.Writer) {
-	var fs fleet.Stats
-	if s.fleet != nil {
-		fs = s.fleet.Stats()
+// peerOwnedKeys is the fleet's shard-balance gauge: how many of this
+// daemon's cached keys each member owns. It has no solo shape, so a
+// solo daemon has no samples.
+func (s *Server) peerOwnedKeys() []sample {
+	if s.fleet == nil {
+		return nil
 	}
-	series := []struct {
-		name  string
-		value int64
-	}{
-		{"unschedd_peer_lookup_total", fs.Lookups},
-		{"unschedd_peer_hit_total", fs.Hits},
-		{"unschedd_peer_miss_total", fs.Misses},
-		{"unschedd_peer_error_total", fs.Errors},
-		{"unschedd_peer_hedge_total", fs.Hedges},
-		{"unschedd_peer_push_total", fs.Pushes},
-		{"unschedd_peer_push_error_total", fs.PushErrors},
-		{"unschedd_peer_push_drop_total", fs.PushDrops},
+	members := s.fleet.Members()
+	counts := make(map[string]int, len(members))
+	for _, key := range s.cache.keys() {
+		counts[s.fleet.Owner(key)]++
 	}
-	for _, sr := range series {
-		fmt.Fprintf(w, "# TYPE %s counter\n", sr.name)
-		fmt.Fprintf(w, "%s %d\n", sr.name, sr.value)
+	out := make([]sample, len(members))
+	for i, m := range members {
+		out[i] = sample{fmt.Sprintf("{peer=%q}", m), counts[m]}
 	}
-	fmt.Fprintf(w, "# TYPE unschedd_peer_lookup_seconds summary\n")
-	fmt.Fprintf(w, "unschedd_peer_lookup_seconds{quantile=\"0.9\"} %g\n", fs.LookupP90)
-	fmt.Fprintf(w, "unschedd_peer_lookup_seconds_sum %g\n", fs.LookupSum)
-	fmt.Fprintf(w, "unschedd_peer_lookup_seconds_count %d\n", fs.LookupCount)
-	if s.fleet != nil {
-		members := s.fleet.Members()
-		counts := make(map[string]int, len(members))
-		for _, key := range s.cache.keys() {
-			counts[s.fleet.Owner(key)]++
-		}
-		fmt.Fprintf(w, "# TYPE unschedd_peer_owned_keys gauge\n")
-		for _, m := range members {
-			fmt.Fprintf(w, "unschedd_peer_owned_keys{peer=%q} %d\n", m, counts[m])
-		}
-	}
+	return out
 }

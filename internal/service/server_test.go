@@ -331,6 +331,23 @@ func TestSimulateBadRequests(t *testing.T) {
 	if status, _ := postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{Schedule: bad}, nil); status != http.StatusBadRequest {
 		t.Errorf("contending phase accepted")
 	}
+	// A schedule the LP protocol cannot run is the client's mistake:
+	// 400 bad_request with the simulator's own message, not 500.
+	for _, c := range []struct{ body, msg string }{
+		{`{"schedule":{"algorithm":"RS_N","n":4,"ops":0,"phases":[[[0,1,256]]]},"protocol":"LP"}`,
+			"ipsc: the LP protocol needs an LP schedule, got RS_N"},
+		{`{"schedule":{"algorithm":"LP","n":4,"ops":0,"phases":[[[0,2,256]]]}}`,
+			"ipsc: phase 0 sends 0->2, not the XOR partner 1"},
+	} {
+		resp, raw := doWire(t, ts, "/v1/simulate", []byte(c.body), nil)
+		var env ErrorEnvelope
+		if err := json.Unmarshal(raw, &env); err != nil {
+			t.Fatalf("%s: bad error body %q: %v", c.body, raw, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || env.Err.Code != CodeBadRequest || env.Err.Message != c.msg {
+			t.Errorf("%s: got %d %+v, want 400 %s %q", c.body, resp.StatusCode, env.Err, CodeBadRequest, c.msg)
+		}
+	}
 }
 
 func TestCampaignEndpoint(t *testing.T) {
@@ -872,11 +889,11 @@ func TestFollowerClientGoneIs499(t *testing.T) {
 	cancel()
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest(http.MethodPost, "/v1/schedule", nil).WithContext(ctx)
-	svc.respondMemoized(rec, req, conneg{enc: encJSON}, epSchedule, key, decodeScheduleDoc,
-		func(wk *worker) (wireDoc, error) {
+	svc.respondMemoized(rec, req, conneg{enc: encJSON}, job{key: key, ep: epSchedule,
+		compute: func(wk *worker) (wireDoc, error) {
 			t.Error("follower must not compute")
 			return nil, nil
-		})
+		}})
 	if rec.Code != statusClientClosedRequest {
 		t.Errorf("follower with dead client got %d, want %d", rec.Code, statusClientClosedRequest)
 	}

@@ -76,6 +76,7 @@ import (
 	"time"
 
 	"unsched/internal/comm"
+	"unsched/internal/costmodel"
 	"unsched/internal/des"
 	"unsched/internal/expt"
 	"unsched/internal/fleet"
@@ -327,9 +328,9 @@ func NewServer(opts Options) (*Server, error) {
 		return nil, err
 	}
 	s.fleet = fl
-	s.mux.HandleFunc("POST /v1/schedule", s.handleSchedule)
+	s.mux.HandleFunc("POST /v1/schedule", serveJob(s, epSchedule, s.scheduleJob))
 	s.mux.HandleFunc("POST /v1/schedule/batch", s.handleScheduleBatch)
-	s.mux.HandleFunc("POST /v1/simulate", s.handleSimulate)
+	s.mux.HandleFunc("POST /v1/simulate", serveJob(s, epSimulate, simulateJob))
 	s.mux.HandleFunc("POST /v1/campaign", s.handleCampaign)
 	s.mux.HandleFunc("GET /v1/campaign/{id}", s.handleCampaignStatus)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -412,95 +413,114 @@ func (s *Server) negotiate(r *http.Request) (conneg, error) {
 	return conneg{enc: enc, gzip: acceptsGzip(r)}, nil
 }
 
-// runTask submits fn to the pool and waits for completion.
-// Backpressure surfaces here: a full queue is 429, a closing server
-// 503. It deliberately does NOT abandon the wait when the submitting
-// client disconnects: the computation is already claiming a worker,
-// its result feeds the memoization cache and any single-flight
-// followers, and writing the response to a dead connection is
-// harmless — so a cancelled leader must not poison everyone else.
-func (s *Server) runTask(fn func(w *worker)) error {
-	t := &task{run: fn, done: make(chan struct{})}
-	if err := s.pool.submit(t); err != nil {
-		s.rejected.Add(1)
-		status := http.StatusServiceUnavailable
-		if err == errBusy {
-			status = http.StatusTooManyRequests
-		}
-		return &apiError{status: status, msg: err.Error()}
-	}
-	<-t.done
-	if t.panicked != nil {
-		return t.panicked // -> 500 for this request; the worker survived
-	}
-	return nil
+// job is one memoized request, resolved: its content-hash key, the
+// endpoint whose hit/miss counters it moves and whose result decoder
+// re-types its cached JSON (epSchedule or epSimulate), and the
+// computation a worker runs on a miss. /v1/schedule, /v1/simulate,
+// batch items and auto_race lanes are all served as jobs, through
+// memoized.
+type job struct {
+	key     string
+	ep      int
+	compute func(wk *worker) (wireDoc, error)
 }
 
-// runTaskWait is runTask for batch items: a full queue makes it yield
-// and retry instead of failing, so one saturated moment does not pock
-// a long stream with 429s. Retries do not touch the rejected counter —
-// a retried item was not shed. The submit itself can never block
-// forever on a closing pool (submit fails fast), and the wait between
-// attempts watches the stream's context so a disconnected client
-// stops burning the queue.
-func (s *Server) runTaskWait(ctx context.Context, fn func(w *worker)) error {
+// resultDecoders re-type a cached JSON result by the endpoint that
+// produced it, so the wire layer can render the binary form without
+// recomputing.
+var resultDecoders = [...]func(raw []byte) (wireDoc, error){
+	epSchedule: decodeDoc[ScheduleResult],
+	epSimulate: decodeDoc[SimulateResult],
+}
+
+// decodeDoc decodes a cached JSON result as its document type D.
+func decodeDoc[D any, P interface {
+	*D
+	wireDoc
+}](raw []byte) (wireDoc, error) {
+	doc := P(new(D))
+	if err := json.Unmarshal(raw, doc); err != nil {
+		return nil, err
+	}
+	return doc, nil
+}
+
+// runTask runs compute on a pool worker and returns its document.
+// Backpressure surfaces here: a full queue is 429 and a closing
+// server 503, each counted as rejected. With retry (batch items) a
+// full queue instead yields and retries, so one saturated moment does
+// not pock a long stream with 429s; the wait watches ctx, so a
+// disconnected client stops burning the queue, and a batch item never
+// counts as rejected. A submitted task is not abandoned when its
+// client disconnects: the computation already claims a worker, its
+// result feeds the cache and any single-flight followers, and writing
+// to a dead connection is harmless — so a cancelled leader must not
+// poison everyone else.
+func (s *Server) runTask(ctx context.Context, compute func(wk *worker) (wireDoc, error), retry bool) (wireDoc, error) {
+	var (
+		doc wireDoc
+		err error
+	)
+	t := &task{run: func(wk *worker) { doc, err = compute(wk) }, done: make(chan struct{})}
 	for {
-		t := &task{run: fn, done: make(chan struct{})}
-		err := s.pool.submit(t)
-		if err == nil {
+		submitErr := s.pool.submit(t)
+		switch {
+		case submitErr == nil:
 			<-t.done
 			if t.panicked != nil {
-				return t.panicked
+				return nil, t.panicked // -> 500 for this request; the worker survived
 			}
-			return nil
-		}
-		if err != errBusy {
-			return &apiError{status: http.StatusServiceUnavailable, msg: err.Error()}
-		}
-		select {
-		case <-ctx.Done():
-			return &apiError{status: statusClientClosedRequest, msg: "client closed request"}
-		case <-time.After(5 * time.Millisecond):
+			return doc, err
+		case submitErr == errBusy && retry:
+			select {
+			case <-ctx.Done():
+				return nil, &apiError{status: statusClientClosedRequest, msg: "client closed request"}
+			case <-time.After(5 * time.Millisecond):
+			}
+		default:
+			status := http.StatusServiceUnavailable
+			if submitErr == errBusy {
+				status = http.StatusTooManyRequests
+			}
+			if !retry {
+				s.rejected.Add(1)
+			}
+			return nil, &apiError{status: status, msg: submitErr.Error()}
 		}
 	}
 }
 
-// memoized returns the response payload for key in the requested
-// encoding: the raw JSON result document (enc == encJSON) or the
-// binary document payload (enc == encBinary), plus whether it was
-// served without computing. Concurrent misses on the same variant are
+// memoized returns j's response payload in the requested encoding:
+// the raw JSON result document (enc == encJSON) or the binary
+// document payload (enc == encBinary), plus whether it was served
+// without computing. Concurrent misses on the same variant are
 // single-flighted: one leader computes, the rest wait for its bytes.
 //
 // The canonical memoized representation is JSON — that is what the
 // disk store persists and warm restart reloads. A binary-encoding
-// miss that finds the JSON form cached re-encodes it via decodeDoc
-// (cheap) instead of recomputing (expensive), and the rendering is
-// cached in memory under the variant key. wait selects runTaskWait
-// (batch items) over runTask (synchronous requests, which 429).
+// miss that finds the JSON form cached re-encodes it (renderBinary;
+// cheap) instead of recomputing (expensive), and the rendering is
+// cached in memory under the variant key. retry is runTask's: batch
+// items retry a full queue, synchronous requests are shed with 429.
 //
-// ep is the endpoint index (epSchedule/epSimulate) the hit/miss
-// counters are kept under. The accounting reflects what actually
+// The hit/miss counters are j.ep's, and they reflect what actually
 // happened: a hit is a response served from cached bytes (including a
 // binary rendering of cached JSON), a miss is a computation the
 // leader performed, and a flight-served follower counts only in
 // flightDedup.
-func (s *Server) memoized(ctx context.Context, ep int, key string, enc encoding, wait bool,
-	decodeDoc func([]byte) (wireDoc, error),
-	compute func(wk *worker) (wireDoc, error)) (payload []byte, cached bool, err error) {
-	vkey := variantKey(key, enc)
+func (s *Server) memoized(ctx context.Context, j job, enc encoding, retry bool) (payload []byte, cached bool, err error) {
+	vkey := variantKey(j.key, enc)
 	if raw, ok := s.cache.get(vkey); ok {
-		s.cacheHits[ep].Add(1)
+		s.cacheHits[j.ep].Add(1)
 		return raw, true, nil
 	}
 	if enc != encJSON {
-		if jsonRaw, ok := s.cache.get(key); ok {
-			doc, err := decodeDoc(jsonRaw)
+		if jsonRaw, ok := s.cache.get(j.key); ok {
+			raw, err := s.renderBinary(j, jsonRaw, vkey)
 			if err != nil {
 				return nil, false, err
 			}
-			s.cacheHits[ep].Add(1)
-			raw := doc.appendBinaryPayload(nil)
-			s.cache.put(vkey, raw)
+			s.cacheHits[j.ep].Add(1)
 			return raw, true, nil
 		}
 	}
@@ -529,27 +549,15 @@ func (s *Server) memoized(ctx context.Context, ep int, key string, enc encoding,
 	// recompute. A successful fill is a cache hit (remote, but cached
 	// bytes); only an actual computation below counts as a miss —
 	// which is what keeps misses at one fleet-wide per unique key.
-	if payload, ok := s.peerFill(ctx, ep, key, enc, decodeDoc); ok {
+	if payload, ok := s.peerFill(ctx, j, enc); ok {
 		s.flights.finish(vkey, call, payload, nil)
 		return payload, true, nil
 	}
-	s.cacheMisses[ep].Add(1)
+	s.cacheMisses[j.ep].Add(1)
 	raw, err := func() ([]byte, error) {
-		var (
-			doc     wireDoc
-			docErr  error
-			taskErr error
-		)
-		if wait {
-			taskErr = s.runTaskWait(ctx, func(wk *worker) { doc, docErr = compute(wk) })
-		} else {
-			taskErr = s.runTask(func(wk *worker) { doc, docErr = compute(wk) })
-		}
-		if taskErr != nil {
-			return nil, taskErr
-		}
-		if docErr != nil {
-			return nil, docErr
+		doc, err := s.runTask(ctx, j.compute, retry)
+		if err != nil {
+			return nil, err
 		}
 		jsonRaw, err := json.Marshal(doc)
 		if err != nil {
@@ -559,12 +567,12 @@ func (s *Server) memoized(ctx context.Context, ep int, key string, enc encoding,
 		// can slip between the two and recompute. The JSON form is
 		// always cached (and write-through persisted); a binary leader
 		// additionally caches its rendering, memory-only.
-		s.cachePut(key, jsonRaw)
-		if s.fleet != nil && !s.fleet.Owns(key) {
+		s.cachePut(j.key, jsonRaw)
+		if s.fleet != nil && !s.fleet.Owns(j.key) {
 			// Write-behind: this daemon computed a record it does not
 			// own; ship it to the owner asynchronously so the rest of
 			// the fleet finds it there. Never blocks (drop-on-full).
-			s.fleet.Push(key, jsonRaw)
+			s.fleet.Push(j.key, jsonRaw)
 		}
 		if enc == encJSON {
 			return jsonRaw, nil
@@ -580,6 +588,43 @@ func (s *Server) memoized(ctx context.Context, ep int, key string, enc encoding,
 	return raw, false, nil
 }
 
+// renderBinary renders j's JSON result as its binary payload and
+// caches the rendering in memory under the variant key vkey.
+func (s *Server) renderBinary(j job, jsonRaw []byte, vkey string) ([]byte, error) {
+	doc, err := resultDecoders[j.ep](jsonRaw)
+	if err != nil {
+		return nil, err
+	}
+	bin := doc.appendBinaryPayload(nil)
+	s.cache.put(vkey, bin)
+	return bin, nil
+}
+
+// serveJob is the one serve path of the memoized endpoints: negotiate
+// the response form, decode the body into a fresh R, resolve it into
+// a job, then revalidate, memoize and encode (respondMemoized).
+func serveJob[R any](s *Server, ep int, resolve func(ctx context.Context, req *R) (job, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.requests[ep].Add(1)
+		var (
+			req R
+			j   job
+		)
+		cn, err := s.negotiate(r)
+		if err == nil {
+			err = decodeJSON(r, &req)
+		}
+		if err == nil {
+			j, err = resolve(r.Context(), &req)
+		}
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		s.respondMemoized(w, r, cn, j)
+	}
+}
+
 // respondMemoized is the HTTP face of memoized: revalidation first,
 // then cache-or-compute, then the negotiated response envelope.
 //
@@ -588,28 +633,27 @@ func (s *Server) memoized(ctx context.Context, ep int, key string, enc encoding,
 // the current ETag holds current bytes by construction — the 304 costs
 // no cache probe for the body and no worker time, even if the entry
 // was evicted everywhere.
-func (s *Server) respondMemoized(w http.ResponseWriter, r *http.Request, cn conneg, ep int, key string,
-	decodeDoc func([]byte) (wireDoc, error), compute func(wk *worker) (wireDoc, error)) {
-	if ifNoneMatchHit(r, etagFor(key, cn.enc)) {
+func (s *Server) respondMemoized(w http.ResponseWriter, r *http.Request, cn conneg, j job) {
+	if ifNoneMatchHit(r, etagFor(j.key, cn.enc)) {
 		known := 0
-		if raw, ok := s.cache.get(variantKey(key, cn.enc)); ok {
+		if raw, ok := s.cache.get(variantKey(j.key, cn.enc)); ok {
 			known = len(raw)
 		}
-		s.writeNotModified(w, cn, key, known)
+		s.writeNotModified(w, cn, j.key, known)
 		return
 	}
-	payload, cached, err := s.memoized(r.Context(), ep, key, cn.enc, false, decodeDoc, compute)
+	payload, cached, err := s.memoized(r.Context(), j, cn.enc, false)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	body := make([]byte, 0, len(payload)+len(key)+64) // 64 covers either envelope's framing
+	body := make([]byte, 0, len(payload)+len(j.key)+64) // 64 covers either envelope's framing
 	if cn.enc == encBinary {
-		body = appendBinaryEnvelope(body, key, cached, payload)
+		body = appendBinaryEnvelope(body, j.key, cached, payload)
 	} else {
-		body = appendJSONEnvelope(body, key, cached, payload)
+		body = appendJSONEnvelope(body, j.key, cached, payload)
 	}
-	s.writeNegotiated(w, cn, key, body)
+	s.writeNegotiated(w, cn, j.key, body)
 }
 
 // cachePut memoizes a computed response in memory and, when
@@ -622,52 +666,12 @@ func (s *Server) cachePut(key string, raw []byte) {
 	}
 }
 
-// decodeScheduleDoc re-types a cached JSON schedule result so the wire
-// layer can render its binary form without recomputing.
-func decodeScheduleDoc(raw []byte) (wireDoc, error) {
-	var res ScheduleResult
-	if err := json.Unmarshal(raw, &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
-}
-
-// decodeSimulateDoc is decodeScheduleDoc for simulate results.
-func decodeSimulateDoc(raw []byte) (wireDoc, error) {
-	var res SimulateResult
-	if err := json.Unmarshal(raw, &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
-}
-
 // --- /v1/schedule ---------------------------------------------------
 
-func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
-	s.requests[epSchedule].Add(1)
-	cn, err := s.negotiate(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	var req ScheduleRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	key, compute, err := s.scheduleJob(r.Context(), &req)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	s.respondMemoized(w, r, cn, epSchedule, key, decodeScheduleDoc, compute)
-}
-
 // scheduleJob resolves a schedule request — algorithm, pattern,
-// topology, caps — into its content-hash key and the compute closure
-// that builds the result on a worker. It owns everything below the
-// HTTP layer, which is what lets the synchronous handler and the batch
-// stream share one implementation.
+// topology, caps — into its job. It owns everything below the HTTP
+// layer, which is what lets the synchronous endpoint, the batch
+// stream and auto_race lanes share one implementation.
 //
 // Algorithm "auto" resolves to a concrete tag HERE, before the key is
 // derived: the quality model ranks the algorithms from the matrix's
@@ -675,41 +679,41 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 // resolved request fingerprints — and caches, and re-seeds — exactly
 // as the equivalent direct request does. The context only gates the
 // optional auto_race; plain resolution never blocks on it.
-func (s *Server) scheduleJob(ctx context.Context, req *ScheduleRequest) (string, func(wk *worker) (wireDoc, error), error) {
+func (s *Server) scheduleJob(ctx context.Context, req *ScheduleRequest) (job, error) {
 	if req.Algorithm == "" {
 		req.Algorithm = "auto"
 	}
 	if _, ok := sched.Lookup(req.Algorithm); !ok && req.Algorithm != "auto" {
-		return "", nil, unknownAlgorithm(req.Algorithm)
+		return job{}, unknownAlgorithm(req.Algorithm)
 	}
 	if req.Workload != "" {
 		return s.scheduleWorkloadJob(ctx, req)
 	}
 	m, err := resolveMatrix(req.Matrix)
 	if err != nil {
-		return "", nil, err
+		return job{}, err
 	}
 	net, err := resolveTopology(req.Topology, m.N())
 	if err != nil {
-		return "", nil, err
+		return job{}, err
 	}
-	job := func(tag string) (string, func(wk *worker) (wireDoc, error)) {
+	jobFor := func(tag string) job {
 		digest := scheduleKey(m, tag, net, req.Seed)
 		seed := effectiveSeed(digest)
-		return digest.Hex(), func(wk *worker) (wireDoc, error) {
-			res, err := buildSchedule(wk.schedCore(net), m, tag, net, seed)
-			if err != nil {
-				return nil, err
-			}
-			return res, nil
-		}
+		return job{key: digest.Hex(), ep: epSchedule,
+			compute: func(wk *worker) (wireDoc, error) {
+				res, err := buildSchedule(wk.schedCore(net), m, tag, net, seed)
+				if err != nil {
+					return nil, err
+				}
+				return res, nil
+			}}
 	}
 	algorithm := req.Algorithm
 	if algorithm == "auto" {
-		algorithm = s.resolveAuto(ctx, net, m, sched.MeasureFeatures(m), req.AutoRace, job)
+		algorithm = s.resolveAuto(ctx, net, m, sched.MeasureFeatures(m), req.AutoRace, jobFor)
 	}
-	key, compute := job(algorithm)
-	return key, compute, nil
+	return jobFor(algorithm), nil
 }
 
 // scheduleWorkloadJob serves /v1/schedule requests that name a
@@ -726,46 +730,46 @@ func (s *Server) scheduleJob(ctx context.Context, req *ScheduleRequest) (string,
 // matrix to choose the tag that seeds the matrix would be circular.
 // The analytic form keeps resolution a pure function of the spec, and
 // the generated pattern identical to the direct concrete-tag request.
-func (s *Server) scheduleWorkloadJob(ctx context.Context, req *ScheduleRequest) (string, func(wk *worker) (wireDoc, error), error) {
+func (s *Server) scheduleWorkloadJob(ctx context.Context, req *ScheduleRequest) (job, error) {
 	if req.Matrix != nil {
-		return "", nil, badRequest("matrix and workload are mutually exclusive")
+		return job{}, badRequest("matrix and workload are mutually exclusive")
 	}
 	if req.Topology == nil {
-		return "", nil, badRequest("a workload request needs an explicit topology (the workload is sized by the machine)")
+		return job{}, badRequest("a workload request needs an explicit topology (the workload is sized by the machine)")
 	}
 	net, err := buildTopology(req.Topology, 0)
 	if err != nil {
-		return "", nil, err
+		return job{}, err
 	}
 	sp, err := resolveWorkloadSpec(req.Workload, net.Nodes())
 	if err != nil {
-		return "", nil, err
+		return job{}, err
 	}
-	job := func(tag string) (string, func(wk *worker) (wireDoc, error)) {
+	jobFor := func(tag string) job {
 		digest := scheduleWorkloadKey(sp, tag, net, req.Seed)
 		seed := effectiveSeed(digest)
-		return digest.Hex(), func(wk *worker) (wireDoc, error) {
-			patRNG := stats.NewSource(seed).StreamKeyed(sp.Key()...)
-			m, err := sp.Build(net.Nodes(), patRNG)
-			if err != nil {
-				return nil, badRequest("workload %s: %v", sp, err)
-			}
-			res, err := buildSchedule(wk.schedCore(net), m, tag, net, seed)
-			if err != nil {
-				return nil, err
-			}
-			res.Workload = sp.String()
-			res.Matrix = NewWireMatrix(m)
-			return res, nil
-		}
+		return job{key: digest.Hex(), ep: epSchedule,
+			compute: func(wk *worker) (wireDoc, error) {
+				patRNG := stats.NewSource(seed).StreamKeyed(sp.Key()...)
+				m, err := sp.Build(net.Nodes(), patRNG)
+				if err != nil {
+					return nil, badRequest("workload %s: %v", sp, err)
+				}
+				res, err := buildSchedule(wk.schedCore(net), m, tag, net, seed)
+				if err != nil {
+					return nil, err
+				}
+				res.Workload = sp.String()
+				res.Matrix = NewWireMatrix(m)
+				return res, nil
+			}}
 	}
 	algorithm := req.Algorithm
 	if algorithm == "auto" {
 		f := sched.Features{Nodes: net.Nodes(), Density: sp.DensityHint(net.Nodes()), SizeCV: sp.SizeCVHint()}
-		algorithm = s.resolveAuto(ctx, net, nil, f, req.AutoRace, job)
+		algorithm = s.resolveAuto(ctx, net, nil, f, req.AutoRace, jobFor)
 	}
-	key, compute := job(algorithm)
-	return key, compute, nil
+	return jobFor(algorithm), nil
 }
 
 // unknownAlgorithm is /v1/schedule's answer to a tag outside the
@@ -810,92 +814,109 @@ func buildSchedule(core *sched.Core, m *comm.Matrix, tag string, net topo.Topolo
 
 // --- /v1/simulate ---------------------------------------------------
 
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	s.requests[epSimulate].Add(1)
-	cn, err := s.negotiate(r)
+// simulation is a resolved simulate request: the inputs of one run.
+type simulation struct {
+	net        topo.Topology
+	paramsName string
+	params     costmodel.Params
+	protocol   string
+	sc         *sched.Schedule // nil on an AC run
+	m          *comm.Matrix    // the AC run's matrix, or one shipped with sc
+}
+
+// simulateJob resolves a simulate request into its job. A simulation
+// never races, so the context goes unused.
+func simulateJob(_ context.Context, req *SimulateRequest) (job, error) {
+	sim, err := resolveSimulation(req, nil, nil)
 	if err != nil {
-		writeError(w, err)
-		return
+		return job{}, err
 	}
-	var req SimulateRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
+	key := simulateKey(sim.sc, sim.m, sim.net, sim.paramsName, sim.protocol).Hex()
+	return job{key: key, ep: epSimulate, compute: sim.run}, nil
+}
+
+// resolveSimulation resolves a simulate request — timing model,
+// schedule or AC matrix, topology, protocol. An AC run (no schedule,
+// or an AC schedule) is driven by the matrix; a phased schedule runs
+// under its protocol, and a matrix sent along with it must match it.
+// A non-nil net or m stands in for the request's topology or matrix,
+// already resolved and checked by the caller: auto_race scores each
+// lane on its schedule request's own network and matrix rather than
+// rebuilding them.
+func resolveSimulation(req *SimulateRequest, net topo.Topology, m *comm.Matrix) (*simulation, error) {
 	paramsName, params, err := resolveParams(req.Params)
 	if err != nil {
-		writeError(w, err)
-		return
+		return nil, err
 	}
-
 	isAC := isACRun(req.Schedule)
-	var (
-		sc *sched.Schedule
-		m  *comm.Matrix
-		n  int
-	)
-	if isAC {
-		if req.Matrix == nil {
-			writeError(w, badRequest("an AC run (or a request without a schedule) needs a matrix"))
-			return
-		}
-		if m, err = resolveMatrix(req.Matrix); err != nil {
-			writeError(w, err)
-			return
-		}
-		n = m.N()
-	} else {
+	var sc *sched.Schedule
+	if isAC && req.Matrix == nil && m == nil {
+		return nil, badRequest("an AC run (or a request without a schedule) needs a matrix")
+	}
+	if !isAC {
 		if sc, err = resolveSchedule(req.Schedule); err != nil {
-			writeError(w, err)
-			return
+			return nil, err
 		}
-		n = sc.N
-		if req.Matrix != nil {
+	}
+	if m == nil && req.Matrix != nil {
+		if m, err = resolveMatrix(req.Matrix); err != nil {
+			return nil, err
+		}
+		if sc != nil {
 			// When the caller supplies both, check they agree — a cheap
 			// integrity check that catches mismatched uploads.
-			if m, err = resolveMatrix(req.Matrix); err != nil {
-				writeError(w, err)
-				return
-			}
 			if err = sc.Validate(m); err != nil {
-				writeError(w, badRequest("schedule does not match matrix: %v", err))
-				return
+				return nil, badRequest("schedule does not match matrix: %v", err)
 			}
 		}
 	}
-
-	net, err := resolveTopology(req.Topology, n)
-	if err != nil {
-		writeError(w, err)
-		return
+	var n int
+	if sc != nil {
+		n = sc.N
+	} else {
+		n = m.N()
+	}
+	if net == nil {
+		if net, err = resolveTopology(req.Topology, n); err != nil {
+			return nil, err
+		}
 	}
 	protocol, err := resolveProtocol(req.Protocol, isAC, sc)
 	if err != nil {
-		writeError(w, err)
-		return
+		return nil, err
 	}
+	return &simulation{net: net, paramsName: paramsName, params: params, protocol: protocol, sc: sc, m: m}, nil
+}
 
-	digest := simulateKey(sc, m, net, paramsName, protocol)
-	key := digest.Hex()
-	s.respondMemoized(w, r, cn, epSimulate, key, decodeSimulateDoc, func(wk *worker) (wireDoc, error) {
-		mach, err := wk.machine(net, paramsName, params)
-		if err != nil {
-			return nil, err
+// run simulates sim on a worker's machine for its network and timing
+// model.
+func (sim *simulation) run(wk *worker) (wireDoc, error) {
+	mach, err := wk.machine(sim.net, sim.paramsName, sim.params)
+	if err != nil {
+		return nil, err
+	}
+	var result ipsc.Result
+	if sim.protocol == "AC" {
+		var order *sched.ACOrder
+		if order, err = sched.AC(sim.m); err != nil {
+			return nil, badRequest("%v", err)
 		}
-		result, err := simulate(mach, protocol, sc, m)
-		if err != nil {
-			return nil, err
-		}
-		return &SimulateResult{
-			Topology:       net.Name(),
-			Protocol:       protocol,
-			MakespanUS:     result.MakespanUS,
-			MakespanMS:     result.MakespanUS / 1000,
-			Transfers:      result.Transfers,
-			Exchanges:      result.Exchanges,
-			ResourceWaitUS: result.ResourceWaitUS,
-		}, nil
-	})
+		result, err = mach.RunAC(order, sim.m)
+	} else {
+		result, err = mach.Run(sim.protocol, sim.sc)
+	}
+	if err != nil {
+		return nil, simulateError(err)
+	}
+	return &SimulateResult{
+		Topology:       sim.net.Name(),
+		Protocol:       sim.protocol,
+		MakespanUS:     result.MakespanUS,
+		MakespanMS:     result.MakespanUS / 1000,
+		Transfers:      result.Transfers,
+		Exchanges:      result.Exchanges,
+		ResourceWaitUS: result.ResourceWaitUS,
+	}, nil
 }
 
 // isACRun reports whether a simulate request is an asynchronous run
@@ -905,29 +926,22 @@ func isACRun(ws *WireSchedule) bool {
 	return ws == nil || (ws.Algorithm == "AC" && len(ws.Phases) == 0)
 }
 
-// simulate runs a resolved simulation on mach: an AC run fires the
-// matrix's send order, a phased schedule runs under its protocol.
-func simulate(mach *ipsc.Machine, protocol string, sc *sched.Schedule, m *comm.Matrix) (ipsc.Result, error) {
-	if protocol != "AC" {
-		res, err := mach.Run(protocol, sc)
-		return res, simulateError(err)
-	}
-	order, err := sched.AC(m)
-	if err != nil {
-		return ipsc.Result{}, badRequest("%v", err)
-	}
-	res, err := mach.RunAC(order, m)
-	return res, simulateError(err)
-}
-
 // simulateError maps a simulator failure onto the API error model.
-// Tripping the event bound is the request's doing — an input whose
-// event cascade outran nodes x 1e6 events — not a server fault, so it
-// answers 422 with a stable code instead of the generic 500 the bare
-// error would produce. A nil error stays nil.
+// Both mapped failures are the request's doing, not server faults. A
+// schedule the protocol cannot run (ipsc.ScheduleError: LP needs an LP
+// schedule that pairs each node with its XOR partner) answers 400 with
+// the simulator's message. Tripping the event bound — an input whose
+// event cascade outran nodes x 1e6 events — answers 422 with a stable
+// code. Anything else stays the generic 500.
 func simulateError(err error) error {
-	var le *des.LimitError
-	if errors.As(err, &le) {
+	var (
+		se *ipsc.ScheduleError
+		le *des.LimitError
+	)
+	switch {
+	case errors.As(err, &se):
+		return badRequest("%s", se.Error())
+	case errors.As(err, &le):
 		return &apiError{
 			status: http.StatusUnprocessableEntity,
 			code:   CodeSimulationLimit,
@@ -1073,80 +1087,101 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	fmt.Fprintf(w, "# TYPE unschedd_requests_total counter\n")
-	for i, name := range endpointNames {
-		fmt.Fprintf(w, "unschedd_requests_total{endpoint=%q} %d\n", name, s.requests[i].Load())
-	}
-	fmt.Fprintf(w, "# TYPE unschedd_rejected_total counter\n")
-	fmt.Fprintf(w, "unschedd_rejected_total %d\n", s.rejected.Load())
-	fmt.Fprintf(w, "# TYPE unschedd_cache_hits_total counter\n")
-	for ep, name := range endpointNames[:2] {
-		fmt.Fprintf(w, "unschedd_cache_hits_total{endpoint=%q} %d\n", name, s.cacheHits[ep].Load())
-	}
-	fmt.Fprintf(w, "# TYPE unschedd_cache_misses_total counter\n")
-	for ep, name := range endpointNames[:2] {
-		fmt.Fprintf(w, "unschedd_cache_misses_total{endpoint=%q} %d\n", name, s.cacheMisses[ep].Load())
-	}
-	fmt.Fprintf(w, "# TYPE unschedd_flight_dedup_total counter\n")
-	fmt.Fprintf(w, "unschedd_flight_dedup_total %d\n", s.flightDedup.Load())
-	autoTags, autoVals := s.autoResolved.series()
-	fmt.Fprintf(w, "# TYPE unschedd_auto_resolved_total counter\n")
-	for i, tag := range autoTags {
-		fmt.Fprintf(w, "unschedd_auto_resolved_total{algorithm=%q} %d\n", tag, autoVals[i])
-	}
-	raceTags, raceVals := s.autoRaceWins.series()
-	fmt.Fprintf(w, "# TYPE unschedd_auto_race_wins_total counter\n")
-	for i, tag := range raceTags {
-		fmt.Fprintf(w, "unschedd_auto_race_wins_total{algorithm=%q} %d\n", tag, raceVals[i])
-	}
-	fmt.Fprintf(w, "# TYPE unschedd_http_304_total counter\n")
-	fmt.Fprintf(w, "unschedd_http_304_total %d\n", s.http304.Load())
-	fmt.Fprintf(w, "# TYPE unschedd_response_encoding_total counter\n")
-	for e := range s.respCount {
-		for c := range s.respCount[e] {
-			fmt.Fprintf(w, "unschedd_response_encoding_total{encoding=%q,compression=%q} %d\n",
-				encodingNames[e], compressionNames[c], s.respCount[e][c].Load())
+	for _, m := range s.metrics() {
+		if len(m.samples) == 0 {
+			continue
+		}
+		fmt.Fprintf(w, "# TYPE %s %s\n", m.name, m.kind)
+		for _, sm := range m.samples {
+			fmt.Fprintf(w, "%s%s %v\n", m.name, sm.suffix, sm.value)
 		}
 	}
-	fmt.Fprintf(w, "# TYPE unschedd_response_bytes_total counter\n")
-	for e := range s.respBytes {
-		for c := range s.respBytes[e] {
-			fmt.Fprintf(w, "unschedd_response_bytes_total{encoding=%q,compression=%q} %d\n",
-				encodingNames[e], compressionNames[c], s.respBytes[e][c].Load())
+}
+
+// metric is one /metrics family: its name, its Prometheus type, and
+// the samples it exposes on this scrape. A family with no samples is
+// left out of the exposition.
+type metric struct {
+	name, kind string
+	samples    []sample
+}
+
+// sample is one line of a family: what follows the family name (a
+// label set, or a summary's _sum/_count suffix) and the value, an
+// integer or a float64 (%v prints it as %g).
+type sample struct {
+	suffix string
+	value  any
+}
+
+// metrics declares every /metrics family once, in exposition order.
+// The disk and peer series report zero when persistence or the fleet
+// is off, so scrapers need no per-deployment series sets; only the
+// fleet's shard-balance gauge, which has no solo shape, is absent solo.
+func (s *Server) metrics() []metric {
+	disk := s.disk
+	if disk == nil {
+		disk = new(diskStore)
+	}
+	var fs fleet.Stats
+	if s.fleet != nil {
+		fs = s.fleet.Stats()
+	}
+	one := func(v any) []sample { return []sample{{value: v}} }
+	return []metric{
+		{"unschedd_requests_total", "counter", labeled("endpoint", endpointNames[:], s.requests[:])},
+		{"unschedd_rejected_total", "counter", one(s.rejected.Load())},
+		{"unschedd_cache_hits_total", "counter", labeled("endpoint", endpointNames[:2], s.cacheHits[:])},
+		{"unschedd_cache_misses_total", "counter", labeled("endpoint", endpointNames[:2], s.cacheMisses[:])},
+		{"unschedd_flight_dedup_total", "counter", one(s.flightDedup.Load())},
+		{"unschedd_auto_resolved_total", "counter", s.autoResolved.samples()},
+		{"unschedd_auto_race_wins_total", "counter", s.autoRaceWins.samples()},
+		{"unschedd_http_304_total", "counter", one(s.http304.Load())},
+		{"unschedd_response_encoding_total", "counter", perVariant(&s.respCount)},
+		{"unschedd_response_bytes_total", "counter", perVariant(&s.respBytes)},
+		{"unschedd_bytes_saved_total", "counter", one(s.bytesSaved.Load())},
+		{"unschedd_cache_entries", "gauge", one(s.cache.len())},
+		{"unschedd_cache_warm_loaded_entries", "gauge", one(s.warmLoaded.Load())},
+		{"unschedd_disk_load_errors_total", "counter", one(disk.loadErrors.Load())},
+		{"unschedd_disk_write_errors_total", "counter", one(disk.writeErrors.Load())},
+		{"unschedd_disk_records", "gauge", one(disk.records.Load())},
+		{"unschedd_disk_bytes", "gauge", one(disk.bytes.Load())},
+		{"unschedd_queue_depth", "gauge", one(s.pool.depth.Load())},
+		{"unschedd_queue_capacity", "gauge", one(s.opts.QueueDepth)},
+		{"unschedd_workers", "gauge", one(s.opts.Workers)},
+		{"unschedd_campaigns_total", "counter", one(s.totalJobs.Load())},
+		{"unschedd_campaigns_running", "gauge", one(len(s.campaigns.running))},
+		{"unschedd_peer_lookup_total", "counter", one(fs.Lookups)},
+		{"unschedd_peer_hit_total", "counter", one(fs.Hits)},
+		{"unschedd_peer_miss_total", "counter", one(fs.Misses)},
+		{"unschedd_peer_error_total", "counter", one(fs.Errors)},
+		{"unschedd_peer_hedge_total", "counter", one(fs.Hedges)},
+		{"unschedd_peer_push_total", "counter", one(fs.Pushes)},
+		{"unschedd_peer_push_error_total", "counter", one(fs.PushErrors)},
+		{"unschedd_peer_push_drop_total", "counter", one(fs.PushDrops)},
+		{"unschedd_peer_lookup_seconds", "summary", []sample{
+			{`{quantile="0.9"}`, fs.LookupP90}, {"_sum", fs.LookupSum}, {"_count", fs.LookupCount}}},
+		{"unschedd_peer_owned_keys", "gauge", s.peerOwnedKeys()},
+	}
+}
+
+// labeled returns one sample per counter, labeled with its name.
+func labeled(label string, names []string, counters []atomic.Int64) []sample {
+	out := make([]sample, len(names))
+	for i, name := range names {
+		out[i] = sample{fmt.Sprintf("{%s=%q}", label, name), counters[i].Load()}
+	}
+	return out
+}
+
+// perVariant returns one sample per response encoding x compression.
+func perVariant(counters *[numEncodings][numCompressions]atomic.Int64) []sample {
+	var out []sample
+	for e := range counters {
+		for c := range counters[e] {
+			out = append(out, sample{fmt.Sprintf("{encoding=%q,compression=%q}", encodingNames[e], compressionNames[c]),
+				counters[e][c].Load()})
 		}
 	}
-	fmt.Fprintf(w, "# TYPE unschedd_bytes_saved_total counter\n")
-	fmt.Fprintf(w, "unschedd_bytes_saved_total %d\n", s.bytesSaved.Load())
-	fmt.Fprintf(w, "# TYPE unschedd_cache_entries gauge\n")
-	fmt.Fprintf(w, "unschedd_cache_entries %d\n", s.cache.len())
-	fmt.Fprintf(w, "# TYPE unschedd_cache_warm_loaded_entries gauge\n")
-	fmt.Fprintf(w, "unschedd_cache_warm_loaded_entries %d\n", s.warmLoaded.Load())
-	// Disk persistence series are emitted even when persistence is off
-	// (all zero): scrapers should not need per-deployment series sets.
-	var loadErrs, writeErrs, diskRecords, diskBytes int64
-	if s.disk != nil {
-		loadErrs = s.disk.loadErrors.Load()
-		writeErrs = s.disk.writeErrors.Load()
-		diskRecords = s.disk.records.Load()
-		diskBytes = s.disk.bytes.Load()
-	}
-	fmt.Fprintf(w, "# TYPE unschedd_disk_load_errors_total counter\n")
-	fmt.Fprintf(w, "unschedd_disk_load_errors_total %d\n", loadErrs)
-	fmt.Fprintf(w, "# TYPE unschedd_disk_write_errors_total counter\n")
-	fmt.Fprintf(w, "unschedd_disk_write_errors_total %d\n", writeErrs)
-	fmt.Fprintf(w, "# TYPE unschedd_disk_records gauge\n")
-	fmt.Fprintf(w, "unschedd_disk_records %d\n", diskRecords)
-	fmt.Fprintf(w, "# TYPE unschedd_disk_bytes gauge\n")
-	fmt.Fprintf(w, "unschedd_disk_bytes %d\n", diskBytes)
-	fmt.Fprintf(w, "# TYPE unschedd_queue_depth gauge\n")
-	fmt.Fprintf(w, "unschedd_queue_depth %d\n", s.pool.depth.Load())
-	fmt.Fprintf(w, "# TYPE unschedd_queue_capacity gauge\n")
-	fmt.Fprintf(w, "unschedd_queue_capacity %d\n", s.opts.QueueDepth)
-	fmt.Fprintf(w, "# TYPE unschedd_workers gauge\n")
-	fmt.Fprintf(w, "unschedd_workers %d\n", s.opts.Workers)
-	fmt.Fprintf(w, "# TYPE unschedd_campaigns_total counter\n")
-	fmt.Fprintf(w, "unschedd_campaigns_total %d\n", s.totalJobs.Load())
-	fmt.Fprintf(w, "# TYPE unschedd_campaigns_running gauge\n")
-	fmt.Fprintf(w, "unschedd_campaigns_running %d\n", len(s.campaigns.running))
-	s.emitPeerMetrics(w)
+	return out
 }
