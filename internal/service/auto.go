@@ -39,18 +39,18 @@ func (s *Server) qualityModel() *quality.Model {
 }
 
 // resolveAuto maps "auto" to a concrete algorithm tag for a request
-// on net with the given features; m is the request's matrix (nil for
-// a workload request), and jobFor builds the job a concrete tag gets,
-// so race lanes are keyed exactly as direct requests are. Without
-// racing, the answer is the model's top pick — a pure function of
-// (topology name, features), computed before any key is derived. With
-// racing, the top-ranked candidates (at most three) are computed and
-// scored on the worker pool, and the cheapest deterministic winner is
-// returned; lanes that fail (shed under load, unschedulable, or a
-// cached record without a schedule) drop out of the race rather than
-// failing the request, and losing the whole race falls back to the
-// model's pick.
-func (s *Server) resolveAuto(ctx context.Context, net topo.Topology, m *comm.Matrix, f sched.Features, race bool, jobFor func(tag string) job) string {
+// on net with the given features, and returns that tag's job; m is the
+// request's matrix (nil for a workload request), and jobFor builds the
+// job a concrete tag gets, so race lanes are keyed exactly as direct
+// requests are. Without racing, the answer is the model's top pick — a
+// pure function of (topology name, features), computed before any key
+// is derived. With racing, the top-ranked candidates (at most three)
+// are computed and scored on the worker pool, and the cheapest
+// deterministic winner is returned; lanes that fail (shed under load,
+// unschedulable, or a cached record without a schedule) drop out of
+// the race rather than failing the request, and losing the whole race
+// falls back to the model's pick.
+func (s *Server) resolveAuto(ctx context.Context, net topo.Topology, m *comm.Matrix, f sched.Features, race bool, jobFor func(tag string) job) job {
 	ranked := s.qualityModel().Pick(net.Name(), f)
 	chosen := ranked[0]
 	if race && len(ranked) > 1 {
@@ -60,7 +60,9 @@ func (s *Server) resolveAuto(ctx context.Context, net topo.Topology, m *comm.Mat
 		}
 	}
 	s.autoResolved.inc(chosen)
-	return chosen
+	j := jobFor(chosen)
+	j.auto = true
+	return j
 }
 
 // raceAuto computes every candidate under its own content key and

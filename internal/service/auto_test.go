@@ -23,24 +23,27 @@ import (
 	"unsched/internal/sched"
 )
 
-// seedQualityStore writes a calibration store whose hypercube/n4/d3/cv0
-// bin (the bin of testMatrix(16, 4, ...)) ranks RS_N first — the
-// opposite of the committed fallback's RS_NL — so a test can tell the
-// model answered, not the fallback table.
+// seededRecords calibrate the hypercube/n4/d3/cv0 bin (the bin of
+// testMatrix(16, 4, ...)) to rank RS_N first — the opposite of the
+// committed fallback's RS_NL — so a test can tell the model answered,
+// not the fallback table.
+var seededRecords = []quality.Record{
+	{Topology: "hypercube-4", Workload: "uniform:4:4096", Algorithm: "RS_N",
+		Nodes: 16, Density: 4, Phases: 5, EstCommUS: 900, SchedCostNS: 40000, Samples: 2},
+	{Topology: "hypercube-4", Workload: "uniform:4:4096", Algorithm: "RS_NL",
+		Nodes: 16, Density: 4, Phases: 5, EstCommUS: 950, SchedCostNS: 220000, Samples: 2},
+	{Topology: "hypercube-4", Workload: "uniform:4:4096", Algorithm: "AC",
+		Nodes: 16, Density: 4, Phases: 0, EstCommUS: 8000, SchedCostNS: 0, Samples: 2},
+}
+
+// seedQualityStore writes a calibration store of seededRecords.
 func seedQualityStore(t *testing.T, path string) {
 	t.Helper()
 	st, err := quality.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range []quality.Record{
-		{Topology: "hypercube-4", Workload: "uniform:4:4096", Algorithm: "RS_N",
-			Nodes: 16, Density: 4, Phases: 5, EstCommUS: 900, SchedCostNS: 40000, Samples: 2},
-		{Topology: "hypercube-4", Workload: "uniform:4:4096", Algorithm: "RS_NL",
-			Nodes: 16, Density: 4, Phases: 5, EstCommUS: 950, SchedCostNS: 220000, Samples: 2},
-		{Topology: "hypercube-4", Workload: "uniform:4:4096", Algorithm: "AC",
-			Nodes: 16, Density: 4, Phases: 0, EstCommUS: 8000, SchedCostNS: 0, Samples: 2},
-	} {
+	for _, r := range seededRecords {
 		if err := st.Append(r); err != nil {
 			t.Fatal(err)
 		}
@@ -383,18 +386,11 @@ func TestCampaignFeedsQualityStore(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 
-	// The reload is the last thing the campaign goroutine does after
-	// the job flips to done; give it a moment.
-	deadline = time.Now().Add(10 * time.Second)
-	for svc.qualityModel().Records() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("model never reloaded from the campaign's records")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	// One grid cell, four contenders.
+	// runCampaign reloads the model before the job reports done, so the
+	// model already reflects the campaign the moment the status reads
+	// done: one grid cell, four contenders.
 	if got := svc.qualityModel().Records(); got != 4 {
-		t.Errorf("model holds %d records, want 4", got)
+		t.Errorf("model holds %d records when the campaign reads done, want 4", got)
 	}
 	recs, err := quality.Load(qpath)
 	if err != nil || len(recs) != 4 {

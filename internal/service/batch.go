@@ -70,7 +70,7 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchScheduleRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := readJSON(r, &req); err != nil {
 		writeError(w, err)
 		return
 	}

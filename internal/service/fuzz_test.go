@@ -29,21 +29,58 @@ func fuzzServer() *Server {
 	return fuzzSrv
 }
 
-// serveFuzz posts body to path on the shared fuzz server and holds it
-// to the no-5xx contract: whatever the body, the answer is a status
-// the daemon wrote, and a malformed request is the client's fault — a
-// 4xx, never a server error. 503 is the one exception: load shedding
-// by a pool that is shutting down is not a verdict on the input.
+// serve posts body to path on svc in-process, with header name/value
+// pairs, and returns the recorded reply.
+func serve(svc *Server, path, body string, header ...string) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
+	for i := 0; i+1 < len(header); i += 2 {
+		req.Header.Set(header[i], header[i+1])
+	}
+	rec := httptest.NewRecorder()
+	svc.ServeHTTP(rec, req)
+	return rec
+}
+
+// serveFuzz posts body to path on the shared fuzz server twice and
+// holds it to two contracts. No 5xx: whatever the body, the answer is
+// a status the daemon wrote, and a malformed request is the client's
+// fault — a 4xx, never a server error. 503 is the one exception: load
+// shedding by a pool that is shutting down is not a verdict on the
+// input. Repeats answer alike: the second post, which the body-key
+// table may answer without decoding, gets the first one's status and
+// error body, or for a 200 its key, ETag and result bytes, served from
+// the cache.
 func serveFuzz(t *testing.T, path, body string) {
 	t.Helper()
-	req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
-	rec := httptest.NewRecorder()
-	fuzzServer().ServeHTTP(rec, req) // must not panic
-	if rec.Code == 0 {
+	first := serve(fuzzServer(), path, body) // must not panic
+	if first.Code == 0 {
 		t.Fatalf("no status written for input %q", body)
 	}
-	if rec.Code >= 500 && rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("input %q answered %d: %s", body, rec.Code, rec.Body)
+	if first.Code >= 500 && first.Code != http.StatusServiceUnavailable {
+		t.Fatalf("input %q answered %d: %s", body, first.Code, first.Body)
+	}
+	second := serve(fuzzServer(), path, body)
+	if second.Code != first.Code {
+		t.Fatalf("input %q answered %d, then %d: %s", body, first.Code, second.Code, second.Body)
+	}
+	if first.Code != http.StatusOK {
+		if second.Body.String() != first.Body.String() {
+			t.Fatalf("input %q answered two error bodies:\n%s\n%s", body, first.Body, second.Body)
+		}
+		return
+	}
+	var a, b Envelope
+	if err := json.Unmarshal(first.Body.Bytes(), &a); err != nil {
+		t.Fatalf("input %q: bad envelope: %v", body, err)
+	}
+	if err := json.Unmarshal(second.Body.Bytes(), &b); err != nil {
+		t.Fatalf("input %q: bad repeat envelope: %v", body, err)
+	}
+	if b.Key != a.Key || second.Header().Get("ETag") != first.Header().Get("ETag") || !bytes.Equal(b.Result, a.Result) {
+		t.Fatalf("input %q: the repeat answered another key, ETag or result", body)
+	}
+	if !b.Cached {
+		t.Fatalf("input %q: the repeat was not served from the cache", body)
 	}
 }
 
@@ -53,6 +90,8 @@ func serveFuzz(t *testing.T, path, body string) {
 // response with a status serveFuzz accepts.
 func FuzzScheduleRequest(f *testing.F) {
 	f.Add(`{"matrix":{"n":8,"messages":[[0,1,512],[1,2,512]]},"algorithm":"RS_NL"}`)
+	// The same request reformatted: one content key, two body keys.
+	f.Add("{ \"algorithm\" : \"RS_NL\",\n\t\"matrix\" : { \"messages\" : [ [0,1,512] , [1,2,512] ], \"n\" : 8 } }\n")
 	f.Add(`{"matrix":{"n":4,"messages":[]}}`)
 	f.Add(`{"matrix":{"n":4,"messages":[[0,0,1]]}}`)
 	f.Add(`{"matrix":{"n":-1,"messages":null}}`)
@@ -152,6 +191,8 @@ func FuzzCacheRecord(f *testing.F) {
 // simulated into a crash or a 500.
 func FuzzSimulateRequest(f *testing.F) {
 	f.Add(`{"matrix":{"n":4,"messages":[[0,1,256]]}}`)
+	// The same request reformatted: one content key, two body keys.
+	f.Add("{\r\n  \"matrix\": {\"messages\": [[0, 1, 256]], \"n\": 4}\r\n}")
 	f.Add(`{"schedule":{"algorithm":"RS_N","n":4,"ops":0,"phases":[[[0,1,256]],[[1,0,256]]]}}`)
 	f.Add(`{"schedule":{"algorithm":"LP","n":4,"ops":1,"phases":[[[0,1,10],[1,0,10]]]},"protocol":"LP"}`)
 	f.Add(`{"schedule":{"algorithm":"AC","n":4,"phases":[]},"matrix":{"n":4,"messages":[[0,1,9]]}}`)

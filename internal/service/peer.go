@@ -13,12 +13,12 @@ package service
 // key-matched) before a single byte of it enters the cache.
 
 import (
+	"bytes"
 	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -124,17 +124,13 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badRequest("bad record key"))
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRecordBytes+1))
+	body, err := readBody(r, maxRecordBytes)
 	if err != nil {
-		writeError(w, badRequest("reading record: %v", err))
+		writeError(w, err)
 		return
 	}
-	if len(body) > maxRecordBytes {
-		writeError(w, &apiError{status: http.StatusRequestEntityTooLarge,
-			msg: fmt.Sprintf("record exceeds %d bytes", maxRecordBytes)})
-		return
-	}
-	k, value, err := decodeRecord(body)
+	defer releaseBody(body)
+	k, value, err := decodeRecord(body.Bytes())
 	if err != nil {
 		writeError(w, badRequest("bad record: %v", err))
 		return
@@ -149,8 +145,9 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 	}
 	// A pushed record is a computed response this daemon owns: memoize
 	// it and (when persistence is on) write it through to disk, exactly
-	// as if computed locally.
-	s.cachePut(key, value)
+	// as if computed locally. The value is cloned out of the pooled
+	// body buffer, which the next request reuses.
+	s.cachePut(key, bytes.Clone(value))
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -190,7 +187,7 @@ func (s *Server) peerFill(ctx context.Context, j job, enc encoding) ([]byte, boo
 	s.cache.put(j.key, payload)
 	if enc != encJSON {
 		var err error
-		if payload, err = s.renderBinary(j, payload, variantKey(j.key, enc)); err != nil {
+		if payload, err = s.renderBinary(j.ep, payload, variantKey(j.key, enc)); err != nil {
 			// CRC-valid but undecodable means result-document drift
 			// between daemon versions; computing locally is the safe
 			// answer.

@@ -681,18 +681,46 @@ func TestScheduleRejectsPhaseFlood(t *testing.T) {
 	}
 }
 
+// spaces is an endless run of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
 func TestOversizedBodyIs413(t *testing.T) {
 	svc, err := NewServer(Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	req := httptest.NewRequest(http.MethodPost, "/v1/schedule", strings.NewReader("{}"))
-	req.ContentLength = maxRequestBytes + 1
-	rec := httptest.NewRecorder()
-	svc.ServeHTTP(rec, req)
-	if rec.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body: status %d, want 413", rec.Code)
+	for _, c := range []struct {
+		name   string
+		body   io.Reader
+		length int64
+	}{
+		{"declared length", strings.NewReader("{}"), maxRequestBytes + 1},
+		// A chunked body declares no length. The cap must hold even when
+		// its JSON document ends early and whitespace runs on past it.
+		{"chunked whitespace tail", io.MultiReader(
+			strings.NewReader(`{"matrix":{"n":4,"messages":[[0,1,10]]},"algorithm":"RS_N"}`),
+			io.LimitReader(spaces{}, 33<<20)), -1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			req := httptest.NewRequest(http.MethodPost, "/v1/schedule", c.body)
+			req.ContentLength = c.length
+			rec := httptest.NewRecorder()
+			svc.ServeHTTP(rec, req)
+			if rec.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("oversized body: status %d, want 413", rec.Code)
+			}
+			if !strings.Contains(rec.Body.String(), `"code":"`+CodePayloadTooLarge+`"`) {
+				t.Errorf("oversized body: error %s, want code %s", rec.Body, CodePayloadTooLarge)
+			}
+		})
 	}
 }
 

@@ -40,7 +40,11 @@
 // hash of (matrix, algorithm, topology, params, seed) — see
 // comm.Digest. Randomized schedulers draw their RNG seed from that
 // same hash, so a repeated identical request is not just a cache hit:
-// even after eviction it recomputes the bit-identical schedule.
+// even after eviction it recomputes the bit-identical schedule. A
+// second bounded table maps the SHA-256 of each /v1/schedule and
+// /v1/simulate request body to the content key it resolved to, so a
+// repeated body goes straight to revalidation and the cache without
+// being decoded again (see serveJob).
 //
 // With Options.CacheDir set, the cache is also persisted to disk and
 // warm-restarted: every computed response is written through
@@ -65,6 +69,8 @@ package service
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -183,6 +189,11 @@ type Server struct {
 	cache     *scheduleCache
 	flights   *flightGroup
 	campaigns *campaignRegistry
+	// bodyKeys maps a /v1/schedule or /v1/simulate request body, by
+	// the hex SHA-256 of its endpoint and bytes, to the content key it
+	// resolved to, so a repeated body skips decode, resolution and
+	// fingerprinting. It is bounded like cache. See serveJob.
+	bodyKeys *scheduleCache
 	// disk is the persistence layer under cache; nil when CacheDir is
 	// unset (memory-only). Writes go through asynchronously; reads
 	// happen once, at startup, to warm the memory cache.
@@ -270,6 +281,7 @@ func NewServer(opts Options) (*Server, error) {
 		mux:       http.NewServeMux(),
 		pool:      newPool(opts.Workers, opts.QueueDepth, tables),
 		cache:     newScheduleCache(opts.CacheEntries),
+		bodyKeys:  newScheduleCache(opts.CacheEntries),
 		flights:   newFlightGroup(),
 		campaigns: newCampaignRegistry(opts.MaxCampaignJobs, opts.MaxCampaigns),
 		tables:    tables,
@@ -419,10 +431,15 @@ func (s *Server) negotiate(r *http.Request) (conneg, error) {
 // computation a worker runs on a miss. /v1/schedule, /v1/simulate,
 // batch items and auto_race lanes are all served as jobs, through
 // memoized.
+//
+// auto marks a job resolved from "auto", which the body-key table
+// never records: the pick depends on the calibration model, which
+// recalibrate swaps, and an auto_race winner on which lanes were shed.
 type job struct {
 	key     string
 	ep      int
 	compute func(wk *worker) (wireDoc, error)
+	auto    bool
 }
 
 // resultDecoders re-type a cached JSON result by the endpoint that
@@ -509,21 +526,10 @@ func (s *Server) runTask(ctx context.Context, compute func(wk *worker) (wireDoc,
 // leader performed, and a flight-served follower counts only in
 // flightDedup.
 func (s *Server) memoized(ctx context.Context, j job, enc encoding, retry bool) (payload []byte, cached bool, err error) {
+	if payload, cached, err = s.cached(j.key, j.ep, enc); cached || err != nil {
+		return payload, cached, err
+	}
 	vkey := variantKey(j.key, enc)
-	if raw, ok := s.cache.get(vkey); ok {
-		s.cacheHits[j.ep].Add(1)
-		return raw, true, nil
-	}
-	if enc != encJSON {
-		if jsonRaw, ok := s.cache.get(j.key); ok {
-			raw, err := s.renderBinary(j, jsonRaw, vkey)
-			if err != nil {
-				return nil, false, err
-			}
-			s.cacheHits[j.ep].Add(1)
-			return raw, true, nil
-		}
-	}
 	call, leader := s.flights.join(vkey)
 	if !leader {
 		s.flightDedup.Add(1)
@@ -588,10 +594,33 @@ func (s *Server) memoized(ctx context.Context, j job, enc encoding, retry bool) 
 	return raw, false, nil
 }
 
-// renderBinary renders j's JSON result as its binary payload and
-// caches the rendering in memory under the variant key vkey.
-func (s *Server) renderBinary(j job, jsonRaw []byte, vkey string) ([]byte, error) {
-	doc, err := resultDecoders[j.ep](jsonRaw)
+// cached is memoized's cache read: key's payload in encoding enc, from
+// the variant itself or, for binary, rendered from the cached JSON.
+// A hit counts on ep's hit counter; a miss (ok false, err nil) counts
+// nothing, because the caller decides what the miss costs.
+func (s *Server) cached(key string, ep int, enc encoding) (payload []byte, ok bool, err error) {
+	vkey := variantKey(key, enc)
+	if raw, ok := s.cache.get(vkey); ok {
+		s.cacheHits[ep].Add(1)
+		return raw, true, nil
+	}
+	if enc != encJSON {
+		if jsonRaw, ok := s.cache.get(key); ok {
+			raw, err := s.renderBinary(ep, jsonRaw, vkey)
+			if err != nil {
+				return nil, false, err
+			}
+			s.cacheHits[ep].Add(1)
+			return raw, true, nil
+		}
+	}
+	return nil, false, nil
+}
+
+// renderBinary renders endpoint ep's JSON result as its binary payload
+// and caches the rendering in memory under the variant key vkey.
+func (s *Server) renderBinary(ep int, jsonRaw []byte, vkey string) ([]byte, error) {
+	doc, err := resultDecoders[ep](jsonRaw)
 	if err != nil {
 		return nil, err
 	}
@@ -601,19 +630,38 @@ func (s *Server) renderBinary(j job, jsonRaw []byte, vkey string) ([]byte, error
 }
 
 // serveJob is the one serve path of the memoized endpoints: negotiate
-// the response form, decode the body into a fresh R, resolve it into
-// a job, then revalidate, memoize and encode (respondMemoized).
+// the response form and read the body. A body the body-key table
+// recorded goes straight to its content key (serveRecorded). Any other
+// decodes into a fresh R and resolves into a job, which the table
+// records; then it is revalidated, memoized and encoded
+// (respondMemoized).
+//
+// Decode, validation and keying are pure functions of (endpoint,
+// body), except "auto", so an auto job is never recorded (see job),
+// and neither is a body that fails to decode or resolve.
 func serveJob[R any](s *Server, ep int, resolve func(ctx context.Context, req *R) (job, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.requests[ep].Add(1)
+		cn, err := s.negotiate(r)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		body, err := readBody(r, maxRequestBytes)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		defer releaseBody(body)
+		bk := bodyKey(ep, body.Bytes())
+		if s.serveRecorded(w, r, cn, ep, bk) {
+			return
+		}
 		var (
 			req R
 			j   job
 		)
-		cn, err := s.negotiate(r)
-		if err == nil {
-			err = decodeJSON(r, &req)
-		}
+		err = decodeBody(body.Bytes(), &req)
 		if err == nil {
 			j, err = resolve(r.Context(), &req)
 		}
@@ -621,8 +669,49 @@ func serveJob[R any](s *Server, ep int, resolve func(ctx context.Context, req *R
 			writeError(w, err)
 			return
 		}
+		if !j.auto {
+			s.bodyKeys.put(bk, []byte(j.key))
+		}
 		s.respondMemoized(w, r, cn, j)
 	}
+}
+
+// bodyKey is a request body's key in the body-key table: the hex
+// SHA-256 of the endpoint index and the body. Hex, because
+// scheduleCache shards on a key's first hex digit; SHA-256, because a
+// collision would answer one client's body with another's result.
+func bodyKey(ep int, body []byte) string {
+	h := sha256.New()
+	h.Write([]byte{byte(ep)})
+	h.Write(body)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// serveRecorded answers a request whose body the body-key table
+// recorded, from the content key alone: a 304, or a cache hit in the
+// negotiated envelope, written by the same code as respondMemoized's
+// and moving the counters a decoded repeat moves. It writes nothing
+// and reports false when the body has no entry or the memo cache has
+// evicted its key: the caller then decodes.
+func (s *Server) serveRecorded(w http.ResponseWriter, r *http.Request, cn conneg, ep int, bk string) bool {
+	entry, ok := s.bodyKeys.get(bk)
+	if !ok {
+		return false
+	}
+	key := string(entry)
+	if ifNoneMatchHit(r, etagFor(key, cn.enc)) {
+		s.writeNotModified(w, cn, key)
+		return true
+	}
+	payload, ok, err := s.cached(key, ep, cn.enc)
+	if err != nil {
+		writeError(w, err)
+		return true
+	}
+	if ok {
+		s.writeEnvelope(w, cn, key, true, payload)
+	}
+	return ok
 }
 
 // respondMemoized is the HTTP face of memoized: revalidation first,
@@ -635,11 +724,7 @@ func serveJob[R any](s *Server, ep int, resolve func(ctx context.Context, req *R
 // was evicted everywhere.
 func (s *Server) respondMemoized(w http.ResponseWriter, r *http.Request, cn conneg, j job) {
 	if ifNoneMatchHit(r, etagFor(j.key, cn.enc)) {
-		known := 0
-		if raw, ok := s.cache.get(variantKey(j.key, cn.enc)); ok {
-			known = len(raw)
-		}
-		s.writeNotModified(w, cn, j.key, known)
+		s.writeNotModified(w, cn, j.key)
 		return
 	}
 	payload, cached, err := s.memoized(r.Context(), j, cn.enc, false)
@@ -647,13 +732,18 @@ func (s *Server) respondMemoized(w http.ResponseWriter, r *http.Request, cn conn
 		writeError(w, err)
 		return
 	}
-	body := make([]byte, 0, len(payload)+len(j.key)+64) // 64 covers either envelope's framing
+	s.writeEnvelope(w, cn, j.key, cached, payload)
+}
+
+// writeEnvelope answers 200 with a memoized payload in cn's envelope.
+func (s *Server) writeEnvelope(w http.ResponseWriter, cn conneg, key string, cached bool, payload []byte) {
+	body := make([]byte, 0, len(payload)+len(key)+64) // 64 covers either envelope's framing
 	if cn.enc == encBinary {
-		body = appendBinaryEnvelope(body, j.key, cached, payload)
+		body = appendBinaryEnvelope(body, key, cached, payload)
 	} else {
-		body = appendJSONEnvelope(body, j.key, cached, payload)
+		body = appendJSONEnvelope(body, key, cached, payload)
 	}
-	s.writeNegotiated(w, cn, j.key, body)
+	s.writeNegotiated(w, cn, key, body)
 }
 
 // cachePut memoizes a computed response in memory and, when
@@ -709,11 +799,10 @@ func (s *Server) scheduleJob(ctx context.Context, req *ScheduleRequest) (job, er
 				return res, nil
 			}}
 	}
-	algorithm := req.Algorithm
-	if algorithm == "auto" {
-		algorithm = s.resolveAuto(ctx, net, m, sched.MeasureFeatures(m), req.AutoRace, jobFor)
+	if req.Algorithm == "auto" {
+		return s.resolveAuto(ctx, net, m, sched.MeasureFeatures(m), req.AutoRace, jobFor), nil
 	}
-	return jobFor(algorithm), nil
+	return jobFor(req.Algorithm), nil
 }
 
 // scheduleWorkloadJob serves /v1/schedule requests that name a
@@ -764,12 +853,11 @@ func (s *Server) scheduleWorkloadJob(ctx context.Context, req *ScheduleRequest) 
 				return res, nil
 			}}
 	}
-	algorithm := req.Algorithm
-	if algorithm == "auto" {
+	if req.Algorithm == "auto" {
 		f := sched.Features{Nodes: net.Nodes(), Density: sp.DensityHint(net.Nodes()), SizeCV: sp.SizeCVHint()}
-		algorithm = s.resolveAuto(ctx, net, nil, f, req.AutoRace, jobFor)
+		return s.resolveAuto(ctx, net, nil, f, req.AutoRace, jobFor), nil
 	}
-	return jobFor(algorithm), nil
+	return jobFor(req.Algorithm), nil
 }
 
 // unknownAlgorithm is /v1/schedule's answer to a tag outside the
@@ -977,7 +1065,7 @@ func resolveProtocol(requested string, isAC bool, sc *sched.Schedule) (string, e
 func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	s.requests[epCampaign].Add(1)
 	var req CampaignRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := readJSON(r, &req); err != nil {
 		writeError(w, err)
 		return
 	}

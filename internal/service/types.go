@@ -1,11 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 
 	"unsched/internal/comm"
 	"unsched/internal/costmodel"
@@ -273,24 +275,65 @@ type ErrorEnvelope struct {
 
 // --- decoding and resolution ----------------------------------------
 
-// decodeJSON strictly decodes one JSON document of the request body
-// into v, answering oversized bodies with an explicit 413 instead of
-// a misleading truncation error.
-func decodeJSON(r *http.Request, v any) error {
-	if r.ContentLength > maxRequestBytes {
-		return &apiError{status: http.StatusRequestEntityTooLarge,
-			msg: fmt.Sprintf("request body %d bytes exceeds limit %d", r.ContentLength, maxRequestBytes)}
+// bodyPool recycles request-body buffers. releaseBody drops a buffer
+// grown past maxPooledBody instead: one 32 MiB upload must not stay
+// pinned for the daemon's lifetime.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 1 << 20
+
+// readBody reads the whole request body, capped at limit bytes, into a
+// pooled buffer the caller hands back with releaseBody. A body over
+// the cap is an explicit 413 instead of a misleading truncation error,
+// whether it declares its length up front or arrives chunked.
+func readBody(r *http.Request, limit int64) (*bytes.Buffer, error) {
+	if r.ContentLength > limit {
+		return nil, &apiError{status: http.StatusRequestEntityTooLarge,
+			msg: fmt.Sprintf("request body %d bytes exceeds limit %d", r.ContentLength, limit)}
 	}
-	// Chunked bodies carry no length up front; cap them and surface
-	// the same 413 when the limit is actually hit.
-	limited := &io.LimitedReader{R: r.Body, N: maxRequestBytes + 1}
-	dec := json.NewDecoder(limited)
+	// The buffer grows only as bytes arrive, never to the declared
+	// length up front: a client that declares the cap and then stalls
+	// must not pin the cap's worth of memory.
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	_, err := buf.ReadFrom(io.LimitReader(r.Body, limit+1))
+	switch {
+	case err != nil:
+		err = badRequest("bad request body: %v", err)
+	case int64(buf.Len()) > limit:
+		err = &apiError{status: http.StatusRequestEntityTooLarge,
+			msg: fmt.Sprintf("request body exceeds limit %d", limit)}
+	}
+	if err != nil {
+		releaseBody(buf)
+		return nil, err
+	}
+	return buf, nil
+}
+
+// releaseBody returns a readBody buffer to the pool.
+func releaseBody(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBody {
+		bodyPool.Put(buf)
+	}
+}
+
+// readJSON reads a request body within maxRequestBytes and strictly
+// decodes it into v.
+func readJSON(r *http.Request, v any) error {
+	body, err := readBody(r, maxRequestBytes)
+	if err != nil {
+		return err
+	}
+	defer releaseBody(body)
+	return decodeBody(body.Bytes(), v)
+}
+
+// decodeBody strictly decodes body, one JSON document, into v.
+func decodeBody(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		if limited.N <= 0 {
-			return &apiError{status: http.StatusRequestEntityTooLarge,
-				msg: fmt.Sprintf("request body exceeds limit %d", maxRequestBytes)}
-		}
 		return badRequest("bad request body: %v", err)
 	}
 	// Trailing garbage after the document is a malformed request.

@@ -590,15 +590,15 @@ func (s *Server) writeNegotiated(w http.ResponseWriter, cn conneg, key string, b
 }
 
 // writeNotModified answers an If-None-Match revalidation with 304 and
-// zero body bytes. knownSize is the cached representation's size when
-// the cache still holds it (counted as bytes saved), or 0.
-func (s *Server) writeNotModified(w http.ResponseWriter, cn conneg, key string, knownSize int) {
+// zero body bytes. The cached representation's size, when the cache
+// still holds it, counts as bytes saved.
+func (s *Server) writeNotModified(w http.ResponseWriter, cn conneg, key string) {
 	h := w.Header()
 	h.Set("Vary", "Accept, Accept-Encoding")
 	h.Set("ETag", etagFor(key, cn.enc))
 	w.WriteHeader(http.StatusNotModified)
 	s.http304.Add(1)
-	if knownSize > 0 {
-		s.bytesSaved.Add(int64(knownSize))
+	if raw, ok := s.cache.get(variantKey(key, cn.enc)); ok {
+		s.bytesSaved.Add(int64(len(raw)))
 	}
 }
