@@ -30,17 +30,6 @@ import (
 	"unsched/internal/workload"
 )
 
-// outcomeRecord converts one aggregated campaign outcome into the
-// quality store's record form.
-func outcomeRecord(workloadSpec string, samples int, o sched.Outcome) quality.Record {
-	return quality.Record{
-		Topology: o.TopoName, Workload: workloadSpec, Algorithm: o.Algorithm,
-		Nodes: o.Nodes, Density: o.Density, SizeCV: o.SizeCV,
-		Phases: float64(o.Phases), EstCommUS: o.EstCommUS,
-		SchedCostNS: o.SchedCostNS, Samples: samples,
-	}
-}
-
 // calibrationGrid is the standard grid both auto targets measure: the
 // Table 1 densities that exist on the machine crossed with the Table 1
 // sizes, as uniform workload specs.
@@ -58,7 +47,7 @@ func measureCalibration(r *expt.Runner, store *quality.Store) ([]workload.Spec, 
 	var recs []quality.Record
 	run := *r
 	run.Config.Outcomes = func(w string, samples int, o sched.Outcome) {
-		rec := outcomeRecord(w, samples, o)
+		rec := quality.FromOutcome(w, samples, o)
 		recs = append(recs, rec)
 		if store != nil {
 			_ = store.Append(rec)

@@ -20,12 +20,14 @@
 // records each one's tag, paired execution protocol and machine
 // constraint; Simulate and the unschedd daemon read the pairing there.
 //
-// Because the iPSC/860 no longer exists, the package ships two
-// substitutes for it: a deterministic discrete-event simulator of the
+// Because the iPSC/860 no longer exists, the package ships one
+// substitute for it: a deterministic discrete-event simulator of the
 // circuit-switched hypercube (Simulate*), calibrated against published
-// iPSC/860 measurements, and a goroutine-based message-passing runtime
-// (internal/mpemu, surfaced through the examples) that executes
-// schedules with real payloads and verifies delivery.
+// iPSC/860 measurements. Independent oracles check it: conservation
+// (every message is delivered exactly once), a per-channel makespan
+// floor (a directed channel carries one circuit at a time), and
+// bit-identical results at every parallelism; link-free validation
+// checks the schedules it runs.
 //
 // The quickest start:
 //

@@ -64,17 +64,14 @@ func (p Point) spec() (workload.Spec, error) {
 // units fan out across workers, and within a unit the four algorithms
 // are measured back to back on the one matrix the unit generates —
 // regenerated into the worker's reused buffer, never allocated per
-// cell. When the grid offers fewer units than the pool has workers —
-// a single cell on a many-core machine — the fan-out drops to
-// (unit, algorithm) granularity instead, each item regenerating its
-// sample's matrix, so otherwise-idle workers share the narrow
-// campaign. Every RNG stream is derived from the master seed keyed by
-// the (workload key, sample, algorithm) tuple it serves — never by
-// execution order — so the measured numbers are bit-identical at any
-// parallelism and either fan-out granularity, including 1, which
-// reproduces the sequential harness. The classic uniform workload's
-// key is its historical (density, msgBytes) pair, so density-sweep
-// campaigns reproduce pre-workload outputs exactly.
+// cell. A grid with fewer units than the pool has workers leaves the
+// extra workers idle. Every RNG stream is derived from the master
+// seed keyed by the (workload key, sample, algorithm) tuple it serves
+// — never by execution order — so the measured numbers are
+// bit-identical at any parallelism, including 1, which reproduces the
+// sequential harness. The classic uniform workload's key is its
+// historical (density, msgBytes) pair, so density-sweep campaigns
+// reproduce pre-workload outputs exactly.
 //
 // The zero value of Parallelism and Progress is valid: the runner then
 // uses GOMAXPROCS workers and reports no progress. A Runner is safe
@@ -187,24 +184,17 @@ func (r *Runner) MeasureCells(ctx context.Context, points []Point) ([]map[Algori
 		mu.Unlock()
 		cancel()
 	}
-	tick := func() {
-		mu.Lock()
-		done++
-		r.Progress(done, total)
-		mu.Unlock()
-	}
-	// Fine-grained mode: with fewer units than workers, fan out at
-	// (unit, algorithm) granularity so the extra workers contribute.
-	// Each fine item regenerates its sample's matrix — a price paid
-	// only on narrow grids, where generation is a sliver of the
-	// schedule+simulate cost it unlocks parallelism for.
-	fine := units < r.workers()
-	items := units
-	if fine {
-		items = total
+	var tick func()
+	if r.Progress != nil {
+		tick = func() {
+			mu.Lock()
+			done++
+			r.Progress(done, total)
+			mu.Unlock()
+		}
 	}
 	unitCh := make(chan int)
-	for w := 0; w < min(r.workers(), items); w++ {
+	for w := 0; w < min(r.workers(), units); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -225,26 +215,9 @@ func (r *Runner) MeasureCells(ctx context.Context, points []Point) ([]map[Algori
 			src := stats.NewSource(cfg.Seed)
 			scratch := &unitScratch{m: comm.MustNew(nodes)}
 			for idx := range unitCh {
-				if fine {
-					unit, algIdx := idx/nAlg, idx%nAlg
-					sp := specs[unit/samples]
-					sample := unit % samples
-					if err := cfg.runUnitAlg(mach, core, src, scratch, sp, sample, algIdx, &results[idx]); err != nil {
-						fail(err)
-						return
-					}
-					if r.Progress != nil {
-						tick()
-					}
-					continue
-				}
 				sp := specs[idx/samples]
 				sample := idx % samples
-				var tickFn func()
-				if r.Progress != nil {
-					tickFn = tick
-				}
-				if err := cfg.runSample(mach, core, src, scratch, sp, sample, results[idx*nAlg:(idx+1)*nAlg], tickFn); err != nil {
+				if err := cfg.runSample(mach, core, src, scratch, sp, sample, results[idx*nAlg:(idx+1)*nAlg], tick); err != nil {
 					fail(err)
 					return
 				}
@@ -252,7 +225,7 @@ func (r *Runner) MeasureCells(ctx context.Context, points []Point) ([]map[Algori
 		}()
 	}
 feed:
-	for idx := 0; idx < items; idx++ {
+	for idx := 0; idx < units; idx++ {
 		select {
 		case unitCh <- idx:
 		case <-ctx.Done():
@@ -382,36 +355,6 @@ func (c Config) runSample(mach *ipsc.Machine, core *sched.Core, src *stats.Sourc
 		if tick != nil {
 			tick()
 		}
-	}
-	scratch.key = schedKey[:0]
-	return nil
-}
-
-// runUnitAlg executes one fine-grained (workload, sample, algorithm)
-// item: regenerate the sample's matrix, then schedule and simulate the
-// single algorithm. The stream keys are identical to runSample's, so a
-// campaign computes the same numbers whichever granularity ran it.
-func (c Config) runUnitAlg(mach *ipsc.Machine, core *sched.Core, src *stats.Source, scratch *unitScratch, sp workload.Spec, sample, algIdx int, out *unitResult) error {
-	key, err := c.buildSample(src, scratch, sp, sample)
-	if err != nil {
-		return err
-	}
-	schedKey := append(key, int64(sample), int64(algIdx))
-	alg := Algorithms[algIdx]
-	schedRNG := src.StreamKeyed(schedKey...)
-	o, err := c.runOne(mach, core, alg, scratch.m, schedRNG)
-	if err != nil {
-		return fmt.Errorf("expt: %s %s sample %d: %w", alg, sp, sample, err)
-	}
-	var feat sched.Features
-	if c.Outcomes != nil {
-		feat = sched.MeasureFeatures(scratch.m)
-	}
-	*out = unitResult{
-		commMS: o.EstCommUS / 1000,
-		compMS: float64(o.SchedCostNS) / 1e6,
-		iters:  float64(o.Phases),
-		feat:   feat,
 	}
 	scratch.key = schedKey[:0]
 	return nil

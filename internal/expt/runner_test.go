@@ -204,17 +204,15 @@ func TestRunnerRejectsInvalidConfig(t *testing.T) {
 	}
 }
 
-// TestRunnerFineGrainedDeterministic pins the fine fan-out mode: a
-// single-cell campaign with more workers than (workload, sample) units
-// drops to (unit, algorithm) granularity, and must still measure
-// byte-identically to the sequential coarse run — the fine items key
-// their streams by the same coordinates and regenerate the same
-// matrices. Progress accounting must also be unchanged: one tick per
-// (unit, algorithm) either way.
+// TestRunnerFineGrainedDeterministic pins a narrow campaign: a
+// single-cell grid with more workers than (workload, sample) units
+// leaves the extra workers idle, and must still measure
+// byte-identically to the sequential run. Progress accounting must
+// also be unchanged: one tick per (unit, algorithm).
 func TestRunnerFineGrainedDeterministic(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Topology = topo.MustParseSpec("torus:4x4").MustBuild()
-	cfg.Samples = 2 // 1 point x 2 samples = 2 units: parallelism >2 goes fine
+	cfg.Samples = 2 // 1 point x 2 samples = 2 units: parallelism >2 outnumbers them
 	seq, err := (&Runner{Config: cfg, Parallelism: 1}).MeasureCell(context.Background(), 4, 1024)
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ package ipsc
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -15,6 +16,7 @@ import (
 	"unsched/internal/hypercube"
 	"unsched/internal/mesh"
 	"unsched/internal/sched"
+	"unsched/internal/topo"
 )
 
 func TestExchangeAsymmetricSizesCostsMax(t *testing.T) {
@@ -224,32 +226,125 @@ func TestConservationProperty(t *testing.T) {
 	}
 }
 
-// Property: makespan is at least the cost of the largest single
-// transfer and at most the fully serialized sum.
+// Property: every run's makespan lies between two bounds.
+//
+//   - The per-channel floor. A directed channel carries one circuit at
+//     a time, and a circuit holds its channels for at least the
+//     TransferTime of the message it carries (an exchange holds both
+//     directions for the slower one plus the handshake). So for every
+//     channel, the makespan is at least the summed TransferTime of the
+//     messages routed over it. A simulator that lets two circuits
+//     share a channel falls below it.
+//   - The serial ceiling: the summed TransferTime of every message,
+//     plus 1 s.
+//
+// The grid runs every table entry that fits, under its table
+// protocol, plus S1 with barriers and AC with unbounded send depth, on
+// cube, mesh, torus and ring, over uniform, hot-spot and mixed-size
+// random patterns from short messages to 128 KB.
 func TestMakespanBoundsProperty(t *testing.T) {
-	cube := hypercube.MustNew(5)
+	const seeds = 20
 	p := params()
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m, err := comm.UniformRandom(32, 4, 8192, rng)
-		if err != nil {
-			return false
-		}
-		s, err := sched.RSN(m, rng)
-		if err != nil {
-			return false
-		}
-		res, err := RunS2(cube, p, s)
-		if err != nil {
-			return false
-		}
-		minOne := p.TransferTime(8192, 1)
-		serial := float64(m.MessageCount())*p.TransferTime(8192, 5) + 1e6
-		return res.MakespanUS >= minOne && res.MakespanUS < serial
+	patterns := []struct {
+		name string
+		gen  func(n, d int, size int64, rng *rand.Rand) (*comm.Matrix, error)
+	}{
+		{"uniform", func(n, d int, size int64, rng *rand.Rand) (*comm.Matrix, error) {
+			return comm.UniformRandom(n, d, size, rng)
+		}},
+		{"hotspot", func(n, d int, size int64, rng *rand.Rand) (*comm.Matrix, error) {
+			return comm.HotSpot(n, d, size, 2, 0.5, rng)
+		}},
+		// Sizes straddle the level: at 64 B they cross the short
+		// protocol's limit.
+		{"mixed", func(n, d int, size int64, rng *rand.Rand) (*comm.Matrix, error) {
+			return comm.MixedSizes(n, d, size/2, 2*size, rng)
+		}},
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
-		t.Error(err)
+	runs, below := 0, 0
+	for _, spec := range []string{"cube:3", "cube:5", "mesh:4x4", "torus:4x4", "ring:12"} {
+		rt := topo.NewRouteTable(topo.MustParseSpec(spec).MustBuild())
+		mach, err := NewMachine(rt, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		core := sched.NewCoreForTable(rt)
+		for _, size := range []int64{64, 1024, 128 * 1024} {
+			for _, pat := range patterns {
+				for seed := int64(0); seed < seeds; seed++ {
+					rng := rand.New(rand.NewSource(seed))
+					m, err := pat.gen(rt.Nodes(), 1+int(seed)%3, size, rng)
+					if err != nil {
+						t.Fatal(err)
+					}
+					floor, ceiling := makespanBounds(rt, p, m)
+					check := func(run string, res Result, err error) {
+						t.Helper()
+						if err != nil {
+							t.Fatalf("%s %s:%d seed %d %s: %v", spec, pat.name, size, seed, run, err)
+						}
+						runs++
+						if res.MakespanUS < floor-1e-6 {
+							below++
+							t.Errorf("%s %s:%d seed %d %s: makespan %.3fµs below the per-channel floor %.3fµs",
+								spec, pat.name, size, seed, run, res.MakespanUS, floor)
+						}
+						if res.MakespanUS >= ceiling {
+							t.Errorf("%s %s:%d seed %d %s: makespan %.3fµs at or above the serial ceiling %.3fµs",
+								spec, pat.name, size, seed, run, res.MakespanUS, ceiling)
+						}
+					}
+					for _, alg := range sched.Algorithms {
+						if !alg.Fits(rt.Nodes()) {
+							continue
+						}
+						if alg.Build == nil {
+							o, err := core.AC(m)
+							if err != nil {
+								t.Fatal(err)
+							}
+							res, err := mach.RunAC(o, m)
+							check("AC", res, err)
+							res, err = mach.RunACAsync(o, m)
+							check("AC async", res, err)
+							continue
+						}
+						s, err := alg.Build(core, m, rng)
+						if err != nil {
+							t.Fatal(err)
+						}
+						res, err := mach.Run(alg.Protocol, s)
+						check(alg.Tag, res, err)
+						if alg.Protocol == "S1" {
+							res, err = mach.RunS1Barrier(s)
+							check(alg.Tag+" with barriers", res, err)
+						}
+					}
+				}
+			}
+		}
 	}
+	if below > 0 {
+		t.Errorf("%d of %d runs fell below the per-channel floor", below, runs)
+	}
+}
+
+// makespanBounds returns the per-channel floor of m on rt — the
+// largest summed TransferTime of the messages routed over any one
+// directed channel — and the serial ceiling, the summed TransferTime
+// of every message plus 1 s.
+func makespanBounds(rt *topo.RouteTable, p costmodel.Params, m *comm.Matrix) (floor, ceiling float64) {
+	load := make([]float64, rt.NumChannels())
+	var route []int
+	for _, msg := range m.Messages() {
+		cost := p.TransferTime(msg.Bytes, rt.Hops(msg.Src, msg.Dst))
+		ceiling += cost
+		route = rt.RouteIDs(msg.Src, msg.Dst, route[:0])
+		for _, c := range route {
+			load[c] += cost
+		}
+	}
+	return slices.Max(load), ceiling + 1e6
 }
 
 // The LP protocol compiles only LP schedules: appendLP, behind

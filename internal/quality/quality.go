@@ -11,12 +11,12 @@
 //     workload, algorithm) cell — simulated communication time,
 //     modeled scheduling cost, and the features the cell was
 //     measured at.
-//   - A Store is a content-addressed, append-only record file using
-//     the same framed, checksummed codec as the service's disk cache
-//     (magic "USQR" instead of "USCR"). Campaign workers append to
-//     it; corrupt tails are skipped on load, and the latest record
-//     per key wins, so re-running a campaign refreshes its cells in
-//     place.
+//   - A Store is a content-addressed, append-only file of
+//     internal/frame records, the checksummed frame the service's
+//     disk cache writes too (magic "USQR" instead of "USCR").
+//     Campaign workers append to it; corrupt tails are skipped on
+//     load, and the latest record per key wins, so re-running a
+//     campaign refreshes its cells in place.
 //   - A Model loads the store, bins records by (node band, density
 //     band, size-CV band, topology kind), and answers Pick with a
 //     ranked algorithm list per bin — mean total cost ascending,
@@ -35,6 +35,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"strings"
+
+	"unsched/internal/sched"
 )
 
 // Record is one calibration artifact: the outcome of running one
@@ -65,6 +67,18 @@ type Record struct {
 	SchedCostNS int64 `json:"sched_cost_ns"`
 	// Samples is how many samples the means aggregate.
 	Samples int `json:"samples"`
+}
+
+// FromOutcome is the record of one aggregated campaign outcome: the
+// cell's workload spec, the sample count its means aggregate, and the
+// outcome expt.Config.Outcomes hands its sink.
+func FromOutcome(workload string, samples int, o sched.Outcome) Record {
+	return Record{
+		Topology: o.TopoName, Workload: workload, Algorithm: o.Algorithm,
+		Nodes: o.Nodes, Density: o.Density, SizeCV: o.SizeCV,
+		Phases: float64(o.Phases), EstCommUS: o.EstCommUS,
+		SchedCostNS: o.SchedCostNS, Samples: samples,
+	}
 }
 
 // Key returns the record's content-addressed store key: the hex

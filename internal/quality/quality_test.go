@@ -1,6 +1,8 @@
 package quality
 
 import (
+	"bytes"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"testing"
@@ -40,6 +42,35 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 			// must catch it, so err == nil here is always a failure.
 			t.Fatalf("flip at %d decoded successfully", i)
 		}
+	}
+}
+
+// TestRecordPinnedFrame pins the store frame's bytes: a frame written
+// before the codec moved to internal/frame must still decode, and
+// encoding its contents must reproduce it exactly.
+func TestRecordPinnedFrame(t *testing.T) {
+	const pinned = "55535152" + "01" + "40" + "00000007" + // magic, version, key and value lengths
+		"38393131376432633232663438306465333137306634343838353363303139336366383433393731323764623839336330356361316338623430666631616431" +
+		"7b2278223a317d" + // {"x":1}
+		"c0fcaacc" // CRC-32C
+	frame, err := hex.DecodeString(pinned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, value, rest, err := DecodeRecord(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Record{Topology: "hypercube-8", Workload: "uniform:2:64", Algorithm: "LP"}.Key()
+	if key != want || string(value) != `{"x":1}` || len(rest) != 0 {
+		t.Fatalf("pinned frame decoded to (%q, %q, %d trailing bytes)", key, value, len(rest))
+	}
+	re, err := EncodeRecord(key, value)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(re, frame) {
+		t.Errorf("re-encoded frame %x differs from the pinned %s", re, pinned)
 	}
 }
 

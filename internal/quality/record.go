@@ -1,107 +1,43 @@
 package quality
 
-// The store's on-disk codec: the same self-describing, checksummed
-// frame the service's disk cache uses (internal/service/persist.go),
-// under its own magic so a quality store can never be mistaken for a
-// cache record or vice versa. Unlike the cache — one record per file
-// — a quality store is ONE file of concatenated frames, appended
-// under a lock, so DecodeRecord is streaming: it consumes one frame
-// from the front of the buffer and returns the rest.
-//
-// Record layout (all integers big-endian):
-//
-//	offset size  field
-//	0      4     magic "USQR"
-//	4      1     format version (1)
-//	5      1     key length K
-//	6      4     value length V
-//	10     K     key (the hex content hash of the record identity)
-//	10+K   V     value (the JSON-encoded Record)
-//	10+K+V 4     CRC-32C (Castagnoli) over bytes [0, 10+K+V)
+// The store's on-disk codec: a frame.Encode frame, the same one the
+// service's disk cache writes, under its own magic "USQR" so a quality
+// store can never be mistaken for a cache record or vice versa. The
+// key is the hex content hash of the record identity, the value the
+// JSON-encoded Record. Unlike the cache — one record per file — a
+// quality store is ONE file of concatenated frames, appended under a
+// lock, so DecodeRecord is streaming: it consumes one frame from the
+// front of the buffer and returns the rest.
 
 import (
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
+
+	"unsched/internal/frame"
 )
 
-const (
-	recordVersion   = 1
-	recordHeaderLen = 4 + 1 + 1 + 4
-	// maxRecordValueBytes caps one frame's value on decode. Values
-	// are small JSON documents; anything bigger is garbage by
-	// definition and fails fast instead of being sliced around.
-	maxRecordValueBytes = 1 << 20
-)
+// maxRecordValueBytes caps one frame's value. Values are small JSON
+// documents; anything bigger is garbage by definition.
+const maxRecordValueBytes = 1 << 20
 
 var recordMagic = [4]byte{'U', 'S', 'Q', 'R'}
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
+var errRecordLength = errors.New("quality: record length out of range")
 
-var (
-	errRecordTooShort = errors.New("quality: record truncated")
-	errRecordMagic    = errors.New("quality: bad record magic")
-	errRecordVersion  = errors.New("quality: unsupported record version")
-	errRecordLength   = errors.New("quality: record length out of range")
-	errRecordChecksum = errors.New("quality: record checksum mismatch")
-	errRecordKey      = errors.New("quality: bad record key")
-)
-
-// EncodeRecord serializes one store frame. Keys are hex content
-// hashes (64 bytes); anything that does not fit the 1-byte length is
-// a programming error surfaced as an error.
+// EncodeRecord serializes one store frame.
 func EncodeRecord(key string, value []byte) ([]byte, error) {
-	if len(key) == 0 || len(key) > 255 {
-		return nil, errRecordKey
-	}
 	if len(value) > maxRecordValueBytes {
 		return nil, errRecordLength
 	}
-	buf := make([]byte, recordHeaderLen+len(key)+len(value)+4)
-	copy(buf, recordMagic[:])
-	buf[4] = recordVersion
-	buf[5] = byte(len(key))
-	binary.BigEndian.PutUint32(buf[6:10], uint32(len(value)))
-	copy(buf[recordHeaderLen:], key)
-	copy(buf[recordHeaderLen+len(key):], value)
-	sum := crc32.Checksum(buf[:len(buf)-4], crcTable)
-	binary.BigEndian.PutUint32(buf[len(buf)-4:], sum)
-	return buf, nil
+	return frame.Encode(recordMagic, key, value)
 }
 
 // DecodeRecord parses and verifies the first frame of b, returning
 // the remainder for the caller's next call. It is total: arbitrary
-// input yields an error, never a panic, and no length field is
-// trusted before it is checked against the actual buffer (fuzzed by
-// FuzzQualityRecord).
+// input yields an error, never a panic (fuzzed by FuzzQualityRecord).
 func DecodeRecord(b []byte) (key string, value []byte, rest []byte, err error) {
-	if len(b) < recordHeaderLen+4 {
-		return "", nil, nil, errRecordTooShort
-	}
-	if [4]byte(b[:4]) != recordMagic {
-		return "", nil, nil, errRecordMagic
-	}
-	if b[4] != recordVersion {
-		return "", nil, nil, errRecordVersion
-	}
-	klen := int(b[5])
-	vlen := int(binary.BigEndian.Uint32(b[6:10]))
-	if klen == 0 {
-		return "", nil, nil, errRecordKey
-	}
-	if vlen > maxRecordValueBytes {
+	key, value, rest, err = frame.Decode(recordMagic, b)
+	if err == nil && len(value) > maxRecordValueBytes {
 		return "", nil, nil, errRecordLength
 	}
-	total := recordHeaderLen + klen + vlen + 4
-	if len(b) < total {
-		return "", nil, nil, errRecordTooShort
-	}
-	frame := b[:total]
-	body := frame[:total-4]
-	if crc32.Checksum(body, crcTable) != binary.BigEndian.Uint32(frame[total-4:]) {
-		return "", nil, nil, errRecordChecksum
-	}
-	key = string(frame[recordHeaderLen : recordHeaderLen+klen])
-	value = frame[recordHeaderLen+klen : total-4]
-	return key, value, b[total:], nil
+	return key, value, rest, err
 }

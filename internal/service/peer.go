@@ -24,6 +24,7 @@ import (
 	"path/filepath"
 
 	"unsched/internal/fleet"
+	"unsched/internal/frame"
 )
 
 // ContentTypeCacheRecord labels the USCR record bytes exchanged by
@@ -56,7 +57,7 @@ func newFleetLayer(opts Options) (*fleet.Fleet, error) {
 				return nil, err
 			}
 			if k != key {
-				return nil, errRecordKey
+				return nil, frame.ErrKey
 			}
 			if !json.Valid(value) {
 				return nil, errRecordJSON

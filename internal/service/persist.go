@@ -18,35 +18,24 @@ package service
 // valuable.
 
 import (
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"unsched/internal/frame"
 )
 
-// Record layout (all integers big-endian):
-//
-//	offset size  field
-//	0      4     magic "USCR"
-//	4      1     format version (1)
-//	5      1     key length K
-//	6      4     value length V
-//	10     K     key (the hex content hash)
-//	10+K   V     value (the marshaled result document)
-//	10+K+V 4     CRC-32C (Castagnoli) over bytes [0, 10+K+V)
-//
-// The record is self-describing: the key lives inside the record, so a
-// renamed or copied file still decodes to the right cache slot, and a
-// peer can validate a shipped record without trusting its filename.
+// Records are frame.Encode frames under magic "USCR", one per file,
+// keyed by the hex content hash, the value the marshaled result
+// document. The key lives inside the record, so a renamed or copied
+// file still decodes to the right cache slot, and a peer can validate
+// a shipped record without trusting its filename.
 const (
-	recordVersion   = 1
-	recordHeaderLen = 4 + 1 + 1 + 4
-	recordSuffix    = ".rec"
+	recordSuffix = ".rec"
 	// maxRecordBytes caps one record's total size on load. Values are
 	// marshaled result documents for requests capped at maxRequestBytes,
 	// so twice that is generous headroom; anything larger in the cache
@@ -56,68 +45,32 @@ const (
 
 var recordMagic = [4]byte{'U', 'S', 'C', 'R'}
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
 var (
-	errRecordTooShort = errors.New("record truncated")
-	errRecordMagic    = errors.New("bad record magic")
-	errRecordVersion  = errors.New("unsupported record version")
-	errRecordLength   = errors.New("record length mismatch")
-	errRecordChecksum = errors.New("record checksum mismatch")
-	errRecordKey      = errors.New("bad record key")
+	// errRecordLength rejects bytes after the record: a cache record
+	// is exactly one frame.
+	errRecordLength = errors.New("record length mismatch")
 	// errRecordJSON rejects a well-framed record whose value is not a
 	// JSON document. The codec itself stores opaque values; the service
 	// checks this where an outside record enters the memo cache.
 	errRecordJSON = errors.New("record value is not JSON")
 )
 
-// encodeRecord serializes one cache entry. Keys are hex content hashes
-// (64 bytes); anything that does not fit the 1-byte length is a
-// programming error surfaced as errRecordKey.
+// encodeRecord serializes one cache entry.
 func encodeRecord(key string, value []byte) ([]byte, error) {
-	if len(key) == 0 || len(key) > 255 {
-		return nil, errRecordKey
-	}
-	buf := make([]byte, recordHeaderLen+len(key)+len(value)+4)
-	copy(buf, recordMagic[:])
-	buf[4] = recordVersion
-	buf[5] = byte(len(key))
-	binary.BigEndian.PutUint32(buf[6:10], uint32(len(value)))
-	copy(buf[recordHeaderLen:], key)
-	copy(buf[recordHeaderLen+len(key):], value)
-	sum := crc32.Checksum(buf[:len(buf)-4], crcTable)
-	binary.BigEndian.PutUint32(buf[len(buf)-4:], sum)
-	return buf, nil
+	return frame.Encode(recordMagic, key, value)
 }
 
-// decodeRecord parses and verifies one record. It is total: arbitrary
-// input yields an error, never a panic, and no length field is trusted
-// before it is checked against the actual buffer (fuzzed by
+// decodeRecord parses and verifies one record, which must fill b. It
+// is total: arbitrary input yields an error, never a panic (fuzzed by
 // FuzzCacheRecord).
 func decodeRecord(b []byte) (key string, value []byte, err error) {
-	if len(b) < recordHeaderLen+4 {
-		return "", nil, errRecordTooShort
+	key, value, rest, err := frame.Decode(recordMagic, b)
+	if err != nil {
+		return "", nil, err
 	}
-	if [4]byte(b[:4]) != recordMagic {
-		return "", nil, errRecordMagic
-	}
-	if b[4] != recordVersion {
-		return "", nil, errRecordVersion
-	}
-	klen := int(b[5])
-	vlen := int(binary.BigEndian.Uint32(b[6:10]))
-	if klen == 0 {
-		return "", nil, errRecordKey
-	}
-	if len(b) != recordHeaderLen+klen+vlen+4 {
+	if len(rest) != 0 {
 		return "", nil, errRecordLength
 	}
-	body := b[:len(b)-4]
-	if crc32.Checksum(body, crcTable) != binary.BigEndian.Uint32(b[len(b)-4:]) {
-		return "", nil, errRecordChecksum
-	}
-	key = string(b[recordHeaderLen : recordHeaderLen+klen])
-	value = b[recordHeaderLen+klen : len(b)-4]
 	return key, value, nil
 }
 

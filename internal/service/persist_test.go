@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -15,6 +16,38 @@ import (
 
 // fakeKey fabricates a valid-looking 64-hex cache key.
 func fakeKey(i int) string { return fmt.Sprintf("%064x", i) }
+
+// recordHeaderLen is the fixed record header: magic, version, key
+// length and value length.
+const recordHeaderLen = 4 + 1 + 1 + 4
+
+// TestRecordPinnedFrame pins the cache record's bytes: a record
+// written before the codec moved to internal/frame must still decode,
+// and encoding its contents must reproduce it exactly.
+func TestRecordPinnedFrame(t *testing.T) {
+	const pinned = "55534352" + "01" + "40" + "00000012" + // magic, version, key and value lengths
+		"30313233343536373839616263646566303132333435363738396162636465663031323334353637383961626364656630313233343536373839616263646566" +
+		"7b2263686f73656e223a2252535f4e4c227d" + // {"chosen":"RS_NL"}
+		"ff0100ca" // CRC-32C
+	rec, err := hex.DecodeString(pinned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, value, err := decodeRecord(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key != strings.Repeat("0123456789abcdef", 4) || string(value) != `{"chosen":"RS_NL"}` {
+		t.Fatalf("pinned record decoded to (%q, %q)", key, value)
+	}
+	re, err := encodeRecord(key, value)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(re, rec) {
+		t.Errorf("re-encoded record %x differs from the pinned %s", re, pinned)
+	}
+}
 
 func TestRecordRoundTrip(t *testing.T) {
 	for _, tc := range []struct {

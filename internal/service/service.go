@@ -450,7 +450,11 @@ var resultDecoders = [...]func(raw []byte) (wireDoc, error){
 	epSimulate: decodeDoc[SimulateResult],
 }
 
-// decodeDoc decodes a cached JSON result as its document type D.
+// decodeDoc decodes a cached JSON result as its document type D. The
+// cache admits any CRC-valid JSON value — from PUT /v1/cache/{key},
+// peer fill or a warm load — and rendering a schedule result's matrix
+// echo builds the dense matrix, so the echo is held to the request
+// bounds first.
 func decodeDoc[D any, P interface {
 	*D
 	wireDoc
@@ -458,6 +462,11 @@ func decodeDoc[D any, P interface {
 	doc := P(new(D))
 	if err := json.Unmarshal(raw, doc); err != nil {
 		return nil, err
+	}
+	if res, ok := wireDoc(doc).(*ScheduleResult); ok && res.Matrix != nil {
+		if err := res.Matrix.check(); err != nil {
+			return nil, err
+		}
 	}
 	return doc, nil
 }
@@ -526,8 +535,8 @@ func (s *Server) runTask(ctx context.Context, compute func(wk *worker) (wireDoc,
 // leader performed, and a flight-served follower counts only in
 // flightDedup.
 func (s *Server) memoized(ctx context.Context, j job, enc encoding, retry bool) (payload []byte, cached bool, err error) {
-	if payload, cached, err = s.cached(j.key, j.ep, enc); cached || err != nil {
-		return payload, cached, err
+	if payload, ok := s.cached(j.key, j.ep, enc); ok {
+		return payload, true, nil
 	}
 	vkey := variantKey(j.key, enc)
 	call, leader := s.flights.join(vkey)
@@ -596,25 +605,25 @@ func (s *Server) memoized(ctx context.Context, j job, enc encoding, retry bool) 
 
 // cached is memoized's cache read: key's payload in encoding enc, from
 // the variant itself or, for binary, rendered from the cached JSON.
-// A hit counts on ep's hit counter; a miss (ok false, err nil) counts
-// nothing, because the caller decides what the miss costs.
-func (s *Server) cached(key string, ep int, enc encoding) (payload []byte, ok bool, err error) {
+// A hit counts on ep's hit counter; a miss counts nothing, because the
+// caller decides what the miss costs. Cached JSON that does not render
+// is a miss, as in peerFill: the caller recomputes, and the fresh
+// result replaces the bad entry.
+func (s *Server) cached(key string, ep int, enc encoding) (payload []byte, ok bool) {
 	vkey := variantKey(key, enc)
 	if raw, ok := s.cache.get(vkey); ok {
 		s.cacheHits[ep].Add(1)
-		return raw, true, nil
+		return raw, true
 	}
 	if enc != encJSON {
 		if jsonRaw, ok := s.cache.get(key); ok {
-			raw, err := s.renderBinary(ep, jsonRaw, vkey)
-			if err != nil {
-				return nil, false, err
+			if raw, err := s.renderBinary(ep, jsonRaw, vkey); err == nil {
+				s.cacheHits[ep].Add(1)
+				return raw, true
 			}
-			s.cacheHits[ep].Add(1)
-			return raw, true, nil
 		}
 	}
-	return nil, false, nil
+	return nil, false
 }
 
 // renderBinary renders endpoint ep's JSON result as its binary payload
@@ -691,8 +700,8 @@ func bodyKey(ep int, body []byte) string {
 // recorded, from the content key alone: a 304, or a cache hit in the
 // negotiated envelope, written by the same code as respondMemoized's
 // and moving the counters a decoded repeat moves. It writes nothing
-// and reports false when the body has no entry or the memo cache has
-// evicted its key: the caller then decodes.
+// and reports false when the body has no entry or the memo cache
+// misses its key: the caller then decodes.
 func (s *Server) serveRecorded(w http.ResponseWriter, r *http.Request, cn conneg, ep int, bk string) bool {
 	entry, ok := s.bodyKeys.get(bk)
 	if !ok {
@@ -703,11 +712,7 @@ func (s *Server) serveRecorded(w http.ResponseWriter, r *http.Request, cn conneg
 		s.writeNotModified(w, cn, key)
 		return true
 	}
-	payload, ok, err := s.cached(key, ep, cn.enc)
-	if err != nil {
-		writeError(w, err)
-		return true
-	}
+	payload, ok := s.cached(key, ep, cn.enc)
 	if ok {
 		s.writeEnvelope(w, cn, key, true, payload)
 	}
@@ -1104,12 +1109,7 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		// single-goroutine aggregation pass; Append serializes across
 		// concurrent campaigns itself.
 		cfg.Outcomes = func(workloadSpec string, samples int, o sched.Outcome) {
-			_ = s.qstore.Append(quality.Record{
-				Topology: o.TopoName, Workload: workloadSpec, Algorithm: o.Algorithm,
-				Nodes: o.Nodes, Density: o.Density, SizeCV: o.SizeCV,
-				Phases: float64(o.Phases), EstCommUS: o.EstCommUS,
-				SchedCostNS: o.SchedCostNS, Samples: samples,
-			})
+			_ = s.qstore.Append(quality.FromOutcome(workloadSpec, samples, o))
 		}
 	}
 	go func() {

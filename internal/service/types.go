@@ -348,35 +348,51 @@ func resolveMatrix(mj *WireMatrix) (*comm.Matrix, error) {
 	if mj == nil {
 		return nil, badRequest("missing matrix")
 	}
-	if mj.N < 2 || mj.N > maxServiceNodes {
-		return nil, badRequest("matrix n=%d out of range [2,%d]", mj.N, maxServiceNodes)
+	if err := mj.check(); err != nil {
+		return nil, err
 	}
 	m, err := comm.New(mj.N)
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}
-	if max := mj.N * (mj.N - 1); len(mj.Messages) > max {
-		return nil, badRequest("%d messages for n=%d; a matrix holds at most %d", len(mj.Messages), mj.N, max)
-	}
 	for k, msg := range mj.Messages {
-		src, dst, bytes := msg[0], msg[1], msg[2]
-		if src < 0 || src >= int64(mj.N) || dst < 0 || dst >= int64(mj.N) {
-			return nil, badRequest("message %d: node out of range [0,%d)", k, mj.N)
-		}
-		if src == dst {
-			return nil, badRequest("message %d: self message %d->%d", k, src, dst)
-		}
-		if bytes <= 0 {
-			return nil, badRequest("message %d: size %d must be positive", k, bytes)
-		}
-		if m.At(int(src), int(dst)) != 0 {
+		src, dst := int(msg[0]), int(msg[1])
+		if m.At(src, dst) != 0 {
 			// Silently overwriting (or summing) ambiguous input would
 			// hand back a 200 for a matrix the client didn't mean.
 			return nil, badRequest("message %d: duplicate entry %d->%d", k, src, dst)
 		}
-		m.Set(int(src), int(dst), bytes)
+		m.Set(src, dst, msg[2])
 	}
 	return m, nil
+}
+
+// check holds a wire matrix to the bounds every matrix the service
+// builds must meet, short of duplicate entries: n in [2,
+// maxServiceNodes], at most n(n-1) entries, each between two distinct
+// nodes in range with a positive size. It builds nothing, so it also
+// guards a cached result's matrix echo before rendering builds it
+// (decodeDoc); there a duplicate only overwrites.
+func (mj *WireMatrix) check() error {
+	if mj.N < 2 || mj.N > maxServiceNodes {
+		return badRequest("matrix n=%d out of range [2,%d]", mj.N, maxServiceNodes)
+	}
+	if max := mj.N * (mj.N - 1); len(mj.Messages) > max {
+		return badRequest("%d messages for n=%d; a matrix holds at most %d", len(mj.Messages), mj.N, max)
+	}
+	for k, msg := range mj.Messages {
+		src, dst, bytes := msg[0], msg[1], msg[2]
+		if src < 0 || src >= int64(mj.N) || dst < 0 || dst >= int64(mj.N) {
+			return badRequest("message %d: node out of range [0,%d)", k, mj.N)
+		}
+		if src == dst {
+			return badRequest("message %d: self message %d->%d", k, src, dst)
+		}
+		if bytes <= 0 {
+			return badRequest("message %d: size %d must be positive", k, bytes)
+		}
+	}
+	return nil
 }
 
 // NewWireMatrix converts a dense matrix back to wire form.

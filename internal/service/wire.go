@@ -315,8 +315,8 @@ func appendWirePhase(dst []byte, p WirePhase) []byte {
 }
 
 // appendWireMatrix writes a length-prefixed comm binary matrix block.
-// The wire matrix was produced by the service itself (a workload echo)
-// so it is structurally valid by construction.
+// The wire matrix is a workload echo: the service computed it, or
+// decodeDoc checked it when it re-typed the cached JSON.
 func appendWireMatrix(dst []byte, mj *WireMatrix) []byte {
 	m := comm.MustNew(mj.N)
 	for _, msg := range mj.Messages {

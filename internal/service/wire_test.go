@@ -403,6 +403,69 @@ func TestBinarySimulateResponse(t *testing.T) {
 	}
 }
 
+// TestPoisonedCacheRecordRendersAsMiss: the memo cache admits any
+// CRC-valid JSON value, so a cached schedule result can carry a matrix
+// echo no computation produces. Rendering one as binary used to build
+// its dense matrix on the HTTP goroutine: an entry outside n or a
+// negative size panicked, n = 0 panicked, and n = 40,000 asked for
+// n^2 int64s. Each must read as a miss instead: the request
+// recomputes, answers byte-identically to a fresh daemon, and the
+// fresh result replaces the bad entry.
+func TestPoisonedCacheRecordRendersAsMiss(t *testing.T) {
+	const body = `{"workload":"uniform:2:64","topology":{"spec":"cube:3"},"algorithm":"RS_N"}`
+	binary := []string{"Accept", ContentTypeBinary}
+	ref, _ := newTestServer(t, Options{Workers: 1})
+	want := serve(ref, "/v1/schedule", body, binary...)
+	if want.Code != http.StatusOK {
+		t.Fatalf("fresh daemon: status %d: %s", want.Code, want.Body)
+	}
+	env := envelopeOf(t, serve(ref, "/v1/schedule", body))
+	for _, tc := range []struct {
+		name   string
+		poison func(m *WireMatrix)
+	}{
+		{"entry outside n", func(m *WireMatrix) { m.Messages[0][0] = int64(m.N) }},
+		{"n = 0", func(m *WireMatrix) { m.N = 0 }},
+		{"negative size", func(m *WireMatrix) { m.Messages[0][2] = -1 }},
+		{"n = 40000", func(m *WireMatrix) { m.N = 40000 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var res ScheduleResult
+			if err := json.Unmarshal(env.Result, &res); err != nil {
+				t.Fatal(err)
+			}
+			if res.Matrix == nil {
+				t.Fatal("workload result carries no matrix echo")
+			}
+			tc.poison(res.Matrix)
+			value, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, err := encodeRecord(env.Key, value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			svc, _ := newTestServer(t, Options{Workers: 1})
+			put := httptest.NewRequest(http.MethodPut, "/v1/cache/"+env.Key, bytes.NewReader(rec))
+			put.Header.Set("Content-Type", ContentTypeCacheRecord)
+			w := httptest.NewRecorder()
+			svc.ServeHTTP(w, put)
+			if w.Code != http.StatusNoContent {
+				t.Fatalf("PUT poisoned record: status %d: %s", w.Code, w.Body)
+			}
+			got := serve(svc, "/v1/schedule", body, binary...)
+			if got.Code != http.StatusOK || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+				t.Fatalf("binary schedule over a poisoned entry: status %d, byte-identical to a fresh daemon: %v",
+					got.Code, bytes.Equal(got.Body.Bytes(), want.Body.Bytes()))
+			}
+			if cached, _ := svc.cache.get(env.Key); !bytes.Equal(cached, env.Result) {
+				t.Errorf("the recomputed result did not replace the poisoned entry: %s", cached)
+			}
+		})
+	}
+}
+
 // TestDecodeBinaryResponseTotal: the client-side envelope decoder must
 // reject malformed input with an error, never a panic.
 func TestDecodeBinaryResponseTotal(t *testing.T) {
