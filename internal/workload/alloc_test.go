@@ -1,6 +1,7 @@
 // Allocation-regression test for the matrix-reuse path campaign
 // workers run on: regenerating a workload into a per-worker matrix
-// must not silently grow back toward the O(n^2) fresh-build cost.
+// must not silently grow back toward the O(n^2) fresh-build cost, and
+// rendering a spec's canonical form and stream key must stay cheap.
 // Excluded under the race detector: its instrumentation changes
 // allocation counts.
 //
@@ -15,23 +16,19 @@ import (
 	"unsched/internal/comm"
 )
 
-// Budgets for BuildInto on a warm 64-node matrix. The dominant cost of
-// the fresh path — the n^2 matrix itself — is gone; what remains is
-// the generator's own scratch (a permutation slice and shuffle
-// closures for uniform, the d-slot displacement map for scatter). A
-// reintroduced per-cell matrix allocation blows past either budget.
-const (
-	allocBudgetUniformInto = 12
-	allocBudgetScatterInto = 12
-)
-
+// TestBuildIntoAllocs holds BuildInto on a warm 64-node matrix, and
+// String plus Key, to their measured allocation counts. BuildInto's
+// remainder is the generator's own scratch (a permutation slice for
+// uniform, the d-slot displacement map for scatter); a reintroduced
+// per-cell matrix allocation blows past every budget.
 func TestBuildIntoAllocs(t *testing.T) {
 	cases := []struct {
-		spec   string
-		budget float64
+		spec             string
+		build, stringKey float64
 	}{
-		{"uniform:16:1024", allocBudgetUniformInto},
-		{"scatter:16:1024", allocBudgetScatterInto},
+		{"uniform:16:1024", 1, 4},
+		{"scatter:16:1024", 3, 4},
+		{"alltoall:64", 0, 3},
 	}
 	for _, c := range cases {
 		sp := MustParseSpec(c.spec)
@@ -43,8 +40,16 @@ func TestBuildIntoAllocs(t *testing.T) {
 			}
 		}
 		build() // warm
-		if got := testing.AllocsPerRun(20, build); got > c.budget {
-			t.Errorf("%s: BuildInto on a reused matrix: %.1f allocs/run, budget %.0f", c.spec, got, c.budget)
+		if got := testing.AllocsPerRun(20, build); got > c.build {
+			t.Errorf("%s: BuildInto on a reused matrix: %.1f allocs/run, budget %.0f", c.spec, got, c.build)
+		}
+		render := func() {
+			if sp.String() == "" || len(sp.Key()) == 0 {
+				t.Fatal("empty canonical form or key")
+			}
+		}
+		if got := testing.AllocsPerRun(20, render); got > c.stringKey {
+			t.Errorf("%s: String+Key: %.1f allocs/run, budget %.0f", c.spec, got, c.stringKey)
 		}
 	}
 }
