@@ -47,12 +47,10 @@ type (
 	// WorkloadSpec is the canonical description of a communication
 	// workload — the parse/format/validate layer behind the service's
 	// workload wire fields and the experiments CLI's -workload flag,
-	// mirroring TopologySpec. Specs round-trip through strings:
+	// mirroring TopologySpec. Specs round-trip through strings such as
 	// "uniform:8:4096" (the paper's d-regular sweep; "dregular" is an
-	// accepted alias), "scatter:8:4096", "hotspot:8:4096:4",
-	// "halo:64x64:512", "spmv:12:8", "perm:2048", "transpose:4096",
-	// "shift:3:1024", "stencil3d:8x8x8:64", "bitcomp:1024",
-	// "alltoall:256". Build the Matrix for an n-node machine with
+	// accepted alias) and "halo:64x64:512"; README's Workloads table
+	// lists every kind. Build the Matrix for an n-node machine with
 	// Spec.Build(n, rng), or reuse a buffer with Spec.BuildInto.
 	WorkloadSpec = workload.Spec
 	// Schedule is an ordered list of contention-avoiding phases.

@@ -17,10 +17,10 @@
 //	                torus:WxH, ring:N, or graph:N:a-b,c-d,... (exclusive
 //	                with -dim)
 //	-workload SPECS comma-separated workload specs for the workloads
-//	                target (uniform:D:BYTES, hotspot:D:BYTES:HOT,
-//	                halo:WxH:BYTES, spmv:NNZ:BYTES, perm:BYTES,
-//	                transpose:BYTES, shift:K:BYTES, stencil3d:XxYxZ:BYTES,
-//	                bitcomp:BYTES, alltoall:BYTES)
+//	                target (uniform:D:BYTES, scatter:D:BYTES,
+//	                hotspot:D:BYTES:HOT, halo:WxH:BYTES, spmv:NNZ:BYTES,
+//	                perm:BYTES, transpose:BYTES, shift:K:BYTES,
+//	                stencil3d:XxYxZ:BYTES, bitcomp:BYTES, alltoall:BYTES)
 //	-algorithm A    policy autoeval evaluates: auto (default) or a
 //	                fixed tag (AC, LP, RS_N, RS_NL)
 //	-quality-db F   append the auto targets' calibration records to
@@ -94,7 +94,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	csv := fs.Bool("csv", false, "emit figure data as CSV instead of ASCII charts")
 	dim := fs.Int("dim", 6, "hypercube dimension (6 = the paper's 64-node machine)")
 	topoSpec := fs.String("topo", "", "topology spec (cube:D, mesh:WxH, torus:WxH, ring:N, graph:N:a-b,...); exclusive with -dim")
-	workloads := fs.String("workload", "", "comma-separated workload specs for the workloads target (uniform:D:BYTES, halo:WxH:BYTES, ...)")
+	workloads := fs.String("workload", "", "comma-separated workload specs for the workloads target ("+strings.Join(workload.Grammars(), ", ")+")")
 	// autoeval's policies: auto, or one of the campaign contenders.
 	policies := []string{"auto"}
 	for _, a := range expt.Algorithms {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"unsched/internal/quality"
+	"unsched/internal/workload"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files from current output")
@@ -247,5 +248,23 @@ func TestWorkloadFlag(t *testing.T) {
 	if err := run([]string{"-dim", "3", "-workload", "transpose:64", "workloads"}, &stdout, &stderr); err == nil ||
 		!strings.Contains(err.Error(), "square") {
 		t.Errorf("transpose on a non-square machine: err = %v, want a square-machine explanation", err)
+	}
+}
+
+// TestUsageListsEveryWorkload holds the package comment's -workload
+// entry to the workload kind table: every grammar, in table order.
+func TestUsageListsEveryWorkload(t *testing.T) {
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, entry, ok := strings.Cut(string(src), "//\t-workload SPECS")
+	if !ok {
+		t.Fatal("package comment documents no -workload flag")
+	}
+	entry, _, _ = strings.Cut(entry, "//\t-algorithm")
+	entry = strings.Join(strings.Fields(strings.ReplaceAll(entry, "//", "")), " ")
+	if want := "(" + strings.Join(workload.Grammars(), ", ") + ")"; !strings.Contains(entry, want) {
+		t.Errorf("usage comment's -workload entry reads\n%s\nwant it to list\n%s", entry, want)
 	}
 }

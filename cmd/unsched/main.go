@@ -46,7 +46,7 @@ func main() {
 	n := flag.Int("n", 64, "processor count (power of two)")
 	d := flag.Int("d", 8, "density: messages sent/received per processor")
 	bytes := flag.Int64("bytes", 4096, "uniform message size")
-	pattern := flag.String("pattern", "dregular", "workload: dregular|random|hotspot|bitcomp|alltoall|mixed, or any workload spec (halo:WxH:BYTES, spmv:NNZ:BYTES, perm:BYTES, ...)")
+	pattern := flag.String("pattern", "dregular", "workload: dregular|random|hotspot|bitcomp|alltoall|mixed, or any workload spec ("+strings.Join(workload.Grammars(), ", ")+")")
 	topoName := flag.String("topo", "cube", "topology: cube|mesh|torus (mesh/torus need a square node count)")
 	load := flag.String("load", "", "load a communication matrix from file instead of generating")
 	alg := flag.String("alg", "", "run one algorithm (auto|"+strings.Join(sched.Tags(), "|")+"); default: compare every algorithm that fits the machine")

@@ -57,16 +57,15 @@
 //
 // The other campaign axis gets the same treatment: WorkloadSpec is
 // the canonical description of a communication pattern, parsed from
-// strings like "uniform:8:4096" (the paper's d-regular sweep),
-// "hotspot:8:4096:4", "halo:64x64:512", "spmv:12:8", "perm:2048",
-// "transpose:4096", "shift:3:1024", "stencil3d:8x8x8:64",
-// "bitcomp:1024", and "alltoall:256" with ParseWorkloadSpec. Specs
-// are machine-sized at build time (Spec.Build(n, rng)), so one spec
-// sweeps unchanged across topologies; the unschedd workload wire
-// fields, the experiments -workload flag, and unsched -pattern all
-// accept the same grammar. Each generator also has an Into form that
-// regenerates into a reused matrix, which is how campaign workers
-// avoid allocating n^2 storage per cell.
+// strings like "uniform:8:4096" (the paper's d-regular sweep) or
+// "halo:64x64:512" with ParseWorkloadSpec; README's Workloads table
+// lists every kind. Specs are machine-sized at build time
+// (Spec.Build(n, rng)), so one spec sweeps unchanged across
+// topologies; the unschedd workload wire fields, the experiments
+// -workload flag, and unsched -pattern all accept the same grammar.
+// Each generator also has an Into form that regenerates into a
+// reused matrix, which is how campaign workers avoid allocating n^2
+// storage per cell.
 //
 // # Parallel campaigns
 //

@@ -148,9 +148,9 @@ type Cell struct {
 	// Workload is the canonical spec of the cell's workload
 	// ("uniform:8:1024", "halo:64x64:512", ...).
 	Workload string
-	// Density is the workload's nominal density: the D parameter of the
-	// degree-parameterized kinds, 0 for data-dependent patterns (halo,
-	// spmv, stencil3d).
+	// Density is the workload's nominal density
+	// (workload.Spec.DensityHint): 0 for patterns whose density
+	// emerges from the partition.
 	Density  int
 	MsgBytes int64
 	CommMS   float64 // mean over samples of per-run makespan, ms

@@ -317,7 +317,7 @@ func TestRunnerScatterDistinctFromUniform(t *testing.T) {
 	r := &Runner{Config: cfg, Parallelism: 2}
 	cells, err := r.MeasureWorkloads(context.Background(), []workload.Spec{
 		workload.UniformSpec(4, 1024),
-		workload.ScatterSpec(4, 1024),
+		workload.MustParseSpec("scatter:4:1024"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -334,11 +334,11 @@ func TestRunnerRejectsUnbuildableWorkload(t *testing.T) {
 	cfg.Topology = hypercube.MustNew(3) // 8 nodes: not square
 	cfg.Samples = 1
 	r := &Runner{Config: cfg}
-	_, err := r.MeasureWorkloads(context.Background(), []workload.Spec{workload.TransposeSpec(64)})
+	_, err := r.MeasureWorkloads(context.Background(), []workload.Spec{workload.MustParseSpec("transpose:64")})
 	if err == nil || !strings.Contains(err.Error(), "transpose") {
 		t.Errorf("unbuildable workload error = %v, want one naming transpose", err)
 	}
-	_, err = r.MeasureCells(context.Background(), []Point{{Density: 4, MsgBytes: 64, Workload: workload.PermSpec(64)}})
+	_, err = r.MeasureCells(context.Background(), []Point{{Density: 4, MsgBytes: 64, Workload: workload.MustParseSpec("perm:64")}})
 	if err == nil {
 		t.Error("ambiguous point (both shorthand and Workload) accepted")
 	}

@@ -321,10 +321,9 @@ func resolveWorkloadSpec(s string, nodes int) (workload.Spec, error) {
 		return workload.Spec{}, badRequest("%v", err)
 	}
 	// Gate the worst-case single message, not the bare per-element
-	// size: an aggregating kind (halo, spmv, stencil3d) multiplies its
-	// Bytes parameter by the partition-boundary cross section, and the
-	// classic densities x sizes path enforces this same cap per
-	// message.
+	// size: an aggregating kind multiplies its Bytes parameter by the
+	// partition-boundary cross section, and the classic densities x
+	// sizes path enforces this same cap per message.
 	if mb := sp.MaxMessageBytes(); mb > maxCampaignBytes {
 		return workload.Spec{}, badRequest("workload %s: worst-case message size %d exceeds the %d-byte limit", sp, mb, int64(maxCampaignBytes))
 	}

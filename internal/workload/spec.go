@@ -5,32 +5,11 @@
 // pattern family and its parameters; building it against an n-node
 // machine yields the comm.Matrix the schedulers consume.
 //
-// A spec round-trips through its string form:
-//
-//	uniform:D:BYTES        the paper's §6 workload: uniform message
-//	                       size, exactly-d-regular random pattern
-//	                       (comm.DRegular; "dregular" is an accepted
-//	                       alias)
-//	scatter:D:BYTES        send-side uniform random: exactly d random
-//	                       destinations per sender, receive degrees
-//	                       binomial (comm.UniformRandom)
-//	hotspot:D:BYTES:HOT    d messages per sender, half of them aimed
-//	                       at the first HOT processors (comm.HotSpot)
-//	halo:WxH:BYTES         irregular-mesh halo exchange: a WxH element
-//	                       grid with random diagonals, strip-partitioned
-//	                       across the machine, BYTES per boundary element
-//	spmv:NNZ:BYTES         sparse mat-vec gather with power-law column
-//	                       popularity, NNZ nonzeros per row, BYTES per
-//	                       fetched vector entry (comm.SpMVPowerLaw)
-//	perm:BYTES             random fixed-point-free permutation
-//	transpose:BYTES        matrix-transpose exchange on a k x k grid
-//	                       (needs a square machine)
-//	shift:K:BYTES          cyclic shift by K
-//	stencil3d:XxYxZ:BYTES  7-point periodic stencil halo over an XxYxZ
-//	                       element grid, strip-partitioned
-//	bitcomp:BYTES          bit-complement permutation (needs a
-//	                       power-of-two machine)
-//	alltoall:BYTES         complete exchange, density n-1
+// A spec round-trips through its string form, kind:args, where the
+// kind names a row of the kind table (kinds) and the args follow that
+// row's grammar: "uniform:8:4096" is the paper's §6 workload,
+// "halo:64x64:512" an irregular-mesh halo exchange. Grammars lists
+// every kind's grammar; "dregular" is an accepted alias of "uniform".
 //
 // Parse with ParseSpec, render the canonical form with String, check
 // machine-independent bounds with Validate and machine fit with
@@ -47,7 +26,9 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -69,8 +50,8 @@ const (
 	// every realistic sparse-matrix row while keeping the worst-case
 	// build (n=1024) around two million draws.
 	MaxSpMVNNZ = 64
-	// MaxElements bounds the element grids behind halo and stencil3d
-	// specs (the build walks every element).
+	// MaxElements bounds an element grid (the build walks every
+	// element).
 	MaxElements = 1 << 21
 	// MaxExtent bounds one element-grid axis.
 	MaxExtent = 1 << 12
@@ -86,178 +67,340 @@ const (
 )
 
 // Spec is the canonical description of one workload. Construct with
-// ParseSpec or the XxxSpec helpers; the zero value is invalid.
+// ParseSpec or UniformSpec; the zero value is invalid.
 type Spec struct {
-	// Kind is one of "uniform", "scatter", "hotspot", "halo", "spmv",
-	// "perm", "transpose", "shift", "stencil3d", "bitcomp", "alltoall".
+	// Kind names a row of the kind table: "uniform", "halo", ...
 	Kind string
-	// D is the density parameter (Kinds "uniform", "scatter",
-	// "hotspot").
-	D int
-	// Bytes is the uniform message size, or the per-element size for
-	// the aggregating kinds (halo, spmv, stencil3d). Every kind has it.
-	Bytes int64
-	// Hot is the hot-destination count (Kind "hotspot").
-	Hot int
-	// W, H are the element-grid extents (Kind "halo").
-	W, H int
-	// X, Y, Z are the element-grid extents (Kind "stencil3d").
+	// The parameters, each named after its grammar token (Hot is HOT);
+	// a kind reads only those its grammar names. Every grammar has
+	// BYTES: the uniform message size, or the per-element size of the
+	// aggregating kinds.
+	D       int
+	Bytes   int64
+	Hot     int
+	W, H    int
 	X, Y, Z int
-	// NNZ is the nonzeros-per-row parameter (Kind "spmv").
-	NNZ int
-	// K is the shift distance (Kind "shift").
-	K int
+	NNZ     int
+	K       int
+}
+
+// The grammar's parameters, one per integer Spec field.
+const (
+	pD = iota
+	pBytes
+	pHot
+	pW
+	pH
+	pX
+	pY
+	pZ
+	pNNZ
+	pK
+	nParams
+)
+
+// A param is one grammar parameter: its token, the noun its errors
+// use, and its Validate range.
+type param struct {
+	token, noun string
+	lo, hi      int64
+}
+
+var params = [nParams]param{
+	pD:     {"D", "density", 1, MaxDegree},
+	pBytes: {"BYTES", "byte size", 1, MaxBytes},
+	pHot:   {"HOT", "hot count", 1, MaxDegree},
+	pW:     {"W", "extent", 2, MaxExtent},
+	pH:     {"H", "extent", 2, MaxExtent},
+	pX:     {"X", "extent", 1, MaxExtent},
+	pY:     {"Y", "extent", 1, MaxExtent},
+	pZ:     {"Z", "extent", 1, MaxExtent},
+	pNNZ:   {"NNZ", "nnz", 1, MaxSpMVNNZ},
+	pK:     {"K", "distance", 1, MaxDegree},
+}
+
+// slots returns sp's parameters indexed by the p constants; specOf is
+// its inverse. Together they are the one place a grammar token meets
+// a Spec field.
+func (sp Spec) slots() [nParams]int64 {
+	return [nParams]int64{
+		pD: int64(sp.D), pBytes: sp.Bytes, pHot: int64(sp.Hot),
+		pW: int64(sp.W), pH: int64(sp.H),
+		pX: int64(sp.X), pY: int64(sp.Y), pZ: int64(sp.Z),
+		pNNZ: int64(sp.NNZ), pK: int64(sp.K),
+	}
+}
+
+func specOf(kind string, v *[nParams]int64) Spec {
+	return Spec{
+		Kind: kind, D: int(v[pD]), Bytes: v[pBytes], Hot: int(v[pHot]),
+		W: int(v[pW]), H: int(v[pH]),
+		X: int(v[pX]), Y: int(v[pY]), Z: int(v[pZ]),
+		NNZ: int(v[pNNZ]), K: int(v[pK]),
+	}
+}
+
+// kind is one row of the kind table: everything the package knows
+// about one workload family. Every method of Spec reads its row, so
+// adding a workload is one row plus its comm generator.
+type kind struct {
+	name string
+	// grammar is the argument list after "name:": colon-separated
+	// fields, each one parameter or an x-joined element grid ("WxH").
+	// Its order is the parse order, the canonical form's, and the
+	// stream key's.
+	grammar string
+	// tag leads the stream key. Uniform's is 0, meaning none: its key
+	// is the bare historical (D, BYTES) tuple, both components
+	// positive, so classic density sweeps reproduce their goldens.
+	// Every other kind leads with a distinct negative tag, which no
+	// uniform key can start with.
+	tag int64
+	// density is DensityHint: the nominal density on an n-node
+	// machine. nil means 0, a density that emerges from the partition.
+	density func(sp Spec, n int) int
+	// sizeCV is SizeCVHint: 0 when every message carries Bytes, a
+	// coarse analytic hint for the kinds whose sizes emerge from the
+	// partition. It only has to land in the right quality-model band.
+	sizeCV float64
+	// maxMsg is MaxMessageBytes; nil means every message carries
+	// exactly Bytes.
+	maxMsg func(sp Spec) int64
+	// fit is the kind's machine-fit rule beyond n >= 2; nil admits
+	// every machine.
+	fit func(sp Spec, n int) error
+	// build generates the pattern into m, which fit has admitted.
+	build func(sp Spec, m *comm.Matrix, rng *rand.Rand) error
+	// deterministic marks a build that ignores its rng.
+	deterministic bool
+
+	// fields is grammar split once.
+	fields []field
+}
+
+// A field is one colon-separated grammar field: a parameter, or the
+// axes of an element grid.
+type field struct {
+	token  string // "D", "WxH", ...
+	params []int
+}
+
+// kinds is the table, in the order Grammars and README's Workloads
+// table list it.
+var kinds = []kind{
+	{
+		// The paper's §6 workload: uniform message size, exactly
+		// d-regular random pattern.
+		name: "uniform", grammar: "D:BYTES", density: densityD, fit: fitDensity,
+		build: func(sp Spec, m *comm.Matrix, rng *rand.Rand) error { return comm.DRegularInto(m, sp.D, sp.Bytes, rng) },
+	},
+	{
+		// Send-side uniform random: exactly d random destinations per
+		// sender, receive degrees binomial.
+		name: "scatter", grammar: "D:BYTES", tag: -1, density: densityD, fit: fitDensity,
+		build: func(sp Spec, m *comm.Matrix, rng *rand.Rand) error {
+			return comm.UniformRandomInto(m, sp.D, sp.Bytes, rng)
+		},
+	},
+	{
+		// d messages per sender, half of them aimed at the first HOT
+		// processors.
+		name: "hotspot", grammar: "D:BYTES:HOT", tag: -2, density: densityD,
+		fit: func(sp Spec, n int) error {
+			if err := fitDensity(sp, n); err != nil {
+				return err
+			}
+			if sp.Hot > n {
+				return fmt.Errorf("workload: hotspot hot count %d exceeds the %d-node machine", sp.Hot, n)
+			}
+			return nil
+		},
+		build: func(sp Spec, m *comm.Matrix, rng *rand.Rand) error {
+			return comm.HotSpotInto(m, sp.D, sp.Bytes, sp.Hot, hotspotProb, rng)
+		},
+	},
+	{
+		// Irregular-mesh halo exchange: a WxH element grid with random
+		// diagonals, strip-partitioned across the machine, BYTES per
+		// boundary element. A processor pair meets across two boundary
+		// rows of W elements with at most 8 neighbors each.
+		name: "halo", grammar: "WxH:BYTES", tag: -3, sizeCV: 0.4,
+		maxMsg: func(sp Spec) int64 { return sp.Bytes * 16 * int64(sp.W) },
+		fit: func(sp Spec, n int) error {
+			if sp.W*sp.H < n {
+				return fmt.Errorf("workload: halo grid %dx%d has fewer elements than the %d-node machine", sp.W, sp.H, n)
+			}
+			return nil
+		},
+		build: func(sp Spec, m *comm.Matrix, rng *rand.Rand) error {
+			mesh, err := comm.NewIrregularMesh(sp.W, sp.H, haloDiagProb, rng)
+			if err != nil {
+				return err
+			}
+			return comm.HaloFromPartitionInto(m, mesh.StripPartition(m.N()), mesh.Adj, sp.Bytes)
+		},
+	},
+	{
+		// Sparse mat-vec gather with power-law column popularity, NNZ
+		// nonzeros per row, BYTES per fetched vector entry. A requester
+		// fetches each of an owner's 32 columns at most once.
+		name: "spmv", grammar: "NNZ:BYTES", tag: -4, sizeCV: 1.0,
+		maxMsg: func(sp Spec) int64 { return sp.Bytes * 2 * spmvRowsPerProc },
+		build: func(sp Spec, m *comm.Matrix, rng *rand.Rand) error {
+			return comm.SpMVPowerLawInto(m, sp.NNZ, sp.Bytes, rng)
+		},
+	},
+	{
+		// Random fixed-point-free permutation.
+		name: "perm", grammar: "BYTES", tag: -5, density: densityOne,
+		build: func(sp Spec, m *comm.Matrix, rng *rand.Rand) error { return comm.PermutationInto(m, sp.Bytes, rng) },
+	},
+	{
+		// Matrix-transpose exchange on a k x k processor grid.
+		name: "transpose", grammar: "BYTES", tag: -6, density: densityOne, deterministic: true,
+		fit: func(_ Spec, n int) error {
+			if k := int(math.Sqrt(float64(n))); k*k != n {
+				return fmt.Errorf("workload: transpose needs a square processor count, got %d", n)
+			}
+			return nil
+		},
+		build: func(sp Spec, m *comm.Matrix, _ *rand.Rand) error { return comm.TransposeInto(m, sp.Bytes) },
+	},
+	{
+		// Cyclic shift by K.
+		name: "shift", grammar: "K:BYTES", tag: -7, density: densityOne, deterministic: true,
+		fit: func(sp Spec, n int) error {
+			if sp.K%n == 0 {
+				return fmt.Errorf("workload: shift by %d is a multiple of the %d-node machine size (self messages)", sp.K, n)
+			}
+			return nil
+		},
+		build: func(sp Spec, m *comm.Matrix, _ *rand.Rand) error { return comm.ShiftInto(m, sp.K, sp.Bytes) },
+	},
+	{
+		// 7-point periodic stencil halo over an XxYxZ element grid,
+		// strip-partitioned. A processor pair meets across two boundary
+		// planes of Y*Z elements with 6 edges each.
+		name: "stencil3d", grammar: "XxYxZ:BYTES", tag: -8, sizeCV: 0.4, deterministic: true,
+		maxMsg: func(sp Spec) int64 { return sp.Bytes * 12 * int64(sp.Y) * int64(sp.Z) },
+		fit: func(sp Spec, n int) error {
+			if sp.X*sp.Y*sp.Z < n {
+				return fmt.Errorf("workload: stencil3d grid %dx%dx%d has fewer elements than the %d-node machine", sp.X, sp.Y, sp.Z, n)
+			}
+			return nil
+		},
+		build: func(sp Spec, m *comm.Matrix, _ *rand.Rand) error {
+			return comm.Stencil3DInto(m, sp.X, sp.Y, sp.Z, sp.Bytes)
+		},
+	},
+	{
+		// Bit-complement permutation.
+		name: "bitcomp", grammar: "BYTES", tag: -9, density: densityOne, deterministic: true,
+		fit: func(_ Spec, n int) error {
+			if n&(n-1) != 0 {
+				return fmt.Errorf("workload: bitcomp needs a power-of-two machine, got %d nodes", n)
+			}
+			return nil
+		},
+		build: func(sp Spec, m *comm.Matrix, _ *rand.Rand) error { return comm.BitComplementInto(m, sp.Bytes) },
+	},
+	{
+		// Complete exchange.
+		name: "alltoall", grammar: "BYTES", tag: -10, deterministic: true,
+		density: func(_ Spec, n int) int { return n - 1 },
+		build:   func(sp Spec, m *comm.Matrix, _ *rand.Rand) error { return comm.AllToAllInto(m, sp.Bytes) },
+	},
+}
+
+func densityD(sp Spec, _ int) int { return sp.D }
+func densityOne(Spec, int) int    { return 1 }
+
+func fitDensity(sp Spec, n int) error {
+	if sp.D >= n {
+		return fmt.Errorf("workload: %s density %d out of range (0,%d) on a %d-node machine", sp.Kind, sp.D, n, n)
+	}
+	return nil
+}
+
+func init() {
+	for i := range kinds {
+		k := &kinds[i]
+		for _, token := range strings.Split(k.grammar, ":") {
+			f := field{token: token}
+			for _, axis := range strings.Split(token, "x") {
+				p := slices.IndexFunc(params[:], func(q param) bool { return q.token == axis })
+				if p < 0 {
+					panic("workload: kind " + k.name + ": unknown grammar token " + axis)
+				}
+				f.params = append(f.params, p)
+			}
+			k.fields = append(k.fields, f)
+		}
+	}
+}
+
+// lookup returns the table row named name, or nil.
+func lookup(name string) *kind {
+	for i := range kinds {
+		if kinds[i].name == name {
+			return &kinds[i]
+		}
+	}
+	return nil
+}
+
+// Grammars lists every kind's name:args grammar in table order, the
+// list ParseSpec's errors and the CLIs' flag help print.
+func Grammars() []string {
+	out := make([]string, len(kinds))
+	for i, k := range kinds {
+		out[i] = k.name + ":" + k.grammar
+	}
+	return out
 }
 
 // UniformSpec builds the paper's classic workload spec without going
 // through the string grammar: density d, uniform message size bytes.
 func UniformSpec(d int, bytes int64) Spec { return Spec{Kind: "uniform", D: d, Bytes: bytes} }
 
-// ScatterSpec, HotSpotSpec, HaloSpec, SpMVSpec, PermSpec,
-// TransposeSpec, ShiftSpec, Stencil3DSpec, BitCompSpec, and
-// AllToAllSpec are the remaining structured constructors.
-func ScatterSpec(d int, bytes int64) Spec { return Spec{Kind: "scatter", D: d, Bytes: bytes} }
-func HotSpotSpec(d int, bytes int64, hot int) Spec {
-	return Spec{Kind: "hotspot", D: d, Bytes: bytes, Hot: hot}
-}
-func HaloSpec(w, h int, bytes int64) Spec { return Spec{Kind: "halo", W: w, H: h, Bytes: bytes} }
-func SpMVSpec(nnz int, bytes int64) Spec  { return Spec{Kind: "spmv", NNZ: nnz, Bytes: bytes} }
-func PermSpec(bytes int64) Spec           { return Spec{Kind: "perm", Bytes: bytes} }
-func TransposeSpec(bytes int64) Spec      { return Spec{Kind: "transpose", Bytes: bytes} }
-func ShiftSpec(k int, bytes int64) Spec   { return Spec{Kind: "shift", K: k, Bytes: bytes} }
-func Stencil3DSpec(x, y, z int, bytes int64) Spec {
-	return Spec{Kind: "stencil3d", X: x, Y: y, Z: z, Bytes: bytes}
-}
-func BitCompSpec(bytes int64) Spec  { return Spec{Kind: "bitcomp", Bytes: bytes} }
-func AllToAllSpec(bytes int64) Spec { return Spec{Kind: "alltoall", Bytes: bytes} }
-
 // ParseSpec parses the string form of a workload spec. "dregular" is
 // accepted as an alias of "uniform" (they are the same generator; the
 // canonical form always says "uniform"), mirroring topo's
 // "hypercube"/"cube" aliasing.
 func ParseSpec(s string) (Spec, error) {
-	kind, rest, ok := strings.Cut(s, ":")
+	name, rest, ok := strings.Cut(s, ":")
 	if !ok || rest == "" {
-		return Spec{}, fmt.Errorf("workload: spec %q: want kind:args (uniform:D:BYTES, hotspot:D:BYTES:HOT, halo:WxH:BYTES, spmv:NNZ:BYTES, perm:BYTES, transpose:BYTES, shift:K:BYTES, stencil3d:XxYxZ:BYTES, bitcomp:BYTES, alltoall:BYTES)", s)
+		return Spec{}, fmt.Errorf("workload: spec %q: want kind:args (%s)", s, strings.Join(Grammars(), ", "))
 	}
-	fail := func(format string, args ...any) (Spec, error) {
-		return Spec{}, fmt.Errorf("workload: spec %q: %s", s, fmt.Sprintf(format, args...))
+	if name == "dregular" {
+		name = "uniform"
 	}
-	fields := strings.Split(rest, ":")
-	num := func(idx int, name string) (int, error) {
-		v, err := strconv.Atoi(fields[idx])
-		if err != nil {
-			return 0, fmt.Errorf("workload: spec %q: bad %s %q", s, name, fields[idx])
-		}
-		return v, nil
+	k := lookup(name)
+	if k == nil {
+		return Spec{}, fmt.Errorf("workload: spec %q: unknown kind %q (want %s)", s, name, strings.Join(Grammars(), ", "))
 	}
-	size := func(idx int) (int64, error) {
-		v, err := strconv.ParseInt(fields[idx], 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("workload: spec %q: bad byte size %q", s, fields[idx])
-		}
-		return v, nil
+	if strings.Count(rest, ":")+1 != len(k.fields) {
+		return Spec{}, fmt.Errorf("workload: spec %q: want %s:%s", s, k.name, k.grammar)
 	}
-	var sp Spec
-	switch kind {
-	case "uniform", "dregular", "scatter":
-		if kind == "dregular" {
-			kind = "uniform"
+	var v [nParams]int64
+	for _, f := range k.fields {
+		var arg string
+		arg, rest, _ = strings.Cut(rest, ":")
+		axes := []string{arg}
+		if len(f.params) > 1 {
+			if axes = strings.Split(arg, "x"); len(axes) != len(f.params) {
+				return Spec{}, fmt.Errorf("workload: spec %q: bad extent %q (want %s)", s, arg, f.token)
+			}
 		}
-		if len(fields) != 2 {
-			return fail("want %s:D:BYTES", kind)
+		for i, p := range f.params {
+			x, err := strconv.ParseInt(axes[i], 10, 64)
+			if err != nil {
+				return Spec{}, fmt.Errorf("workload: spec %q: bad %s %q", s, params[p].noun, arg)
+			}
+			v[p] = x
 		}
-		d, err := num(0, "density")
-		if err != nil {
-			return Spec{}, err
-		}
-		b, err := size(1)
-		if err != nil {
-			return Spec{}, err
-		}
-		sp = Spec{Kind: kind, D: d, Bytes: b}
-	case "hotspot":
-		if len(fields) != 3 {
-			return fail("want hotspot:D:BYTES:HOT")
-		}
-		d, err := num(0, "density")
-		if err != nil {
-			return Spec{}, err
-		}
-		b, err := size(1)
-		if err != nil {
-			return Spec{}, err
-		}
-		hot, err := num(2, "hot count")
-		if err != nil {
-			return Spec{}, err
-		}
-		sp = Spec{Kind: "hotspot", D: d, Bytes: b, Hot: hot}
-	case "halo":
-		if len(fields) != 2 {
-			return fail("want halo:WxH:BYTES")
-		}
-		w, h, err := extent2(s, fields[0])
-		if err != nil {
-			return Spec{}, err
-		}
-		b, err := size(1)
-		if err != nil {
-			return Spec{}, err
-		}
-		sp = Spec{Kind: "halo", W: w, H: h, Bytes: b}
-	case "spmv":
-		if len(fields) != 2 {
-			return fail("want spmv:NNZ:BYTES")
-		}
-		nnz, err := num(0, "nnz")
-		if err != nil {
-			return Spec{}, err
-		}
-		b, err := size(1)
-		if err != nil {
-			return Spec{}, err
-		}
-		sp = Spec{Kind: "spmv", NNZ: nnz, Bytes: b}
-	case "perm", "transpose", "bitcomp", "alltoall":
-		if len(fields) != 1 {
-			return fail("want %s:BYTES", kind)
-		}
-		b, err := size(0)
-		if err != nil {
-			return Spec{}, err
-		}
-		sp = Spec{Kind: kind, Bytes: b}
-	case "shift":
-		if len(fields) != 2 {
-			return fail("want shift:K:BYTES")
-		}
-		k, err := num(0, "shift distance")
-		if err != nil {
-			return Spec{}, err
-		}
-		b, err := size(1)
-		if err != nil {
-			return Spec{}, err
-		}
-		sp = Spec{Kind: "shift", K: k, Bytes: b}
-	case "stencil3d":
-		if len(fields) != 2 {
-			return fail("want stencil3d:XxYxZ:BYTES")
-		}
-		x, y, z, err := extent3(s, fields[0])
-		if err != nil {
-			return Spec{}, err
-		}
-		b, err := size(1)
-		if err != nil {
-			return Spec{}, err
-		}
-		sp = Spec{Kind: "stencil3d", X: x, Y: y, Z: z, Bytes: b}
-	default:
-		return fail("unknown kind %q (want uniform, scatter, hotspot, halo, spmv, perm, transpose, shift, stencil3d, bitcomp, or alltoall)", kind)
 	}
-	return sp, sp.Validate()
+	return specOf(k.name, &v), k.validate(&v)
 }
 
 // MustParseSpec is ParseSpec for known-good specs; it panics on error.
@@ -269,31 +412,39 @@ func MustParseSpec(s string) Spec {
 	return sp
 }
 
-func extent2(spec, s string) (w, h int, err error) {
-	ws, hs, ok := strings.Cut(s, "x")
-	if !ok {
-		return 0, 0, fmt.Errorf("workload: spec %q: bad extent %q (want WxH)", spec, s)
+// appendArg renders field f of the parameters v: a number, or an
+// x-joined grid.
+func (f field) appendArg(b []byte, v *[nParams]int64) []byte {
+	for i, p := range f.params {
+		if i > 0 {
+			b = append(b, 'x')
+		}
+		b = strconv.AppendInt(b, v[p], 10)
 	}
-	w, errW := strconv.Atoi(ws)
-	h, errH := strconv.Atoi(hs)
-	if errW != nil || errH != nil {
-		return 0, 0, fmt.Errorf("workload: spec %q: bad extent %q", spec, s)
-	}
-	return w, h, nil
+	return b
 }
 
-func extent3(spec, s string) (x, y, z int, err error) {
-	parts := strings.Split(s, "x")
-	if len(parts) != 3 {
-		return 0, 0, 0, fmt.Errorf("workload: spec %q: bad extent %q (want XxYxZ)", spec, s)
+// validate checks the parameters v against their ranges in grammar
+// order, and a grid's element count against MaxElements.
+func (k *kind) validate(v *[nParams]int64) error {
+	for _, f := range k.fields {
+		elements := int64(1)
+		for _, p := range f.params {
+			r := params[p]
+			if v[p] >= r.lo && v[p] <= r.hi {
+				elements *= v[p]
+				continue
+			}
+			if len(f.params) == 1 {
+				return fmt.Errorf("workload: %s %s %d out of range [%d,%d]", k.name, r.noun, v[p], r.lo, r.hi)
+			}
+			return fmt.Errorf("workload: %s grid %s out of range [%d,%d] per axis", k.name, f.appendArg(nil, v), r.lo, r.hi)
+		}
+		if len(f.params) > 1 && elements > MaxElements {
+			return fmt.Errorf("workload: %s grid %s has %d elements, limit %d", k.name, f.appendArg(nil, v), elements, MaxElements)
+		}
 	}
-	x, errX := strconv.Atoi(parts[0])
-	y, errY := strconv.Atoi(parts[1])
-	z, errZ := strconv.Atoi(parts[2])
-	if errX != nil || errY != nil || errZ != nil {
-		return 0, 0, 0, fmt.Errorf("workload: spec %q: bad extent %q", spec, s)
-	}
-	return x, y, z, nil
+	return nil
 }
 
 // Validate checks the machine-independent bounds — the same caps a
@@ -301,49 +452,12 @@ func extent3(spec, s string) (x, y, z int, err error) {
 // or O(elements) build. Machine fit (density vs node count, square or
 // power-of-two machines) is ValidateFor's job.
 func (sp Spec) Validate() error {
-	if sp.Bytes < 1 || sp.Bytes > MaxBytes {
-		return fmt.Errorf("workload: %s byte size %d out of range [1,%d]", sp.Kind, sp.Bytes, int64(MaxBytes))
-	}
-	switch sp.Kind {
-	case "uniform", "scatter":
-		if sp.D < 1 || sp.D > MaxDegree {
-			return fmt.Errorf("workload: %s density %d out of range [1,%d]", sp.Kind, sp.D, MaxDegree)
-		}
-	case "hotspot":
-		if sp.D < 1 || sp.D > MaxDegree {
-			return fmt.Errorf("workload: hotspot density %d out of range [1,%d]", sp.D, MaxDegree)
-		}
-		if sp.Hot < 1 || sp.Hot > MaxDegree {
-			return fmt.Errorf("workload: hotspot hot count %d out of range [1,%d]", sp.Hot, MaxDegree)
-		}
-	case "halo":
-		if sp.W < 2 || sp.H < 2 || sp.W > MaxExtent || sp.H > MaxExtent {
-			return fmt.Errorf("workload: halo grid %dx%d out of range [2,%d] per axis", sp.W, sp.H, MaxExtent)
-		}
-		if sp.W*sp.H > MaxElements {
-			return fmt.Errorf("workload: halo grid %dx%d has %d elements, limit %d", sp.W, sp.H, sp.W*sp.H, MaxElements)
-		}
-	case "spmv":
-		if sp.NNZ < 1 || sp.NNZ > MaxSpMVNNZ {
-			return fmt.Errorf("workload: spmv nnz %d out of range [1,%d]", sp.NNZ, MaxSpMVNNZ)
-		}
-	case "perm", "transpose", "bitcomp", "alltoall":
-		// Bytes-only kinds: nothing beyond the shared size cap.
-	case "shift":
-		if sp.K < 1 || sp.K > MaxDegree {
-			return fmt.Errorf("workload: shift distance %d out of range [1,%d]", sp.K, MaxDegree)
-		}
-	case "stencil3d":
-		if sp.X < 1 || sp.Y < 1 || sp.Z < 1 || sp.X > MaxExtent || sp.Y > MaxExtent || sp.Z > MaxExtent {
-			return fmt.Errorf("workload: stencil grid %dx%dx%d out of range [1,%d] per axis", sp.X, sp.Y, sp.Z, MaxExtent)
-		}
-		if sp.X*sp.Y*sp.Z > MaxElements {
-			return fmt.Errorf("workload: stencil grid %dx%dx%d has %d elements, limit %d", sp.X, sp.Y, sp.Z, sp.X*sp.Y*sp.Z, MaxElements)
-		}
-	default:
+	k := lookup(sp.Kind)
+	if k == nil {
 		return fmt.Errorf("workload: unknown spec kind %q", sp.Kind)
 	}
-	return nil
+	v := sp.slots()
+	return k.validate(&v)
 }
 
 // ValidateFor checks that the spec fits an n-node machine — the
@@ -353,179 +467,92 @@ func (sp Spec) ValidateFor(n int) error {
 	if n < 2 {
 		return fmt.Errorf("workload: %s needs at least 2 processors, got %d", sp.Kind, n)
 	}
-	switch sp.Kind {
-	case "uniform", "scatter", "hotspot":
-		if sp.D >= n {
-			return fmt.Errorf("workload: %s density %d out of range (0,%d) on a %d-node machine", sp.Kind, sp.D, n, n)
-		}
-		if sp.Kind == "hotspot" && sp.Hot > n {
-			return fmt.Errorf("workload: hotspot hot count %d exceeds the %d-node machine", sp.Hot, n)
-		}
-	case "halo":
-		if sp.W*sp.H < n {
-			return fmt.Errorf("workload: halo grid %dx%d has fewer elements than the %d-node machine", sp.W, sp.H, n)
-		}
-	case "transpose":
-		k := 1
-		for k*k < n {
-			k++
-		}
-		if k*k != n {
-			return fmt.Errorf("workload: transpose needs a square processor count, got %d", n)
-		}
-	case "shift":
-		if sp.K%n == 0 {
-			return fmt.Errorf("workload: shift by %d is a multiple of the %d-node machine size (self messages)", sp.K, n)
-		}
-	case "stencil3d":
-		if sp.X*sp.Y*sp.Z < n {
-			return fmt.Errorf("workload: stencil grid %dx%dx%d has fewer elements than the %d-node machine", sp.X, sp.Y, sp.Z, n)
-		}
-	case "bitcomp":
-		if n&(n-1) != 0 {
-			return fmt.Errorf("workload: bitcomp needs a power-of-two machine, got %d nodes", n)
-		}
+	if k := lookup(sp.Kind); k != nil && k.fit != nil {
+		return k.fit(sp, n)
 	}
 	return nil
 }
 
 // String renders the canonical spec form, parseable by ParseSpec.
 func (sp Spec) String() string {
-	switch sp.Kind {
-	case "uniform", "scatter":
-		return fmt.Sprintf("%s:%d:%d", sp.Kind, sp.D, sp.Bytes)
-	case "hotspot":
-		return fmt.Sprintf("hotspot:%d:%d:%d", sp.D, sp.Bytes, sp.Hot)
-	case "halo":
-		return fmt.Sprintf("halo:%dx%d:%d", sp.W, sp.H, sp.Bytes)
-	case "spmv":
-		return fmt.Sprintf("spmv:%d:%d", sp.NNZ, sp.Bytes)
-	case "perm", "transpose", "bitcomp", "alltoall":
-		return fmt.Sprintf("%s:%d", sp.Kind, sp.Bytes)
-	case "shift":
-		return fmt.Sprintf("shift:%d:%d", sp.K, sp.Bytes)
-	case "stencil3d":
-		return fmt.Sprintf("stencil3d:%dx%dx%d:%d", sp.X, sp.Y, sp.Z, sp.Bytes)
-	default:
-		return fmt.Sprintf("invalid:%s", sp.Kind)
+	k := lookup(sp.Kind)
+	if k == nil {
+		return "invalid:" + sp.Kind
 	}
+	v := sp.slots()
+	var buf [64]byte
+	b := append(buf[:0], k.name...)
+	for _, f := range k.fields {
+		b = f.appendArg(append(b, ':'), &v)
+	}
+	return string(b)
 }
 
 // MsgBytes returns the spec's size parameter: the uniform message size
 // for the fixed-size kinds, the per-element contribution for the
-// aggregating kinds (halo, spmv, stencil3d), whose actual message
-// sizes are multiples of it.
+// aggregating kinds, whose actual message sizes are multiples of it.
 func (sp Spec) MsgBytes() int64 { return sp.Bytes }
 
 // MaxMessageBytes returns a conservative upper bound on the size of
-// any single message the built pattern can contain. For the
-// fixed-size kinds this is exactly Bytes; for the aggregating kinds
-// it is Bytes times a bound on how many per-element contributions one
-// processor pair can accumulate — the strip-partition boundary cross
-// section (halo: two boundary rows of W elements with at most 8
-// neighbors each; stencil3d: two boundary planes of Y*Z elements with
-// 6 edges each; spmv: the 32 columns each owner holds, fetched at
-// most once per requester). Services gate this bound, not the bare
-// per-element Bytes, so an aggregating spec cannot smuggle a
-// multi-gigabyte message past a per-message size cap.
+// any single message the built pattern can contain: exactly Bytes for
+// the fixed-size kinds, and for the aggregating kinds Bytes times a
+// bound on how many per-element contributions one processor pair can
+// accumulate (each row's maxMsg says how). Services gate this bound,
+// not the bare per-element Bytes, so an aggregating spec cannot
+// smuggle a multi-gigabyte message past a per-message size cap.
 func (sp Spec) MaxMessageBytes() int64 {
-	switch sp.Kind {
-	case "halo":
-		return sp.Bytes * 16 * int64(sp.W)
-	case "stencil3d":
-		return sp.Bytes * 12 * int64(sp.Y) * int64(sp.Z)
-	case "spmv":
-		return sp.Bytes * 2 * spmvRowsPerProc
-	default:
-		return sp.Bytes
+	if k := lookup(sp.Kind); k != nil && k.maxMsg != nil {
+		return k.maxMsg(sp)
 	}
+	return sp.Bytes
 }
 
 // DensityHint returns the nominal density of the built pattern on an
 // n-node machine: the D parameter for the degree-parameterized kinds,
 // the exact density for the permutation-shaped and complete-exchange
-// kinds, and 0 for the data-dependent kinds (halo, spmv, stencil3d),
-// whose density emerges from the partition.
+// kinds, and 0 for the kinds whose density emerges from the
+// partition.
 func (sp Spec) DensityHint(n int) int {
-	switch sp.Kind {
-	case "uniform", "scatter", "hotspot":
-		return sp.D
-	case "perm", "transpose", "shift", "bitcomp":
-		return 1
-	case "alltoall":
-		return n - 1
-	default:
-		return 0
+	if k := lookup(sp.Kind); k != nil && k.density != nil {
+		return k.density(sp, n)
 	}
+	return 0
 }
 
 // SizeCVHint returns the nominal coefficient of variation (std/mean)
-// of the built pattern's message sizes, without building anything:
-// exactly 0 for the fixed-size kinds (every message carries Bytes),
-// and a coarse analytic hint for the aggregating kinds whose message
-// sizes emerge from the partition — spmv's power-law row weights put
-// it around 1, the halo and stencil boundary cross sections vary
-// moderately. The hint only has to land in the right quality-model
-// band; it is not a measurement.
+// of the built pattern's message sizes, without building anything.
 func (sp Spec) SizeCVHint() float64 {
-	switch sp.Kind {
-	case "spmv":
-		return 1.0
-	case "halo", "stencil3d":
-		return 0.4
-	default:
-		return 0
+	if k := lookup(sp.Kind); k != nil {
+		return k.sizeCV
 	}
+	return 0
 }
 
-// Stream-key tags for the non-uniform kinds. The uniform kind's key is
-// the bare historical (D, Bytes) tuple — both components positive — so
-// classic density sweeps reproduce their goldens; every other kind
-// leads with a distinct negative tag, which no uniform key can start
-// with.
-const (
-	keyScatter   = -1
-	keyHotspot   = -2
-	keyHalo      = -3
-	keySpMV      = -4
-	keyPerm      = -5
-	keyTranspose = -6
-	keyShift     = -7
-	keyStencil3D = -8
-	keyBitComp   = -9
-	keyAllToAll  = -10
-)
-
 // AppendKey appends the spec's stream-key identity to buf and returns
-// the extended slice. The experiment engine folds these components
-// (with the master seed, the sample index, and the algorithm index)
-// through composed SplitMix64 mixing to derive every deterministic RNG
-// stream; two specs share streams iff their keys are identical.
+// the extended slice: the kind's tag, then its parameters in grammar
+// order. The experiment engine folds these components (with the
+// master seed, the sample index, and the algorithm index) through
+// composed SplitMix64 mixing to derive every deterministic RNG stream;
+// two specs share streams iff their keys are identical. A spec of no
+// known kind appends nothing.
 func (sp Spec) AppendKey(buf []int64) []int64 {
-	switch sp.Kind {
-	case "uniform":
-		return append(buf, int64(sp.D), sp.Bytes)
-	case "scatter":
-		return append(buf, keyScatter, int64(sp.D), sp.Bytes)
-	case "hotspot":
-		return append(buf, keyHotspot, int64(sp.D), sp.Bytes, int64(sp.Hot))
-	case "halo":
-		return append(buf, keyHalo, int64(sp.W), int64(sp.H), sp.Bytes)
-	case "spmv":
-		return append(buf, keySpMV, int64(sp.NNZ), sp.Bytes)
-	case "perm":
-		return append(buf, keyPerm, sp.Bytes)
-	case "transpose":
-		return append(buf, keyTranspose, sp.Bytes)
-	case "shift":
-		return append(buf, keyShift, int64(sp.K), sp.Bytes)
-	case "stencil3d":
-		return append(buf, keyStencil3D, int64(sp.X), int64(sp.Y), int64(sp.Z), sp.Bytes)
-	case "bitcomp":
-		return append(buf, keyBitComp, sp.Bytes)
-	default: // alltoall; unknown kinds are rejected by Validate
-		return append(buf, keyAllToAll, sp.Bytes)
+	k := lookup(sp.Kind)
+	if k == nil {
+		return buf
 	}
+	var key [1 + nParams]int64
+	n := 0
+	if k.tag != 0 {
+		key[0], n = k.tag, 1
+	}
+	v := sp.slots()
+	for _, f := range k.fields {
+		for _, p := range f.params {
+			key[n] = v[p]
+			n++
+		}
+	}
+	return append(buf, key[:n]...)
 }
 
 // Key returns the spec's stream-key identity as a fresh slice.
@@ -535,11 +562,8 @@ func (sp Spec) Key() []int64 { return sp.AppendKey(nil) }
 // RNG (permutation-shaped deterministic exchanges and element-grid
 // stencils).
 func (sp Spec) Deterministic() bool {
-	switch sp.Kind {
-	case "transpose", "shift", "stencil3d", "bitcomp", "alltoall":
-		return true
-	}
-	return false
+	k := lookup(sp.Kind)
+	return k != nil && k.deterministic
 }
 
 // Build constructs the workload's communication matrix for an n-node
@@ -564,36 +588,8 @@ func (sp Spec) BuildInto(m *comm.Matrix, rng *rand.Rand) error {
 	if err := sp.Validate(); err != nil {
 		return err
 	}
-	n := m.N()
-	if err := sp.ValidateFor(n); err != nil {
+	if err := sp.ValidateFor(m.N()); err != nil {
 		return err
 	}
-	switch sp.Kind {
-	case "uniform":
-		return comm.DRegularInto(m, sp.D, sp.Bytes, rng)
-	case "scatter":
-		return comm.UniformRandomInto(m, sp.D, sp.Bytes, rng)
-	case "hotspot":
-		return comm.HotSpotInto(m, sp.D, sp.Bytes, sp.Hot, hotspotProb, rng)
-	case "halo":
-		mesh, err := comm.NewIrregularMesh(sp.W, sp.H, haloDiagProb, rng)
-		if err != nil {
-			return err
-		}
-		return comm.HaloFromPartitionInto(m, mesh.StripPartition(n), mesh.Adj, sp.Bytes)
-	case "spmv":
-		return comm.SpMVPowerLawInto(m, sp.NNZ, sp.Bytes, rng)
-	case "perm":
-		return comm.PermutationInto(m, sp.Bytes, rng)
-	case "transpose":
-		return comm.TransposeInto(m, sp.Bytes)
-	case "shift":
-		return comm.ShiftInto(m, sp.K, sp.Bytes)
-	case "stencil3d":
-		return comm.Stencil3DInto(m, sp.X, sp.Y, sp.Z, sp.Bytes)
-	case "bitcomp":
-		return comm.BitComplementInto(m, sp.Bytes)
-	default: // alltoall; Validate rejected everything else
-		return comm.AllToAllInto(m, sp.Bytes)
-	}
+	return lookup(sp.Kind).build(sp, m, rng)
 }

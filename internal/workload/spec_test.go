@@ -3,6 +3,9 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -103,23 +106,19 @@ func TestSpecParseRejects(t *testing.T) {
 // Validate must survive String -> ParseSpec unchanged.
 func TestSpecRoundTripRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	make := []func() Spec{
-		func() Spec { return UniformSpec(1+rng.Intn(100), 1+rng.Int63n(1<<20)) },
-		func() Spec { return ScatterSpec(1+rng.Intn(100), 1+rng.Int63n(1<<20)) },
-		func() Spec { return HotSpotSpec(1+rng.Intn(100), 1+rng.Int63n(1<<20), 1+rng.Intn(32)) },
-		func() Spec { return HaloSpec(2+rng.Intn(100), 2+rng.Intn(100), 1+rng.Int63n(1<<20)) },
-		func() Spec { return SpMVSpec(1+rng.Intn(64), 1+rng.Int63n(1<<16)) },
-		func() Spec { return PermSpec(1 + rng.Int63n(1<<20)) },
-		func() Spec { return TransposeSpec(1 + rng.Int63n(1<<20)) },
-		func() Spec { return ShiftSpec(1+rng.Intn(1000), 1+rng.Int63n(1<<20)) },
-		func() Spec {
-			return Stencil3DSpec(1+rng.Intn(32), 1+rng.Intn(32), 1+rng.Intn(32), 1+rng.Int63n(1<<16))
-		},
-		func() Spec { return BitCompSpec(1 + rng.Int63n(1<<20)) },
-		func() Spec { return AllToAllSpec(1 + rng.Int63n(1<<20)) },
-	}
 	for i := 0; i < 200; i++ {
-		sp := make[rng.Intn(len(make))]()
+		// Fill every field in its kind's range: the kind must read its
+		// own and ignore the rest.
+		sp := Spec{
+			Kind:  kinds[rng.Intn(len(kinds))].name,
+			D:     1 + rng.Intn(100),
+			Bytes: 1 + rng.Int63n(1<<20),
+			Hot:   1 + rng.Intn(32),
+			W:     2 + rng.Intn(100), H: 2 + rng.Intn(100),
+			X: 1 + rng.Intn(32), Y: 1 + rng.Intn(32), Z: 1 + rng.Intn(32),
+			NNZ: 1 + rng.Intn(64),
+			K:   1 + rng.Intn(1000),
+		}
 		if err := sp.Validate(); err != nil {
 			t.Fatalf("%+v: %v", sp, err)
 		}
@@ -127,8 +126,11 @@ func TestSpecRoundTripRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sp, err)
 		}
-		if back != sp {
-			t.Errorf("round trip %+v -> %q -> %+v", sp, sp.String(), back)
+		if back.String() != sp.String() || fmt.Sprint(back.Key()) != fmt.Sprint(sp.Key()) {
+			t.Errorf("round trip %+v -> %q -> %+v", fields(sp), sp.String(), fields(back))
+		}
+		if again, _ := ParseSpec(back.String()); again != back {
+			t.Errorf("%q: reparse %+v != %+v", back, fields(again), fields(back))
 		}
 	}
 }
@@ -137,6 +139,37 @@ func TestSpecRoundTripRandomized(t *testing.T) {
 // matrix on every machine size it admits — no self sends, no negative
 // sizes, and the degree/density bounds its kind promises.
 func TestSpecBuildsValidMatrix(t *testing.T) {
+	sendD := func(t *testing.T, sp Spec, m *comm.Matrix) {
+		for i := 0; i < m.N(); i++ {
+			if m.SendDegree(i) != sp.D {
+				t.Errorf("node %d send degree %d, want %d", i, m.SendDegree(i), sp.D)
+			}
+		}
+	}
+	exactDensity := func(t *testing.T, sp Spec, m *comm.Matrix) {
+		if got, want := m.Density(), sp.DensityHint(m.N()); got != want {
+			t.Errorf("density %d, want %d", got, want)
+		}
+	}
+	// What each kind promises beyond a valid matrix; spmv, halo and
+	// stencil3d promise no density.
+	promises := map[string]func(*testing.T, Spec, *comm.Matrix){
+		"uniform": func(t *testing.T, sp Spec, m *comm.Matrix) {
+			sendD(t, sp, m)
+			for i := 0; i < m.N(); i++ {
+				if m.RecvDegree(i) != sp.D {
+					t.Errorf("node %d receive degree %d, want %d", i, m.RecvDegree(i), sp.D)
+				}
+			}
+		},
+		"scatter":   sendD,
+		"hotspot":   sendD,
+		"perm":      exactDensity,
+		"transpose": exactDensity,
+		"shift":     exactDensity,
+		"bitcomp":   exactDensity,
+		"alltoall":  exactDensity,
+	}
 	for _, n := range []int{4, 16, 64} {
 		for _, s := range allSpecs {
 			sp := MustParseSpec(s)
@@ -150,46 +183,8 @@ func TestSpecBuildsValidMatrix(t *testing.T) {
 			if err := m.Validate(); err != nil {
 				t.Errorf("n=%d %s: invalid matrix: %v", n, s, err)
 			}
-			switch sp.Kind {
-			case "uniform":
-				for i := 0; i < n; i++ {
-					if m.SendDegree(i) != sp.D || m.RecvDegree(i) != sp.D {
-						t.Errorf("n=%d %s: node %d degrees %d/%d, want %d", n, s, i, m.SendDegree(i), m.RecvDegree(i), sp.D)
-					}
-				}
-			case "scatter", "hotspot":
-				for i := 0; i < n; i++ {
-					if m.SendDegree(i) != sp.D {
-						t.Errorf("n=%d %s: node %d send degree %d, want %d", n, s, i, m.SendDegree(i), sp.D)
-					}
-				}
-			case "perm", "shift", "bitcomp":
-				if m.Density() != 1 {
-					t.Errorf("n=%d %s: density %d, want 1", n, s, m.Density())
-				}
-			case "transpose":
-				if m.Density() != 1 {
-					t.Errorf("n=%d %s: density %d, want 1", n, s, m.Density())
-				}
-			case "alltoall":
-				if m.Density() != n-1 {
-					t.Errorf("n=%d %s: density %d, want %d", n, s, m.Density(), n-1)
-				}
-			case "spmv":
-				// Receive side bounded by nnz per row times rows per proc.
-				for i := 0; i < n; i++ {
-					if m.RecvDegree(i) > n-1 {
-						t.Errorf("n=%d %s: impossible recv degree", n, s)
-					}
-				}
-			}
-			if hint := sp.DensityHint(n); hint > 0 {
-				if got := m.Density(); sp.Kind != "scatter" && sp.Kind != "hotspot" && got != hint {
-					// scatter/hotspot receive degrees may exceed D.
-					if sp.Kind == "uniform" || got < hint {
-						t.Errorf("n=%d %s: density %d, hint %d", n, s, got, hint)
-					}
-				}
+			if promise := promises[sp.Kind]; promise != nil {
+				t.Run(fmt.Sprintf("n=%d/%s", n, s), func(t *testing.T) { promise(t, sp, m) })
 			}
 		}
 	}
@@ -325,5 +320,42 @@ func TestSpecInvalidZeroValue(t *testing.T) {
 	}
 	if _, err := sp.Build(8, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("zero Spec built")
+	}
+}
+
+// TestAllSpecsCoverTable: allSpecs, which the round-trip, build and
+// fuzz tests draw on, has one spec of every table row, in table order.
+func TestAllSpecsCoverTable(t *testing.T) {
+	if len(allSpecs) != len(kinds) {
+		t.Fatalf("allSpecs has %d specs, the table %d kinds", len(allSpecs), len(kinds))
+	}
+	for i, s := range allSpecs {
+		if got := MustParseSpec(s).Kind; got != kinds[i].name {
+			t.Errorf("allSpecs[%d] = %s is a %s, table row %d is %s", i, s, got, i, kinds[i].name)
+		}
+	}
+}
+
+// TestKindTableMatchesREADME holds README's Workloads table to the
+// kind table: the same kinds in the same order, each row led by its
+// name:args grammar.
+func TestKindTableMatchesREADME(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(raw), "\n## Workloads\n")
+	if !ok {
+		t.Fatal("README has no ## Workloads section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	var documented []string
+	for _, line := range strings.Split(section, "\n") {
+		if row, ok := strings.CutPrefix(line, "| `"); ok {
+			documented = append(documented, row[:strings.IndexByte(row, '`')])
+		}
+	}
+	if want := Grammars(); !slices.Equal(documented, want) {
+		t.Errorf("README Workloads table lists\n%v\nbut the kind table has\n%v", documented, want)
 	}
 }
