@@ -1130,6 +1130,9 @@ func TestScheduleWorkloadBadRequests(t *testing.T) {
 		{"oversized grid", ScheduleRequest{Workload: "halo:4096x4096:8", Topology: &WireTopology{Spec: "cube:3"}}},
 		{"bytes over cap", ScheduleRequest{Workload: "perm:33554433", Topology: &WireTopology{Spec: "cube:3"}}},
 		{"bitcomp on odd machine", ScheduleRequest{Workload: "bitcomp:64", Topology: &WireTopology{Spec: "ring:6"}}},
+		// Two strips of a 2x4096 halo meet along its 4096-element axis:
+		// a 2.8 GB message, though 16 MiB bounds it along the other.
+		{"halo message over cap", ScheduleRequest{Workload: "halo:2x4096:524288", Topology: &WireTopology{Spec: "cube:1"}}},
 	}
 	for _, c := range cases {
 		if status, raw := postJSON(t, ts.URL+"/v1/schedule", c.req, nil); status != http.StatusBadRequest {

@@ -220,12 +220,13 @@ var kinds = []kind{
 		},
 	},
 	{
-		// Irregular-mesh halo exchange: a WxH element grid with random
-		// diagonals, strip-partitioned across the machine, BYTES per
-		// boundary element. A processor pair meets across two boundary
-		// rows of W elements with at most 8 neighbors each.
+		// Irregular-mesh halo exchange: W rows of H elements with
+		// random diagonals, strip-partitioned by row across the
+		// machine, BYTES per boundary element. A processor pair meets
+		// across two boundary rows of H elements with at most 8
+		// neighbors each.
 		name: "halo", grammar: "WxH:BYTES", tag: -3, sizeCV: 0.4,
-		maxMsg: func(sp Spec) int64 { return sp.Bytes * 16 * int64(sp.W) },
+		maxMsg: func(sp Spec) int64 { return sp.Bytes * 16 * int64(sp.H) },
 		fit: func(sp Spec, n int) error {
 			if sp.W*sp.H < n {
 				return fmt.Errorf("workload: halo grid %dx%d has fewer elements than the %d-node machine", sp.W, sp.H, n)

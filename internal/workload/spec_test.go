@@ -295,6 +295,38 @@ func TestSpecMaxMessageBytes(t *testing.T) {
 	}
 }
 
+// TestMaxMessageBytesBoundsBuilt: no message an aggregating spec
+// builds exceeds its MaxMessageBytes, over non-square grids, machines
+// of every size the grid admits, and two seeds.
+func TestMaxMessageBytesBoundsBuilt(t *testing.T) {
+	var specs []string
+	sides := []int{2, 3, 7, 16, 100}
+	for _, w := range sides {
+		for _, h := range sides {
+			specs = append(specs, fmt.Sprintf("halo:%dx%d:3", w, h))
+			specs = append(specs, fmt.Sprintf("stencil3d:%dx%dx%d:3", w, h, sides[(w+h)%len(sides)]))
+		}
+	}
+	specs = append(specs, "halo:16x1024:1", "spmv:1:3", "spmv:8:3", "spmv:64:3")
+	for _, s := range specs {
+		sp := MustParseSpec(s)
+		for _, n := range []int{2, 3, 4, 7, 16, 64} {
+			if sp.ValidateFor(n) != nil {
+				continue
+			}
+			for seed := int64(1); seed <= 2; seed++ {
+				m, err := sp.Build(n, rand.New(rand.NewSource(seed)))
+				if err != nil {
+					t.Fatalf("%s on n=%d: %v", s, n, err)
+				}
+				if got := m.MaxMessageBytes(); got > sp.MaxMessageBytes() {
+					t.Errorf("%s on n=%d seed %d: built a %d-byte message, bound %d", s, n, seed, got, sp.MaxMessageBytes())
+				}
+			}
+		}
+	}
+}
+
 func TestSpecDensityHintAndBytes(t *testing.T) {
 	if got := MustParseSpec("uniform:8:4096").DensityHint(64); got != 8 {
 		t.Errorf("uniform hint %d", got)
