@@ -71,7 +71,7 @@ func BenchmarkFig5Regions(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		regions, err = expt.RegionMap(cfg, densities, sizes)
+		regions, err = expt.NewRunner(cfg).RegionMap(context.Background(), densities, sizes)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func benchOverhead(b *testing.B, alg expt.Algorithm) {
 	var series [][]float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := expt.OverheadVsSize(cfg, alg, []int{4, 48}, sizes)
+		s, err := expt.NewRunner(cfg).OverheadVsSize(context.Background(), alg, []int{4, 48}, sizes)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -4,15 +4,11 @@
 // inputs replays identically — a property the experiment harness and
 // the tests rely on.
 //
-// Events come in two forms. The closure form (At/After) is the
-// convenient general-purpose API. The flat form (AtEvent/AfterEvent)
-// carries a small typed record — a kind tag plus two int32 operands —
-// dispatched through a single handler installed with SetHandler; it
-// exists for hot simulation loops, where a closure per event is one
-// heap allocation per event and the flat record is none: the record
-// lives directly in the queue's reusable backing arrays, so an engine
-// driven purely by flat events generates zero garbage across
-// Reset-reuse cycles.
+// An event is a small typed record — a kind tag plus two int32
+// operands — scheduled with AtEvent/AfterEvent and dispatched through
+// a single handler installed with SetHandler. The record lives
+// directly in the queue's reusable backing arrays, so the engine
+// generates zero garbage across Reset-reuse cycles.
 package des
 
 import (
@@ -54,22 +50,14 @@ type Engine struct {
 	// freeSlots for the next bucket creation.
 	fifos     [][]event
 	freeSlots []int32
-	// fns stores closure events' functions out of line, so the queued
-	// event records themselves stay pointer-free: appends and memmoves
-	// of []event need no GC write barriers. Entries are nilled as they
-	// run and the slice is truncated whenever the queue drains.
-	fns     []func()
-	count   int
-	handler func(kind, a, b int32)
+	count     int
+	handler   func(kind, a, b int32)
 }
 
-// event is one queue entry: sixteen pointer-free bytes. closure marks
-// an event scheduled with At/After; its a operand indexes Engine.fns.
-// Flat typed events carry (kind, a, b) for the engine handler.
+// event is one queue entry: twelve pointer-free bytes, so appends and
+// memmoves of []event need no GC write barriers.
 type event struct {
-	kind    int32
-	a, b    int32
-	closure bool
+	kind, a, b int32
 }
 
 const headShift = 32
@@ -172,16 +160,14 @@ func (e *Engine) pop() event {
 // New returns an engine with the clock at zero.
 func New() *Engine { return &Engine{} }
 
-// SetHandler installs the dispatch function for flat typed events.
-// Every event scheduled with AtEvent/AfterEvent is delivered to it as
-// (kind, a, b). The handler is retained across Reset.
+// SetHandler installs the event dispatch function. Every event
+// scheduled with AtEvent/AfterEvent is delivered to it as (kind, a,
+// b). The handler is retained across Reset.
 func (e *Engine) SetHandler(h func(kind, a, b int32)) { e.handler = h }
 
 // Reset rewinds the clock to zero and empties the event queue while
 // keeping the bucket backing arrays, so an engine can be reused across
-// many simulations without re-growing the queue each time. Queued
-// event closures are released for garbage collection; flat typed
-// events hold no references and cost nothing to drop.
+// many simulations without re-growing the queue each time.
 func (e *Engine) Reset() {
 	e.now = 0
 	e.count = 0
@@ -194,10 +180,6 @@ func (e *Engine) Reset() {
 		e.fifos[i] = e.fifos[i][:0]
 		e.freeSlots = append(e.freeSlots, int32(i))
 	}
-	for i := range e.fns {
-		e.fns[i] = nil
-	}
-	e.fns = e.fns[:0]
 }
 
 // Now returns the current virtual time.
@@ -213,37 +195,11 @@ func panicNegative(dt float64) {
 	panic(fmt.Sprintf("des: negative delay %v", dt))
 }
 
-// At schedules fn at absolute virtual time t. Scheduling in the past
-// panics: it would silently corrupt causality, and every caller
+// AtEvent schedules the event (kind, a, b) at absolute virtual time
+// t, to be dispatched through the SetHandler function. It allocates
+// nothing: the record is stored inline in the queue. Scheduling in the
+// past panics: it would silently corrupt causality, and every caller
 // derives t from Now() plus a non-negative duration.
-func (e *Engine) At(t float64, fn func()) {
-	if t < e.now {
-		e.panicPast(t)
-	}
-	// An empty queue means every fns entry has run and been nilled, so
-	// the slice can be truncated before this closure claims a slot —
-	// keeping fns from growing across a long closure-driven simulation.
-	if e.count == 0 {
-		e.fns = e.fns[:0]
-	}
-	idx := len(e.fns)
-	e.fns = append(e.fns, fn)
-	e.push(t, event{a: int32(idx), closure: true})
-}
-
-// After schedules fn dt time units from now. Negative dt panics.
-func (e *Engine) After(dt float64, fn func()) {
-	if dt < 0 {
-		panicNegative(dt)
-	}
-	e.At(e.now+dt, fn)
-}
-
-// AtEvent schedules the flat typed event (kind, a, b) at absolute
-// virtual time t, to be dispatched through the SetHandler function.
-// It allocates nothing: the record is stored inline in the queue.
-// Ties with closure events break by insertion order exactly as
-// between two closures.
 func (e *Engine) AtEvent(t float64, kind, a, b int32) {
 	if t < e.now {
 		e.panicPast(t)
@@ -251,8 +207,8 @@ func (e *Engine) AtEvent(t float64, kind, a, b int32) {
 	e.push(t, event{kind: kind, a: a, b: b})
 }
 
-// AfterEvent schedules the flat typed event dt time units from now.
-// Negative dt panics.
+// AfterEvent schedules the event dt time units from now. Negative dt
+// panics.
 func (e *Engine) AfterEvent(dt float64, kind, a, b int32) {
 	if dt < 0 {
 		panicNegative(dt)
@@ -261,24 +217,17 @@ func (e *Engine) AfterEvent(dt float64, kind, a, b int32) {
 }
 
 // Step runs the earliest pending event, advancing the clock to its
-// time. It reports whether an event was run. A flat typed event with
-// no handler installed panics: it is a wiring bug, not a runtime
-// condition.
+// time. It reports whether an event was run. An event with no handler
+// installed panics: it is a wiring bug, not a runtime condition.
 func (e *Engine) Step() bool {
 	if e.count == 0 {
 		return false
 	}
 	ev := e.pop()
-	if ev.closure {
-		fn := e.fns[ev.a]
-		e.fns[ev.a] = nil
-		fn()
-	} else {
-		if e.handler == nil {
-			panic("des: flat event scheduled with no handler installed")
-		}
-		e.handler(ev.kind, ev.a, ev.b)
+	if e.handler == nil {
+		panic("des: event scheduled with no handler installed")
 	}
+	e.handler(ev.kind, ev.a, ev.b)
 	return true
 }
 

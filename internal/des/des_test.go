@@ -5,12 +5,20 @@ import (
 	"testing"
 )
 
-func TestEventsRunInTimeOrder(t *testing.T) {
+// record returns an engine whose handler appends each event's a
+// operand to the returned slice.
+func record() (*Engine, *[]int32) {
 	e := New()
-	var order []int
-	e.At(5, func() { order = append(order, 2) })
-	e.At(1, func() { order = append(order, 1) })
-	e.At(9, func() { order = append(order, 3) })
+	var got []int32
+	e.SetHandler(func(_, a, _ int32) { got = append(got, a) })
+	return e, &got
+}
+
+func TestEventsRunInTimeOrder(t *testing.T) {
+	e, order := record()
+	e.AtEvent(5, 0, 2, 0)
+	e.AtEvent(1, 0, 1, 0)
+	e.AtEvent(9, 0, 3, 0)
 	end, err := e.Run(0)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -18,24 +26,25 @@ func TestEventsRunInTimeOrder(t *testing.T) {
 	if end != 9 {
 		t.Errorf("final time %v, want 9", end)
 	}
-	for i, v := range []int{1, 2, 3} {
-		if order[i] != v {
-			t.Fatalf("order = %v", order)
+	for i, v := range []int32{1, 2, 3} {
+		if (*order)[i] != v {
+			t.Fatalf("order = %v", *order)
 		}
 	}
 }
 
 func TestTiesBreakByInsertion(t *testing.T) {
-	e := New()
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		e.At(7, func() { order = append(order, i) })
+	e, order := record()
+	for i := int32(0); i < 10; i++ {
+		e.AtEvent(7, 0, i, 0)
 	}
 	e.Run(0)
-	for i := range order {
-		if order[i] != i {
-			t.Fatalf("tie order = %v", order)
+	if len(*order) != 10 {
+		t.Fatalf("ran %d events, want 10", len(*order))
+	}
+	for i, v := range *order {
+		if v != int32(i) {
+			t.Fatalf("tie order = %v", *order)
 		}
 	}
 }
@@ -43,10 +52,13 @@ func TestTiesBreakByInsertion(t *testing.T) {
 func TestClockAdvancesDuringEvents(t *testing.T) {
 	e := New()
 	var seen []float64
-	e.At(2, func() {
+	e.SetHandler(func(kind, _, _ int32) {
 		seen = append(seen, e.Now())
-		e.After(3, func() { seen = append(seen, e.Now()) })
+		if kind == 0 {
+			e.AfterEvent(3, 1, 0, 0)
+		}
 	})
+	e.AtEvent(2, 0, 0, 0)
 	e.Run(0)
 	if len(seen) != 2 || seen[0] != 2 || seen[1] != 5 {
 		t.Errorf("seen = %v", seen)
@@ -55,14 +67,18 @@ func TestClockAdvancesDuringEvents(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	e := New()
-	e.At(5, func() {
+	e.SetHandler(func(kind, _, _ int32) {
+		if kind != 0 {
+			return
+		}
 		defer func() {
 			if recover() == nil {
 				t.Error("past scheduling did not panic")
 			}
 		}()
-		e.At(1, func() {})
+		e.AtEvent(1, 1, 0, 0)
 	})
+	e.AtEvent(5, 0, 0, 0)
 	e.Run(0)
 }
 
@@ -70,17 +86,16 @@ func TestNegativeDelayPanics(t *testing.T) {
 	e := New()
 	defer func() {
 		if recover() == nil {
-			t.Error("negative After did not panic")
+			t.Error("negative AfterEvent did not panic")
 		}
 	}()
-	e.After(-1, func() {})
+	e.AfterEvent(-1, 0, 0, 0)
 }
 
 func TestRunBoundReturnsLimitError(t *testing.T) {
 	e := New()
-	var loop func()
-	loop = func() { e.After(1, loop) }
-	e.After(0, loop)
+	e.SetHandler(func(_, _, _ int32) { e.AfterEvent(1, 0, 0, 0) })
+	e.AfterEvent(0, 0, 0, 0)
 	_, err := e.Run(100)
 	if err == nil {
 		t.Fatal("event cascade did not trip the bound")
@@ -101,19 +116,20 @@ func TestRunBoundReturnsLimitError(t *testing.T) {
 		t.Error("queue drained despite limit error")
 	}
 	e.Reset()
-	e.At(1, func() {})
+	e.SetHandler(func(_, _, _ int32) {})
+	e.AtEvent(1, 0, 0, 0)
 	if _, err := e.Run(10); err != nil {
 		t.Errorf("Run after Reset: %v", err)
 	}
 }
 
 func TestStepAndPending(t *testing.T) {
-	e := New()
+	e, _ := record()
 	if e.Step() {
 		t.Error("Step on empty queue should be false")
 	}
-	e.At(1, func() {})
-	e.At(2, func() {})
+	e.AtEvent(1, 0, 0, 0)
+	e.AtEvent(2, 0, 0, 0)
 	if e.Pending() != 2 {
 		t.Errorf("Pending = %d", e.Pending())
 	}
@@ -151,28 +167,12 @@ func TestFlatEventsDispatchThroughHandler(t *testing.T) {
 	}
 }
 
-func TestFlatAndClosureEventsShareTieOrder(t *testing.T) {
-	e := New()
-	var order []int
-	e.SetHandler(func(kind, a, b int32) { order = append(order, int(a)) })
-	e.At(4, func() { order = append(order, 0) })
-	e.AtEvent(4, 0, 1, 0)
-	e.At(4, func() { order = append(order, 2) })
-	e.AtEvent(4, 0, 3, 0)
-	e.Run(0)
-	for i := range order {
-		if order[i] != i {
-			t.Fatalf("tie order = %v", order)
-		}
-	}
-}
-
 func TestFlatEventWithoutHandlerPanics(t *testing.T) {
 	e := New()
 	e.AtEvent(1, 0, 0, 0)
 	defer func() {
 		if recover() == nil {
-			t.Error("flat event without handler did not panic")
+			t.Error("event without handler did not panic")
 		}
 	}()
 	e.Step()

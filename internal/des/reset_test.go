@@ -1,15 +1,21 @@
 package des
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestResetReplaysIdentically(t *testing.T) {
-	runOnce := func(e *Engine) (float64, []int) {
-		var order []int
-		e.At(3, func() { order = append(order, 3) })
-		e.At(1, func() {
-			order = append(order, 1)
-			e.After(1, func() { order = append(order, 2) })
+	runOnce := func(e *Engine) (float64, []int32) {
+		var order []int32
+		e.SetHandler(func(_, a, _ int32) {
+			order = append(order, a)
+			if a == 1 {
+				e.AfterEvent(1, 0, 2, 0)
+			}
 		})
+		e.AtEvent(3, 0, 3, 0)
+		e.AtEvent(1, 0, 1, 0)
 		end, _ := e.Run(0)
 		return end, order
 	}
@@ -23,47 +29,40 @@ func TestResetReplaysIdentically(t *testing.T) {
 	if t1 != t2 {
 		t.Errorf("reused engine finished at %v, fresh at %v", t2, t1)
 	}
-	if len(o1) != len(o2) {
-		t.Fatalf("event orders differ: %v vs %v", o1, o2)
-	}
-	for i := range o1 {
-		if o1[i] != o2[i] {
-			t.Errorf("event order differs at %d: %v vs %v", i, o1, o2)
-		}
+	if !slices.Equal(o1, o2) || !slices.Equal(o1, []int32{1, 2, 3}) {
+		t.Errorf("event orders %v (fresh) and %v (reused), want [1 2 3]", o1, o2)
 	}
 }
 
 func TestResetDropsQueuedEvents(t *testing.T) {
-	e := New()
-	fired := false
-	e.At(5, func() { fired = true })
+	e, ran := record()
+	e.AtEvent(5, 0, 5, 0)
 	e.Reset()
 	e.Run(0)
-	if fired {
+	if len(*ran) != 0 {
 		t.Error("event queued before Reset fired after it")
 	}
 	// The backing array is retained: scheduling after Reset must not
 	// resurrect the dropped event.
-	count := 0
-	e.At(1, func() { count++ })
+	e.AtEvent(1, 0, 1, 0)
 	e.Run(0)
-	if count != 1 {
-		t.Errorf("ran %d events, want 1", count)
+	if !slices.Equal(*ran, []int32{1}) {
+		t.Errorf("ran %v, want [1]", *ran)
 	}
 }
 
 func TestResetSeqRestartsTieBreaking(t *testing.T) {
-	e := New()
-	e.At(1, func() {})
+	e, order := record()
+	e.AtEvent(1, 0, 9, 0)
 	e.Run(0)
 	e.Reset()
+	*order = (*order)[:0]
 	// Two ties at the same time must fire in scheduling order even
-	// after a reset rewound the sequence counter.
-	var order []int
-	e.At(2, func() { order = append(order, 0) })
-	e.At(2, func() { order = append(order, 1) })
+	// after a reset rewound the queue.
+	e.AtEvent(2, 0, 0, 0)
+	e.AtEvent(2, 0, 1, 0)
 	e.Run(0)
-	if len(order) != 2 || order[0] != 0 || order[1] != 1 {
-		t.Errorf("tie order after reset = %v, want [0 1]", order)
+	if !slices.Equal(*order, []int32{0, 1}) {
+		t.Errorf("tie order after reset = %v, want [0 1]", *order)
 	}
 }

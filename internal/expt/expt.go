@@ -54,7 +54,6 @@ import (
 	"unsched/internal/costmodel"
 	"unsched/internal/hypercube"
 	"unsched/internal/ipsc"
-	"unsched/internal/plot"
 	"unsched/internal/sched"
 	"unsched/internal/topo"
 )
@@ -236,12 +235,6 @@ func DensitiesFor(densities []int, nodes int) []int {
 	return out
 }
 
-// Table1 measures the full Table 1 grid through the parallel Runner at
-// default parallelism.
-func Table1(cfg Config) ([]Table1Row, error) {
-	return NewRunner(cfg).Table1(context.Background())
-}
-
 // WriteTable1 renders rows in the layout of the paper's Table 1.
 func WriteTable1(w io.Writer, rows []Table1Row) error {
 	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
@@ -300,22 +293,6 @@ func FigureSizes() []int64 {
 	return sizes
 }
 
-// CommVsSize measures communication cost as a function of message size
-// at fixed density — one of Figures 6-9. Returns one series per
-// algorithm with X = message bytes, Y = comm ms. It runs through the
-// parallel Runner at default parallelism.
-func CommVsSize(cfg Config, d int, sizes []int64) ([]plot.Series, error) {
-	return NewRunner(cfg).CommVsSize(context.Background(), d, sizes)
-}
-
-// OverheadVsSize measures the scheduling-overhead fraction comp/comm
-// as a function of message size, one series per density — Figure 10
-// (RS_N) and Figure 11 (RS_NL). It runs through the parallel Runner at
-// default parallelism.
-func OverheadVsSize(cfg Config, alg Algorithm, densities []int, sizes []int64) ([]plot.Series, error) {
-	return NewRunner(cfg).OverheadVsSize(context.Background(), alg, densities, sizes)
-}
-
 // Region is one cell of the Figure 5 map: the algorithm with the
 // lowest mean communication cost at (d, M), ignoring scheduling cost
 // exactly as the paper's Figure 5 does.
@@ -324,12 +301,6 @@ type Region struct {
 	MsgBytes int64
 	Winner   Algorithm
 	Margin   float64 // winner's advantage over the runner-up, fraction
-}
-
-// RegionMap computes the winner grid of Figure 5 through the parallel
-// Runner at default parallelism.
-func RegionMap(cfg Config, densities []int, sizes []int64) ([]Region, error) {
-	return NewRunner(cfg).RegionMap(context.Background(), densities, sizes)
 }
 
 // WriteRegionMap renders the Figure 5 grid: rows are densities,

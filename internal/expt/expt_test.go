@@ -2,6 +2,7 @@ package expt
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -159,7 +160,7 @@ func TestWriteTable1Format(t *testing.T) {
 
 func TestCommVsSizeSeries(t *testing.T) {
 	cfg := quickConfig()
-	series, err := CommVsSize(cfg, 4, []int64{256, 4096})
+	series, err := NewRunner(cfg).CommVsSize(context.Background(), 4, []int64{256, 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestCommVsSizeSeries(t *testing.T) {
 
 func TestOverheadVsSizeDeclines(t *testing.T) {
 	cfg := quickConfig()
-	series, err := OverheadVsSize(cfg, RSN, []int{8}, []int64{64, 128, 8192})
+	series, err := NewRunner(cfg).OverheadVsSize(context.Background(), RSN, []int{8}, []int64{64, 128, 8192})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,14 +199,14 @@ func TestOverheadVsSizeDeclines(t *testing.T) {
 
 func TestOverheadVsSizeRejectsWrongAlg(t *testing.T) {
 	cfg := quickConfig()
-	if _, err := OverheadVsSize(cfg, AC, []int{4}, []int64{64}); err == nil {
+	if _, err := NewRunner(cfg).OverheadVsSize(context.Background(), AC, []int{4}, []int64{64}); err == nil {
 		t.Error("AC overhead figure should be rejected")
 	}
 }
 
 func TestRegionMapShape(t *testing.T) {
 	cfg := quickConfig()
-	regions, err := RegionMap(cfg, []int{4, 48}, []int64{64, 128 * 1024})
+	regions, err := NewRunner(cfg).RegionMap(context.Background(), []int{4, 48}, []int64{64, 128 * 1024})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,9 +36,6 @@ func UniformPoint(d int, msgBytes int64) Point {
 	return Point{Workload: workload.UniformSpec(d, msgBytes)}
 }
 
-// WorkloadPoint wraps a workload spec as a grid cell.
-func WorkloadPoint(sp workload.Spec) Point { return Point{Workload: sp} }
-
 // WorkloadPoints wraps a spec list as a campaign grid.
 func WorkloadPoints(specs []workload.Spec) []Point {
 	points := make([]Point, len(specs))

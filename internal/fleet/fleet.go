@@ -48,6 +48,15 @@ import (
 	"time"
 )
 
+const (
+	// cachePath is the internal cache endpoint's path prefix on every
+	// member; the record for key lives at base + cachePath + key.
+	cachePath = "/v1/cache/"
+	// maxRecordBytes caps a fetched record body, the service's own
+	// record cap; larger responses are treated as corrupt.
+	maxRecordBytes = 64 << 20
+)
+
 // Options configures a Fleet.
 type Options struct {
 	// Self is this daemon's own base URL, exactly as the rest of the
@@ -71,13 +80,6 @@ type Options struct {
 	PushQueue int
 	// PushTimeout bounds one push request. <= 0 means 1s.
 	PushTimeout time.Duration
-	// CachePath is the internal cache endpoint's path prefix on every
-	// member; the record for key lives at base + CachePath + key.
-	// Empty means "/v1/cache/".
-	CachePath string
-	// MaxRecordBytes caps a fetched record body; larger responses are
-	// treated as corrupt. <= 0 means 64 MB.
-	MaxRecordBytes int64
 	// Decode validates a fetched record body and extracts the cached
 	// value. It must reject corrupt or mis-keyed records with an
 	// error — the service wires the checksummed USCR codec here.
@@ -183,12 +185,6 @@ func New(opts Options) (*Fleet, error) {
 	}
 	if opts.PushTimeout <= 0 {
 		opts.PushTimeout = time.Second
-	}
-	if opts.CachePath == "" {
-		opts.CachePath = "/v1/cache/"
-	}
-	if opts.MaxRecordBytes <= 0 {
-		opts.MaxRecordBytes = 64 << 20
 	}
 	f := &Fleet{
 		self:    self,
@@ -394,7 +390,7 @@ func (f *Fleet) Fetch(ctx context.Context, key string) (value []byte, ok bool) {
 // probe performs one GET against one member's cache endpoint and
 // validates the record through the Decode hook.
 func (f *Fleet) probe(ctx context.Context, base, key string) probeResult {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+f.opts.CachePath+key, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+cachePath+key, nil)
 	if err != nil {
 		return probeResult{err: err}
 	}
@@ -410,12 +406,12 @@ func (f *Fleet) probe(ctx context.Context, base, key string) probeResult {
 	}()
 	switch resp.StatusCode {
 	case http.StatusOK:
-		body, err := io.ReadAll(io.LimitReader(resp.Body, f.opts.MaxRecordBytes+1))
+		body, err := io.ReadAll(io.LimitReader(resp.Body, maxRecordBytes+1))
 		if err != nil {
 			return probeResult{err: err}
 		}
-		if int64(len(body)) > f.opts.MaxRecordBytes {
-			return probeResult{err: fmt.Errorf("fleet: record for %s exceeds %d bytes", key, f.opts.MaxRecordBytes)}
+		if int64(len(body)) > maxRecordBytes {
+			return probeResult{err: fmt.Errorf("fleet: record for %s exceeds %d bytes", key, maxRecordBytes)}
 		}
 		value, err := f.opts.Decode(key, body)
 		if err != nil {
@@ -531,7 +527,7 @@ func (f *Fleet) sendPush(item pushItem) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), f.opts.PushTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, owner+f.opts.CachePath+item.key, strings.NewReader(string(body)))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPut, owner+cachePath+item.key, strings.NewReader(string(body)))
 	if err != nil {
 		f.pushErrors.Add(1)
 		return
@@ -606,7 +602,7 @@ func (f *Fleet) Reachability(ctx context.Context) []PeerStatus {
 			defer wg.Done()
 			pctx, cancel := context.WithTimeout(ctx, 250*time.Millisecond)
 			defer cancel()
-			req, err := http.NewRequestWithContext(pctx, http.MethodGet, base+f.opts.CachePath+"00", nil)
+			req, err := http.NewRequestWithContext(pctx, http.MethodGet, base+cachePath+"00", nil)
 			if err != nil {
 				return
 			}

@@ -1,8 +1,10 @@
 package ipsc
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -127,4 +129,20 @@ func TestMachinesShareRouteTableConcurrently(t *testing.T) {
 			t.Errorf("worker %d over shared table: %+v, sequential %+v", w, results[w], ref)
 		}
 	}
+}
+
+// pendingSummary renders the queued attempts sorted, for tests that
+// inspect blocked state.
+func (m *Machine) pendingSummary() []string {
+	out := make([]string, 0, len(m.pending))
+	for _, ai := range m.pending {
+		a := m.attempts[ai]
+		kind := "send"
+		if a.exchange {
+			kind = "xchg"
+		}
+		out = append(out, fmt.Sprintf("%s %d->%d", kind, a.src, a.dst))
+	}
+	sort.Strings(out)
+	return out
 }

@@ -53,7 +53,6 @@ package ipsc
 
 import (
 	"fmt"
-	"sort"
 
 	"unsched/internal/costmodel"
 	"unsched/internal/des"
@@ -705,20 +704,4 @@ func maxf(a, b float64) float64 {
 		return a
 	}
 	return b
-}
-
-// pendingSummary renders the queued attempts sorted, for tests that
-// inspect blocked state.
-func (m *Machine) pendingSummary() []string {
-	out := make([]string, 0, len(m.pending))
-	for _, ai := range m.pending {
-		a := m.attempts[ai]
-		kind := "send"
-		if a.exchange {
-			kind = "xchg"
-		}
-		out = append(out, fmt.Sprintf("%s %d->%d", kind, a.src, a.dst))
-	}
-	sort.Strings(out)
-	return out
 }

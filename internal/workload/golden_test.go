@@ -12,8 +12,8 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files from current output")
 
-// fields prints a Spec's struct fields rather than its String form.
-type fields Spec
+// rawSpec prints a Spec's struct fields rather than its String form.
+type rawSpec Spec
 
 // goldenStrings are the spec strings testdata/specs.golden pins: every
 // kind, the dregular alias, and malformed or out-of-range strings the
@@ -153,7 +153,7 @@ func renderGolden(t *testing.T) string {
 			fmt.Fprintf(&b, "  reject\n")
 			return
 		}
-		fmt.Fprintf(&b, "  accept %+v\n", fields(sp))
+		fmt.Fprintf(&b, "  accept %+v\n", rawSpec(sp))
 		fmt.Fprintf(&b, "  string %s key %v maxmsg %d cv %g det %t\n",
 			sp.String(), sp.Key(), sp.MaxMessageBytes(), sp.SizeCVHint(), sp.Deterministic())
 		for _, n := range goldenNodes {
@@ -178,7 +178,7 @@ func renderGolden(t *testing.T) string {
 		block(fmt.Sprintf("parse %q", s), sp, err)
 	}
 	for _, sp := range goldenSpecs {
-		label := fmt.Sprintf("spec %+v", fields(sp))
+		label := fmt.Sprintf("spec %+v", rawSpec(sp))
 		if err := sp.Validate(); err != nil {
 			fmt.Fprintf(&b, "%s\n  reject string %s\n", label, sp.String())
 			continue

@@ -127,10 +127,10 @@ func TestSpecRoundTripRandomized(t *testing.T) {
 			t.Fatalf("%s: %v", sp, err)
 		}
 		if back.String() != sp.String() || fmt.Sprint(back.Key()) != fmt.Sprint(sp.Key()) {
-			t.Errorf("round trip %+v -> %q -> %+v", fields(sp), sp.String(), fields(back))
+			t.Errorf("round trip %+v -> %q -> %+v", rawSpec(sp), sp.String(), rawSpec(back))
 		}
 		if again, _ := ParseSpec(back.String()); again != back {
-			t.Errorf("%q: reparse %+v != %+v", back, fields(again), fields(back))
+			t.Errorf("%q: reparse %+v != %+v", back, rawSpec(again), rawSpec(back))
 		}
 	}
 }
