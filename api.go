@@ -282,24 +282,28 @@ func DefaultIPSC2() Params { return costmodel.DefaultIPSC2() }
 // schedules; LP schedules get the exchange-every-phase semantics via
 // SimulateLP.
 func SimulateS1(net Topology, params Params, s *Schedule) (Result, error) {
-	return ipsc.RunS1(net, params, s)
+	return simulate(net, params, "S1", s)
 }
 
 // SimulateS2 runs a schedule under the S2 protocol (post-all,
 // send-all in schedule order, confirm). Use for RSN schedules.
 func SimulateS2(net Topology, params Params, s *Schedule) (Result, error) {
-	return ipsc.RunS2(net, params, s)
+	return simulate(net, params, "S2", s)
 }
 
 // SimulateLP runs an LP schedule with a pairwise-synchronized exchange
 // in every phase, the way complete-exchange codes drive the machine.
 func SimulateLP(net Topology, params Params, s *Schedule) (Result, error) {
-	return ipsc.RunLP(net, params, s)
+	return simulate(net, params, "LP", s)
 }
 
 // SimulateAC runs the asynchronous algorithm on the machine simulator.
 func SimulateAC(net Topology, params Params, o *ACOrder, m *Matrix) (Result, error) {
-	return ipsc.RunAC(net, params, o, m)
+	mach, err := ipsc.NewMachine(net, params)
+	if err != nil {
+		return Result{}, err
+	}
+	return mach.RunAC(o, m)
 }
 
 // Simulate runs a schedule under the execution protocol the algorithm
@@ -312,11 +316,16 @@ func Simulate(net Topology, params Params, s *Schedule) (Result, error) {
 	if !ok || alg.Build == nil {
 		return Result{}, fmt.Errorf("unsched: Simulate takes a phased schedule of a table algorithm, got %q (run AC with SimulateAC)", s.Algorithm)
 	}
+	return simulate(net, params, alg.Protocol, s)
+}
+
+// simulate runs s under the named phased protocol on a new machine.
+func simulate(net Topology, params Params, protocol string, s *Schedule) (Result, error) {
 	mach, err := ipsc.NewMachine(net, params)
 	if err != nil {
 		return Result{}, err
 	}
-	return mach.Run(alg.Protocol, s)
+	return mach.Run(protocol, s)
 }
 
 // ScheduleFor runs the algorithm the paper recommends for the (d, M)
@@ -368,9 +377,9 @@ func NewExperimentRunner(cfg ExperimentConfig, parallelism int) *ExperimentRunne
 func NewServer(opts ServerOptions) (*Server, error) { return service.NewServer(opts) }
 
 // NewSimMachine returns a reusable simulator for the topology and
-// timing model. One machine drives many runs through its RunS1/RunS2/
-// RunLP/RunAC methods without reallocating per-node state — create one
-// per goroutine, as a Machine must not be shared concurrently.
+// timing model. One machine drives many runs through its Run and RunAC
+// methods without reallocating per-node state — create one per
+// goroutine, as a Machine must not be shared concurrently.
 func NewSimMachine(net Topology, params Params) (*SimMachine, error) {
 	return ipsc.NewMachine(net, params)
 }

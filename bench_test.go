@@ -153,6 +153,17 @@ func BenchmarkFig11_RSNLOverhead(b *testing.B) { benchOverhead(b, expt.RSNL) }
 
 // --- Ablations -------------------------------------------------------
 
+// newMachine returns a new simulator for net. The ablation and fresh-
+// machine benchmarks build one per run, so each op also prices the
+// machine's construction.
+func newMachine(b *testing.B, net topo.Topology, params costmodel.Params) *ipsc.Machine {
+	mach, err := ipsc.NewMachine(net, params)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return mach
+}
+
 // Randomized row shuffle vs ascending order in CCOM compression: the
 // paper warns the unshuffled form causes early-phase node contention.
 func BenchmarkAblationShuffle(b *testing.B) {
@@ -200,7 +211,7 @@ func BenchmarkAblationPairwise(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r1, err := ipsc.RunS1(cube, params, s1)
+		r1, err := newMachine(b, cube, params).RunS1(s1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -208,7 +219,7 @@ func BenchmarkAblationPairwise(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r2, err := ipsc.RunS1(cube, params, s2)
+		r2, err := newMachine(b, cube, params).RunS1(s2)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -243,11 +254,11 @@ func BenchmarkAblationProtocol(b *testing.B) {
 	var s1ms, s2ms float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r1, err := ipsc.RunS1(cube, params, s)
+		r1, err := newMachine(b, cube, params).RunS1(s)
 		if err != nil {
 			b.Fatal(err)
 		}
-		r2, err := ipsc.RunS2(cube, params, s)
+		r2, err := newMachine(b, cube, params).RunS2(s)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -302,11 +313,11 @@ func BenchmarkAblationAsyncAC(b *testing.B) {
 	var blocking, async float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r1, err := ipsc.RunAC(cube, params, order, m)
+		r1, err := newMachine(b, cube, params).RunAC(order, m)
 		if err != nil {
 			b.Fatal(err)
 		}
-		r2, err := ipsc.RunACAsync(cube, params, order, m)
+		r2, err := newMachine(b, cube, params).RunACAsync(order, m)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -334,11 +345,11 @@ func BenchmarkAblationSynchrony(b *testing.B) {
 	var loose, strict float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r1, err := ipsc.RunS1(cube, params, s)
+		r1, err := newMachine(b, cube, params).RunS1(s)
 		if err != nil {
 			b.Fatal(err)
 		}
-		r2, err := ipsc.RunS1Barrier(cube, params, s)
+		r2, err := newMachine(b, cube, params).RunS1Barrier(s)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -371,7 +382,7 @@ func BenchmarkAblationTopology(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			r, err := ipsc.RunS1(net, params, s)
+			r, err := newMachine(b, net, params).RunS1(s)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -400,7 +411,7 @@ func BenchmarkExtensionNonUniform(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r1, err := ipsc.RunS1(cube, params, s1)
+		r1, err := newMachine(b, cube, params).RunS1(s1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -408,7 +419,7 @@ func BenchmarkExtensionNonUniform(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r2, err := ipsc.RunS1(cube, params, s2)
+		r2, err := newMachine(b, cube, params).RunS1(s2)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -416,7 +427,7 @@ func BenchmarkExtensionNonUniform(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r3, err := ipsc.RunS1(cube, params, s3)
+		r3, err := newMachine(b, cube, params).RunS1(s3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -567,7 +578,7 @@ func BenchmarkSimulatorRSNL(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ipsc.RunS1(cube, params, s); err != nil {
+		if _, err := newMachine(b, cube, params).RunS1(s); err != nil {
 			b.Fatal(err)
 		}
 	}

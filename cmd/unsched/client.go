@@ -21,22 +21,22 @@ import (
 
 	"unsched"
 	"unsched/internal/comm"
+	"unsched/internal/topo"
 )
 
 // remoteWorkload maps the CLI's named patterns onto the canonical
-// workload spec grammar the daemon speaks. Specs (anything with a
+// workload spec grammar the daemon speaks: each spec builds the
+// generator buildMatrix runs for the name. Specs (anything with a
 // colon) pass through untouched.
 func remoteWorkload(pattern string, d int, bytes int64) (string, error) {
 	if strings.Contains(pattern, ":") {
 		return pattern, nil
 	}
 	switch pattern {
-	case "dregular", "random":
-		name := pattern
-		if name == "random" {
-			name = "uniform"
-		}
-		return fmt.Sprintf("%s:%d:%d", name, d, bytes), nil
+	case "dregular":
+		return fmt.Sprintf("dregular:%d:%d", d, bytes), nil
+	case "random":
+		return fmt.Sprintf("scatter:%d:%d", d, bytes), nil
 	case "bitcomp", "alltoall":
 		return fmt.Sprintf("%s:%d", pattern, bytes), nil
 	default:
@@ -44,38 +44,13 @@ func remoteWorkload(pattern string, d int, bytes int64) (string, error) {
 	}
 }
 
-// remoteTopology renders the -topo/-n flags as a topology spec string.
-func remoteTopology(name string, n int) (string, error) {
-	switch name {
-	case "cube":
-		dim := 0
-		for 1<<dim < n {
-			dim++
-		}
-		if 1<<dim != n {
-			return "", fmt.Errorf("cube needs a power-of-two node count, got %d", n)
-		}
-		return fmt.Sprintf("cube:%d", dim), nil
-	case "mesh", "torus":
-		side := 1
-		for side*side < n {
-			side++
-		}
-		if side*side != n {
-			return "", fmt.Errorf("mesh/torus need a square node count, got %d", n)
-		}
-		return fmt.Sprintf("%s:%dx%d", name, side, side), nil
-	default:
-		return "", fmt.Errorf("unknown topology %q", name)
-	}
-}
-
 // remoteRequest assembles the ScheduleRequest shared by every
-// algorithm this invocation runs. m is non-nil when -load supplied an
-// explicit matrix; otherwise the generated pattern travels by spec.
-func remoteRequest(m *comm.Matrix, pattern string, n, d int, bytes int64,
-	topoName string, seed int64) (unsched.ScheduleRequest, error) {
-	req := unsched.ScheduleRequest{Seed: seed}
+// algorithm this invocation runs on net. m is non-nil when -load
+// supplied an explicit matrix; otherwise the generated pattern travels
+// by spec.
+func remoteRequest(m *comm.Matrix, pattern string, d int, bytes int64,
+	net topo.Spec, seed int64) (unsched.ScheduleRequest, error) {
+	req := unsched.ScheduleRequest{Seed: seed, Topology: &unsched.WireTopology{Spec: net.String()}}
 	if m != nil {
 		msgs := m.Messages()
 		wm := &unsched.WireMatrix{N: m.N(), Messages: make([][3]int64, len(msgs))}
@@ -83,24 +58,11 @@ func remoteRequest(m *comm.Matrix, pattern string, n, d int, bytes int64,
 			wm.Messages[i] = [3]int64{int64(msg.Src), int64(msg.Dst), msg.Bytes}
 		}
 		req.Matrix = wm
-		spec, err := remoteTopology(topoName, m.N())
-		if err != nil {
-			return req, err
-		}
-		req.Topology = &unsched.WireTopology{Spec: spec}
 		return req, nil
 	}
 	wl, err := remoteWorkload(pattern, d, bytes)
-	if err != nil {
-		return req, err
-	}
-	spec, err := remoteTopology(topoName, n)
-	if err != nil {
-		return req, err
-	}
 	req.Workload = wl
-	req.Topology = &unsched.WireTopology{Spec: spec}
-	return req, nil
+	return req, err
 }
 
 // runRemote drives the daemon at base once per algorithm (or once for

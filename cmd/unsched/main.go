@@ -25,6 +25,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"os"
 	"strings"
@@ -32,9 +33,7 @@ import (
 
 	"unsched/internal/comm"
 	"unsched/internal/costmodel"
-	"unsched/internal/hypercube"
 	"unsched/internal/ipsc"
-	"unsched/internal/mesh"
 	"unsched/internal/quality"
 	"unsched/internal/sched"
 	"unsched/internal/topo"
@@ -81,7 +80,11 @@ func main() {
 		if *alg != "" {
 			algs = []string{*alg}
 		}
-		req, err := remoteRequest(m, *pattern, *n, *d, *bytes, *topoName, *seed)
+		sp, err := topologySpec(*topoName, nodes)
+		if err != nil {
+			fatal(err)
+		}
+		req, err := remoteRequest(m, *pattern, *d, *bytes, sp, *seed)
 		if err != nil {
 			fatal(err)
 		}
@@ -95,7 +98,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	net, err := buildTopology(*topoName, m.N())
+	sp, err := topologySpec(*topoName, m.N())
+	if err != nil {
+		fatal(err)
+	}
+	net, err := sp.Build()
 	if err != nil {
 		fatal(err)
 	}
@@ -176,21 +183,29 @@ func buildMatrix(load, pattern string, n, d int, bytes, seed int64) (*comm.Matri
 	}
 }
 
-func buildTopology(name string, n int) (topo.Topology, error) {
+// topologySpec resolves the -topo flag for an n-node machine: the
+// local run builds the spec, the remote run sends its string form.
+func topologySpec(name string, n int) (topo.Spec, error) {
 	switch name {
 	case "cube":
-		return hypercube.ForNodes(n)
+		if n <= 0 || n&(n-1) != 0 {
+			return topo.Spec{}, fmt.Errorf("cube needs a power-of-two node count, got %d", n)
+		}
+		return topo.CubeSpec(bits.TrailingZeros(uint(n))), nil
 	case "mesh", "torus":
 		side := 1
 		for side*side < n {
 			side++
 		}
 		if side*side != n {
-			return nil, fmt.Errorf("mesh/torus need a square node count, got %d", n)
+			return topo.Spec{}, fmt.Errorf("mesh/torus need a square node count, got %d", n)
 		}
-		return mesh.New(side, side, name == "torus")
+		if name == "torus" {
+			return topo.TorusSpec(side, side), nil
+		}
+		return topo.MeshSpec(side, side), nil
 	default:
-		return nil, fmt.Errorf("unknown topology %q", name)
+		return topo.Spec{}, fmt.Errorf("unknown topology %q", name)
 	}
 }
 
@@ -273,11 +288,4 @@ func runOne(tw *tabwriter.Writer, name string, m *comm.Matrix, net topo.Topology
 		fmt.Fprintf(os.Stderr, "schedule written to %s (reload with sched.ReadSchedule)\n", savePath)
 	}
 	return nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

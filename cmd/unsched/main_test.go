@@ -2,12 +2,14 @@ package main
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 	"text/tabwriter"
 
 	"unsched/internal/costmodel"
 	"unsched/internal/sched"
+	"unsched/internal/workload"
 )
 
 // TestRunOneEveryFittingAlgorithm: the comparison table covers every
@@ -28,7 +30,11 @@ func TestRunOneEveryFittingAlgorithm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		net, err := buildTopology(tc.topo, tc.n)
+		sp, err := topologySpec(tc.topo, tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, err := sp.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,6 +60,34 @@ func TestRunOneEveryFittingAlgorithm(t *testing.T) {
 			if !strings.HasPrefix(rows[i], tag+" ") {
 				t.Errorf("%s: row %d is %q, want %s", net.Name(), i, rows[i], tag)
 			}
+		}
+	}
+}
+
+// TestRemoteWorkloadMatchesLocal: every named pattern with a remote
+// form travels as a workload spec that, built with the local seed, is
+// the matrix the local run schedules.
+func TestRemoteWorkloadMatchesLocal(t *testing.T) {
+	const n, d, size, seed = 64, 8, 4096, 7
+	for _, pattern := range []string{"dregular", "random", "bitcomp", "alltoall"} {
+		local, err := buildMatrix("", pattern, n, d, size, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := remoteWorkload(pattern, d, size)
+		if err != nil {
+			t.Fatalf("%s: %v", pattern, err)
+		}
+		sp, err := workload.ParseSpec(spec)
+		if err != nil {
+			t.Fatalf("%s: remote spec %q: %v", pattern, spec, err)
+		}
+		remote, err := sp.Build(n, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatalf("%s: remote spec %q: %v", pattern, spec, err)
+		}
+		if !remote.Equal(local) {
+			t.Errorf("%s: remote spec %q builds another matrix than the local run", pattern, spec)
 		}
 	}
 }

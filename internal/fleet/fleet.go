@@ -242,9 +242,6 @@ func (f *Fleet) Self() string { return f.self }
 // Members returns the normalized member set, self included, sorted.
 func (f *Fleet) Members() []string { return append([]string(nil), f.members...) }
 
-// Remotes returns the members other than self, sorted.
-func (f *Fleet) Remotes() []string { return append([]string(nil), f.remotes...) }
-
 // --- rendezvous hashing ---------------------------------------------
 
 // score is the rendezvous weight of (member, key): FNV-1a over the

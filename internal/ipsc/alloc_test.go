@@ -8,6 +8,7 @@ package ipsc
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"unsched/internal/comm"
@@ -50,5 +51,29 @@ func TestReusedRunAllocs(t *testing.T) {
 	run() // warm the arenas
 	if got := testing.AllocsPerRun(20, run); got > allocBudgetReusedRun {
 		t.Errorf("reused RunS1: %.1f allocs/run, budget %d", got, allocBudgetReusedRun)
+	}
+}
+
+// machineBudget1024 bounds the bytes NewMachine allocates for a
+// 1024-node cube. The machine's O(n^2) state is one ready flag and one
+// arrival count (int32) per node pair, 5 MiB at this size; the rest —
+// node records, occupancy bitset, lazy route table — adds ~0.15 MiB.
+// A second n^2 vector of int32 counters would cost 4 MiB more.
+const machineBudget1024 = 6 << 20
+
+func TestMachineFootprint(t *testing.T) {
+	cube := hypercube.MustNew(10)
+	params := costmodel.DefaultIPSC860()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	mach, err := NewMachine(cube, params)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(mach)
+	if got := after.TotalAlloc - before.TotalAlloc; got > machineBudget1024 {
+		t.Errorf("NewMachine on a 1024-node cube allocated %.2f MiB, budget %d MiB",
+			float64(got)/(1<<20), machineBudget1024>>20)
 	}
 }

@@ -90,7 +90,7 @@ func TestMachinesShareRouteTableConcurrently(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ref, err := RunS1(cube, params, s)
+	ref, err := machineOn(t, cube, params).RunS1(s)
 	if err != nil {
 		t.Fatal(err)
 	}

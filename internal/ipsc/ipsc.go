@@ -74,11 +74,12 @@ const (
 	evExchDone
 )
 
-// Machine is a simulator instance. Create one with NewMachine and
-// drive it through its RunS1/RunS2/RunLP/RunAC methods, which Reset
-// and reuse its state so one Machine serves an arbitrarily long run
-// sequence without reallocating. A Machine is not safe for concurrent
-// use; create one per goroutine.
+// Machine is a simulator instance and the simulator's only way in.
+// Create one with NewMachine and drive it through its Run and RunAC
+// methods (and the ablation variants RunS1Barrier and RunACAsync),
+// which Reset and reuse its state so one Machine serves an arbitrarily
+// long run sequence without reallocating. A Machine is not safe for
+// concurrent use; create one per goroutine.
 //
 // Passing a *topo.RouteTable as the topology (a RouteTable is itself a
 // Topology) makes the machine walk that table — word-at-a-time masks
@@ -116,12 +117,9 @@ type Machine struct {
 	progs       [][]op
 	recvScratch []int
 	// stats
-	transfers     int
-	exchanges     int
-	waitedUS      float64 // total time attempts spent blocked on resources
-	maxEvents     int64
-	totalExpected int
-	arrivedTotal  int
+	transfers int
+	exchanges int
+	waitedUS  float64 // total time attempts spent blocked on resources
 }
 
 // busy byte bits: an active outgoing circuit and an active incoming
@@ -143,11 +141,10 @@ type node struct {
 	// arrived (S1). Each (sender, receiver) message is scheduled at
 	// most once, so a bool per peer suffices.
 	readyFrom []bool
-	// arrived[s] / consumed[s] count fully delivered messages from
-	// source s; opWaitRecv consumes them. int32 halves the O(n^2)
-	// footprint, which is what keeps a 4096-node machine buildable.
+	// arrived[s] counts the messages from source s that are fully
+	// delivered and not yet consumed; opWaitRecv consumes one. It and
+	// readyFrom are the machine's O(n^2) state, 5 bytes per node pair.
 	arrived  []int32
-	consumed []int32
 	received int // total messages absorbed (for opWaitAll)
 	expected int
 	done     bool
@@ -199,11 +196,10 @@ func NewMachine(net topo.Topology, params costmodel.Params) (*Machine, error) {
 	}
 	n := rt.Nodes()
 	m := &Machine{
-		routes:    rt,
-		chans:     topo.NewOccupancy(rt),
-		params:    params,
-		eng:       des.New(),
-		maxEvents: int64(n) * 1_000_000,
+		routes: rt,
+		chans:  topo.NewOccupancy(rt),
+		params: params,
+		eng:    des.New(),
 	}
 	m.eng.SetHandler(m.handle)
 	// Per-node state is carved out of four contiguous allocations so a
@@ -214,24 +210,13 @@ func NewMachine(net topo.Topology, params costmodel.Params) (*Machine, error) {
 	m.busy = make([]uint8, n)
 	ready := make([]bool, n*n)
 	arrived := make([]int32, n*n)
-	consumed := make([]int32, n*n)
 	for i := range m.nodes {
 		nd := &m.nodes[i]
 		nd.id = i
 		nd.readyFrom = ready[i*n : (i+1)*n : (i+1)*n]
 		nd.arrived = arrived[i*n : (i+1)*n : (i+1)*n]
-		nd.consumed = consumed[i*n : (i+1)*n : (i+1)*n]
 	}
 	return m, nil
-}
-
-// SetMaxEvents overrides the simulated-event bound (default
-// nodes * 1e6). Exceeding the bound makes the run fail with an error
-// wrapping *des.LimitError. Values <= 0 are ignored.
-func (m *Machine) SetMaxEvents(v int64) {
-	if v > 0 {
-		m.maxEvents = v
-	}
 }
 
 // Reset returns the machine to its initial state while keeping every
@@ -253,8 +238,6 @@ func (m *Machine) Reset() {
 	m.transfers = 0
 	m.exchanges = 0
 	m.waitedUS = 0
-	m.totalExpected = 0
-	m.arrivedTotal = 0
 	for i := range m.nodes {
 		nd := &m.nodes[i]
 		nd.program = nil
@@ -262,7 +245,6 @@ func (m *Machine) Reset() {
 		nd.blocked = false
 		clear(nd.readyFrom)
 		clear(nd.arrived)
-		clear(nd.consumed)
 		nd.received = 0
 		nd.expected = 0
 		nd.done = false
@@ -296,12 +278,11 @@ func (m *Machine) run(programs [][]op) (Result, error) {
 	}
 	for i := range m.nodes {
 		m.nodes[i].program = programs[i]
-		m.totalExpected += m.nodes[i].expected
-	}
-	for i := range m.nodes {
 		m.eng.AtEvent(0, evAdvance, int32(i), 0)
 	}
-	if _, err := m.eng.Run(m.maxEvents); err != nil {
+	// Bound runaway cascades at a million events per node; tripping it
+	// fails the run with an error wrapping *des.LimitError.
+	if _, err := m.eng.Run(int64(len(m.nodes)) * 1_000_000); err != nil {
 		return Result{}, fmt.Errorf("ipsc: %w", err)
 	}
 
@@ -457,8 +438,8 @@ func (m *Machine) advance(nd *node) {
 			return
 
 		case opWaitRecv:
-			if nd.arrived[o.peer] > nd.consumed[o.peer] {
-				nd.consumed[o.peer]++
+			if nd.arrived[o.peer] > 0 {
+				nd.arrived[o.peer]--
 				nd.pc++
 				continue
 			}
@@ -615,7 +596,6 @@ func (m *Machine) finishTransfer(ai int32) {
 	}
 	dst.arrived[a.src]++
 	dst.received++
-	m.arrivedTotal++
 	if a.async {
 		src.outstanding--
 		if src.blocked && src.pc < len(src.program) &&
@@ -685,12 +665,10 @@ func (m *Machine) finishExchange(ai int32) {
 	if a.bytes > 0 {
 		hi.arrived[a.src]++
 		hi.received++
-		m.arrivedTotal++
 	}
 	if a.backSize > 0 {
 		lo.arrived[a.dst]++
 		lo.received++
-		m.arrivedTotal++
 	}
 	lo.pc++
 	hi.pc++

@@ -9,13 +9,20 @@ import (
 	"unsched/internal/costmodel"
 	"unsched/internal/hypercube"
 	"unsched/internal/sched"
+	"unsched/internal/topo"
 )
 
 func params() costmodel.Params { return costmodel.DefaultIPSC860() }
 
 func mustMachine(t *testing.T, dim int) *Machine {
 	t.Helper()
-	m, err := NewMachine(hypercube.MustNew(dim), params())
+	return machineOn(t, hypercube.MustNew(dim), params())
+}
+
+// machineOn returns a new machine for net under p.
+func machineOn(t *testing.T, net topo.Topology, p costmodel.Params) *Machine {
+	t.Helper()
+	m, err := NewMachine(net, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,13 +216,12 @@ func rand64(t *testing.T, d int, bytes int64, seed int64) *comm.Matrix {
 }
 
 func TestRunS1LPCompletes(t *testing.T) {
-	cube := hypercube.MustNew(6)
 	m := rand64(t, 8, 1024, 1)
 	s, err := sched.LP(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunS1(cube, params(), s)
+	res, err := mustMachine(t, 6).RunS1(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,13 +236,12 @@ func TestRunS1LPCompletes(t *testing.T) {
 }
 
 func TestRunS2RSNCompletes(t *testing.T) {
-	cube := hypercube.MustNew(6)
 	m := rand64(t, 8, 1024, 2)
 	s, err := sched.RSN(m, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunS2(cube, params(), s)
+	res, err := mustMachine(t, 6).RunS2(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +260,7 @@ func TestRunS1RSNLCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunS1(cube, params(), s)
+	res, err := mustMachine(t, 6).RunS1(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,13 +271,12 @@ func TestRunS1RSNLCompletes(t *testing.T) {
 }
 
 func TestRunACCompletes(t *testing.T) {
-	cube := hypercube.MustNew(6)
 	m := rand64(t, 8, 1024, 6)
 	o, err := sched.AC(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunAC(cube, params(), o, m)
+	res, err := mustMachine(t, 6).RunAC(o, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,11 +292,11 @@ func TestRunsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := RunS1(cube, params(), s)
+	a, err := mustMachine(t, 6).RunS1(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunS1(cube, params(), s)
+	b, err := mustMachine(t, 6).RunS1(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,23 +306,23 @@ func TestRunsDeterministic(t *testing.T) {
 }
 
 func TestSizeMismatchesRejected(t *testing.T) {
-	small := hypercube.MustNew(3)
+	small := mustMachine(t, 3)
 	m := rand64(t, 4, 256, 9)
 	s, err := sched.RSN(m, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunS1(small, params(), s); err == nil {
+	if _, err := small.RunS1(s); err == nil {
 		t.Error("S1 cube mismatch not rejected")
 	}
-	if _, err := RunS2(small, params(), s); err == nil {
+	if _, err := small.RunS2(s); err == nil {
 		t.Error("S2 cube mismatch not rejected")
 	}
 	o, err := sched.AC(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunAC(small, params(), o, m); err == nil {
+	if _, err := small.RunAC(o, m); err == nil {
 		t.Error("AC cube mismatch not rejected")
 	}
 }
@@ -337,6 +341,7 @@ func TestInvalidParamsRejected(t *testing.T) {
 // contention must beat the asynchronous firehose.
 func TestSchedulingBeatsACForLargeMessages(t *testing.T) {
 	cube := hypercube.MustNew(6)
+	mach := machineOn(t, cube, params())
 	var acTotal, rsnlTotal float64
 	for seed := int64(0); seed < 3; seed++ {
 		m := rand64(t, 16, 128*1024, 100+seed)
@@ -344,7 +349,7 @@ func TestSchedulingBeatsACForLargeMessages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		acRes, err := RunAC(cube, params(), o, m)
+		acRes, err := mach.RunAC(o, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,7 +357,7 @@ func TestSchedulingBeatsACForLargeMessages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rsnlRes, err := RunS1(cube, params(), s)
+		rsnlRes, err := mach.RunS1(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -397,11 +402,12 @@ func TestBarrierCostsMoreThanLooseSynchrony(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loose, err := RunS1(cube, params(), s)
+	mach := machineOn(t, cube, params())
+	loose, err := mach.RunS1(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	strict, err := RunS1Barrier(cube, params(), s)
+	strict, err := mach.RunS1Barrier(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,6 +424,7 @@ func TestBarrierCostsMoreThanLooseSynchrony(t *testing.T) {
 // LP's fixed 63 phases must hurt at low density relative to RS_NL.
 func TestRSNLBeatsLPAtLowDensity(t *testing.T) {
 	cube := hypercube.MustNew(6)
+	mach := machineOn(t, cube, params())
 	var lpTotal, rsnlTotal float64
 	for seed := int64(0); seed < 3; seed++ {
 		m := rand64(t, 4, 128*1024, 200+seed)
@@ -425,7 +432,7 @@ func TestRSNLBeatsLPAtLowDensity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lpRes, err := RunS1(cube, params(), lp)
+		lpRes, err := mach.RunS1(lp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -433,7 +440,7 @@ func TestRSNLBeatsLPAtLowDensity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rsnlRes, err := RunS1(cube, params(), s)
+		rsnlRes, err := mach.RunS1(s)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,6 @@ import (
 	"unsched/internal/comm"
 	"unsched/internal/costmodel"
 	"unsched/internal/sched"
-	"unsched/internal/topo"
 )
 
 // opKind enumerates the primitive operations node programs are built
@@ -138,26 +137,6 @@ func appendS1(programs [][]op, s *sched.Schedule, params costmodel.Params, withB
 	return programs
 }
 
-// RunS1Barrier simulates the schedule under S1 with a global barrier
-// after every phase.
-func RunS1Barrier(net topo.Topology, params costmodel.Params, s *sched.Schedule) (Result, error) {
-	m, err := NewMachine(net, params)
-	if err != nil {
-		return Result{}, err
-	}
-	return m.RunS1Barrier(s)
-}
-
-// RunS1Barrier is the Machine-reusing form of the package function: it
-// resets the machine and runs s under S1-with-barriers.
-func (m *Machine) RunS1Barrier(s *sched.Schedule) (Result, error) {
-	if m.routes.Nodes() != s.N {
-		return Result{}, fmt.Errorf("ipsc: topology %d nodes vs schedule %d", m.routes.Nodes(), s.N)
-	}
-	m.Reset()
-	return m.run(appendS1(m.progArena(), s, m.params, true))
-}
-
 // appendS2 compiles a phase schedule into per-node programs under the
 // S2 protocol (paper §6), appending to the given per-node slices and
 // using recvCount (len >= s.N, zeroed here) as the receive-tally
@@ -235,23 +214,120 @@ func appendLP(programs [][]op, s *sched.Schedule, params costmodel.Params) ([][]
 	return programs, nil
 }
 
-// RunLP simulates an LP schedule with exchange-every-phase semantics.
-func RunLP(net topo.Topology, params costmodel.Params, s *sched.Schedule) (Result, error) {
-	m, err := NewMachine(net, params)
-	if err != nil {
-		return Result{}, err
+// appendAC compiles the asynchronous algorithm (paper §3, Figure 1)
+// into node programs, appending to the given per-node slices:
+// pre-post everything, fire the whole send vector in order (csend
+// semantics: each long-protocol send blocks until the transfer
+// completes), then confirm arrivals.
+//
+// async compiles the idealized variant with unbounded asynchronous
+// send depth instead: a send blocked on a busy receiver does not stall
+// the rest of the send vector. Real NX csend cannot do this for
+// long-protocol messages; the variant exists for the ablation
+// benchmark that measures how much of AC's large-message collapse is
+// head-of-line blocking versus raw contention.
+func appendAC(programs [][]op, o *sched.ACOrder, m *comm.Matrix, params costmodel.Params, async bool) [][]op {
+	n := o.N
+	for i := 0; i < n; i++ {
+		programs[i] = append(programs[i], op{kind: opDelay, cost: float64(m.RecvDegree(i)) * params.PostOverheadUS})
+		for _, j := range o.Order[i] {
+			if async {
+				programs[i] = append(programs[i],
+					op{kind: opDelay, cost: params.PostOverheadUS},
+					op{kind: opSendAsync, peer: int32(j), bytes: m.At(i, j)})
+			} else {
+				programs[i] = append(programs[i], op{kind: opSendFire, peer: int32(j), bytes: m.At(i, j)})
+			}
+		}
+		if async {
+			programs[i] = append(programs[i], op{kind: opWaitSent})
+		}
+		programs[i] = append(programs[i], op{kind: opWaitAll})
 	}
-	return m.RunLP(s)
+	return programs
 }
 
-// RunLP is the Machine-reusing form of the package function: it resets
-// the machine and runs the LP schedule with exchange-every-phase
-// semantics.
-func (m *Machine) RunLP(s *sched.Schedule) (Result, error) {
+// compiler compiles a phased schedule into node programs in the
+// machine's compile arena.
+type compiler func(m *Machine, s *sched.Schedule) ([][]op, error)
+
+// phased names the protocols a phased schedule runs under, in the
+// order error messages list them: S1 and S2 (§6) and LP's exchange in
+// every phase (§4.1). Machine.Run dispatches on it and
+// PhasedProtocols reports it.
+var phased = []struct {
+	name    string
+	compile compiler
+}{
+	{"S1", func(m *Machine, s *sched.Schedule) ([][]op, error) {
+		return appendS1(m.progArena(), s, m.params, false), nil
+	}},
+	{"S2", func(m *Machine, s *sched.Schedule) ([][]op, error) {
+		return appendS2(m.progArena(), s, m.params, m.recvArena()), nil
+	}},
+	{"LP", func(m *Machine, s *sched.Schedule) ([][]op, error) {
+		return appendLP(m.progArena(), s, m.params)
+	}},
+}
+
+// PhasedProtocols returns the protocol names Run accepts, in the order
+// error messages list them.
+func PhasedProtocols() []string {
+	names := make([]string, len(phased))
+	for i, p := range phased {
+		names[i] = p.name
+	}
+	return names
+}
+
+// Run resets the machine and simulates the phased schedule s under
+// the named execution protocol, one of PhasedProtocols: the protocols
+// a sched.Algorithm entry pairs with a phased schedule. AC runs take a
+// send order and the matrix instead; use RunAC.
+func (m *Machine) Run(protocol string, s *sched.Schedule) (Result, error) {
+	for _, p := range phased {
+		if p.name == protocol {
+			return m.runPhased(s, p.compile)
+		}
+	}
+	return Result{}, fmt.Errorf("ipsc: no phased protocol %q (want %s)", protocol, sched.WantList(PhasedProtocols()...))
+}
+
+// RunS1 is Run under the S1 protocol.
+func (m *Machine) RunS1(s *sched.Schedule) (Result, error) { return m.Run("S1", s) }
+
+// RunS2 is Run under the S2 protocol.
+func (m *Machine) RunS2(s *sched.Schedule) (Result, error) { return m.Run("S2", s) }
+
+// RunLP is Run under the LP protocol.
+func (m *Machine) RunLP(s *sched.Schedule) (Result, error) { return m.Run("LP", s) }
+
+// RunS1Barrier resets the machine and simulates s under S1 with a
+// global barrier after every phase.
+func (m *Machine) RunS1Barrier(s *sched.Schedule) (Result, error) {
+	return m.runPhased(s, func(m *Machine, s *sched.Schedule) ([][]op, error) {
+		return appendS1(m.progArena(), s, m.params, true), nil
+	})
+}
+
+// RunAC resets the machine and simulates the asynchronous algorithm's
+// send order o on the matrix.
+func (m *Machine) RunAC(o *sched.ACOrder, com *comm.Matrix) (Result, error) {
+	return m.runAC(o, com, false)
+}
+
+// RunACAsync is RunAC with unbounded asynchronous send depth.
+func (m *Machine) RunACAsync(o *sched.ACOrder, com *comm.Matrix) (Result, error) {
+	return m.runAC(o, com, true)
+}
+
+// runPhased is the preamble of every phased run: it checks s against
+// the machine's size, compiles it, resets the machine and runs it.
+func (m *Machine) runPhased(s *sched.Schedule, compile compiler) (Result, error) {
 	if m.routes.Nodes() != s.N {
 		return Result{}, fmt.Errorf("ipsc: topology %d nodes vs schedule %d", m.routes.Nodes(), s.N)
 	}
-	programs, err := appendLP(m.progArena(), s, m.params)
+	programs, err := compile(m, s)
 	if err != nil {
 		return Result{}, err
 	}
@@ -259,137 +335,14 @@ func (m *Machine) RunLP(s *sched.Schedule) (Result, error) {
 	return m.run(programs)
 }
 
-// appendAC compiles the asynchronous algorithm (paper §3, Figure 1)
-// into node programs, appending to the given per-node slices:
-// pre-post everything, fire the whole send vector in order (csend
-// semantics: each long-protocol send blocks until the transfer
-// completes), then confirm arrivals.
-func appendAC(programs [][]op, o *sched.ACOrder, m *comm.Matrix, params costmodel.Params) [][]op {
-	n := o.N
-	for i := 0; i < n; i++ {
-		programs[i] = append(programs[i], op{kind: opDelay, cost: float64(m.RecvDegree(i)) * params.PostOverheadUS})
-		for _, j := range o.Order[i] {
-			programs[i] = append(programs[i], op{kind: opSendFire, peer: int32(j), bytes: m.At(i, j)})
-		}
-		programs[i] = append(programs[i], op{kind: opWaitAll})
-	}
-	return programs
-}
-
-// appendACAsync compiles the idealized variant of AC with unbounded
-// asynchronous send depth, appending to the given per-node slices: a
-// send blocked on a busy receiver does not stall the rest of the send
-// vector. Real NX csend cannot do this for long-protocol messages; the
-// variant exists for the ablation benchmark that measures how much of
-// AC's large-message collapse is head-of-line blocking versus raw
-// contention.
-func appendACAsync(programs [][]op, o *sched.ACOrder, m *comm.Matrix, params costmodel.Params) [][]op {
-	n := o.N
-	for i := 0; i < n; i++ {
-		programs[i] = append(programs[i], op{kind: opDelay, cost: float64(m.RecvDegree(i)) * params.PostOverheadUS})
-		for _, j := range o.Order[i] {
-			programs[i] = append(programs[i],
-				op{kind: opDelay, cost: params.PostOverheadUS},
-				op{kind: opSendAsync, peer: int32(j), bytes: m.At(i, j)})
-		}
-		programs[i] = append(programs[i], op{kind: opWaitSent}, op{kind: opWaitAll})
-	}
-	return programs
-}
-
-// RunACAsync simulates the idealized asynchronous variant.
-func RunACAsync(net topo.Topology, params costmodel.Params, o *sched.ACOrder, com *comm.Matrix) (Result, error) {
-	m, err := NewMachine(net, params)
-	if err != nil {
-		return Result{}, err
-	}
-	return m.RunACAsync(o, com)
-}
-
-// RunACAsync is the Machine-reusing form of the package function.
-func (m *Machine) RunACAsync(o *sched.ACOrder, com *comm.Matrix) (Result, error) {
+// runAC is runPhased for the asynchronous algorithm's send order.
+func (m *Machine) runAC(o *sched.ACOrder, com *comm.Matrix, async bool) (Result, error) {
 	if m.routes.Nodes() != o.N || com.N() != o.N {
 		return Result{}, fmt.Errorf("ipsc: size mismatch topology=%d order=%d matrix=%d",
 			m.routes.Nodes(), o.N, com.N())
 	}
 	m.Reset()
-	return m.run(appendACAsync(m.progArena(), o, com, m.params))
-}
-
-// RunS1 simulates the schedule under the S1 protocol and returns the
-// makespan and contention statistics.
-func RunS1(net topo.Topology, params costmodel.Params, s *sched.Schedule) (Result, error) {
-	m, err := NewMachine(net, params)
-	if err != nil {
-		return Result{}, err
-	}
-	return m.RunS1(s)
-}
-
-// RunS1 is the Machine-reusing form of the package function: it resets
-// the machine and runs s under the S1 protocol. Reusing one Machine
-// across runs keeps the per-node state and the event heap warm; the
-// campaign runner gives each worker its own.
-func (m *Machine) RunS1(s *sched.Schedule) (Result, error) {
-	if m.routes.Nodes() != s.N {
-		return Result{}, fmt.Errorf("ipsc: topology %d nodes vs schedule %d", m.routes.Nodes(), s.N)
-	}
-	m.Reset()
-	return m.run(appendS1(m.progArena(), s, m.params, false))
-}
-
-// RunS2 simulates the schedule under the S2 protocol.
-func RunS2(net topo.Topology, params costmodel.Params, s *sched.Schedule) (Result, error) {
-	m, err := NewMachine(net, params)
-	if err != nil {
-		return Result{}, err
-	}
-	return m.RunS2(s)
-}
-
-// RunS2 is the Machine-reusing form of the package function.
-func (m *Machine) RunS2(s *sched.Schedule) (Result, error) {
-	if m.routes.Nodes() != s.N {
-		return Result{}, fmt.Errorf("ipsc: topology %d nodes vs schedule %d", m.routes.Nodes(), s.N)
-	}
-	m.Reset()
-	return m.run(appendS2(m.progArena(), s, m.params, m.recvArena()))
-}
-
-// Run simulates the phased schedule s under the named execution
-// protocol: "S1", "S2", or "LP", the protocols a sched.Algorithm entry
-// pairs with a phased schedule. AC runs take a send order and the
-// matrix instead; use RunAC.
-func (m *Machine) Run(protocol string, s *sched.Schedule) (Result, error) {
-	switch protocol {
-	case "S1":
-		return m.RunS1(s)
-	case "S2":
-		return m.RunS2(s)
-	case "LP":
-		return m.RunLP(s)
-	default:
-		return Result{}, fmt.Errorf("ipsc: no phased protocol %q (want S1, S2, or LP)", protocol)
-	}
-}
-
-// RunAC simulates the asynchronous algorithm on the matrix.
-func RunAC(net topo.Topology, params costmodel.Params, o *sched.ACOrder, com *comm.Matrix) (Result, error) {
-	m, err := NewMachine(net, params)
-	if err != nil {
-		return Result{}, err
-	}
-	return m.RunAC(o, com)
-}
-
-// RunAC is the Machine-reusing form of the package function.
-func (m *Machine) RunAC(o *sched.ACOrder, com *comm.Matrix) (Result, error) {
-	if m.routes.Nodes() != o.N || com.N() != o.N {
-		return Result{}, fmt.Errorf("ipsc: size mismatch topology=%d order=%d matrix=%d",
-			m.routes.Nodes(), o.N, com.N())
-	}
-	m.Reset()
-	return m.run(appendAC(m.progArena(), o, com, m.params))
+	return m.run(appendAC(m.progArena(), o, com, m.params, async))
 }
 
 // progArena returns the machine's per-node program slices, truncated

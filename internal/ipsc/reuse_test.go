@@ -32,9 +32,8 @@ func TestMachineReuseMatchesFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	type runFn struct {
-		name  string
-		fresh func() (Result, error)
-		reuse func() (Result, error)
+		name string
+		run  func(m *Machine) (Result, error)
 	}
 	var runs []runFn
 	for _, mat := range []*comm.Matrix{m1, m2} {
@@ -56,29 +55,23 @@ func TestMachineReuseMatchesFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		runs = append(runs,
-			runFn{"S1", func() (Result, error) { return RunS1(cube, params, s1) },
-				func() (Result, error) { return reused.RunS1(s1) }},
-			runFn{"S1Barrier", func() (Result, error) { return RunS1Barrier(cube, params, s1) },
-				func() (Result, error) { return reused.RunS1Barrier(s1) }},
-			runFn{"S2", func() (Result, error) { return RunS2(cube, params, s2) },
-				func() (Result, error) { return reused.RunS2(s2) }},
-			runFn{"LP", func() (Result, error) { return RunLP(cube, params, lp) },
-				func() (Result, error) { return reused.RunLP(lp) }},
-			runFn{"AC", func() (Result, error) { return RunAC(cube, params, ac, mat) },
-				func() (Result, error) { return reused.RunAC(ac, mat) }},
-			runFn{"ACAsync", func() (Result, error) { return RunACAsync(cube, params, ac, mat) },
-				func() (Result, error) { return reused.RunACAsync(ac, mat) }},
+			runFn{"S1", func(m *Machine) (Result, error) { return m.RunS1(s1) }},
+			runFn{"S1Barrier", func(m *Machine) (Result, error) { return m.RunS1Barrier(s1) }},
+			runFn{"S2", func(m *Machine) (Result, error) { return m.RunS2(s2) }},
+			runFn{"LP", func(m *Machine) (Result, error) { return m.RunLP(lp) }},
+			runFn{"AC", func(m *Machine) (Result, error) { return m.RunAC(ac, mat) }},
+			runFn{"ACAsync", func(m *Machine) (Result, error) { return m.RunACAsync(ac, mat) }},
 		)
 	}
 	// Two passes over all protocols: the second pass checks that reuse
 	// after a full mixed workload is still clean.
 	for pass := 0; pass < 2; pass++ {
 		for _, r := range runs {
-			want, err := r.fresh()
+			want, err := r.run(machineOn(t, cube, params))
 			if err != nil {
 				t.Fatalf("pass %d %s fresh: %v", pass, r.name, err)
 			}
-			got, err := r.reuse()
+			got, err := r.run(reused)
 			if err != nil {
 				t.Fatalf("pass %d %s reused: %v", pass, r.name, err)
 			}

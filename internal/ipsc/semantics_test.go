@@ -125,7 +125,8 @@ func TestSimulationOnMeshTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunS1(net, params(), s)
+	mach := machineOn(t, net, params())
+	res, err := mach.RunS1(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestSimulationOnMeshTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := RunS2(net, params(), s2)
+	res2, err := mach.RunS2(s2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,13 +157,14 @@ func TestSimulationOnTorusFasterThanMesh(t *testing.T) {
 	}
 	flat := mesh.MustNew(8, 8, false)
 	wrap := mesh.MustNew(8, 8, true)
+	flatMach, wrapMach := machineOn(t, flat, params()), machineOn(t, wrap, params())
 	var flatMS, wrapMS float64
 	for seed := int64(0); seed < 3; seed++ {
 		sf, err := sched.RSNL(m, flat, rand.New(rand.NewSource(seed)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		rf, err := RunS1(flat, params(), sf)
+		rf, err := flatMach.RunS1(sf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +172,7 @@ func TestSimulationOnTorusFasterThanMesh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rw, err := RunS1(wrap, params(), sw)
+		rw, err := wrapMach.RunS1(sw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,6 +188,7 @@ func TestSimulationOnTorusFasterThanMesh(t *testing.T) {
 // every scheduled message is delivered exactly once (conservation).
 func TestConservationProperty(t *testing.T) {
 	cube := hypercube.MustNew(5)
+	mach := machineOn(t, cube, params())
 	f := func(seed int64, dRaw uint8) bool {
 		d := 1 + int(dRaw)%8
 		rng := rand.New(rand.NewSource(seed))
@@ -197,14 +200,14 @@ func TestConservationProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		r1, err := RunS1(cube, params(), s)
+		r1, err := mach.RunS1(s)
 		if err != nil {
 			return false
 		}
 		if r1.Transfers+2*r1.Exchanges != m.MessageCount() {
 			return false
 		}
-		r2, err := RunS2(cube, params(), s)
+		r2, err := mach.RunS2(s)
 		if err != nil {
 			return false
 		}
@@ -215,7 +218,7 @@ func TestConservationProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		r3, err := RunAC(cube, params(), o, m)
+		r3, err := mach.RunAC(o, m)
 		if err != nil {
 			return false
 		}
@@ -373,11 +376,24 @@ func TestCompileLPRejectsNonLP(t *testing.T) {
 	}
 }
 
+// Run refuses a protocol outside PhasedProtocols and names the list.
+// TestMakespanBoundsProperty runs every table entry's protocol through
+// Run.
+func TestRunRefusesUnknownProtocol(t *testing.T) {
+	if got := PhasedProtocols(); !slices.Equal(got, []string{"S1", "S2", "LP"}) {
+		t.Errorf("PhasedProtocols() = %q, want S1, S2, LP", got)
+	}
+	s := &sched.Schedule{Algorithm: "LP", N: 8}
+	const want = `ipsc: no phased protocol "AC" (want S1, S2, or LP)`
+	if _, err := mustMachine(t, 3).Run("AC", s); err == nil || err.Error() != want {
+		t.Errorf("Run(AC): %v, want %q", err, want)
+	}
+}
+
 func TestRunLPOnBitComplement(t *testing.T) {
 	// Bit complement is a single XOR permutation (k = n-1): LP carries
 	// it in exactly one non-empty phase, and the simulated time is one
 	// concurrent exchange plus the phase sweep.
-	cube := hypercube.MustNew(6)
 	m, err := comm.BitComplement(64, 32*1024)
 	if err != nil {
 		t.Fatal(err)
@@ -395,7 +411,7 @@ func TestRunLPOnBitComplement(t *testing.T) {
 	if nonEmpty != 1 {
 		t.Fatalf("bit complement spread over %d phases", nonEmpty)
 	}
-	res, err := RunLP(cube, params(), s)
+	res, err := mustMachine(t, 6).RunLP(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,11 +445,11 @@ func TestIPSC2PresetRuns(t *testing.T) {
 	}
 	p860 := params()
 	p2 := ipsc2Params(t)
-	r860, err := RunS1(cube, p860, s)
+	r860, err := machineOn(t, cube, p860).RunS1(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := RunS1(cube, p2, s)
+	r2, err := machineOn(t, cube, p2).RunS1(s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -256,3 +256,54 @@ func FuzzWireTriples(f *testing.F) {
 		}
 	})
 }
+
+// FuzzBinaryResponse drives the binary response decoder with arbitrary
+// bytes: it must never panic. When an input decodes, the server's
+// encoding of the decoded response must decode and re-encode to
+// itself. The input need not come back byte for byte: the decoder
+// reads only the cached bit of the flags byte.
+func FuzzBinaryResponse(f *testing.F) {
+	key := strings.Repeat("ab", 32)
+	phases := []WirePhase{{{0, 1, 64}, {1, 0, 64}}, {{2, 3, 4096}}}
+	for _, doc := range []wireDoc{
+		&ScheduleResult{
+			Chosen: "RS_NL", Topology: "cube:2", Workload: "uniform:1:64", Seed: -3, LinkFree: true,
+			Matrix:   &WireMatrix{N: 4, Messages: WireTriples{{0, 1, 64}, {1, 0, 64}, {2, 3, 4096}}},
+			Schedule: &WireSchedule{Algorithm: "RS_NL", N: 4, Ops: 12, Phases: phases},
+		},
+		&ScheduleResult{Chosen: "AC", Topology: "cube:2"},
+		&SimulateResult{Topology: "cube:2", Protocol: "S1", MakespanUS: 1234.5, Transfers: 1, Exchanges: 1, ResourceWaitUS: 7.25},
+	} {
+		body := appendBinaryEnvelope(nil, key, true, doc.appendBinaryPayload(nil))
+		f.Add(body)
+		f.Add(body[:len(body)-1]) // truncated
+	}
+	f.Add([]byte("USWR"))
+	f.Add([]byte{'U', 'S', 'W', 'R', 1, 0xff, 0, 9})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		res, err := DecodeBinaryResponse(b) // must not panic
+		if err != nil {
+			return
+		}
+		once := encodeBinaryResponse(res)
+		again, err := DecodeBinaryResponse(once)
+		if err != nil {
+			t.Fatalf("re-encoded response does not decode: %v\n in: %x\nout: %x", err, b, once)
+		}
+		if twice := encodeBinaryResponse(again); !bytes.Equal(twice, once) {
+			t.Fatalf("re-encoding is not stable:\nonce: %x\ntwice: %x", once, twice)
+		}
+	})
+}
+
+// encodeBinaryResponse is the server's binary encoding of a decoded
+// response.
+func encodeBinaryResponse(res *BinaryResponse) []byte {
+	var payload []byte
+	if res.Schedule != nil {
+		payload = res.Schedule.appendBinaryPayload(nil)
+	} else {
+		payload = res.Simulate.appendBinaryPayload(nil)
+	}
+	return appendBinaryEnvelope(nil, res.Key, res.Cached, payload)
+}

@@ -44,11 +44,10 @@ func newFleetLayer(opts Options) (*fleet.Fleet, error) {
 		return nil, errors.New("service: Peers configured without SelfURL (rendezvous ownership needs this daemon's own base URL)")
 	}
 	return fleet.New(fleet.Options{
-		Self:      opts.SelfURL,
-		Peers:     opts.Peers,
-		Budget:    opts.PeerBudget,
-		PushQueue: opts.PeerPushQueue,
-		Encode:    encodeRecord,
+		Self:   opts.SelfURL,
+		Peers:  opts.Peers,
+		Budget: opts.PeerBudget,
+		Encode: encodeRecord,
 		Decode: func(key string, body []byte) ([]byte, error) {
 			k, value, err := decodeRecord(body)
 			if err != nil {

@@ -332,12 +332,15 @@ func TestSimulateBadRequests(t *testing.T) {
 		t.Errorf("contending phase accepted")
 	}
 	// A schedule the LP protocol cannot run is the client's mistake:
-	// 400 bad_request with the simulator's own message, not 500.
+	// 400 bad_request with the simulator's own message, not 500. So is
+	// a protocol the simulator does not know.
 	for _, c := range []struct{ body, msg string }{
 		{`{"schedule":{"algorithm":"RS_N","n":4,"ops":0,"phases":[[[0,1,256]]]},"protocol":"LP"}`,
 			"ipsc: the LP protocol needs an LP schedule, got RS_N"},
 		{`{"schedule":{"algorithm":"LP","n":4,"ops":0,"phases":[[[0,2,256]]]}}`,
 			"ipsc: phase 0 sends 0->2, not the XOR partner 1"},
+		{`{"schedule":{"algorithm":"RS_N","n":4,"ops":0,"phases":[[[0,1,256]]]},"protocol":"S9"}`,
+			`unknown protocol "S9" (want auto, S1, S2, or LP)`},
 	} {
 		resp, raw := doWire(t, ts, "/v1/simulate", []byte(c.body), nil)
 		var env ErrorEnvelope

@@ -77,6 +77,7 @@ import (
 	"math/rand"
 	"net/http"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -109,20 +110,15 @@ type Options struct {
 	// MaxCampaigns bounds concurrently running campaign jobs; <= 0
 	// means 2.
 	MaxCampaigns int
-	// MaxCampaignJobs bounds retained campaign jobs (running or
-	// finished); <= 0 means 64.
-	MaxCampaignJobs int
 	// CacheDir enables disk persistence of the memoization cache: every
 	// computed response is written through (asynchronously, batched) as
 	// a checksummed record file, and NewServer warm-starts the cache
 	// from the newest records already there. Empty keeps today's
 	// memory-only behavior. Ignored when caching is disabled
-	// (CacheEntries < 0) — there is nothing to persist.
+	// (CacheEntries < 0) — there is nothing to persist. At most 256 MB
+	// of records are retained there (cacheDiskBytes); the oldest are
+	// garbage-collected past it.
 	CacheDir string
-	// CacheDiskBytes bounds the total bytes retained under CacheDir;
-	// the oldest records are garbage-collected past it. <= 0 means
-	// 256 MB.
-	CacheDiskBytes int64
 	// QualityStore names the append-only calibration record file (see
 	// internal/quality) behind algorithm "auto": NewServer loads the
 	// selection model from it, and every finished campaign appends its
@@ -148,11 +144,16 @@ type Options struct {
 	// a peer that cannot answer inside it loses to local compute.
 	// <= 0 means 75ms.
 	PeerBudget time.Duration
-	// PeerPushQueue bounds the write-behind queue of computed records
-	// awaiting push to their owner; overflow drops rather than blocks.
-	// <= 0 means 256.
-	PeerPushQueue int
 }
+
+const (
+	// maxCampaignJobs bounds retained campaign jobs, running or
+	// finished.
+	maxCampaignJobs = 64
+	// cacheDiskBytes bounds the bytes of records retained under
+	// Options.CacheDir.
+	cacheDiskBytes = 256 << 20
+)
 
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
@@ -169,12 +170,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxCampaigns <= 0 {
 		o.MaxCampaigns = 2
-	}
-	if o.MaxCampaignJobs <= 0 {
-		o.MaxCampaignJobs = 64
-	}
-	if o.CacheDiskBytes <= 0 {
-		o.CacheDiskBytes = 256 << 20
 	}
 	return o
 }
@@ -283,13 +278,13 @@ func NewServer(opts Options) (*Server, error) {
 		cache:     newScheduleCache(opts.CacheEntries),
 		bodyKeys:  newScheduleCache(opts.CacheEntries),
 		flights:   newFlightGroup(),
-		campaigns: newCampaignRegistry(opts.MaxCampaignJobs, opts.MaxCampaigns),
+		campaigns: newCampaignRegistry(maxCampaignJobs, opts.MaxCampaigns),
 		tables:    tables,
 		ctx:       ctx,
 		cancel:    cancel,
 	}
 	if opts.CacheDir != "" && opts.CacheEntries > 0 {
-		disk, err := newDiskStore(opts.CacheDir, opts.CacheEntries, opts.CacheDiskBytes)
+		disk, err := newDiskStore(opts.CacheDir, opts.CacheEntries, cacheDiskBytes)
 		if err != nil {
 			cancel()
 			s.pool.close()
@@ -1053,16 +1048,16 @@ func resolveProtocol(requested string, isAC bool, sc *sched.Schedule) (string, e
 		}
 		return "AC", nil
 	}
-	switch requested {
-	case "", "auto":
+	if requested == "" || requested == "auto" {
 		// resolveSchedule admitted only phased table entries.
 		alg, _ := sched.Lookup(sc.Algorithm)
 		return alg.Protocol, nil
-	case "S1", "S2", "LP":
-		return requested, nil
-	default:
-		return "", badRequest("unknown protocol %q (want auto, S1, S2, or LP)", requested)
 	}
+	protocols := ipsc.PhasedProtocols()
+	if !slices.Contains(protocols, requested) {
+		return "", badRequest("unknown protocol %q (want %s)", requested, sched.WantList(append([]string{"auto"}, protocols...)...))
+	}
+	return requested, nil
 }
 
 // --- /v1/campaign ---------------------------------------------------

@@ -25,7 +25,7 @@ import (
 const maxRequestBytes = 32 << 20
 
 // maxServiceNodes bounds the machine size one synchronous request may
-// target. Simulator state is O(n^2) — ~150 MB at this cap — so huge
+// target. Simulator state is O(n^2) — ~80 MiB at this cap — so huge
 // machines are built per request instead of cached (see
 // worker.machine), and their route tables fall back to lazy on-the-fly
 // routing instead of the precomputed dense form (see

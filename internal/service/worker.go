@@ -114,15 +114,15 @@ type machineKey struct {
 
 // maxMachinesPerWorker bounds the per-worker machine cache; requests
 // name topologies freely, so an adversarial mix could otherwise grow
-// it without limit. Machine state is O(n^2) — ~10 MB at 1024 nodes —
+// it without limit. Machine state is O(n^2) — ~5 MiB at 1024 nodes —
 // so 4 machines bounds a worker's retained simulator memory under
-// ~50 MB even under a worst-case topology mix; real deployments hit
+// ~25 MiB even under a worst-case topology mix; real deployments hit
 // one or two topologies and never evict.
 const maxMachinesPerWorker = 4
 
 // maxCachedMachineNodes bounds the machines (and scheduler cores) a
 // worker retains across requests. A 4096-node machine's O(n^2) arrival
-// arenas run ~150 MB; caching even one per worker would dwarf every
+// arenas run ~80 MiB; caching even one per worker would dwarf every
 // other bound, so machines above this size are built per request and
 // released with it. The requests that need them are rare and already
 // pay seconds of scheduling, so the rebuild is noise.

@@ -286,9 +286,6 @@ func (g *Graph) Nodes() int { return g.n }
 // entry (two per undirected edge).
 func (g *Graph) NumChannels() int { return len(g.adjList) }
 
-// Degree returns the number of neighbors of node u.
-func (g *Graph) Degree(u int) int { return int(g.adjOff[u+1] - g.adjOff[u]) }
-
 // RouteIDs implements Topology: the canonical shortest-path route as
 // dense directed-channel indices, walked hop by hop through the
 // precomputed next-hop matrix.
