@@ -9,7 +9,9 @@ import (
 // scheduleCache is a sharded, size-bounded LRU keyed by the hex
 // content hash of a request. Values are the marshaled result documents
 // the handlers memoize, so a hit is served byte-identically to the
-// response that populated it. Sharding by the first byte of the key
+// response that populated it. The bound counts entries, not bytes: an
+// entry that has served a gzip hit also holds that hit's gzip body, in
+// the same slot. Sharding by the first byte of the key
 // (hashes are uniform, so shards balance) keeps lock hold times short
 // under concurrent load. Hit/miss accounting lives on the Server, not
 // here: only the caller knows whether a lookup was a real miss (a
@@ -31,6 +33,10 @@ type cacheShard struct {
 type cacheEntry struct {
 	key   string
 	value []byte
+	// gz is the gzip body of the cache-hit envelope around value, kept
+	// from the first gzip hit on (see Server.writeNegotiated); nil until
+	// then. It lives and dies with value: a put over the key clears it.
+	gz []byte
 }
 
 // newScheduleCache bounds the cache to maxEntries total entries spread
@@ -101,12 +107,32 @@ func (c *scheduleCache) put(key string, value []byte) {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.put(key, value)
+}
+
+// putRendering memoizes value, a rendering of the bytes from that base's
+// entry held, under key, unless a put has replaced base's value since:
+// a rendering must not outlive the value it was made from. key is a
+// variant of base (variantKey), so both live in one shard and one lock
+// covers the check and the store.
+func (c *scheduleCache) putRendering(key string, value []byte, base string, from []byte) {
+	s := c.shard(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.holding(base, from) != nil {
+		s.put(key, value)
+	}
+}
+
+// put is scheduleCache.put with s.mu held.
+func (s *cacheShard) put(key string, value []byte) {
 	if s.max <= 0 {
 		return
 	}
 	if el, ok := s.items[key]; ok {
 		s.order.MoveToFront(el)
-		el.Value.(*cacheEntry).value = value
+		e := el.Value.(*cacheEntry)
+		e.value, e.gz = value, nil
 		return
 	}
 	for s.order.Len() >= s.max {
@@ -115,6 +141,58 @@ func (c *scheduleCache) put(key string, value []byte) {
 		delete(s.items, oldest.Value.(*cacheEntry).key)
 	}
 	s.items[key] = s.order.PushFront(&cacheEntry{key: key, value: value})
+}
+
+// remove drops key's entry, if the cache holds one.
+func (c *scheduleCache) remove(key string) {
+	s := c.shard(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if el, ok := s.items[key]; ok {
+		s.order.Remove(el)
+		delete(s.items, key)
+	}
+}
+
+// gzipped returns the gzip body kept beside key's entry, or nil when
+// none is kept or the entry no longer holds value.
+func (c *scheduleCache) gzipped(key string, value []byte) []byte {
+	s := c.shard(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e := s.holding(key, value); e != nil {
+		return e.gz
+	}
+	return nil
+}
+
+// keepGzip keeps gz, compressed from an envelope around value, beside
+// key's entry, if the entry still holds value. A put that replaced the
+// value meanwhile wins: the body of the old value is dropped.
+func (c *scheduleCache) keepGzip(key string, value, gz []byte) {
+	s := c.shard(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e := s.holding(key, value); e != nil {
+		e.gz = gz
+	}
+}
+
+// holding returns key's entry if its value is value itself: the same
+// backing array, which costs one comparison where equal contents would
+// cost a pass over the payload. Every put that replaces a value
+// installs the caller's slice, so identity tells the two apart. The
+// caller holds s.mu.
+func (s *cacheShard) holding(key string, value []byte) *cacheEntry {
+	el, ok := s.items[key]
+	if !ok {
+		return nil
+	}
+	e := el.Value.(*cacheEntry)
+	if len(value) == 0 || len(e.value) != len(value) || &e.value[0] != &value[0] {
+		return nil
+	}
+	return e
 }
 
 // flightGroup deduplicates concurrent cache misses for one key: the

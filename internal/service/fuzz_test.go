@@ -274,7 +274,7 @@ func FuzzBinaryResponse(f *testing.F) {
 		&ScheduleResult{Chosen: "AC", Topology: "cube:2"},
 		&SimulateResult{Topology: "cube:2", Protocol: "S1", MakespanUS: 1234.5, Transfers: 1, Exchanges: 1, ResourceWaitUS: 7.25},
 	} {
-		body := appendBinaryEnvelope(nil, key, true, doc.appendBinaryPayload(nil))
+		body := envelopeBytes(encBinary, key, true, doc.appendBinaryPayload(nil))
 		f.Add(body)
 		f.Add(body[:len(body)-1]) // truncated
 	}
@@ -305,5 +305,5 @@ func encodeBinaryResponse(res *BinaryResponse) []byte {
 	} else {
 		payload = res.Simulate.appendBinaryPayload(nil)
 	}
-	return appendBinaryEnvelope(nil, res.Key, res.Cached, payload)
+	return envelopeBytes(encBinary, res.Key, res.Cached, payload)
 }

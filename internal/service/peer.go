@@ -14,7 +14,6 @@ package service
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
@@ -97,11 +96,7 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	if acceptsGzip(r) {
 		h.Set("Content-Encoding", "gzip")
 		w.WriteHeader(http.StatusOK)
-		gz := gzipPool.Get().(*gzip.Writer)
-		gz.Reset(w)
-		_, _ = gz.Write(rec)
-		_ = gz.Close() // the peer is gone if either fails; nothing to do
-		gzipPool.Put(gz)
+		gzipTo(w, rec)
 		return
 	}
 	w.WriteHeader(http.StatusOK)
@@ -185,7 +180,7 @@ func (s *Server) peerFill(ctx context.Context, j job, enc encoding) ([]byte, boo
 	s.cache.put(j.key, payload)
 	if enc != encJSON {
 		var err error
-		if payload, err = s.renderBinary(j.ep, payload, variantKey(j.key, enc)); err != nil {
+		if payload, err = s.renderBinary(j.ep, j.key, payload); err != nil {
 			// CRC-valid but undecodable means result-document drift
 			// between daemon versions; computing locally is the safe
 			// answer.

@@ -588,7 +588,7 @@ func (s *Server) memoized(ctx context.Context, j job, enc encoding, retry bool) 
 			return jsonRaw, nil
 		}
 		bin := doc.appendBinaryPayload(nil)
-		s.cache.put(vkey, bin)
+		s.cache.putRendering(vkey, bin, j.key, jsonRaw)
 		return bin, nil
 	}()
 	s.flights.finish(vkey, call, raw, err)
@@ -612,7 +612,7 @@ func (s *Server) cached(key string, ep int, enc encoding) (payload []byte, ok bo
 	}
 	if enc != encJSON {
 		if jsonRaw, ok := s.cache.get(key); ok {
-			if raw, err := s.renderBinary(ep, jsonRaw, vkey); err == nil {
+			if raw, err := s.renderBinary(ep, key, jsonRaw); err == nil {
 				s.cacheHits[ep].Add(1)
 				return raw, true
 			}
@@ -621,15 +621,16 @@ func (s *Server) cached(key string, ep int, enc encoding) (payload []byte, ok bo
 	return nil, false
 }
 
-// renderBinary renders endpoint ep's JSON result as its binary payload
-// and caches the rendering in memory under the variant key vkey.
-func (s *Server) renderBinary(ep int, jsonRaw []byte, vkey string) ([]byte, error) {
+// renderBinary renders endpoint ep's JSON result jsonRaw, cached under
+// key, as its binary payload, and caches the rendering in memory under
+// key's binary variant unless a put replaced jsonRaw meanwhile.
+func (s *Server) renderBinary(ep int, key string, jsonRaw []byte) ([]byte, error) {
 	doc, err := resultDecoders[ep](jsonRaw)
 	if err != nil {
 		return nil, err
 	}
 	bin := doc.appendBinaryPayload(nil)
-	s.cache.put(vkey, bin)
+	s.cache.putRendering(variantKey(key, encBinary), bin, key, jsonRaw)
 	return bin, nil
 }
 
@@ -709,7 +710,7 @@ func (s *Server) serveRecorded(w http.ResponseWriter, r *http.Request, cn conneg
 	}
 	payload, ok := s.cached(key, ep, cn.enc)
 	if ok {
-		s.writeEnvelope(w, cn, key, true, payload)
+		s.writeNegotiated(w, cn, key, true, payload)
 	}
 	return ok
 }
@@ -732,25 +733,17 @@ func (s *Server) respondMemoized(w http.ResponseWriter, r *http.Request, cn conn
 		writeError(w, err)
 		return
 	}
-	s.writeEnvelope(w, cn, j.key, cached, payload)
-}
-
-// writeEnvelope answers 200 with a memoized payload in cn's envelope.
-func (s *Server) writeEnvelope(w http.ResponseWriter, cn conneg, key string, cached bool, payload []byte) {
-	body := make([]byte, 0, len(payload)+len(key)+64) // 64 covers either envelope's framing
-	if cn.enc == encBinary {
-		body = appendBinaryEnvelope(body, key, cached, payload)
-	} else {
-		body = appendJSONEnvelope(body, key, cached, payload)
-	}
-	s.writeNegotiated(w, cn, key, body)
+	s.writeNegotiated(w, cn, j.key, cached, payload)
 }
 
 // cachePut memoizes a computed response in memory and, when
 // persistence is on, queues the asynchronous write-through — the hot
-// path never waits on disk.
+// path never waits on disk. The key's binary rendering is dropped: it
+// was rendered from the value raw replaces. (Kept gzip bodies live in
+// the entries they were compressed from, so put drops them itself.)
 func (s *Server) cachePut(key string, raw []byte) {
 	s.cache.put(key, raw)
+	s.cache.remove(variantKey(key, encBinary))
 	if s.disk != nil {
 		s.disk.enqueue(key, raw)
 	}

@@ -224,7 +224,7 @@ type SimulateResult struct {
 // Envelope is the outer document of every synchronous response. Result
 // is the memoized part: on a cache hit it is returned byte for byte as
 // first computed. The daemon writes the document by hand
-// (appendJSONEnvelope) in exactly json.Marshal's form of this type.
+// (newEnvelope) in exactly json.Marshal's form of this type.
 type Envelope struct {
 	Key    string          `json:"key"`
 	Cached bool            `json:"cached"`

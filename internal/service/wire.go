@@ -16,10 +16,12 @@ package service
 // error, never silent JSON.
 
 import (
+	"bytes"
 	"compress/gzip"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -204,36 +206,45 @@ const (
 
 var binaryWireMagic = [4]byte{'U', 'S', 'W', 'R'}
 
-// appendBinaryEnvelope wraps an encoded document payload in the
-// response envelope.
-func appendBinaryEnvelope(dst []byte, key string, cached bool, payload []byte) []byte {
-	dst = append(dst, binaryWireMagic[:]...)
-	dst = append(dst, binaryWireVersion)
-	var flags byte
-	if cached {
-		flags |= 1
+// envelope is a 200 response body as the three parts the wire writes in
+// order: the framing before the memoized payload, the payload, and the
+// framing after it. The payload is the cached slice itself, so an
+// identity response writes it without a copy.
+type envelope [3][]byte
+
+var jsonEnvelopeTail = []byte{'}'}
+
+// newEnvelope frames payload, key's memoized document in encoding enc.
+//
+// The JSON envelope is the Envelope document, spliced by hand so a hit
+// costs no json.Marshal validating re-scan of the result. The result
+// goes out verbatim, which is safe because every cached JSON result is
+// valid: computed here by json.Marshal, or checked with json.Valid
+// where a record from a peer or the disk enters the cache. Keys are hex
+// content hashes and need no escaping.
+func newEnvelope(enc encoding, key string, cached bool, payload []byte) envelope {
+	head := make([]byte, 0, len(key)+40) // 40 covers either envelope's framing
+	if enc == encBinary {
+		head = append(head, binaryWireMagic[:]...)
+		head = append(head, binaryWireVersion)
+		var flags byte
+		if cached {
+			flags |= 1
+		}
+		head = append(head, flags)
+		head = comm.AppendUvarint(head, uint64(len(key)))
+		return envelope{append(head, key...), payload, nil}
 	}
-	dst = append(dst, flags)
-	dst = comm.AppendUvarint(dst, uint64(len(key)))
-	dst = append(dst, key...)
-	return append(dst, payload...)
+	head = append(head, `{"key":"`...)
+	head = append(head, key...)
+	head = append(head, `","cached":`...)
+	head = strconv.AppendBool(head, cached)
+	return envelope{append(head, `,"result":`...), payload, jsonEnvelopeTail}
 }
 
-// appendJSONEnvelope writes the JSON response envelope around a cached
-// result: the Envelope document, spliced by hand so a hit costs one copy
-// of the result instead of json.Marshal's validating re-scan of it. The
-// result goes out verbatim, which is safe because every cached JSON
-// result is valid: computed here by json.Marshal, or checked with
-// json.Valid where a record from a peer or the disk enters the cache.
-// Keys are hex content hashes and need no escaping.
-func appendJSONEnvelope(dst []byte, key string, cached bool, result []byte) []byte {
-	dst = append(dst, `{"key":"`...)
-	dst = append(dst, key...)
-	dst = append(dst, `","cached":`...)
-	dst = strconv.AppendBool(dst, cached)
-	dst = append(dst, `,"result":`...)
-	dst = append(dst, result...)
-	return append(dst, '}')
+// size is the envelope's length in bytes.
+func (e *envelope) size() int64 {
+	return int64(len(e[0]) + len(e[1]) + len(e[2]))
 }
 
 func appendString(dst []byte, s string) []byte {
@@ -540,10 +551,26 @@ var gzipPool = sync.Pool{
 	New: func() any { return gzip.NewWriter(nil) },
 }
 
+// gzipTo writes the gzip form of parts, concatenated, to w at the
+// default level and returns the compressed bytes written. Deflate
+// output does not depend on how its input is split across writes, so
+// the parts are the same body as their concatenation.
+func gzipTo(w io.Writer, parts ...[]byte) int64 {
+	cw := &countingWriter{w: w}
+	gz := gzipPool.Get().(*gzip.Writer)
+	gz.Reset(cw)
+	for _, p := range parts {
+		_, _ = gz.Write(p)
+	}
+	_ = gz.Close() // the client is gone if either fails; nothing to do
+	gzipPool.Put(gz)
+	return cw.n
+}
+
 // countingWriter tallies the bytes that actually reach the wire, so
 // the bytes-saved metrics can compare them with the logical body size.
 type countingWriter struct {
-	w http.ResponseWriter
+	w io.Writer
 	n int64
 }
 
@@ -553,11 +580,21 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// writeNegotiated writes body (the complete response document in cn's
-// encoding) with the negotiated headers and compression, and records
-// the encoding/bytes metrics. body is the logical representation;
-// what hits the wire may be its gzip form.
-func (s *Server) writeNegotiated(w http.ResponseWriter, cn conneg, key string, body []byte) {
+// writeNegotiated answers 200 with key's memoized payload in cn's
+// envelope and compression, and records the encoding/bytes metrics.
+// After the headers it writes one of three bodies:
+//
+//   - a cache hit's gzip body, compressed on the variant's first gzip
+//     hit and kept beside its cache entry (hitGzip);
+//   - a miss's cached:false envelope, compressed on the fly;
+//   - the identity envelope, part by part, so the payload is not
+//     copied.
+func (s *Server) writeNegotiated(w http.ResponseWriter, cn conneg, key string, cached bool, payload []byte) {
+	env := newEnvelope(cn.enc, key, cached, payload)
+	var kept []byte
+	if cn.gzip && cached {
+		kept = s.hitGzip(variantKey(key, cn.enc), &env)
+	}
 	h := w.Header()
 	h.Set("Vary", "Accept, Accept-Encoding")
 	h.Set("ETag", etagFor(key, cn.enc))
@@ -572,21 +609,43 @@ func (s *Server) writeNegotiated(w http.ResponseWriter, cn conneg, key string, b
 		h.Set("Content-Encoding", "gzip")
 	}
 	w.WriteHeader(http.StatusOK)
-	cw := &countingWriter{w: w}
+	var n int64
+	switch {
+	case kept != nil:
+		k, _ := w.Write(kept) // the client is gone if this fails; nothing to do
+		n = int64(k)
+	case cn.gzip:
+		n = gzipTo(w, env[:]...)
+	default:
+		for _, part := range env {
+			k, _ := w.Write(part)
+			n += int64(k)
+		}
+	}
 	if cn.gzip {
-		gz := gzipPool.Get().(*gzip.Writer)
-		gz.Reset(cw)
-		_, _ = gz.Write(body)
-		_ = gz.Close() // the client is gone if either fails; nothing to do
-		gzipPool.Put(gz)
-		if saved := int64(len(body)) - cw.n; saved > 0 {
+		if saved := env.size() - n; saved > 0 {
 			s.bytesSaved.Add(saved)
 		}
-	} else {
-		_, _ = cw.Write(body)
 	}
 	s.respCount[cn.enc][comp].Add(1)
-	s.respBytes[cn.enc][comp].Add(cw.n)
+	s.respBytes[cn.enc][comp].Add(n)
+}
+
+// hitGzip returns the gzip body of env, a cache hit's envelope for the
+// variant key vkey: the body kept beside the variant's entry, or a
+// fresh one, which is then kept there. A hit's envelope depends only
+// on the key, the encoding and the cached payload, so the kept body is
+// what compressing the envelope again would produce; keepGzip drops it
+// if a put replaced the payload meanwhile.
+func (s *Server) hitGzip(vkey string, env *envelope) []byte {
+	if gz := s.cache.gzipped(vkey, env[1]); gz != nil {
+		return gz
+	}
+	var buf bytes.Buffer
+	gzipTo(&buf, env[:]...)
+	gz := bytes.Clone(buf.Bytes()) // without the buffer's growth slack
+	s.cache.keepGzip(vkey, env[1], gz)
+	return gz
 }
 
 // writeNotModified answers an If-None-Match revalidation with 304 and

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -52,6 +53,12 @@ func gunzip(t *testing.T, raw []byte) []byte {
 	return out
 }
 
+// envelopeBytes is the response body newEnvelope frames, in one slice.
+func envelopeBytes(enc encoding, key string, cached bool, payload []byte) []byte {
+	env := newEnvelope(enc, key, cached, payload)
+	return slices.Concat(env[:]...)
+}
+
 // TestJSONEnvelopeMatchesMarshal: the spliced JSON envelope is byte for
 // byte what json.Marshal makes of Envelope for any compact result, so
 // clients decoding Envelope see no change.
@@ -66,7 +73,7 @@ func TestJSONEnvelopeMatchesMarshal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := appendJSONEnvelope(nil, key, cached, []byte(result)); !bytes.Equal(got, want) {
+			if got := envelopeBytes(encJSON, key, cached, []byte(result)); !bytes.Equal(got, want) {
 				t.Errorf("result %s cached=%v:\n got: %s\nwant: %s", result, cached, got, want)
 			}
 		}
