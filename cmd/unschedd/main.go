@@ -96,6 +96,38 @@ func splitPeers(csv string) []string {
 	return out
 }
 
+// The daemon's connection timeouts. They are constants, not flags:
+// each bounds what a client may hold, not how long work may take.
+const (
+	// readHeaderTimeout bounds the request line and headers.
+	readHeaderTimeout = 10 * time.Second
+	// readTimeout bounds reading a whole request, body included. A body
+	// may be as large as the service's 32 MiB cap, so a client must
+	// send at least 280 KB/s (about 2.2 Mbit/s) to deliver the largest
+	// one in time; without the bound, a client could trickle a body
+	// toward the cap for as long as it liked.
+	readTimeout = 2 * time.Minute
+	// idleTimeout closes a keep-alive connection that sends no next
+	// request; at zero it would fall back to readTimeout.
+	idleTimeout = 2 * time.Minute
+)
+
+// newHTTPServer returns the daemon's HTTP server for h on addr. It
+// sets no WriteTimeout: the write deadline runs from the end of the
+// request headers, so it would bound the synchronous compute too, and
+// a schedule on a large machine can outlast any fixed bound. A write
+// bound has to wait until a compute stops when its request is
+// cancelled; today an abandoned request runs to the end.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "worker goroutines; 0 means GOMAXPROCS")
@@ -126,11 +158,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "unschedd:", err)
 		os.Exit(1)
 	}
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           svc,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	httpSrv := newHTTPServer(*addr, svc)
 
 	if *pprofAddr != "" {
 		// An explicit mux rather than http.DefaultServeMux: importing

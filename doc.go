@@ -148,11 +148,12 @@
 // recompute. /v1/schedule and /v1/simulate share one serve path: the
 // body resolves into a job (content key, endpoint, compute) that is
 // revalidated, memoized and encoded the same way, and batch items and
-// auto_race lanes join it at the cache. A bounded table keyed by the
-// SHA-256 of each request body remembers the content key the body
-// resolved to, so a repeated body skips decode and fingerprinting and
-// goes straight to revalidation and the cache; "auto" requests, whose
-// pick depends on the calibration model, are never recorded. A full
+// auto_race lanes join it at the cache. A bounded table keyed by an
+// AES-GMAC tag of each request body, under a key drawn once per
+// server process, remembers the content key the body resolved to, so
+// a repeated body skips decode and fingerprinting and goes straight to
+// revalidation and the cache; "auto" requests, whose pick depends on
+// the calibration model, are never recorded. A full
 // queue sheds load with 429; Close drains gracefully.
 //
 // Daemons scale out without coordination: since the cache is

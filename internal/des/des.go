@@ -168,6 +168,11 @@ func (e *Engine) SetHandler(h func(kind, a, b int32)) { e.handler = h }
 // Reset rewinds the clock to zero and empties the event queue while
 // keeping the bucket backing arrays, so an engine can be reused across
 // many simulations without re-growing the queue each time.
+//
+// The free list is rebuilt in descending slot order, so pops hand out
+// slots 0, 1, 2, ... in the order a fresh engine creates them: a rerun
+// of the same simulation then puts each bucket in the FIFO that grew
+// to hold it on the first run.
 func (e *Engine) Reset() {
 	e.now = 0
 	e.count = 0
@@ -176,7 +181,7 @@ func (e *Engine) Reset() {
 	e.times = e.times[:0]
 	e.meta = e.meta[:0]
 	e.freeSlots = e.freeSlots[:0]
-	for i := range e.fifos {
+	for i := len(e.fifos) - 1; i >= 0; i-- {
 		e.fifos[i] = e.fifos[i][:0]
 		e.freeSlots = append(e.freeSlots, int32(i))
 	}

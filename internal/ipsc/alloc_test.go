@@ -48,7 +48,24 @@ func TestReusedRunAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// mallocs counts one run's allocations. testing.AllocsPerRun would
+	// not do: it runs its function once unmeasured first.
+	mallocs := func() uint64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
 	run() // warm the arenas
+	// The first run leaves every queue FIFO as large as it will need,
+	// so the second allocates no more than the third: a reset that
+	// hands the FIFOs to other times than the first run did grows the
+	// short ones again.
+	if second, third := mallocs(), mallocs(); second > third {
+		t.Errorf("reused RunS1: run 2 allocates %d times, run 3 %d", second, third)
+	}
 	if got := testing.AllocsPerRun(20, run); got > allocBudgetReusedRun {
 		t.Errorf("reused RunS1: %.1f allocs/run, budget %d", got, allocBudgetReusedRun)
 	}

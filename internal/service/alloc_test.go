@@ -17,8 +17,8 @@ import (
 
 // hitBudgetBytes bounds the bytes one repeated-body hit allocates, in
 // either of the two forms perfbench's serve-hit sends with a body. On a
-// 256-node RS_NL schedule (2,048 messages) a hit measured 584 B as JSON
-// and 776 B as binary+gzip (Go 1.24): the body-key digest, the key
+// 256-node RS_NL schedule (2,048 messages) a hit measured 520 B as JSON
+// and 712 B as binary+gzip (Go 1.24): the body-key tag, the key
 // string, the envelope head and the response headers. Copying the
 // 31 KB JSON envelope into a fresh body (33 KB a hit) or compressing
 // the binary envelope again (11 KB) breaks it.

@@ -172,6 +172,76 @@ func TestBodyKeysFormattingShareOneContentKey(t *testing.T) {
 	}
 }
 
+// TestBodyKeysPerServerAndEndpoint: a server keys a body the same way
+// every time, under a secret of its own, so another server keys it
+// differently; and the endpoint is part of the key.
+func TestBodyKeysPerServerAndEndpoint(t *testing.T) {
+	a, _ := newTestServer(t, Options{Workers: 1})
+	b, _ := newTestServer(t, Options{Workers: 1})
+	body := []byte(`{"matrix":{"n":8,"messages":[[0,1,512]]},"algorithm":"RS_NL"}`)
+	key := bodyKey(a.bodyMAC, epSchedule, body)
+	if len(key) != 32 || strings.Trim(key, "0123456789abcdef") != "" {
+		t.Fatalf("key %q is not 32 hex digits", key)
+	}
+	if again := bodyKey(a.bodyMAC, epSchedule, body); again != key {
+		t.Errorf("one server keyed one body %s, then %s", key, again)
+	}
+	if other := bodyKey(b.bodyMAC, epSchedule, body); other == key {
+		t.Errorf("two servers share the key %s", key)
+	}
+	if sim := bodyKey(a.bodyMAC, epSimulate, body); sim == key {
+		t.Errorf("/v1/schedule and /v1/simulate share the key %s", key)
+	}
+}
+
+// TestBodyKeysCoverEveryByte: a recorded 256-node body, with one digit
+// changed near its start, in its middle or near its end, is another
+// request. Each copy must get the answer decoding it gives on a
+// server that never saw the original, so a key over part of the body
+// fails.
+func TestBodyKeysCoverEveryByte(t *testing.T) {
+	svc, _ := newTestServer(t, Options{Workers: 1})
+	fresh, _ := newTestServer(t, Options{Workers: 1})
+	req := ScheduleRequest{Matrix: testMatrix(t, 256, 8, 4096, 4), Algorithm: "RS_NL"}
+	orig, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recorded := postEnvelope(t, svc, string(orig))
+	msgs := req.Matrix.Messages
+	for _, i := range []int{0, len(msgs) / 2, len(msgs) - 1} {
+		msgs[i][2]++ // 4096 -> 4097: one digit
+		edited, err := json.Marshal(req)
+		msgs[i][2]--
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := differingBytes(orig, edited); diff != 1 {
+			t.Fatalf("message %d: the copy differs in %d bytes, want 1", i, diff)
+		}
+		got, want := postEnvelope(t, svc, string(edited)), postEnvelope(t, fresh, string(edited))
+		if got.Key == recorded.Key || got.Key != want.Key || got.Cached || !bytes.Equal(got.Result, want.Result) {
+			t.Errorf("message %d of %d edited: key %s cached %v, want a fresh answer under %s (the original's is %s)",
+				i, len(msgs), got.Key, got.Cached, want.Key, recorded.Key)
+		}
+	}
+}
+
+// differingBytes counts the positions at which two equal-length byte
+// strings differ; -1 when their lengths differ.
+func differingBytes(a, b []byte) int {
+	if len(a) != len(b) {
+		return -1
+	}
+	n := 0
+	for i := range a {
+		if a[i] != b[i] {
+			n++
+		}
+	}
+	return n
+}
+
 // TestStalledBodyAllocatesOnlyWhatArrives: a request that declares the
 // largest body its endpoint accepts and then stalls costs the daemon
 // the bytes that arrived, not the bytes it declared.

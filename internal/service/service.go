@@ -41,10 +41,11 @@
 // comm.Digest. Randomized schedulers draw their RNG seed from that
 // same hash, so a repeated identical request is not just a cache hit:
 // even after eviction it recomputes the bit-identical schedule. A
-// second bounded table maps the SHA-256 of each /v1/schedule and
-// /v1/simulate request body to the content key it resolved to, so a
-// repeated body goes straight to revalidation and the cache without
-// being decoded again (see serveJob).
+// second bounded table maps each /v1/schedule and /v1/simulate request
+// body, by its AES-GMAC tag under a key drawn once per Server, to the
+// content key it resolved to, so a repeated body goes straight to
+// revalidation and the cache without being decoded again (see
+// serveJob and bodyKey).
 //
 // With Options.CacheDir set, the cache is also persisted to disk and
 // warm-restarted: every computed response is written through
@@ -69,7 +70,9 @@ package service
 
 import (
 	"context"
-	"crypto/sha256"
+	"crypto/aes"
+	"crypto/cipher"
+	crand "crypto/rand"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -185,10 +188,14 @@ type Server struct {
 	flights   *flightGroup
 	campaigns *campaignRegistry
 	// bodyKeys maps a /v1/schedule or /v1/simulate request body, by
-	// the hex SHA-256 of its endpoint and bytes, to the content key it
-	// resolved to, so a repeated body skips decode, resolution and
-	// fingerprinting. It is bounded like cache. See serveJob.
+	// its bodyKey under bodyMAC, to the content key it resolved to, so
+	// a repeated body skips decode, resolution and fingerprinting. It
+	// is bounded like cache. See serveJob.
 	bodyKeys *scheduleCache
+	// bodyMAC is the AES-GCM instance under a random key, drawn in
+	// NewServer, that computes every bodyKey. The key never leaves the
+	// process, so body keys are valid in this process only.
+	bodyMAC cipher.AEAD
 	// disk is the persistence layer under cache; nil when CacheDir is
 	// unset (memory-only). Writes go through asynchronously; reads
 	// happen once, at startup, to warm the memory cache.
@@ -264,11 +271,17 @@ const statusClientClosedRequest = 499
 // warm-restarts the cache from it: the newest persisted records (up to
 // the entry bound) are loaded back, corrupt or truncated ones skipped
 // and counted, so a rebooted daemon serves previously computed
-// responses byte-identically without recomputing. The only error path
-// is an unusable cache directory — a misconfigured daemon must fail
-// loudly, not silently run memory-only.
+// responses byte-identically without recomputing. An unusable cache
+// directory or quality store, or a bad peer list, is an error — a
+// misconfigured daemon must fail loudly, not silently run memory-only
+// — and so is a body-key MAC the process cannot build (see
+// newBodyMAC).
 func NewServer(opts Options) (*Server, error) {
 	opts = opts.withDefaults()
+	bodyMAC, err := newBodyMAC()
+	if err != nil {
+		return nil, err
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	tables := newTableCache()
 	s := &Server{
@@ -277,6 +290,7 @@ func NewServer(opts Options) (*Server, error) {
 		pool:      newPool(opts.Workers, opts.QueueDepth, tables),
 		cache:     newScheduleCache(opts.CacheEntries),
 		bodyKeys:  newScheduleCache(opts.CacheEntries),
+		bodyMAC:   bodyMAC,
 		flights:   newFlightGroup(),
 		campaigns: newCampaignRegistry(maxCampaignJobs, opts.MaxCampaigns),
 		tables:    tables,
@@ -658,7 +672,7 @@ func serveJob[R any](s *Server, ep int, resolve func(ctx context.Context, req *R
 			return
 		}
 		defer releaseBody(body)
-		bk := bodyKey(ep, body.Bytes())
+		bk := bodyKey(s.bodyMAC, ep, body.Bytes())
 		if s.serveRecorded(w, r, cn, ep, bk) {
 			return
 		}
@@ -681,15 +695,49 @@ func serveJob[R any](s *Server, ep int, resolve func(ctx context.Context, req *R
 	}
 }
 
+// newBodyMAC returns the AES-GCM instance that computes body keys,
+// under a fresh random key. It fails where the process cannot draw
+// the key, or where GCM with a caller-chosen nonce is refused (Go's
+// GODEBUG=fips140=only).
+func newBodyMAC() (cipher.AEAD, error) {
+	key := make([]byte, 16)
+	if _, err := crand.Read(key); err != nil {
+		return nil, fmt.Errorf("service: body-key secret: %w", err)
+	}
+	block, err := aes.NewCipher(key)
+	if err != nil {
+		return nil, fmt.Errorf("service: body-key cipher: %w", err)
+	}
+	mac, err := cipher.NewGCM(block)
+	if err != nil {
+		return nil, fmt.Errorf("service: body-key MAC: %w", err)
+	}
+	return mac, nil
+}
+
 // bodyKey is a request body's key in the body-key table: the hex
-// SHA-256 of the endpoint index and the body. Hex, because
-// scheduleCache shards on a key's first hex digit; SHA-256, because a
-// collision would answer one client's body with another's result.
-func bodyKey(ep int, body []byte) string {
-	h := sha256.New()
-	h.Write([]byte{byte(ep)})
-	h.Write(body)
-	return hex.EncodeToString(h.Sum(nil))
+// AES-GCM tag of an empty plaintext with the body as additional data
+// (a GMAC), under mac's secret key K, with the endpoint index as the
+// nonce's first byte, so the same bytes on two endpoints get unrelated
+// keys. Hex, because scheduleCache shards on a key's first hex digit.
+//
+// A collision would answer one client's body with another's result.
+// With an empty plaintext the tag is GHASH_H(body) XOR E_K(nonce‖1),
+// where H = E_K(0) is secret, and GHASH under a secret H is a
+// universal hash (NIST SP 800-38D): two distinct bodies fixed without
+// knowledge of H share a tag with probability at most (the longer
+// body's 16-byte blocks + 1) / 2^128, at most 2^-107 at the 32 MiB
+// body cap. No response, header, log or metric carries a body key, so
+// a client learns only hit or miss, which only a collision can change:
+// its bodies are fixed without knowledge of H, and the repeated nonce
+// exposes nothing, because the usual GCM nonce-reuse attack needs tags
+// to read. Unlike SHA-256's computational bound, this one needs only
+// that K stays in the process. One mac serves every handler at once:
+// Seal reads only the key schedule and the GHASH table.
+func bodyKey(mac cipher.AEAD, ep int, body []byte) string {
+	var nonce [12]byte
+	nonce[0] = byte(ep)
+	return hex.EncodeToString(mac.Seal(nil, nonce[:], nil, body))
 }
 
 // serveRecorded answers a request whose body the body-key table
