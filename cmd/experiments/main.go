@@ -20,7 +20,8 @@
 //	                target (uniform:D:BYTES, scatter:D:BYTES,
 //	                hotspot:D:BYTES:HOT, halo:WxH:BYTES, spmv:NNZ:BYTES,
 //	                perm:BYTES, transpose:BYTES, shift:K:BYTES,
-//	                stencil3d:XxYxZ:BYTES, bitcomp:BYTES, alltoall:BYTES)
+//	                stencil3d:XxYxZ:BYTES, bitcomp:BYTES, alltoall:BYTES,
+//	                mixed:D:BYTES)
 //	-algorithm A    policy autoeval evaluates: auto (default) or a
 //	                fixed tag (AC, LP, RS_N, RS_NL)
 //	-quality-db F   append the auto targets' calibration records to
@@ -69,9 +70,29 @@ import (
 	"unsched/internal/workload"
 )
 
-// allTargets is the canonical target order of the `all` run — the
-// order the paper presents them in.
-var allTargets = []string{"table1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11"}
+type target struct {
+	name  string
+	paper bool // a table or figure of the paper, which `all` runs
+	run   func(r *expt.Runner, stdout io.Writer, csv bool) error
+}
+
+// targets is the one target table, in usage order: the paper's tables
+// and figures lead, in the paper's order, which `all` keeps.
+func targets(workloads, algorithm string, qstore *quality.Store) []target {
+	return []target{
+		{"table1", true, runTable1},
+		{"fig5", true, runFig5},
+		{"fig6", true, figComm(4)},
+		{"fig7", true, figComm(8)},
+		{"fig8", true, figComm(16)},
+		{"fig9", true, figComm(32)},
+		{"fig10", true, figOverhead(expt.RSN, "Figure 10: computation overhead of RS_N (comp/comm)")},
+		{"fig11", true, figOverhead(expt.RSNL, "Figure 11: computation overhead of RS_NL (comp/comm)")},
+		{"workloads", false, func(r *expt.Runner, w io.Writer, _ bool) error { return runWorkloads(r, w, workloads) }},
+		{"autoeval", false, func(r *expt.Runner, w io.Writer, _ bool) error { return runAutoEval(r, w, algorithm, qstore) }},
+		{"autofallback", false, func(r *expt.Runner, w io.Writer, _ bool) error { return runAutoFallback(r, w, qstore) }},
+	}
+}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
@@ -113,7 +134,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: experiments [flags] <table1|fig5|fig6|fig7|fig8|fig9|fig10|fig11|workloads|all>")
+		var names []string
+		for _, t := range targets("", "", nil) {
+			names = append(names, t.name)
+		}
+		fmt.Fprintf(stderr, "usage: experiments [flags] <%s|all>\n", strings.Join(names, "|"))
 		fs.PrintDefaults()
 		return fmt.Errorf("expected exactly one target, got %d", fs.NArg())
 	}
@@ -187,42 +212,25 @@ func run(args []string, stdout, stderr io.Writer) error {
 		defer qstore.Close()
 	}
 
-	targets := map[string]func(*expt.Runner, io.Writer, bool) error{
-		"table1": runTable1,
-		"fig5":   runFig5,
-		"fig6":   figComm(4),
-		"fig7":   figComm(8),
-		"fig8":   figComm(16),
-		"fig9":   figComm(32),
-		"fig10":  figOverhead(expt.RSN, "Figure 10: computation overhead of RS_N (comp/comm)"),
-		"fig11":  figOverhead(expt.RSNL, "Figure 11: computation overhead of RS_NL (comp/comm)"),
-		"workloads": func(r *expt.Runner, stdout io.Writer, _ bool) error {
-			return runWorkloads(r, stdout, *workloads)
-		},
-		"autoeval": func(r *expt.Runner, stdout io.Writer, _ bool) error {
-			return runAutoEval(r, stdout, *algorithm, qstore)
-		},
-		"autofallback": func(r *expt.Runner, stdout io.Writer, _ bool) error {
-			return runAutoFallback(r, stdout, qstore)
-		},
-	}
-
+	table := targets(*workloads, *algorithm, qstore)
 	name := fs.Arg(0)
 	if name == "all" {
-		for _, key := range allTargets {
-			fmt.Fprintf(stdout, "==== %s ====\n", key)
-			if err := targets[key](runner, stdout, *csv); err != nil {
-				return fmt.Errorf("target %s: %w", key, err)
+		for _, t := range table {
+			if t.paper {
+				fmt.Fprintf(stdout, "==== %s ====\n", t.name)
+				if err := t.run(runner, stdout, *csv); err != nil {
+					return fmt.Errorf("target %s: %w", t.name, err)
+				}
+				fmt.Fprintln(stdout)
 			}
-			fmt.Fprintln(stdout)
 		}
 		return nil
 	}
-	runTarget, ok := targets[name]
-	if !ok {
+	i := slices.IndexFunc(table, func(t target) bool { return t.name == name })
+	if i < 0 {
 		return fmt.Errorf("unknown target %q", name)
 	}
-	if err := runTarget(runner, stdout, *csv); err != nil {
+	if err := table[i].run(runner, stdout, *csv); err != nil {
 		return fmt.Errorf("target %s: %w", name, err)
 	}
 	return nil

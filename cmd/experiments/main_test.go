@@ -113,13 +113,32 @@ func TestProgressWithoutTerminal(t *testing.T) {
 	}
 }
 
+// TestUnknownTargetFails: an unknown or missing target fails, and the
+// usage a missing target prints lists every target of the table and
+// `all`, as the package comment does.
 func TestUnknownTargetFails(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if err := run([]string{"-dim", "4", "fig99"}, &stdout, &stderr); err == nil {
 		t.Fatal("unknown target accepted")
 	}
+	stderr.Reset()
 	if err := run([]string{"-dim", "4"}, &stdout, &stderr); err == nil {
 		t.Fatal("missing target accepted")
+	}
+	usage, _, _ := strings.Cut(stderr.String(), "\n")
+	var names []string
+	for _, tg := range targets("", "", nil) {
+		names = append(names, tg.name)
+	}
+	if want := "usage: experiments [flags] <" + strings.Join(names, "|") + "|all>"; usage != want {
+		t.Errorf("usage line reads\n%s\nwant\n%s", usage, want)
+	}
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc := "//\t" + strings.TrimPrefix(usage, "usage: ") + "\n"; !strings.Contains(string(src), doc) {
+		t.Errorf("package comment's usage line is not %q", doc)
 	}
 }
 

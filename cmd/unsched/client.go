@@ -2,8 +2,8 @@
 // becomes a client of a running unschedd daemon, exercising the same
 // public wire surface any other client would use — JSON by default,
 // the compact binary envelope with -binary, and the NDJSON batch
-// stream with -batch. The pattern travels as a workload spec when it
-// was generated (the daemon rebuilds it deterministically from the
+// stream with -batch. The pattern travels as the canonical string of
+// its workload spec (the daemon rebuilds it deterministically from the
 // request's content hash) and as explicit triples when -load gave us
 // a concrete matrix.
 package main
@@ -15,63 +15,19 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strings"
 	"text/tabwriter"
 
 	"unsched"
-	"unsched/internal/comm"
-	"unsched/internal/topo"
 )
 
-// remoteWorkload maps the CLI's named patterns onto the canonical
-// workload spec grammar the daemon speaks: each spec builds the
-// generator buildMatrix runs for the name. Specs (anything with a
-// colon) pass through untouched.
-func remoteWorkload(pattern string, d int, bytes int64) (string, error) {
-	if strings.Contains(pattern, ":") {
-		return pattern, nil
-	}
-	switch pattern {
-	case "dregular":
-		return fmt.Sprintf("dregular:%d:%d", d, bytes), nil
-	case "random":
-		return fmt.Sprintf("scatter:%d:%d", d, bytes), nil
-	case "bitcomp", "alltoall":
-		return fmt.Sprintf("%s:%d", pattern, bytes), nil
-	default:
-		return "", fmt.Errorf("pattern %q has no remote form; pass a workload spec (e.g. hotspot:8:4096:4)", pattern)
-	}
-}
-
-// remoteRequest assembles the ScheduleRequest shared by every
-// algorithm this invocation runs on net. m is non-nil when -load
-// supplied an explicit matrix; otherwise the generated pattern travels
-// by spec.
-func remoteRequest(m *comm.Matrix, pattern string, d int, bytes int64,
-	net topo.Spec, seed int64) (unsched.ScheduleRequest, error) {
-	req := unsched.ScheduleRequest{Seed: seed, Topology: &unsched.WireTopology{Spec: net.String()}}
-	if m != nil {
-		msgs := m.Messages()
-		wm := &unsched.WireMatrix{N: m.N(), Messages: make([][3]int64, len(msgs))}
-		for i, msg := range msgs {
-			wm.Messages[i] = [3]int64{int64(msg.Src), int64(msg.Dst), msg.Bytes}
-		}
-		req.Matrix = wm
-		return req, nil
-	}
-	wl, err := remoteWorkload(pattern, d, bytes)
-	req.Workload = wl
-	return req, err
-}
-
-// runRemote drives the daemon at base once per algorithm (or once for
-// all of them with -batch) and prints the same comparison table the
-// local mode does, minus simulated times: the daemon's schedule
-// endpoint reports structure, not the iPSC model run.
-func runRemote(base string, algs []string, req unsched.ScheduleRequest, binary, batch bool) error {
+// runRemote drives the daemon at base with req once per algorithm (or
+// once for all of them with -batch) and prints the same comparison
+// table the local mode does, minus simulated times: the daemon's
+// schedule endpoint reports structure, not the iPSC model run.
+func runRemote(stdout io.Writer, base string, algs []string, req unsched.ScheduleRequest, binary, batch bool) error {
 	base = strings.TrimRight(base, "/")
-	tw := tabwriter.NewWriter(os.Stdout, 2, 0, 2, ' ', 0)
+	tw := tabwriter.NewWriter(stdout, 2, 0, 2, ' ', 0)
 	fmt.Fprintln(tw, "algorithm\tchosen\tphases\tops\tlink-free\tcached\tkey")
 	var err error
 	if batch {

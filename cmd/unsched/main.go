@@ -8,9 +8,13 @@
 //	unsched -n 64 -d 8 -bytes 4096                 # compare all algorithms
 //	unsched -n 64 -d 8 -bytes 4096 -alg RS_NL -trace
 //	unsched -n 64 -d 8 -bytes 4096 -alg auto       # calibrated pick
-//	unsched -pattern hotspot -n 64 -d 8 -bytes 1024
+//	unsched -pattern hotspot -n 64 -d 8 -bytes 1024  # hotspot:8:1024:4
 //	unsched -pattern halo:16x16:512 -n 64            # any workload spec
 //	unsched -load pattern.txt -alg LP -gantt
+//
+// -pattern is a workload spec, sized by -n, or a bare kind name or alias
+// (dregular, the default, random, hotspot, mixed, ...) whose D, BYTES
+// and HOT are -d, -bytes and max(1, n/16); halo and the like need a spec.
 //
 // With -server the CLI schedules against a running unschedd daemon
 // instead of computing locally; -binary negotiates the daemon's
@@ -25,162 +29,159 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/bits"
 	"math/rand"
 	"os"
 	"strings"
 	"text/tabwriter"
 
+	"unsched"
 	"unsched/internal/comm"
 	"unsched/internal/costmodel"
 	"unsched/internal/ipsc"
 	"unsched/internal/quality"
 	"unsched/internal/sched"
+	"unsched/internal/service"
 	"unsched/internal/topo"
 	"unsched/internal/trace"
 	"unsched/internal/workload"
 )
 
 func main() {
-	n := flag.Int("n", 64, "processor count (power of two)")
-	d := flag.Int("d", 8, "density: messages sent/received per processor")
-	bytes := flag.Int64("bytes", 4096, "uniform message size")
-	pattern := flag.String("pattern", "dregular", "workload: dregular|random|hotspot|bitcomp|alltoall|mixed, or any workload spec ("+strings.Join(workload.Grammars(), ", ")+")")
-	topoName := flag.String("topo", "cube", "topology: cube|mesh|torus (mesh/torus need a square node count)")
-	load := flag.String("load", "", "load a communication matrix from file instead of generating")
-	alg := flag.String("alg", "", "run one algorithm (auto|"+strings.Join(sched.Tags(), "|")+"); default: compare every algorithm that fits the machine")
-	seed := flag.Int64("seed", 7, "random seed")
-	doTrace := flag.Bool("trace", false, "print the phase-by-phase schedule")
-	doGantt := flag.Bool("gantt", false, "print a per-node phase occupancy chart")
-	doHeat := flag.Bool("heatmap", false, "print the communication matrix heatmap")
-	saveSched := flag.String("save", "", "write the (single -alg) schedule to this file for reuse")
-	server := flag.String("server", "", "base URL of a running unschedd; schedule remotely instead of locally")
-	binary := flag.Bool("binary", false, "with -server: negotiate the compact binary response encoding")
-	batch := flag.Bool("batch", false, "with -server: submit all algorithms as one streaming batch")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "unsched:", err)
+		os.Exit(1)
+	}
+}
 
-	if *saveSched != "" && *alg == "" {
-		fatal(fmt.Errorf("-save requires a single -alg"))
+// run is the command behind main, on explicit arguments and streams.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("unsched", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	n := fs.Int("n", 64, "processor count (power of two)")
+	d := fs.Int("d", 8, "density: messages sent/received per processor")
+	bytes := fs.Int64("bytes", 4096, "uniform message size")
+	pattern := fs.String("pattern", "dregular", "workload spec ("+strings.Join(workload.Grammars(), ", ")+
+		"), or a bare kind name or alias (dregular, random, ...) whose D is -d, BYTES -bytes and HOT max(1, n/16)")
+	topoName := fs.String("topo", "cube", "topology: cube|mesh|torus (mesh/torus need a square node count)")
+	load := fs.String("load", "", "load a communication matrix from file instead of generating")
+	alg := fs.String("alg", "", "run one algorithm (auto|"+strings.Join(sched.Tags(), "|")+"); default: compare every algorithm that fits the machine")
+	seed := fs.Int64("seed", 7, "random seed")
+	doTrace := fs.Bool("trace", false, "print the phase-by-phase schedule")
+	doGantt := fs.Bool("gantt", false, "print a per-node phase occupancy chart")
+	doHeat := fs.Bool("heatmap", false, "print the communication matrix heatmap")
+	saveSched := fs.String("save", "", "write the (single -alg) schedule to this file for reuse")
+	server := fs.String("server", "", "base URL of a running unschedd; schedule remotely instead of locally")
+	binary := fs.Bool("binary", false, "with -server: negotiate the compact binary response encoding")
+	batch := fs.Bool("batch", false, "with -server: submit all algorithms as one streaming batch")
+	_ = fs.Parse(args) // on a bad flag ExitOnError exits, as flag.Parse does
+
+	if *saveSched != "" && (*alg == "" || *server != "") {
+		return fmt.Errorf("-save requires a single -alg and a local run")
 	}
 	if (*binary || *batch) && *server == "" {
-		fatal(fmt.Errorf("-binary and -batch require -server"))
+		return fmt.Errorf("-binary and -batch require -server")
 	}
 
-	if *server != "" {
-		var m *comm.Matrix
-		nodes := *n
-		if *load != "" {
-			var err error
-			if m, err = buildMatrix(*load, *pattern, *n, *d, *bytes, *seed); err != nil {
-				fatal(err)
-			}
-			nodes = m.N()
-		}
-		algs := fitting(nodes)
-		if *alg != "" {
-			algs = []string{*alg}
-		}
-		sp, err := topologySpec(*topoName, nodes)
+	var m *comm.Matrix
+	var wl workload.Spec
+	var err error
+	nodes := *n
+	if *load != "" {
+		f, err := os.Open(*load)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		req, err := remoteRequest(m, *pattern, *d, *bytes, sp, *seed)
+		m, err = comm.Read(f)
+		f.Close()
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		if err := runRemote(*server, algs, req, *binary, *batch); err != nil {
-			fatal(err)
-		}
-		return
+		nodes = m.N()
+	} else if wl, err = patternSpec(*pattern, *n, *d, *bytes); err != nil {
+		return err
 	}
-
-	m, err := buildMatrix(*load, *pattern, *n, *d, *bytes, *seed)
+	sp, err := topologySpec(*topoName, nodes)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	sp, err := topologySpec(*topoName, m.N())
-	if err != nil {
-		fatal(err)
-	}
-	net, err := sp.Build()
-	if err != nil {
-		fatal(err)
-	}
-	params := costmodel.DefaultIPSC860()
-
-	fmt.Printf("pattern: n=%d messages=%d density=%d total=%d bytes\n",
-		m.N(), m.MessageCount(), m.Density(), m.TotalBytes())
-	if *doHeat {
-		fmt.Print(trace.MatrixHeatmap(m))
-	}
-
-	algs := fitting(m.N())
+	algs := fitting(nodes)
 	if *alg != "" {
 		algs = []string{*alg}
 	}
+	if *server != "" {
+		req := unsched.ScheduleRequest{Seed: *seed, Topology: &unsched.WireTopology{Spec: sp.String()}}
+		if m != nil {
+			req.Matrix = service.NewWireMatrix(m)
+		} else {
+			req.Workload = wl.String()
+		}
+		return runRemote(stdout, *server, algs, req, *binary, *batch)
+	}
+
+	if m == nil {
+		if m, err = wl.Build(nodes, rand.New(rand.NewSource(*seed))); err != nil {
+			return err
+		}
+	}
+	net, err := sp.Build()
+	if err != nil {
+		return err
+	}
+	chosen := ""
 	if *alg == "auto" {
 		// The same resolution the daemon performs, minus a calibration
 		// store: the committed fallback table ranks the matrix's feature
 		// bin, which is all a one-shot CLI run can know.
 		var model *quality.Model
-		chosen := model.Pick(net.Name(), sched.MeasureFeatures(m))[0]
-		fmt.Printf("auto: resolved to %s (committed fallback calibration)\n", chosen)
+		chosen = model.Pick(net.Name(), sched.MeasureFeatures(m))[0]
 		algs = []string{chosen}
 	}
-	tw := tabwriter.NewWriter(os.Stdout, 2, 0, 2, ' ', 0)
+	if a, ok := sched.Lookup(algs[0]); ok && a.Build == nil && *saveSched != "" {
+		return fmt.Errorf("-save: %s sends asynchronously and has no phases to save", a.Tag)
+	}
+
+	fmt.Fprintf(stdout, "pattern: n=%d messages=%d density=%d total=%d bytes\n",
+		m.N(), m.MessageCount(), m.Density(), m.TotalBytes())
+	if *doHeat {
+		fmt.Fprint(stdout, trace.MatrixHeatmap(m))
+	}
+	if chosen != "" {
+		fmt.Fprintf(stdout, "auto: resolved to %s (committed fallback calibration)\n", chosen)
+	}
+	tw := tabwriter.NewWriter(stdout, 2, 0, 2, ' ', 0)
 	fmt.Fprintln(tw, "algorithm\tphases\tpairwise\tcomp(ms)\tcomm(ms)\tlink-free")
+	var s *sched.Schedule
 	for _, name := range algs {
-		if err := runOne(tw, name, m, net, params, *seed, *doTrace, *doGantt, *saveSched); err != nil {
-			fatal(err)
+		if s, err = runOne(stdout, tw, name, m, net, *seed, *doTrace, *doGantt); err != nil {
+			return err
 		}
 	}
-	if err := tw.Flush(); err != nil {
-		fatal(err)
+	if *saveSched != "" {
+		f, err := os.Create(*saveSched)
+		if err != nil {
+			return err
+		}
+		if _, err := s.WriteTo(f); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(stderr, "schedule written to %s (reload with sched.ReadSchedule)\n", *saveSched)
 	}
+	return tw.Flush()
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "unsched:", err)
-	os.Exit(1)
-}
-
-func buildMatrix(load, pattern string, n, d int, bytes, seed int64) (*comm.Matrix, error) {
-	if load != "" {
-		f, err := os.Open(load)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return comm.Read(f)
+// patternSpec resolves -pattern: a workload spec as written, or a bare
+// kind name or alias whose grammar the flags fill.
+func patternSpec(pattern string, n, d int, bytes int64) (workload.Spec, error) {
+	if strings.Contains(pattern, ":") {
+		return workload.ParseSpec(pattern)
 	}
-	rng := rand.New(rand.NewSource(seed))
-	switch pattern {
-	case "dregular":
-		return comm.DRegular(n, d, bytes, rng)
-	case "random":
-		return comm.UniformRandom(n, d, bytes, rng)
-	case "hotspot":
-		return comm.HotSpot(n, d, bytes, max(1, n/16), 0.7, rng)
-	case "bitcomp":
-		return comm.BitComplement(n, bytes)
-	case "alltoall":
-		return comm.AllToAll(n, bytes)
-	case "mixed":
-		return comm.MixedSizes(n, d, bytes/8+1, bytes, rng)
-	default:
-		// Anything else is a workload spec: the same canonical grammar
-		// the campaign engine and the unschedd service speak, sized here
-		// by -n and ignoring -d/-bytes (the spec carries its own
-		// parameters).
-		sp, err := workload.ParseSpec(pattern)
-		if err != nil {
-			return nil, fmt.Errorf("pattern %q is neither a named pattern nor a workload spec: %w", pattern, err)
-		}
-		if err := sp.ValidateFor(n); err != nil {
-			return nil, err
-		}
-		return sp.Build(n, rng)
-	}
+	return workload.BareSpec(pattern, map[string]int64{"D": int64(d), "BYTES": bytes, "HOT": int64(max(1, n/16))})
 }
 
 // topologySpec resolves the -topo flag for an n-node machine: the
@@ -221,36 +222,38 @@ func fitting(n int) []string {
 	return tags
 }
 
-func runOne(tw *tabwriter.Writer, name string, m *comm.Matrix, net topo.Topology,
-	params costmodel.Params, seed int64, doTrace, doGantt bool, savePath string) error {
+// runOne adds name's row to tw and returns its schedule (nil for AC).
+func runOne(stdout io.Writer, tw *tabwriter.Writer, name string, m *comm.Matrix, net topo.Topology,
+	seed int64, doTrace, doGantt bool) (*sched.Schedule, error) {
 	a, ok := sched.Lookup(name)
 	if !ok {
-		return fmt.Errorf("unknown algorithm %q (want %s)", name, sched.WantList(append([]string{"auto"}, sched.Tags()...)...))
+		return nil, fmt.Errorf("unknown algorithm %q (want %s)", name, sched.WantList(append([]string{"auto"}, sched.Tags()...)...))
 	}
 	core := sched.NewCoreDirect(net)
+	params := costmodel.DefaultIPSC860()
 	mach, err := ipsc.NewMachine(net, params)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if a.Build == nil {
 		order, err := core.AC(m)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		res, err := mach.RunAC(order, m)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		fmt.Fprintf(tw, "%s\t-\t-\t0.00\t%.2f\t-\n", name, res.MakespanUS/1000)
-		return nil
+		return nil, nil
 	}
 
 	s, err := a.Build(core, m, rand.New(rand.NewSource(seed)))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := s.Validate(m); err != nil {
-		return fmt.Errorf("%s produced an invalid schedule: %w", name, err)
+		return nil, fmt.Errorf("%s produced an invalid schedule: %w", name, err)
 	}
 	linkFree := "yes"
 	if err := s.ValidateLinkFree(net); err != nil {
@@ -259,33 +262,19 @@ func runOne(tw *tabwriter.Writer, name string, m *comm.Matrix, net topo.Topology
 
 	res, err := mach.Run(a.Protocol, s)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Fprintf(tw, "%s\t%d\t%.0f%%\t%.2f\t%.2f\t%s\n",
 		name, s.NumPhases(), 100*s.PairwiseFraction(),
 		params.CompTimeMS(s.Ops), res.MakespanUS/1000, linkFree)
 
 	if doTrace {
-		if err := trace.WriteSchedule(os.Stdout, s); err != nil {
-			return err
+		if err := trace.WriteSchedule(stdout, s); err != nil {
+			return nil, err
 		}
 	}
 	if doGantt {
-		fmt.Print(trace.Gantt(s, 80))
+		fmt.Fprint(stdout, trace.Gantt(s, 80))
 	}
-	if savePath != "" {
-		f, err := os.Create(savePath)
-		if err != nil {
-			return err
-		}
-		if _, err := s.WriteTo(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "schedule written to %s (reload with sched.ReadSchedule)\n", savePath)
-	}
-	return nil
+	return s, nil
 }

@@ -16,22 +16,33 @@ import (
 	"unsched/internal/comm"
 )
 
-// TestBuildIntoAllocs holds BuildInto on a warm 64-node matrix, and
-// String plus Key, to their measured allocation counts. BuildInto's
-// remainder is the generator's own scratch (a permutation slice for
-// uniform, the d-slot displacement map for scatter); a reintroduced
-// per-cell matrix allocation blows past every budget.
+// TestBuildIntoAllocs holds BuildInto on a warm 64-node matrix,
+// String plus Key, and ParseSpec to their measured allocation counts.
+// BuildInto's remainder is the generator's own scratch (a permutation
+// slice for uniform, the d-slot displacement map for scatter); a
+// reintroduced per-cell matrix allocation blows past every budget.
+// Parsing a spec without an element grid allocates nothing, also
+// through an alias.
 func TestBuildIntoAllocs(t *testing.T) {
 	cases := []struct {
-		spec             string
-		build, stringKey float64
+		spec                    string
+		build, stringKey, parse float64
 	}{
-		{"uniform:16:1024", 1, 4},
-		{"scatter:16:1024", 3, 4},
-		{"alltoall:64", 0, 3},
+		{"uniform:16:1024", 1, 4, 0},
+		{"scatter:16:1024", 3, 4, 0},
+		{"random:16:1024", 3, 4, 0},
+		{"alltoall:64", 0, 3, 0},
 	}
 	for _, c := range cases {
 		sp := MustParseSpec(c.spec)
+		parse := func() {
+			if _, err := ParseSpec(c.spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := testing.AllocsPerRun(20, parse); got > c.parse {
+			t.Errorf("%s: ParseSpec: %.1f allocs/run, budget %.0f", c.spec, got, c.parse)
+		}
 		m := comm.MustNew(64)
 		rng := rand.New(rand.NewSource(9))
 		build := func() {

@@ -12,6 +12,7 @@ func FuzzWorkloadSpec(f *testing.F) {
 		f.Add(s)
 	}
 	f.Add("dregular:8:4096")
+	f.Add("random:8:4096")
 	f.Add("uniform:4:1024:")
 	f.Add("halo:8x:512")
 	f.Add("stencil3d:4x4x4x4:64")

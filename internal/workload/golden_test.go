@@ -16,7 +16,7 @@ var update = flag.Bool("update", false, "rewrite golden files from current outpu
 type rawSpec Spec
 
 // goldenStrings are the spec strings testdata/specs.golden pins: every
-// kind, the dregular alias, and malformed or out-of-range strings the
+// kind, both aliases, and malformed or out-of-range strings the
 // parser must keep rejecting (or, for the signed and zero-padded
 // numbers, keep accepting).
 var goldenStrings = []string{
@@ -107,6 +107,17 @@ var goldenStrings = []string{
 	"alltoall:0",
 	"alltoall:1073741825",
 	"perm:\x00",
+	// The mixed kind and the random alias, accepted and rejected.
+	"mixed:4:1024",
+	"mixed:8:4096",
+	"mixed:4:2",
+	"mixed:4:1",
+	"mixed:63:131072",
+	"random:4:1024",
+	"mixed:4",
+	"mixed:0:64",
+	"random:4",
+	"RANDOM:4:1024",
 }
 
 // goldenSpecs are hand-built Specs, most carrying another kind's
@@ -133,6 +144,8 @@ var goldenSpecs = []Spec{
 	{Kind: "uniform", Hot: 4, Bytes: 64},
 	{Kind: "dregular", D: 4, Bytes: 64},
 	{},
+	{Kind: "mixed", D: 4, Bytes: 64, Hot: 9, K: 3},
+	{Kind: "random", D: 4, Bytes: 64},
 }
 
 // goldenNodes are the machine sizes each accepted spec is fitted to

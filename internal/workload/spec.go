@@ -9,7 +9,7 @@
 // kind names a row of the kind table (kinds) and the args follow that
 // row's grammar: "uniform:8:4096" is the paper's §6 workload,
 // "halo:64x64:512" an irregular-mesh halo exchange. Grammars lists
-// every kind's grammar; "dregular" is an accepted alias of "uniform".
+// every kind's grammar; "dregular" and "random" alias two kinds.
 //
 // Parse with ParseSpec, render the canonical form with String, check
 // machine-independent bounds with Validate and machine fit with
@@ -145,6 +145,8 @@ func specOf(kind string, v *[nParams]int64) Spec {
 // adding a workload is one row plus its comm generator.
 type kind struct {
 	name string
+	// alias is another name a caller may write; Kind and String say name.
+	alias string
 	// grammar is the argument list after "name:": colon-separated
 	// fields, each one parameter or an x-joined element grid ("WxH").
 	// Its order is the parse order, the canonical form's, and the
@@ -160,11 +162,11 @@ type kind struct {
 	// machine. nil means 0, a density that emerges from the partition.
 	density func(sp Spec, n int) int
 	// sizeCV is SizeCVHint: 0 when every message carries Bytes, a
-	// coarse analytic hint for the kinds whose sizes emerge from the
-	// partition. It only has to land in the right quality-model band.
+	// coarse analytic hint for the kinds whose sizes vary. It only has
+	// to land in the right quality-model band.
 	sizeCV float64
-	// maxMsg is MaxMessageBytes; nil means every message carries
-	// exactly Bytes.
+	// maxMsg is MaxMessageBytes; nil means no message carries more
+	// than Bytes.
 	maxMsg func(sp Spec) int64
 	// fit is the kind's machine-fit rule beyond n >= 2; nil admits
 	// every machine.
@@ -191,13 +193,13 @@ var kinds = []kind{
 	{
 		// The paper's §6 workload: uniform message size, exactly
 		// d-regular random pattern.
-		name: "uniform", grammar: "D:BYTES", density: densityD, fit: fitDensity,
+		name: "uniform", alias: "dregular", grammar: "D:BYTES", density: densityD, fit: fitDensity,
 		build: func(sp Spec, m *comm.Matrix, rng *rand.Rand) error { return comm.DRegularInto(m, sp.D, sp.Bytes, rng) },
 	},
 	{
 		// Send-side uniform random: exactly d random destinations per
 		// sender, receive degrees binomial.
-		name: "scatter", grammar: "D:BYTES", tag: -1, density: densityD, fit: fitDensity,
+		name: "scatter", alias: "random", grammar: "D:BYTES", tag: -1, density: densityD, fit: fitDensity,
 		build: func(sp Spec, m *comm.Matrix, rng *rand.Rand) error {
 			return comm.UniformRandomInto(m, sp.D, sp.Bytes, rng)
 		},
@@ -311,6 +313,21 @@ var kinds = []kind{
 		density: func(_ Spec, n int) int { return n - 1 },
 		build:   func(sp Spec, m *comm.Matrix, _ *rand.Rand) error { return comm.AllToAllInto(m, sp.Bytes) },
 	},
+	{
+		// The §6 workload with the sizes the paper leaves to [15]: powers
+		// of two drawn log-uniformly from [BYTES/8+1, BYTES], {m, 2m, 4m}
+		// (CV 0.5345) from BYTES 4, {1, 2} (CV 1/3) at 2-3; fit rejects 1.
+		name: "mixed", grammar: "D:BYTES", tag: -11, density: densityD, sizeCV: 0.5345,
+		fit: func(sp Spec, n int) error {
+			if sp.Bytes < 2 {
+				return fmt.Errorf("workload: mixed needs at least 2 bytes to mix sizes, got %d", sp.Bytes)
+			}
+			return fitDensity(sp, n)
+		},
+		build: func(sp Spec, m *comm.Matrix, rng *rand.Rand) error {
+			return comm.MixedSizesInto(m, sp.D, sp.Bytes/8+1, sp.Bytes, rng)
+		},
+	},
 }
 
 func densityD(sp Spec, _ int) int { return sp.D }
@@ -350,6 +367,17 @@ func lookup(name string) *kind {
 	return nil
 }
 
+// resolve is lookup for a name a caller wrote, which may be an alias.
+func resolve(name string) *kind {
+	if k := lookup(name); k != nil || name == "" {
+		return k
+	}
+	if i := slices.IndexFunc(kinds, func(k kind) bool { return k.alias == name }); i >= 0 {
+		return &kinds[i]
+	}
+	return nil
+}
+
 // Grammars lists every kind's name:args grammar in table order, the
 // list ParseSpec's errors and the CLIs' flag help print.
 func Grammars() []string {
@@ -364,19 +392,37 @@ func Grammars() []string {
 // through the string grammar: density d, uniform message size bytes.
 func UniformSpec(d int, bytes int64) Spec { return Spec{Kind: "uniform", D: d, Bytes: bytes} }
 
-// ParseSpec parses the string form of a workload spec. "dregular" is
-// accepted as an alias of "uniform" (they are the same generator; the
-// canonical form always says "uniform"), mirroring topo's
-// "hypercube"/"cube" aliasing.
+// BareSpec resolves a bare kind name or alias to the spec whose
+// parameters fill supplies by grammar token ("D", "BYTES", "HOT", ...);
+// a kind whose grammar needs a token fill lacks is rejected.
+func BareSpec(name string, fill map[string]int64) (Spec, error) {
+	k := resolve(name)
+	if k == nil {
+		return Spec{}, fmt.Errorf("workload: unknown kind %q (want %s)", name, strings.Join(Grammars(), ", "))
+	}
+	var v [nParams]int64
+	for _, f := range k.fields {
+		for _, p := range f.params {
+			x, ok := fill[params[p].token]
+			if !ok {
+				return Spec{}, fmt.Errorf("workload: bare %s leaves %s unset; write the spec %s:%s", name, params[p].token, k.name, k.grammar)
+			}
+			v[p] = x
+		}
+	}
+	return specOf(k.name, &v), k.validate(&v)
+}
+
+// ParseSpec parses the string form of a workload spec. A kind's alias
+// is accepted in place of its name ("dregular:8:4096" is
+// "uniform:8:4096": the same row, and the canonical form says
+// "uniform"), mirroring topo's "hypercube"/"cube" aliasing.
 func ParseSpec(s string) (Spec, error) {
 	name, rest, ok := strings.Cut(s, ":")
 	if !ok || rest == "" {
 		return Spec{}, fmt.Errorf("workload: spec %q: want kind:args (%s)", s, strings.Join(Grammars(), ", "))
 	}
-	if name == "dregular" {
-		name = "uniform"
-	}
-	k := lookup(name)
+	k := resolve(name)
 	if k == nil {
 		return Spec{}, fmt.Errorf("workload: spec %q: unknown kind %q (want %s)", s, name, strings.Join(Grammars(), ", "))
 	}
@@ -495,8 +541,8 @@ func (sp Spec) String() string {
 func (sp Spec) MsgBytes() int64 { return sp.Bytes }
 
 // MaxMessageBytes returns a conservative upper bound on the size of
-// any single message the built pattern can contain: exactly Bytes for
-// the fixed-size kinds, and for the aggregating kinds Bytes times a
+// any single message the built pattern can contain: Bytes for the
+// non-aggregating kinds, and for the aggregating kinds Bytes times a
 // bound on how many per-element contributions one processor pair can
 // accumulate (each row's maxMsg says how). Services gate this bound,
 // not the bare per-element Bytes, so an aggregating spec cannot

@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"unsched/internal/comm"
+	"unsched/internal/quality"
+	"unsched/internal/sched"
 )
 
 // allSpecs is one representative of every kind, all buildable on a
@@ -26,6 +28,7 @@ var allSpecs = []string{
 	"stencil3d:4x4x4:64",
 	"bitcomp:1024",
 	"alltoall:256",
+	"mixed:4:1024",
 }
 
 func TestSpecRoundTrip(t *testing.T) {
@@ -48,15 +51,52 @@ func TestSpecRoundTrip(t *testing.T) {
 }
 
 func TestSpecAliases(t *testing.T) {
-	sp, err := ParseSpec("dregular:8:4096")
-	if err != nil {
-		t.Fatal(err)
+	for alias, canon := range map[string]string{"dregular:8:4096": "uniform:8:4096", "random:8:4096": "scatter:8:4096"} {
+		sp, err := ParseSpec(alias)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sp != MustParseSpec(canon) || sp.String() != canon {
+			t.Errorf("alias %s parsed to %q", alias, sp.String())
+		}
 	}
-	if sp.Kind != "uniform" || sp.String() != "uniform:8:4096" {
-		t.Errorf("dregular alias parsed to %q", sp.String())
+	if MustParseSpec("dregular:8:4096") != UniformSpec(8, 4096) {
+		t.Error("dregular alias != UniformSpec")
 	}
-	if sp != UniformSpec(8, 4096) {
-		t.Errorf("alias %+v != UniformSpec", sp)
+	// An alias names a row only where a caller writes it: a Spec's Kind
+	// is the row's name.
+	if err := (Spec{Kind: "random", D: 4, Bytes: 64}).Validate(); err == nil {
+		t.Error("Spec with an alias as Kind validated")
+	}
+}
+
+// TestBareSpec: a bare kind name or alias takes its parameters from
+// the fill values by grammar token; a kind that needs a token the fill
+// lacks, an unknown name and out-of-range values are rejected.
+func TestBareSpec(t *testing.T) {
+	fill := map[string]int64{"D": 8, "BYTES": 4096, "HOT": 4}
+	for name, want := range map[string]string{
+		"uniform":  "uniform:8:4096",
+		"dregular": "uniform:8:4096",
+		"random":   "scatter:8:4096",
+		"hotspot":  "hotspot:8:4096:4",
+		"perm":     "perm:4096",
+		"mixed":    "mixed:8:4096",
+	} {
+		sp, err := BareSpec(name, fill)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+		} else if sp != MustParseSpec(want) {
+			t.Errorf("%s: %+v, want %s", name, rawSpec(sp), want)
+		}
+	}
+	for _, name := range []string{"halo", "shift", "spmv", "stencil3d", "klein", "uniform:8:4096", ""} {
+		if sp, err := BareSpec(name, fill); err == nil {
+			t.Errorf("BareSpec(%q) accepted as %+v", name, rawSpec(sp))
+		}
+	}
+	if _, err := BareSpec("uniform", map[string]int64{"D": 0, "BYTES": 64}); err == nil {
+		t.Error("BareSpec accepted density 0")
 	}
 }
 
@@ -94,6 +134,9 @@ func TestSpecParseRejects(t *testing.T) {
 		"alltoall:0",
 		"klein:4:1024",
 		"uniform:2000000:1024",
+		"random:4",
+		"mixed:4",
+		"mixed:0:64",
 	}
 	for _, s := range bad {
 		if sp, err := ParseSpec(s); err == nil {
@@ -151,14 +194,23 @@ func TestSpecBuildsValidMatrix(t *testing.T) {
 			t.Errorf("density %d, want %d", got, want)
 		}
 	}
+	dRegular := func(t *testing.T, sp Spec, m *comm.Matrix) {
+		sendD(t, sp, m)
+		for i := 0; i < m.N(); i++ {
+			if m.RecvDegree(i) != sp.D {
+				t.Errorf("node %d receive degree %d, want %d", i, m.RecvDegree(i), sp.D)
+			}
+		}
+	}
 	// What each kind promises beyond a valid matrix; spmv, halo and
 	// stencil3d promise no density.
 	promises := map[string]func(*testing.T, Spec, *comm.Matrix){
-		"uniform": func(t *testing.T, sp Spec, m *comm.Matrix) {
-			sendD(t, sp, m)
-			for i := 0; i < m.N(); i++ {
-				if m.RecvDegree(i) != sp.D {
-					t.Errorf("node %d receive degree %d, want %d", i, m.RecvDegree(i), sp.D)
+		"uniform": dRegular,
+		"mixed": func(t *testing.T, sp Spec, m *comm.Matrix) {
+			dRegular(t, sp, m)
+			for _, msg := range m.Messages() {
+				if msg.Bytes < sp.Bytes/8+1 || msg.Bytes > sp.Bytes {
+					t.Errorf("message %d->%d carries %d bytes, outside [%d,%d]", msg.Src, msg.Dst, msg.Bytes, sp.Bytes/8+1, sp.Bytes)
 				}
 			}
 		},
@@ -228,7 +280,7 @@ func TestSpecBuildDeterministic(t *testing.T) {
 func TestSpecKeysDistinct(t *testing.T) {
 	seen := map[string]string{}
 	specs := append([]string{}, allSpecs...)
-	specs = append(specs, "uniform:8:1024", "scatter:8:1024", "shift:8:1024", "spmv:8:1024", "hotspot:8:1024:8")
+	specs = append(specs, "uniform:8:1024", "scatter:8:1024", "shift:8:1024", "spmv:8:1024", "hotspot:8:1024:8", "mixed:8:1024")
 	for _, s := range specs {
 		sp := MustParseSpec(s)
 		key := fmt.Sprint(sp.Key())
@@ -267,6 +319,9 @@ func TestSpecValidateFor(t *testing.T) {
 		{"bitcomp:64", 16, true},
 		{"alltoall:64", 2, true},
 		{"perm:64", 1, false},
+		{"mixed:4:1", 16, false}, // one size, nothing to mix
+		{"mixed:4:2", 16, true},
+		{"mixed:16:64", 16, false}, // d >= n
 	}
 	for _, c := range cases {
 		sp := MustParseSpec(c.spec)
@@ -339,6 +394,31 @@ func TestSpecDensityHintAndBytes(t *testing.T) {
 	}
 	if got := MustParseSpec("perm:512").MsgBytes(); got != 512 {
 		t.Errorf("perm bytes %d", got)
+	}
+}
+
+// TestMixedHintsMatchMeasuredBin: an auto request for a mixed spec
+// resolves under the spec's hints, a campaign cell under the features
+// it measures on the built matrix; both must name the same
+// quality-model bin, over densities and sizes spanning the bands.
+func TestMixedHintsMatchMeasuredBin(t *testing.T) {
+	const n = 64
+	for _, d := range []int{1, 8, 32} {
+		for _, size := range []int64{2, 64, 4096, 131072} {
+			sp := MustParseSpec(fmt.Sprintf("mixed:%d:%d", d, size))
+			hinted := quality.BinKey("hypercube", sched.Features{Nodes: n, Density: sp.DensityHint(n), SizeCV: sp.SizeCVHint()})
+			for seed := int64(1); seed <= 3; seed++ {
+				m, err := sp.Build(n, rand.New(rand.NewSource(seed)))
+				if err != nil {
+					t.Fatalf("%s: %v", sp, err)
+				}
+				f := sched.MeasureFeatures(m)
+				if measured := quality.BinKey("hypercube", f); measured != hinted {
+					t.Errorf("%s seed %d: hints bin %s, measured bin %s (density %d, size CV %.3f)",
+						sp, seed, hinted, measured, f.Density, f.SizeCV)
+				}
+			}
+		}
 	}
 }
 
