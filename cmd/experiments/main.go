@@ -52,6 +52,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -95,12 +96,29 @@ func targets(workloads, algorithm string, qstore *quality.Store) []target {
 }
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		if err == flag.ErrHelp {
-			os.Exit(2)
-		}
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	code := exitCode(err)
+	if code == 1 {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
+	}
+	os.Exit(code)
+}
+
+// errFlags is run's error for flags that do not parse; the FlagSet has
+// already reported the problem, with the usage, on stderr.
+var errFlags = errors.New("bad flags")
+
+// exitCode maps run's error to the process exit status, as
+// flag.ExitOnError does for the flags: 0 after -h or -help printed the
+// usage, 2 for flags that do not parse, 1 for any other failure.
+func exitCode(err error) int {
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errFlags):
+		return 2
+	default:
+		return 1
 	}
 }
 
@@ -128,9 +146,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile (after the run) to this file")
 	if err := fs.Parse(args); err != nil {
-		// The FlagSet already reported the problem (plus usage) on
-		// stderr; returning ErrHelp exits 2 without printing it twice.
-		return flag.ErrHelp
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errFlags
 	}
 
 	if fs.NArg() != 1 {

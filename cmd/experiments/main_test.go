@@ -113,6 +113,30 @@ func TestProgressWithoutTerminal(t *testing.T) {
 	}
 }
 
+// TestExitCodes: -h and -help print the flags' usage and exit 0, as
+// unsched -h does; flags that do not parse print it and exit 2, and any
+// other failure exits 1.
+func TestExitCodes(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		code int
+	}{
+		{[]string{"-h"}, 0},
+		{[]string{"-help"}, 0},
+		{[]string{"-bogus", "table1"}, 2},
+		{[]string{"-dim", "4", "fig99"}, 1},
+	} {
+		var stdout, stderr bytes.Buffer
+		err := run(tc.args, &stdout, &stderr)
+		if got := exitCode(err); got != tc.code {
+			t.Errorf("%v: exit %d (%v), want %d", tc.args, got, err, tc.code)
+		}
+		if tc.code != 1 && !strings.Contains(stderr.String(), "-samples") {
+			t.Errorf("%v: printed no usage:\n%s", tc.args, stderr.String())
+		}
+	}
+}
+
 // TestUnknownTargetFails: an unknown or missing target fails, and the
 // usage a missing target prints lists every target of the table and
 // `all`, as the package comment does.

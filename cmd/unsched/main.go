@@ -77,6 +77,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	batch := fs.Bool("batch", false, "with -server: submit all algorithms as one streaming batch")
 	_ = fs.Parse(args) // on a bad flag ExitOnError exits, as flag.Parse does
 
+	if _, ok := sched.Lookup(*alg); !ok && *alg != "" && *alg != "auto" {
+		return fmt.Errorf("unknown algorithm %q (want %s)", *alg, sched.WantList(append([]string{"auto"}, sched.Tags()...)...))
+	}
 	if *saveSched != "" && (*alg == "" || *server != "") {
 		return fmt.Errorf("-save requires a single -alg and a local run")
 	}
@@ -225,10 +228,7 @@ func fitting(n int) []string {
 // runOne adds name's row to tw and returns its schedule (nil for AC).
 func runOne(stdout io.Writer, tw *tabwriter.Writer, name string, m *comm.Matrix, net topo.Topology,
 	seed int64, doTrace, doGantt bool) (*sched.Schedule, error) {
-	a, ok := sched.Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("unknown algorithm %q (want %s)", name, sched.WantList(append([]string{"auto"}, sched.Tags()...)...))
-	}
+	a, _ := sched.Lookup(name) // run checked -alg; fitting and auto pick table tags
 	core := sched.NewCoreDirect(net)
 	params := costmodel.DefaultIPSC860()
 	mach, err := ipsc.NewMachine(net, params)

@@ -247,3 +247,26 @@ func TestSaveWritesPhasedSchedules(t *testing.T) {
 		t.Error("saved RS_N schedule has no phases")
 	}
 }
+
+// TestUnknownAlgorithmFailsBeforeOutput: an -alg that is neither auto
+// nor a tag of the table fails before anything is printed, locally and
+// with -server, where the daemon is never asked.
+func TestUnknownAlgorithmFailsBeforeOutput(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		t.Errorf("the daemon was asked for %s", r.URL.Path)
+		http.Error(w, "unexpected request", http.StatusTeapot)
+	}))
+	defer ts.Close()
+	for _, args := range [][]string{
+		{"-n", "16", "-alg", "XYZ"},
+		{"-n", "16", "-alg", "XYZ", "-server", ts.URL},
+	} {
+		var stdout, stderr bytes.Buffer
+		if err := run(args, &stdout, &stderr); err == nil || !strings.Contains(err.Error(), `unknown algorithm "XYZ"`) {
+			t.Errorf("%v: error %v, want the unknown algorithm", args, err)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: printed before failing:\n%s", args, stdout.String())
+		}
+	}
+}

@@ -86,9 +86,7 @@ func ReadUvarint(b []byte) (uint64, int, error) {
 // DecodeMatrixBinary; encoding the decoded matrix reproduces the same
 // bytes.
 func (m *Matrix) AppendBinary(dst []byte) []byte {
-	dst = append(dst, matrixWireMagic[:]...)
-	dst = append(dst, MatrixWireVersion)
-	dst = binary.AppendUvarint(dst, uint64(m.n))
+	dst = appendMatrixWireHeader(dst, m.n)
 	for i := 0; i < m.n; i++ {
 		count := 0
 		for _, b := range m.data[i*m.n : (i+1)*m.n] {
@@ -113,6 +111,45 @@ func (m *Matrix) AppendBinary(dst []byte) []byte {
 		}
 	}
 	return dst
+}
+
+// AppendBinaryTriples appends the canonical binary wire encoding of
+// the n-node matrix whose nonzero entries are msgs, [src, dst, bytes]
+// triples, without building the n x n matrix: the bytes AppendBinary
+// writes for it. msgs must list the entries in strictly ascending
+// row-major order, as Messages does, with every node in [0, n) and
+// every size positive. The caller checks that: other input encodes
+// another matrix, or bytes DecodeMatrixBinary rejects.
+func AppendBinaryTriples(dst []byte, n int, msgs [][3]int64) []byte {
+	dst = appendMatrixWireHeader(dst, n)
+	k := 0
+	for i := int64(0); i < int64(n); i++ {
+		start := k
+		for k < len(msgs) && msgs[k][0] == i {
+			k++
+		}
+		dst = binary.AppendUvarint(dst, uint64(k-start))
+	}
+	row, prev := int64(-1), int64(-1)
+	for _, msg := range msgs {
+		if msg[0] != row {
+			row, prev = msg[0], -1
+		}
+		dst = binary.AppendUvarint(dst, uint64(msg[1]-prev))
+		prev = msg[1]
+	}
+	for _, msg := range msgs {
+		dst = binary.AppendUvarint(dst, uint64(msg[2]))
+	}
+	return dst
+}
+
+// appendMatrixWireHeader appends the header and the dimension that
+// open every binary matrix.
+func appendMatrixWireHeader(dst []byte, n int) []byte {
+	dst = append(dst, matrixWireMagic[:]...)
+	dst = append(dst, MatrixWireVersion)
+	return binary.AppendUvarint(dst, uint64(n))
 }
 
 // EncodeBinary returns the canonical binary wire encoding of m.

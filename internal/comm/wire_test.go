@@ -37,6 +37,13 @@ func TestMatrixBinaryRoundTrip(t *testing.T) {
 		if !bytes.Equal(re, enc) {
 			t.Fatalf("matrix %d: re-encode differs (%d vs %d bytes)", i, len(re), len(enc))
 		}
+		var triples [][3]int64
+		for _, msg := range m.Messages() {
+			triples = append(triples, [3]int64{int64(msg.Src), int64(msg.Dst), msg.Bytes})
+		}
+		if tr := AppendBinaryTriples(nil, m.N(), triples); !bytes.Equal(tr, enc) {
+			t.Fatalf("matrix %d: encoding its triples differs from encoding the matrix", i)
+		}
 	}
 }
 

@@ -2,18 +2,18 @@ package service
 
 import (
 	"container/list"
-	"strings"
 	"sync"
 )
 
 // scheduleCache is a sharded, size-bounded LRU keyed by the hex
 // content hash of a request. Values are the marshaled result documents
 // the handlers memoize, so a hit is served byte-identically to the
-// response that populated it. The bound counts entries, not bytes: an
-// entry that has served a gzip hit also holds that hit's gzip body, in
-// the same slot. Sharding by the first byte of the key
-// (hashes are uniform, so shards balance) keeps lock hold times short
-// under concurrent load. Hit/miss accounting lives on the Server, not
+// response that populated it. The cache keeps one entry per key: its
+// value, and beside it the renderings of that value responses have
+// needed (see form), in the same slot, so the bound counts keys, not
+// bytes.
+// Sharding by the first byte of the key (hashes are uniform, so shards
+// balance) keeps lock hold times short under concurrent load. Hit/miss accounting lives on the Server, not
 // here: only the caller knows whether a lookup was a real miss (a
 // computation) or a single-flight follower probe, and warm-restart
 // loads must not count at all.
@@ -33,11 +33,22 @@ type cacheShard struct {
 type cacheEntry struct {
 	key   string
 	value []byte
-	// gz is the gzip body of the cache-hit envelope around value, kept
-	// from the first gzip hit on (see Server.writeNegotiated); nil until
-	// then. It lives and dies with value: a put over the key clears it.
-	gz []byte
+	// kept holds the renderings of value that responses have needed,
+	// each kept from the first response that made it on; nil until then.
+	// They live and die with value: a put over the key drops them all.
+	kept [numForms][]byte
 }
+
+// form indexes an entry's kept renderings: form(enc) is the gzip body
+// of the hit envelope in encoding enc, made from the payload in enc
+// (see Server.hitGzip), and formBinary is the binary payload, made from
+// the value (see Server.render).
+type form int
+
+const (
+	formBinary = form(numEncodings) + iota
+	numForms
+)
 
 // newScheduleCache bounds the cache to maxEntries total entries spread
 // over the shards; maxEntries <= 0 disables caching (every lookup
@@ -110,20 +121,6 @@ func (c *scheduleCache) put(key string, value []byte) {
 	s.put(key, value)
 }
 
-// putRendering memoizes value, a rendering of the bytes from that base's
-// entry held, under key, unless a put has replaced base's value since:
-// a rendering must not outlive the value it was made from. key is a
-// variant of base (variantKey), so both live in one shard and one lock
-// covers the check and the store.
-func (c *scheduleCache) putRendering(key string, value []byte, base string, from []byte) {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.holding(base, from) != nil {
-		s.put(key, value)
-	}
-}
-
 // put is scheduleCache.put with s.mu held.
 func (s *cacheShard) put(key string, value []byte) {
 	if s.max <= 0 {
@@ -132,7 +129,7 @@ func (s *cacheShard) put(key string, value []byte) {
 	if el, ok := s.items[key]; ok {
 		s.order.MoveToFront(el)
 		e := el.Value.(*cacheEntry)
-		e.value, e.gz = value, nil
+		e.value, e.kept = value, [numForms][]byte{}
 		return
 	}
 	for s.order.Len() >= s.max {
@@ -143,62 +140,58 @@ func (s *cacheShard) put(key string, value []byte) {
 	s.items[key] = s.order.PushFront(&cacheEntry{key: key, value: value})
 }
 
-// remove drops key's entry, if the cache holds one.
-func (c *scheduleCache) remove(key string) {
+// rendering returns rendering f kept beside key's entry, or nil when
+// none is kept or the entry no longer holds from, the bytes f is made
+// from.
+func (c *scheduleCache) rendering(key string, from []byte, f form) []byte {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.items[key]; ok {
-		s.order.Remove(el)
-		delete(s.items, key)
-	}
-}
-
-// gzipped returns the gzip body kept beside key's entry, or nil when
-// none is kept or the entry no longer holds value.
-func (c *scheduleCache) gzipped(key string, value []byte) []byte {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e := s.holding(key, value); e != nil {
-		return e.gz
+	if e := s.holding(key, from); e != nil {
+		return e.kept[f]
 	}
 	return nil
 }
 
-// keepGzip keeps gz, compressed from an envelope around value, beside
-// key's entry, if the entry still holds value. A put that replaced the
-// value meanwhile wins: the body of the old value is dropped.
-func (c *scheduleCache) keepGzip(key string, value, gz []byte) {
+// keep keeps b, rendering f made from from, beside key's entry, if the
+// entry still holds from. A put that replaced the value meanwhile wins:
+// the rendering of the old value is dropped.
+func (c *scheduleCache) keep(key string, from []byte, f form, b []byte) {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e := s.holding(key, value); e != nil {
-		e.gz = gz
+	if e := s.holding(key, from); e != nil {
+		e.kept[f] = b
 	}
 }
 
-// holding returns key's entry if its value is value itself: the same
-// backing array, which costs one comparison where equal contents would
-// cost a pass over the payload. Every put that replaces a value
-// installs the caller's slice, so identity tells the two apart. The
-// caller holds s.mu.
-func (s *cacheShard) holding(key string, value []byte) *cacheEntry {
+// holding returns key's entry if it holds from, as its value or its
+// binary payload: the same backing array, which costs one comparison
+// where equal contents would cost a pass over the payload. Every put
+// that replaces a value installs the caller's slice and drops the
+// renderings, so identity tells an entry's bytes from those of a value
+// it held before. The caller holds s.mu.
+func (s *cacheShard) holding(key string, from []byte) *cacheEntry {
 	el, ok := s.items[key]
 	if !ok {
 		return nil
 	}
-	e := el.Value.(*cacheEntry)
-	if len(value) == 0 || len(e.value) != len(value) || &e.value[0] != &value[0] {
-		return nil
+	if e := el.Value.(*cacheEntry); same(e.value, from) || same(e.kept[formBinary], from) {
+		return e
 	}
-	return e
+	return nil
 }
 
-// flightGroup deduplicates concurrent cache misses for one key: the
-// first request becomes the leader and computes; followers wait for
-// its result instead of occupying workers recomputing the identical
-// answer. Entries live only while a computation is in flight.
+// same reports whether a and b are one non-empty slice.
+func same(a, b []byte) bool {
+	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
+}
+
+// flightGroup deduplicates concurrent cache misses for one content
+// key, whatever encodings they ask for: the first request becomes the
+// leader and computes; followers wait for its JSON result instead of
+// occupying workers recomputing the identical answer. Entries live only
+// while a computation is in flight.
 type flightGroup struct {
 	mu    sync.Mutex
 	calls map[string]*flightCall
@@ -236,18 +229,14 @@ func (g *flightGroup) finish(key string, c *flightCall, raw []byte, err error) {
 	close(c.done)
 }
 
-// keys snapshots the canonical cached keys, for the fleet
-// shard-balance gauge. Variant renderings ("<key>#b") are skipped:
-// each shadows a canonical entry and would double-count its owner.
+// keys snapshots the cached keys, for the fleet shard-balance gauge.
 func (c *scheduleCache) keys() []string {
 	var out []string
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
 		for el := s.order.Front(); el != nil; el = el.Next() {
-			if k := el.Value.(*cacheEntry).key; !strings.ContainsRune(k, '#') {
-				out = append(out, k)
-			}
+			out = append(out, el.Value.(*cacheEntry).key)
 		}
 		s.mu.Unlock()
 	}

@@ -89,7 +89,6 @@ func TestGzipHitsKeptAndCounted(t *testing.T) {
 			}
 			wantGz := gzipDefault(t, identity)
 			key := strings.Trim(strings.TrimSuffix(resp.Header.Get("ETag"), `+b"`), `"`)
-			vkey := variantKey(key, tc.enc)
 
 			series := func(name string) string {
 				return fmt.Sprintf(`%s{encoding=%q,compression="gzip"}`, name, encodingNames[tc.enc])
@@ -106,9 +105,12 @@ func TestGzipHitsKeptAndCounted(t *testing.T) {
 				if !bytes.Equal(gunzip(t, raw), identity) {
 					t.Fatalf("hit %d: gzip body does not gunzip to the identity hit", i)
 				}
-				payload, _ := svc.cache.get(vkey)
-				if kept := svc.cache.gzipped(vkey, payload); !bytes.Equal(kept, wantGz) {
-					t.Fatalf("hit %d: no gzip body kept beside %s", i, vkey)
+				payload, _ := svc.cache.get(key)
+				if tc.enc == encBinary {
+					payload = svc.cache.rendering(key, payload, formBinary)
+				}
+				if kept := svc.cache.rendering(key, payload, form(tc.enc)); !bytes.Equal(kept, wantGz) {
+					t.Fatalf("hit %d: no gzip body kept in %s's entry", i, key)
 				}
 			}
 			after := getMetrics(t, ts)
@@ -217,6 +219,27 @@ func TestCachePutReplacesEveryRendering(t *testing.T) {
 		}
 		if res.Schedule == nil || res.Schedule.Chosen != "RS_N" {
 			t.Errorf("binary %v after PUT is not the replacement (chosen RS_N): %+v", hdr, res.Schedule)
+		}
+	}
+}
+
+// TestOneEntryPerKey: a key served as JSON, binary and binary+gzip
+// takes one cache entry, which keeps every rendering. When the binary
+// payload took an entry of its own, a key served in both encodings
+// took two of the cache's slots.
+func TestOneEntryPerKey(t *testing.T) {
+	svc, _ := newTestServer(t, Options{Workers: 2})
+	body := mustJSON(t, ScheduleRequest{Matrix: testMatrix(t, 16, 4, 4096, 10), Algorithm: "RS_NL"})
+	for _, hdr := range [][]string{
+		nil,
+		{"Accept", ContentTypeBinary},
+		{"Accept", ContentTypeBinary, "Accept-Encoding", "gzip"},
+	} {
+		if rec := serve(svc, "/v1/schedule", body, hdr...); rec.Code != http.StatusOK {
+			t.Fatalf("%v: status %d", hdr, rec.Code)
+		}
+		if n := svc.cache.len(); n != 1 {
+			t.Errorf("after %v: %d cache entries, want 1", hdr, n)
 		}
 	}
 }

@@ -159,36 +159,25 @@ func (ds *diskStore) readRecord(key string) []byte {
 	return raw
 }
 
-// peerFill serves a cache miss of j from the key's fleet owner: when
+// peerFill serves a cache miss of key from its fleet owner: when
 // fleet mode is on and this daemon does not own the key, the owner
 // (hedged to the next-ranked peer) is asked for the canonical record
 // under the caller's single-flight slot. The fleet's Decode hook has
 // already rejected any record that is corrupt, keyed elsewhere, or not
-// JSON. The fetched JSON form is memoized memory-only — the owner
-// already persists it; re-persisting here would double the fleet's
-// disk footprint — and rendered to binary on demand like any cached
-// entry. ok=false on any failure: the caller computes locally, so a
-// peer can never make this daemon unavailable.
-func (s *Server) peerFill(ctx context.Context, j job, enc encoding) ([]byte, bool) {
-	if s.fleet == nil || s.fleet.Owns(j.key) {
+// JSON. The fetched JSON is memoized memory-only — the owner already
+// persists it; re-persisting here would double the fleet's disk
+// footprint — and returned for the caller to render. ok=false on any
+// failure: the caller computes locally, so a peer can never make this
+// daemon unavailable.
+func (s *Server) peerFill(ctx context.Context, key string) ([]byte, bool) {
+	if s.fleet == nil || s.fleet.Owns(key) {
 		return nil, false
 	}
-	payload, ok := s.fleet.Fetch(ctx, j.key)
-	if !ok {
-		return nil, false
+	value, ok := s.fleet.Fetch(ctx, key)
+	if ok {
+		s.cache.put(key, value)
 	}
-	s.cache.put(j.key, payload)
-	if enc != encJSON {
-		var err error
-		if payload, err = s.renderBinary(j.ep, j.key, payload); err != nil {
-			// CRC-valid but undecodable means result-document drift
-			// between daemon versions; computing locally is the safe
-			// answer.
-			return nil, false
-		}
-	}
-	s.cacheHits[j.ep].Add(1)
-	return payload, true
+	return value, ok
 }
 
 // peerOwnedKeys is the fleet's shard-balance gauge: how many of this

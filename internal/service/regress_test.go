@@ -151,66 +151,86 @@ func TestScheduleServesGreedyLFLink(t *testing.T) {
 // the cache), five flight-served responses. Before the fix every
 // follower's initial cache probe counted a miss — six misses for one
 // computation — so the reported hit ratio understated real cache
-// behavior, and flight dedupe was invisible.
+// behavior, and flight dedupe was invisible. The flight is the content
+// key's, whatever the encoding: when the clients alternate JSON and
+// binary, one leader still computes for all six. Before flights joined
+// on the content key, each encoding's leader computed.
 func TestFlightFollowersDoNotDistortCacheMetrics(t *testing.T) {
-	svc, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4})
-	// Park the only worker so all clients pile onto one flight.
-	started := make(chan struct{})
-	release := make(chan struct{})
-	blocker := &task{run: func(*worker) { close(started); <-release }, done: make(chan struct{})}
-	if err := svc.pool.submit(blocker); err != nil {
-		t.Fatal(err)
-	}
-	<-started
-
-	req := ScheduleRequest{Matrix: testMatrix(t, 16, 4, 2048, 21), Algorithm: "RS_NL"}
-	body, _ := json.Marshal(req)
-	const clients = 6
-	var wg sync.WaitGroup
-	errCh := make(chan error, clients)
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/v1/schedule", "application/json", bytes.NewReader(body))
-			if err != nil {
-				errCh <- err
-				return
+	for _, tc := range []struct {
+		name    string
+		accepts []string // client i asks for accepts[i%len(accepts)]
+	}{
+		{"json", []string{ContentTypeJSON}},
+		{"json and binary", []string{ContentTypeJSON, ContentTypeBinary}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4})
+			// Park the only worker so all clients pile onto one flight.
+			started := make(chan struct{})
+			release := make(chan struct{})
+			blocker := &task{run: func(*worker) { close(started); <-release }, done: make(chan struct{})}
+			if err := svc.pool.submit(blocker); err != nil {
+				t.Fatal(err)
 			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				errCh <- fmt.Errorf("client %d: status %d", i, resp.StatusCode)
+			<-started
+
+			req := ScheduleRequest{Matrix: testMatrix(t, 16, 4, 2048, 21), Algorithm: "RS_NL"}
+			body, _ := json.Marshal(req)
+			const clients = 6
+			var wg sync.WaitGroup
+			errCh := make(chan error, clients)
+			for i := 0; i < clients; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					hreq, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/schedule", bytes.NewReader(body))
+					if err != nil {
+						errCh <- err
+						return
+					}
+					hreq.Header.Set("Content-Type", "application/json")
+					hreq.Header.Set("Accept", tc.accepts[i%len(tc.accepts)])
+					resp, err := http.DefaultClient.Do(hreq)
+					if err != nil {
+						errCh <- err
+						return
+					}
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK {
+						errCh <- fmt.Errorf("client %d: status %d", i, resp.StatusCode)
+					}
+				}(i)
 			}
-		}(i)
-	}
-	time.Sleep(100 * time.Millisecond)
-	close(release)
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+			time.Sleep(100 * time.Millisecond)
+			close(release)
+			wg.Wait()
+			close(errCh)
+			for err := range errCh {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	if misses := svc.cacheMisses[epSchedule].Load(); misses != 1 {
-		t.Errorf("cache misses = %d, want 1 (only the leader computed)", misses)
-	}
-	if hits := svc.cacheHits[epSchedule].Load(); hits != 0 {
-		t.Errorf("cache hits = %d, want 0 (nothing was served from the cache)", hits)
-	}
-	if dedup := svc.flightDedup.Load(); dedup != clients-1 {
-		t.Errorf("flight dedup = %d, want %d followers", dedup, clients-1)
-	}
+			if misses := svc.cacheMisses[epSchedule].Load(); misses != 1 {
+				t.Errorf("cache misses = %d, want 1 (only the leader computed)", misses)
+			}
+			if hits := svc.cacheHits[epSchedule].Load(); hits != 0 {
+				t.Errorf("cache hits = %d, want 0 (nothing was served from the cache)", hits)
+			}
+			if dedup := svc.flightDedup.Load(); dedup != clients-1 {
+				t.Errorf("flight dedup = %d, want %d followers", dedup, clients-1)
+			}
 
-	// A straight repeat now IS a cache hit, and only a hit.
-	if status, _ := postJSON(t, ts.URL+"/v1/schedule", req, nil); status != http.StatusOK {
-		t.Fatal("repeat request failed")
-	}
-	if hits := svc.cacheHits[epSchedule].Load(); hits != 1 {
-		t.Errorf("cache hits after repeat = %d, want 1", hits)
-	}
-	if misses := svc.cacheMisses[epSchedule].Load(); misses != 1 {
-		t.Errorf("cache misses after repeat = %d, want still 1", misses)
+			// A straight repeat now IS a cache hit, and only a hit.
+			if status, _ := postJSON(t, ts.URL+"/v1/schedule", req, nil); status != http.StatusOK {
+				t.Fatal("repeat request failed")
+			}
+			if hits := svc.cacheHits[epSchedule].Load(); hits != 1 {
+				t.Errorf("cache hits after repeat = %d, want 1", hits)
+			}
+			if misses := svc.cacheMisses[epSchedule].Load(); misses != 1 {
+				t.Errorf("cache misses after repeat = %d, want still 1", misses)
+			}
+		})
 	}
 }

@@ -38,14 +38,16 @@
 //
 // Results are memoized in a sharded LRU keyed by a canonical content
 // hash of (matrix, algorithm, topology, params, seed) — see
-// comm.Digest. Randomized schedulers draw their RNG seed from that
-// same hash, so a repeated identical request is not just a cache hit:
-// even after eviction it recomputes the bit-identical schedule. A
-// second bounded table maps each /v1/schedule and /v1/simulate request
-// body, by its AES-GMAC tag under a key drawn once per Server, to the
-// content key it resolved to, so a repeated body goes straight to
-// revalidation and the cache without being decoded again (see
-// serveJob and bodyKey).
+// comm.Digest — one entry per key: the JSON result, and beside it the
+// renderings responses have needed (the binary payload, each encoding's
+// gzip body), which a put over the key drops together. Randomized
+// schedulers draw their RNG seed from that same hash, so a repeated
+// identical request is not just a cache hit: even after eviction it
+// recomputes the bit-identical schedule. A second bounded table maps
+// each /v1/schedule and /v1/simulate request body, by its AES-GMAC tag
+// under a key drawn once per Server, to the content key it resolved
+// to, so a repeated body goes straight to revalidation and the cache
+// without being decoded again (see serveJob and bodyKey).
 //
 // With Options.CacheDir set, the cache is also persisted to disk and
 // warm-restarted: every computed response is written through
@@ -56,8 +58,8 @@
 // byte-identically from the cache. Corrupt or truncated records are
 // skipped, deleted, and counted on /metrics, never fatal; Close
 // flushes the pending write batch. See persist.go for the record
-// format. Only the canonical JSON form is persisted; binary
-// renderings are derived from it on demand and cached in memory.
+// format. Only the canonical JSON form is persisted; its renderings
+// are derived from it on demand and kept in memory, in its entry.
 //
 // With Options.Peers set, N daemons behave as one logical cache
 // (fleet mode): rendezvous hashing assigns every content-hash key an
@@ -462,8 +464,8 @@ var resultDecoders = [...]func(raw []byte) (wireDoc, error){
 // decodeDoc decodes a cached JSON result as its document type D. The
 // cache admits any CRC-valid JSON value — from PUT /v1/cache/{key},
 // peer fill or a warm load — and rendering a schedule result's matrix
-// echo builds the dense matrix, so the echo is held to the request
-// bounds first.
+// echo encodes its triples as they stand, so the echo is held to the
+// request bounds and to the order the service writes first.
 func decodeDoc[D any, P interface {
 	*D
 	wireDoc
@@ -473,7 +475,7 @@ func decodeDoc[D any, P interface {
 		return nil, err
 	}
 	if res, ok := wireDoc(doc).(*ScheduleResult); ok && res.Matrix != nil {
-		if err := res.Matrix.check(); err != nil {
+		if err := res.Matrix.checkEcho(); err != nil {
 			return nil, err
 		}
 	}
@@ -528,27 +530,27 @@ func (s *Server) runTask(ctx context.Context, compute func(wk *worker) (wireDoc,
 // memoized returns j's response payload in the requested encoding:
 // the raw JSON result document (enc == encJSON) or the binary
 // document payload (enc == encBinary), plus whether it was served
-// without computing. Concurrent misses on the same variant are
-// single-flighted: one leader computes, the rest wait for its bytes.
+// without computing. Concurrent misses on one content key are
+// single-flighted, whatever their encodings: one leader computes, and
+// each follower renders its own form from the leader's JSON.
 //
-// The canonical memoized representation is JSON — that is what the
-// disk store persists and warm restart reloads. A binary-encoding
-// miss that finds the JSON form cached re-encodes it (renderBinary;
-// cheap) instead of recomputing (expensive), and the rendering is
-// cached in memory under the variant key. retry is runTask's: batch
-// items retry a full queue, synchronous requests are shed with 429.
+// The cache keeps one entry per content key: the canonical JSON, which
+// is what the disk store persists and warm restart reloads, and beside
+// it the renderings responses have needed (render, hitGzip). JSON that
+// does not render in the requested encoding, whether cached,
+// peer-filled or shared through a flight, is computed afresh, and the
+// fresh result replaces the cached one. retry is runTask's: batch items
+// retry a full queue, synchronous requests are shed with 429.
 //
 // The hit/miss counters are j.ep's, and they reflect what actually
 // happened: a hit is a response served from cached bytes (including a
-// binary rendering of cached JSON), a miss is a computation the
-// leader performed, and a flight-served follower counts only in
-// flightDedup.
+// binary rendering of cached JSON), a miss is a computation, and a
+// flight-served follower counts only in flightDedup.
 func (s *Server) memoized(ctx context.Context, j job, enc encoding, retry bool) (payload []byte, cached bool, err error) {
 	if payload, ok := s.cached(j.key, j.ep, enc); ok {
 		return payload, true, nil
 	}
-	vkey := variantKey(j.key, enc)
-	call, leader := s.flights.join(vkey)
+	call, leader := s.flights.join(j.key)
 	if !leader {
 		s.flightDedup.Add(1)
 		select {
@@ -565,86 +567,94 @@ func (s *Server) memoized(ctx context.Context, j job, enc encoding, retry bool) 
 		if call.err != nil {
 			return nil, false, call.err
 		}
-		return call.raw, true, nil
+		if payload, err := s.render(j.ep, j.key, call.raw, enc, nil); err == nil {
+			return payload, true, nil
+		}
+		payload, _, err = s.compute(ctx, j, enc, retry)
+		return payload, false, err
 	}
 	// Peer fill before computing: in fleet mode, a non-owned key may
 	// already live at its rendezvous owner, and fetching its canonical
 	// record under this flight slot is far cheaper than an O(n^2)
-	// recompute. A successful fill is a cache hit (remote, but cached
-	// bytes); only an actual computation below counts as a miss —
-	// which is what keeps misses at one fleet-wide per unique key.
-	if payload, ok := s.peerFill(ctx, j, enc); ok {
-		s.flights.finish(vkey, call, payload, nil)
-		return payload, true, nil
+	// recompute. A fill served is a cache hit (remote, but cached
+	// bytes); only an actual computation counts as a miss — which is
+	// what keeps misses at one fleet-wide per unique key.
+	if value, ok := s.peerFill(ctx, j.key); ok {
+		if payload, err := s.render(j.ep, j.key, value, enc, nil); err == nil {
+			s.cacheHits[j.ep].Add(1)
+			s.flights.finish(j.key, call, value, nil)
+			return payload, true, nil
+		}
 	}
+	payload, value, err := s.compute(ctx, j, enc, retry)
+	// compute populated the cache before the flight retires, so no
+	// request can slip between the two and recompute.
+	s.flights.finish(j.key, call, value, err)
+	return payload, false, err
+}
+
+// compute runs j on a pool worker, memoizes its JSON result value and
+// returns it with its payload in encoding enc, rendered from the
+// computed document, so a binary miss decodes no JSON. A key another
+// fleet member owns is also pushed to its owner.
+func (s *Server) compute(ctx context.Context, j job, enc encoding, retry bool) (payload, value []byte, err error) {
 	s.cacheMisses[j.ep].Add(1)
-	raw, err := func() ([]byte, error) {
-		doc, err := s.runTask(ctx, j.compute, retry)
-		if err != nil {
-			return nil, err
-		}
-		jsonRaw, err := json.Marshal(doc)
-		if err != nil {
-			return nil, err
-		}
-		// Populate the cache before retiring the flight so no request
-		// can slip between the two and recompute. The JSON form is
-		// always cached (and write-through persisted); a binary leader
-		// additionally caches its rendering, memory-only.
-		s.cachePut(j.key, jsonRaw)
-		if s.fleet != nil && !s.fleet.Owns(j.key) {
-			// Write-behind: this daemon computed a record it does not
-			// own; ship it to the owner asynchronously so the rest of
-			// the fleet finds it there. Never blocks (drop-on-full).
-			s.fleet.Push(j.key, jsonRaw)
-		}
-		if enc == encJSON {
-			return jsonRaw, nil
-		}
-		bin := doc.appendBinaryPayload(nil)
-		s.cache.putRendering(vkey, bin, j.key, jsonRaw)
-		return bin, nil
-	}()
-	s.flights.finish(vkey, call, raw, err)
+	doc, err := s.runTask(ctx, j.compute, retry)
 	if err != nil {
-		return nil, false, err
+		return nil, nil, err
 	}
-	return raw, false, nil
+	if value, err = json.Marshal(doc); err != nil {
+		return nil, nil, err
+	}
+	s.cachePut(j.key, value)
+	if s.fleet != nil && !s.fleet.Owns(j.key) {
+		// Write-behind: this daemon computed a record it does not own;
+		// ship it to the owner asynchronously so the rest of the fleet
+		// finds it there. Never blocks (drop-on-full).
+		s.fleet.Push(j.key, value)
+	}
+	payload, err = s.render(j.ep, j.key, value, enc, doc)
+	return payload, value, err
 }
 
-// cached is memoized's cache read: key's payload in encoding enc, from
-// the variant itself or, for binary, rendered from the cached JSON.
-// A hit counts on ep's hit counter; a miss counts nothing, because the
-// caller decides what the miss costs. Cached JSON that does not render
-// is a miss, as in peerFill: the caller recomputes, and the fresh
-// result replaces the bad entry.
+// cached is memoized's cache read: key's payload in encoding enc,
+// rendered from the cached JSON. A hit counts on ep's hit counter; a
+// miss counts nothing, because the caller decides what the miss costs.
+// Cached JSON that does not render is a miss: the caller recomputes,
+// and the fresh result replaces the bad entry.
 func (s *Server) cached(key string, ep int, enc encoding) (payload []byte, ok bool) {
-	vkey := variantKey(key, enc)
-	if raw, ok := s.cache.get(vkey); ok {
-		s.cacheHits[ep].Add(1)
-		return raw, true
+	value, ok := s.cache.get(key)
+	if !ok {
+		return nil, false
 	}
-	if enc != encJSON {
-		if jsonRaw, ok := s.cache.get(key); ok {
-			if raw, err := s.renderBinary(ep, key, jsonRaw); err == nil {
-				s.cacheHits[ep].Add(1)
-				return raw, true
-			}
-		}
+	payload, err := s.render(ep, key, value, enc, nil)
+	if err != nil {
+		return nil, false
 	}
-	return nil, false
+	s.cacheHits[ep].Add(1)
+	return payload, true
 }
 
-// renderBinary renders endpoint ep's JSON result jsonRaw, cached under
-// key, as its binary payload, and caches the rendering in memory under
-// key's binary variant unless a put replaced jsonRaw meanwhile.
-func (s *Server) renderBinary(ep int, key string, jsonRaw []byte) ([]byte, error) {
-	doc, err := resultDecoders[ep](jsonRaw)
-	if err != nil {
-		return nil, err
+// render returns value, endpoint ep's JSON result for key, as its
+// payload in encoding enc: value itself, or the binary payload. That is
+// the one kept beside key's cache entry, or else one rendered from doc,
+// value's document (nil: decode value), and kept there unless a put
+// replaced value meanwhile. It fails when value does not decode.
+func (s *Server) render(ep int, key string, value []byte, enc encoding, doc wireDoc) ([]byte, error) {
+	if enc == encJSON {
+		return value, nil
+	}
+	if bin := s.cache.rendering(key, value, formBinary); bin != nil {
+		return bin, nil
+	}
+	if doc == nil {
+		var err error
+		if doc, err = resultDecoders[ep](value); err != nil {
+			return nil, err
+		}
 	}
 	bin := doc.appendBinaryPayload(nil)
-	s.cache.putRendering(variantKey(key, encBinary), bin, key, jsonRaw)
+	s.cache.keep(key, value, formBinary, bin)
 	return bin, nil
 }
 
@@ -786,12 +796,9 @@ func (s *Server) respondMemoized(w http.ResponseWriter, r *http.Request, cn conn
 
 // cachePut memoizes a computed response in memory and, when
 // persistence is on, queues the asynchronous write-through — the hot
-// path never waits on disk. The key's binary rendering is dropped: it
-// was rendered from the value raw replaces. (Kept gzip bodies live in
-// the entries they were compressed from, so put drops them itself.)
+// path never waits on disk.
 func (s *Server) cachePut(key string, raw []byte) {
 	s.cache.put(key, raw)
-	s.cache.remove(variantKey(key, encBinary))
 	if s.disk != nil {
 		s.disk.enqueue(key, raw)
 	}

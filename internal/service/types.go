@@ -371,8 +371,7 @@ func resolveMatrix(mj *WireMatrix) (*comm.Matrix, error) {
 // builds must meet, short of duplicate entries: n in [2,
 // maxServiceNodes], at most n(n-1) entries, each between two distinct
 // nodes in range with a positive size. It builds nothing, so it also
-// guards a cached result's matrix echo before rendering builds it
-// (decodeDoc); there a duplicate only overwrites.
+// guards a cached result's matrix echo (checkEcho).
 func (mj *WireMatrix) check() error {
 	if mj.N < 2 || mj.N > maxServiceNodes {
 		return badRequest("matrix n=%d out of range [2,%d]", mj.N, maxServiceNodes)
@@ -393,6 +392,20 @@ func (mj *WireMatrix) check() error {
 		}
 	}
 	return nil
+}
+
+// checkEcho is check for a cached result's matrix echo, which must
+// also list its entries in strictly ascending row-major order, as
+// NewWireMatrix does (request matrices may use any order):
+// appendWireMatrix encodes the triples as they stand.
+func (mj *WireMatrix) checkEcho() error {
+	for k := 1; k < len(mj.Messages); k++ {
+		a, b := mj.Messages[k-1], mj.Messages[k]
+		if b[0] < a[0] || b[0] == a[0] && b[1] <= a[1] {
+			return badRequest("message %d: matrix echo out of row-major order", k)
+		}
+	}
+	return mj.check()
 }
 
 // NewWireMatrix converts a dense matrix back to wire form.

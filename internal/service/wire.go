@@ -166,18 +166,6 @@ func ifNoneMatchHit(r *http.Request, etag string) bool {
 	return false
 }
 
-// variantKey returns the cache key of the (key, encoding) variant.
-// JSON is the canonical representation and keeps the bare content-hash
-// key — that is what the disk store persists and what warm restart
-// reloads; the binary rendering is cached in memory under a suffixed
-// key and is always re-derivable from the JSON bytes.
-func variantKey(key string, enc encoding) string {
-	if enc == encBinary {
-		return key + "#b"
-	}
-	return key
-}
-
 // --- binary response envelope ---------------------------------------
 
 // Binary response layout (the "USWR" format, version 1):
@@ -325,15 +313,12 @@ func appendWirePhase(dst []byte, p WirePhase) []byte {
 	return dst
 }
 
-// appendWireMatrix writes a length-prefixed comm binary matrix block.
-// The wire matrix is a workload echo: the service computed it, or
-// decodeDoc checked it when it re-typed the cached JSON.
+// appendWireMatrix writes a length-prefixed comm binary matrix block,
+// encoded from the triples without building the dense matrix. The wire
+// matrix is a workload echo: NewWireMatrix made it from the computed
+// matrix, or decodeDoc checked it when it re-typed the cached JSON.
 func appendWireMatrix(dst []byte, mj *WireMatrix) []byte {
-	m := comm.MustNew(mj.N)
-	for _, msg := range mj.Messages {
-		m.Set(int(msg[0]), int(msg[1]), msg[2])
-	}
-	block := m.EncodeBinary()
+	block := comm.AppendBinaryTriples(nil, mj.N, mj.Messages)
 	dst = comm.AppendUvarint(dst, uint64(len(block)))
 	return append(dst, block...)
 }
@@ -584,8 +569,8 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 // envelope and compression, and records the encoding/bytes metrics.
 // After the headers it writes one of three bodies:
 //
-//   - a cache hit's gzip body, compressed on the variant's first gzip
-//     hit and kept beside its cache entry (hitGzip);
+//   - a cache hit's gzip body, compressed on the key's first gzip hit
+//     in cn's encoding and kept in its cache entry (hitGzip);
 //   - a miss's cached:false envelope, compressed on the fly;
 //   - the identity envelope, part by part, so the payload is not
 //     copied.
@@ -593,7 +578,7 @@ func (s *Server) writeNegotiated(w http.ResponseWriter, cn conneg, key string, c
 	env := newEnvelope(cn.enc, key, cached, payload)
 	var kept []byte
 	if cn.gzip && cached {
-		kept = s.hitGzip(variantKey(key, cn.enc), &env)
+		kept = s.hitGzip(key, cn.enc, &env)
 	}
 	h := w.Header()
 	h.Set("Vary", "Accept, Accept-Encoding")
@@ -631,33 +616,38 @@ func (s *Server) writeNegotiated(w http.ResponseWriter, cn conneg, key string, c
 	s.respBytes[cn.enc][comp].Add(n)
 }
 
-// hitGzip returns the gzip body of env, a cache hit's envelope for the
-// variant key vkey: the body kept beside the variant's entry, or a
-// fresh one, which is then kept there. A hit's envelope depends only
-// on the key, the encoding and the cached payload, so the kept body is
-// what compressing the envelope again would produce; keepGzip drops it
-// if a put replaced the payload meanwhile.
-func (s *Server) hitGzip(vkey string, env *envelope) []byte {
-	if gz := s.cache.gzipped(vkey, env[1]); gz != nil {
+// hitGzip returns the gzip body of env, a cache hit's envelope for key
+// in encoding enc: the body kept in key's entry, or a fresh one, which
+// is then kept there. A hit's envelope depends only on the key, the
+// encoding and the payload, so the kept body is what compressing the
+// envelope again would produce. The payload is the entry's JSON value
+// or its kept binary payload; keep drops the body if a put replaced
+// the value meanwhile.
+func (s *Server) hitGzip(key string, enc encoding, env *envelope) []byte {
+	if gz := s.cache.rendering(key, env[1], form(enc)); gz != nil {
 		return gz
 	}
 	var buf bytes.Buffer
 	gzipTo(&buf, env[:]...)
 	gz := bytes.Clone(buf.Bytes()) // without the buffer's growth slack
-	s.cache.keepGzip(vkey, env[1], gz)
+	s.cache.keep(key, env[1], form(enc), gz)
 	return gz
 }
 
 // writeNotModified answers an If-None-Match revalidation with 304 and
 // zero body bytes. The cached representation's size, when the cache
-// still holds it, counts as bytes saved.
+// still holds it (for binary, when the entry keeps its binary payload),
+// counts as bytes saved.
 func (s *Server) writeNotModified(w http.ResponseWriter, cn conneg, key string) {
 	h := w.Header()
 	h.Set("Vary", "Accept, Accept-Encoding")
 	h.Set("ETag", etagFor(key, cn.enc))
 	w.WriteHeader(http.StatusNotModified)
 	s.http304.Add(1)
-	if raw, ok := s.cache.get(variantKey(key, cn.enc)); ok {
-		s.bytesSaved.Add(int64(len(raw)))
+	if value, ok := s.cache.get(key); ok {
+		if cn.enc == encBinary {
+			value = s.cache.rendering(key, value, formBinary)
+		}
+		s.bytesSaved.Add(int64(len(value)))
 	}
 }

@@ -415,9 +415,11 @@ func TestBinarySimulateResponse(t *testing.T) {
 // echo no computation produces. Rendering one as binary used to build
 // its dense matrix on the HTTP goroutine: an entry outside n or a
 // negative size panicked, n = 0 panicked, and n = 40,000 asked for
-// n^2 int64s. Each must read as a miss instead: the request
-// recomputes, answers byte-identically to a fresh daemon, and the
-// fresh result replaces the bad entry.
+// n^2 int64s. Rendering encodes the echo's triples as they stand, so
+// entries out of row-major order, or repeated, would encode another
+// matrix. Each must read as a miss instead: the request recomputes,
+// answers byte-identically to a fresh daemon, and the fresh result
+// replaces the bad entry.
 func TestPoisonedCacheRecordRendersAsMiss(t *testing.T) {
 	const body = `{"workload":"uniform:2:64","topology":{"spec":"cube:3"},"algorithm":"RS_N"}`
 	binary := []string{"Accept", ContentTypeBinary}
@@ -435,6 +437,11 @@ func TestPoisonedCacheRecordRendersAsMiss(t *testing.T) {
 		{"n = 0", func(m *WireMatrix) { m.N = 0 }},
 		{"negative size", func(m *WireMatrix) { m.Messages[0][2] = -1 }},
 		{"n = 40000", func(m *WireMatrix) { m.N = 40000 }},
+		{"rows out of order", func(m *WireMatrix) {
+			last := len(m.Messages) - 1
+			m.Messages[0], m.Messages[last] = m.Messages[last], m.Messages[0]
+		}},
+		{"duplicate entry", func(m *WireMatrix) { m.Messages[1] = m.Messages[0] }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var res ScheduleResult
