@@ -154,9 +154,15 @@ func appendMatrixWireHeader(dst []byte, n int) []byte {
 
 // EncodeBinary returns the canonical binary wire encoding of m.
 func (m *Matrix) EncodeBinary() []byte {
-	// 2 bytes per varint is the common case for the sizes the paper
-	// uses; growing once more on dense rows is fine.
-	return m.AppendBinary(make([]byte, 0, matrixWireHeaderLen+4*m.MessageCount()+m.n+8))
+	return m.AppendBinary(make([]byte, 0, BinarySizeHint(m.n, m.MessageCount())))
+}
+
+// BinarySizeHint is the room to reserve for the binary encoding of an
+// n-node matrix of count messages. 2 bytes per varint is the common
+// case for the sizes the paper uses; growing once more on dense rows
+// is fine.
+func BinarySizeHint(n, count int) int {
+	return matrixWireHeaderLen + 4*count + n + 8
 }
 
 // DecodeMatrixBinary parses the binary wire form produced by

@@ -8,6 +8,7 @@ package sched
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"unsched/internal/comm"
@@ -96,5 +97,33 @@ func TestCoreGreedyLinkFreeAllocs(t *testing.T) {
 	})
 	if got >= throwaway {
 		t.Errorf("reused core (%.1f allocs) does not beat throwaway (%.1f)", got, throwaway)
+	}
+}
+
+// TestValidateAllocs bounds what checking a 1,024-node schedule
+// allocates: the n^2-bit set of messages seen (128 KB) and one receiver
+// row, where a dense n x n int64 matrix of them took 8 MiB.
+func TestValidateAllocs(t *testing.T) {
+	m, err := comm.DRegular(1024, 4, 4096, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := RSN(m, rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if err := s.Validate(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	got := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("validating a 1024-node schedule allocates %d B", got)
+	if got > 160<<10 {
+		t.Errorf("validating a 1024-node schedule allocates %d B, budget 160 KB", got)
 	}
 }

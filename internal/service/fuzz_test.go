@@ -84,31 +84,38 @@ func serveFuzz(t *testing.T, path, body string) {
 	}
 }
 
+// scheduleRequestSeeds seed FuzzScheduleRequest and FuzzDecodeBody.
+var scheduleRequestSeeds = []string{
+	`{"matrix":{"n":8,"messages":[[0,1,512],[1,2,512]]},"algorithm":"RS_NL"}`,
+	// The same request reformatted: one content key, two body keys.
+	"{ \"algorithm\" : \"RS_NL\",\n\t\"matrix\" : { \"messages\" : [ [0,1,512] , [1,2,512] ], \"n\" : 8 } }\n",
+	`{"matrix":{"n":4,"messages":[]}}`,
+	`{"matrix":{"n":4,"messages":[[0,0,1]]}}`,
+	`{"matrix":{"n":-1,"messages":null}}`,
+	`{"matrix":{"n":4096,"messages":[[0,1,1]]},"algorithm":"AC"}`,
+	`{"algorithm":"LP"}`,
+	`{"matrix":{"n":4,"messages":[[0,1,10]]},"seed":-9223372036854775808}`,
+	`{"matrix":{"n":4,"messages":[[0,1,10]]},"topology":{"kind":"torus","w":2,"h":2}}`,
+	`{"workload":"uniform:2:64","topology":{"spec":"cube:3"},"algorithm":"RS_NL"}`,
+	`{"workload":"halo:8x8:512","topology":{"spec":"torus:4x4"}}`,
+	`{"workload":"dregular:2:64","topology":{"spec":"cube:3"},"seed":-1}`,
+	`{"workload":"klein:::","topology":{"spec":"cube:3"}}`,
+	`{"workload":"transpose:64"}`,
+	`{"workload":"perm:64","matrix":{"n":4,"messages":[]}}`,
+	`nonsense`,
+	``,
+	`[]`,
+	`{"matrix":{"n":1e9}}`,
+}
+
 // FuzzScheduleRequest drives POST /v1/schedule with arbitrary bodies.
 // The contract: malformed JSON or a malformed matrix must never panic
 // the daemon or answer a server error — every input gets a JSON
 // response with a status serveFuzz accepts.
 func FuzzScheduleRequest(f *testing.F) {
-	f.Add(`{"matrix":{"n":8,"messages":[[0,1,512],[1,2,512]]},"algorithm":"RS_NL"}`)
-	// The same request reformatted: one content key, two body keys.
-	f.Add("{ \"algorithm\" : \"RS_NL\",\n\t\"matrix\" : { \"messages\" : [ [0,1,512] , [1,2,512] ], \"n\" : 8 } }\n")
-	f.Add(`{"matrix":{"n":4,"messages":[]}}`)
-	f.Add(`{"matrix":{"n":4,"messages":[[0,0,1]]}}`)
-	f.Add(`{"matrix":{"n":-1,"messages":null}}`)
-	f.Add(`{"matrix":{"n":4096,"messages":[[0,1,1]]},"algorithm":"AC"}`)
-	f.Add(`{"algorithm":"LP"}`)
-	f.Add(`{"matrix":{"n":4,"messages":[[0,1,10]]},"seed":-9223372036854775808}`)
-	f.Add(`{"matrix":{"n":4,"messages":[[0,1,10]]},"topology":{"kind":"torus","w":2,"h":2}}`)
-	f.Add(`{"workload":"uniform:2:64","topology":{"spec":"cube:3"},"algorithm":"RS_NL"}`)
-	f.Add(`{"workload":"halo:8x8:512","topology":{"spec":"torus:4x4"}}`)
-	f.Add(`{"workload":"dregular:2:64","topology":{"spec":"cube:3"},"seed":-1}`)
-	f.Add(`{"workload":"klein:::","topology":{"spec":"cube:3"}}`)
-	f.Add(`{"workload":"transpose:64"}`)
-	f.Add(`{"workload":"perm:64","matrix":{"n":4,"messages":[]}}`)
-	f.Add(`nonsense`)
-	f.Add(``)
-	f.Add(`[]`)
-	f.Add(`{"matrix":{"n":1e9}}`)
+	for _, seed := range scheduleRequestSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, body string) {
 		serveFuzz(t, "/v1/schedule", body)
 	})
@@ -185,23 +192,30 @@ func FuzzCacheRecord(f *testing.F) {
 	})
 }
 
+// simulateRequestSeeds seed FuzzSimulateRequest and FuzzDecodeBody.
+var simulateRequestSeeds = []string{
+	`{"matrix":{"n":4,"messages":[[0,1,256]]}}`,
+	// The same request reformatted: one content key, two body keys.
+	"{\r\n  \"matrix\": {\"messages\": [[0, 1, 256]], \"n\": 4}\r\n}",
+	`{"schedule":{"algorithm":"RS_N","n":4,"ops":0,"phases":[[[0,1,256]],[[1,0,256]]]}}`,
+	`{"schedule":{"algorithm":"LP","n":4,"ops":1,"phases":[[[0,1,10],[1,0,10]]]},"protocol":"LP"}`,
+	`{"schedule":{"algorithm":"AC","n":4,"phases":[]},"matrix":{"n":4,"messages":[[0,1,9]]}}`,
+	`{"schedule":{"algorithm":"RS_N","n":4,"phases":[[[0,2,5],[1,2,5]]]}}`,
+	`{"schedule":{"algorithm":"RS_N","n":2,"phases":[[[0,1,5]]]},"params":"ipsc2","protocol":"S2"}`,
+	`{"schedule":null,"matrix":null}`,
+	`{`,
+	`{"schedule":{"algorithm":"RS_N","n":4,"ops":0,"phases":[[[0,1,256]]]},"protocol":"LP"}`,
+	`{"schedule":{"algorithm":"LP","n":4,"ops":0,"phases":[[[0,2,256]]]}}`,
+}
+
 // FuzzSimulateRequest drives POST /v1/simulate the same way; schedules
 // with contention, out-of-range nodes, absurd phase counts, or a shape
 // the LP protocol cannot run must be rejected with a 4xx, never
 // simulated into a crash or a 500.
 func FuzzSimulateRequest(f *testing.F) {
-	f.Add(`{"matrix":{"n":4,"messages":[[0,1,256]]}}`)
-	// The same request reformatted: one content key, two body keys.
-	f.Add("{\r\n  \"matrix\": {\"messages\": [[0, 1, 256]], \"n\": 4}\r\n}")
-	f.Add(`{"schedule":{"algorithm":"RS_N","n":4,"ops":0,"phases":[[[0,1,256]],[[1,0,256]]]}}`)
-	f.Add(`{"schedule":{"algorithm":"LP","n":4,"ops":1,"phases":[[[0,1,10],[1,0,10]]]},"protocol":"LP"}`)
-	f.Add(`{"schedule":{"algorithm":"AC","n":4,"phases":[]},"matrix":{"n":4,"messages":[[0,1,9]]}}`)
-	f.Add(`{"schedule":{"algorithm":"RS_N","n":4,"phases":[[[0,2,5],[1,2,5]]]}}`)
-	f.Add(`{"schedule":{"algorithm":"RS_N","n":2,"phases":[[[0,1,5]]]},"params":"ipsc2","protocol":"S2"}`)
-	f.Add(`{"schedule":null,"matrix":null}`)
-	f.Add(`{`)
-	f.Add(`{"schedule":{"algorithm":"RS_N","n":4,"ops":0,"phases":[[[0,1,256]]]},"protocol":"LP"}`)
-	f.Add(`{"schedule":{"algorithm":"LP","n":4,"ops":0,"phases":[[[0,2,256]]]}}`)
+	for _, seed := range simulateRequestSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, body string) {
 		serveFuzz(t, "/v1/simulate", body)
 	})

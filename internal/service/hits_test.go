@@ -281,63 +281,79 @@ func TestCachePutBeatsConcurrentRender(t *testing.T) {
 
 // TestGzipHitsRaceReplacement: gzip hits in both encodings race PUTs
 // that swap the cached value back and forth. Every body must gunzip to
-// one whole hit envelope of the old value or of the new one: a kept
-// body never outlives the value it was compressed from into a response
-// about the other. Run it under -race.
+// one whole hit envelope of the old value or of the new one, and once a
+// round's PUT and its racing hits have returned, every gzip hit must
+// answer the value that PUT installed: a kept body never outlives the
+// value it was compressed from into a response about the other. Run it
+// under -race.
 func TestGzipHitsRaceReplacement(t *testing.T) {
 	svc, _ := newTestServer(t, Options{Workers: 2})
 	body := mustJSON(t, ScheduleRequest{Matrix: testMatrix(t, 16, 4, 4096, 9), Algorithm: "RS_NL"})
 	env := envelopeOf(t, serve(svc, "/v1/schedule", body))
 	oldValue := []byte(env.Result)
 	newValue, oldBin, newBin := replacement(t, oldValue, "RS_N")
-	accepted := map[string]bool{
-		string(envelopeBytes(encJSON, env.Key, true, oldValue)): true,
-		string(envelopeBytes(encJSON, env.Key, true, newValue)): true,
-		string(envelopeBytes(encBinary, env.Key, true, oldBin)): true,
-		string(envelopeBytes(encBinary, env.Key, true, newBin)): true,
+	hitOf := map[string]string{ // hit envelope -> the value it answers
+		string(envelopeBytes(encJSON, env.Key, true, oldValue)): "old",
+		string(envelopeBytes(encJSON, env.Key, true, newValue)): "new",
+		string(envelopeBytes(encBinary, env.Key, true, oldBin)): "old",
+		string(envelopeBytes(encBinary, env.Key, true, newBin)): "new",
+	}
+	accepts := []string{ContentTypeJSON, ContentTypeBinary}
+	// gzipHit sends a gzip hit in encoding accept and returns the value
+	// its body answers, or "" after reporting a body that is no hit.
+	gzipHit := func(accept string) string {
+		rec := serve(svc, "/v1/schedule", body, "Accept", accept, "Accept-Encoding", "gzip")
+		if rec.Code != http.StatusOK {
+			t.Errorf("%s: status %d", accept, rec.Code)
+			return ""
+		}
+		zr, err := gzip.NewReader(rec.Body)
+		if err != nil {
+			t.Errorf("%s: not gzip: %v", accept, err)
+			return ""
+		}
+		var plain bytes.Buffer
+		if _, err := plain.ReadFrom(zr); err != nil {
+			t.Errorf("%s: corrupt gzip: %v", accept, err)
+			return ""
+		}
+		answers, ok := hitOf[plain.String()]
+		if !ok {
+			t.Errorf("%s: body is no hit envelope of either value: %q", accept, plain.Bytes())
+		}
+		return answers
 	}
 
-	const clients, rounds = 4, 25
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			accept := ContentTypeJSON
-			if c%2 == 1 {
-				accept = ContentTypeBinary
+	const clients, hits, rounds = 4, 3, 100
+	for round := 0; round < rounds; round++ {
+		prev, value, name := oldValue, newValue, "new"
+		if round%2 == 1 {
+			prev, value, name = newValue, oldValue, "old"
+		}
+		// A PUT drops the kept bodies, so the racing hits compress the
+		// previous value while the round's PUT replaces it.
+		putRecord(t, svc, env.Key, prev)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(accept string) {
+				defer wg.Done()
+				<-start
+				for i := 0; i < hits; i++ {
+					gzipHit(accept)
+				}
+			}(accepts[c%2])
+		}
+		close(start) // release the hits as the PUT starts
+		putRecord(t, svc, env.Key, value)
+		wg.Wait()
+		for _, accept := range accepts {
+			if got := gzipHit(accept); got != name {
+				t.Fatalf("round %d: a %s gzip hit after the last PUT answers the %s value, want the %s one", round, accept, got, name)
 			}
-			for i := 0; i < rounds; i++ {
-				rec := serve(svc, "/v1/schedule", body, "Accept", accept, "Accept-Encoding", "gzip")
-				if rec.Code != http.StatusOK {
-					t.Errorf("client %d: status %d", c, rec.Code)
-					return
-				}
-				zr, err := gzip.NewReader(rec.Body)
-				if err != nil {
-					t.Errorf("client %d: not gzip: %v", c, err)
-					return
-				}
-				var plain bytes.Buffer
-				if _, err := plain.ReadFrom(zr); err != nil {
-					t.Errorf("client %d: corrupt gzip: %v", c, err)
-					return
-				}
-				if !accepted[plain.String()] {
-					t.Errorf("client %d: body is no hit envelope of either value: %q", c, plain.Bytes())
-					return
-				}
-			}
-		}(c)
-	}
-	for i := 0; i < rounds; i++ {
-		if i%2 == 0 {
-			putRecord(t, svc, env.Key, newValue)
-		} else {
-			putRecord(t, svc, env.Key, oldValue)
 		}
 	}
-	wg.Wait()
 }
 
 func mustJSON(t *testing.T, v any) string {

@@ -199,6 +199,9 @@ func TestScheduleBadRequests(t *testing.T) {
 		{"empty", ``},
 		{"not json", `{{{`},
 		{"trailing garbage", `{"matrix":{"n":4,"messages":[]}} extra`},
+		{"trailing brace", `{"matrix":{"n":4,"messages":[[0,1,10]]}}}`},
+		{"trailing bracket", `{"matrix":{"n":4,"messages":[[0,1,10]]}}]`},
+		{"trailing brackets and garbage", `{"matrix":{"n":4,"messages":[[0,1,10]]}}]]]garbage`},
 		{"unknown field", `{"matrix":{"n":4,"messages":[]},"bogus":1}`},
 		{"missing matrix", `{"algorithm":"LP"}`},
 		{"n too small", `{"matrix":{"n":1,"messages":[]}}`},
@@ -331,6 +334,19 @@ func TestSimulateBadRequests(t *testing.T) {
 	if status, _ := postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{Schedule: bad}, nil); status != http.StatusBadRequest {
 		t.Errorf("contending phase accepted")
 	}
+	// Anything but whitespace after the document is malformed, a
+	// closing bracket included.
+	for _, trailing := range []string{"}", "]", "]]]garbage", " x"} {
+		body := `{"matrix":{"n":4,"messages":[[0,1,256]]}}` + trailing
+		resp, raw := doWire(t, ts, "/v1/simulate", []byte(body), nil)
+		var env ErrorEnvelope
+		if err := json.Unmarshal(raw, &env); err != nil {
+			t.Fatalf("%s: bad error body %q: %v", body, raw, err)
+		}
+		if want := "bad request body: trailing data after JSON document"; resp.StatusCode != http.StatusBadRequest || env.Err.Message != want {
+			t.Errorf("%s: got %d %+v, want 400 %q", body, resp.StatusCode, env.Err, want)
+		}
+	}
 	// A schedule the LP protocol cannot run is the client's mistake:
 	// 400 bad_request with the simulator's own message, not 500. So is
 	// a protocol the simulator does not know.
@@ -431,6 +447,13 @@ func TestCampaignNotFoundAndBadRequests(t *testing.T) {
 	for i, req := range bad {
 		if status, raw := postJSON(t, ts.URL+"/v1/campaign", req, nil); status != http.StatusBadRequest {
 			t.Errorf("bad campaign %d accepted: status %d (%s)", i, status, raw)
+		}
+	}
+	// A valid campaign with anything but whitespace after it.
+	for _, trailing := range []string{"}", "]", " x"} {
+		body := `{"densities":[2],"sizes":[64],"samples":1,"dim":3}` + trailing
+		if resp, raw := doWire(t, ts, "/v1/campaign", []byte(body), nil); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", body, resp.StatusCode, raw)
 		}
 	}
 }

@@ -603,7 +603,7 @@ func (s *Server) compute(ctx context.Context, j job, enc encoding, retry bool) (
 	if err != nil {
 		return nil, nil, err
 	}
-	if value, err = json.Marshal(doc); err != nil {
+	if value, err = marshalResult(doc); err != nil {
 		return nil, nil, err
 	}
 	s.cachePut(j.key, value)

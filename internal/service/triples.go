@@ -2,8 +2,10 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // WireTriples is a list of [src, dst, bytes] triples: the messages of a
@@ -15,69 +17,106 @@ import (
 // Any [][3]int64 converts to it, and it encodes exactly as one.
 type WireTriples [][3]int64
 
-var errTripleSyntax = errors.New("triples: malformed JSON")
-
 // UnmarshalJSON decodes the triples with the semantics encoding/json
 // gives a plain [][3]int64 (FuzzWireTriples holds the two equal):
 //
 //   - null is a nil slice, [] an empty non-nil one;
 //   - a null element, a null inside a triple, and a short triple all
-//     leave zeros; elements past the third are skipped, whatever they
-//     hold;
+//     leave zeros; elements past the third are skipped, whatever valid
+//     JSON they hold;
 //   - anything else in the first three slots — a fraction, an exponent,
 //     an integer outside int64, a string, a bool, an object or an
 //     array — is an error, as is an element that is not an array.
 //
-// encoding/json validates the whole document before it calls an
-// Unmarshaler, so b is well-formed JSON; the scan below stays total
-// anyway and answers malformed input with an error, never a panic. The
-// read offset is threaded through plain functions, not kept in a
-// scanner struct, so the hot loops hold it in a register.
+// It is a thin wrapper over decodeTriples, the scan the request
+// decoder (decodeStrict) runs over the same bytes inside a body.
 func (t *WireTriples) UnmarshalJSON(b []byte) error {
-	i := jsonSpace(b, 0)
+	scratch := getTripleScratch()
+	defer putTripleScratch(scratch)
+	// b is the value's own bytes, and every triple opens one bracket,
+	// so a scratch too small for the count is replaced once instead of
+	// grown by doubling. The cap keeps a body of nested brackets from
+	// reserving more than its own element count allows: the smallest
+	// element, "[],", is three bytes.
+	if n := min(bytes.Count(b, []byte{'['}), len(b)/3); cap(*scratch) < n {
+		*scratch = make(WireTriples, 0, n)
+	}
+	out, i, err := decodeTriples(b, jsonSpace(b, 0), 0, scratch)
+	if err != nil {
+		return err
+	}
+	if i = jsonSpace(b, i); i != len(b) {
+		return syntaxError(b, i)
+	}
+	*t = out
+	return nil
+}
+
+// tripleScratch recycles the buffers triples decode into before they
+// are copied out at their exact length: a list's length is known only
+// at its closing bracket. A buffer grown past maxPooledTriples (1.5
+// MiB) is dropped instead, as releaseBody drops a large body.
+var tripleScratch = sync.Pool{New: func() any { return new(WireTriples) }}
+
+const maxPooledTriples = 1 << 16
+
+func getTripleScratch() *WireTriples { return tripleScratch.Get().(*WireTriples) }
+
+func putTripleScratch(s *WireTriples) {
+	if cap(*s) <= maxPooledTriples {
+		tripleScratch.Put(s)
+	}
+}
+
+// decodeTriples decodes the triples value at b[i], which depth JSON
+// containers enclose: null, or an array of triples. It returns the
+// triples, copied out of scratch at their exact length, and the offset
+// just past the value.
+//
+// Nothing has validated b, so the scan checks every byte it passes and
+// answers malformed input with an error, never a panic. The read offset
+// is threaded through plain functions, not kept in a scanner struct, so
+// the hot loops hold it in a register.
+func decodeTriples(b []byte, i, depth int, scratch *WireTriples) (WireTriples, int, error) {
 	if jsonNull(b, i) {
-		*t = nil
-		return jsonEnd(b, i+4)
+		return nil, i + 4, nil
 	}
 	if i == len(b) || b[i] != '[' {
-		return fmt.Errorf("triples: want an array of [src, dst, bytes], got %s", jsonKind(b, i))
+		return nil, 0, fmt.Errorf("triples: want an array of [src, dst, bytes], got %s", jsonKind(b, i))
 	}
-	// Every triple opens one bracket, so counting them sizes the slice
-	// exactly for any real request. The cap keeps a body of nested
-	// brackets from reserving more than its own element count allows:
-	// the smallest element, "[],", is three bytes.
-	n := bytes.Count(b, []byte{'['}) - 1
-	if limit := len(b) / 3; n > limit {
-		n = limit
-	}
-	out := make(WireTriples, 0, n)
 	if i = jsonSpace(b, i+1); i < len(b) && b[i] == ']' {
-		*t = out
-		return jsonEnd(b, i+1)
+		return WireTriples{}, i + 1, nil
 	}
+	buf := (*scratch)[:0]
 	for {
 		var tr [3]int64
 		var err error
-		if i, err = decodeTriple(b, i, len(out), &tr); err != nil {
-			return err
+		if i, err = decodeTriple(b, i, depth+1, len(buf), &tr); err != nil {
+			return nil, 0, err
 		}
-		out = append(out, tr)
+		buf = append(buf, tr)
 		switch i = jsonSpace(b, i); {
 		case i < len(b) && b[i] == ',':
 			i = jsonSpace(b, i+1)
 		case i < len(b) && b[i] == ']':
-			*t = out
-			return jsonEnd(b, i+1)
+			*scratch = buf
+			out := make(WireTriples, len(buf))
+			copy(out, buf)
+			return out, i + 1, nil
 		default:
-			return errTripleSyntax
+			return nil, 0, syntaxError(b, i)
 		}
 	}
 }
 
-// decodeTriple decodes element k, which starts at b[i], into tr: null,
-// or an array whose first three slots are integers or null. It returns
-// the offset just past the element.
-func decodeTriple(b []byte, i, k int, tr *[3]int64) (int, error) {
+// decodeTriple decodes element k, which starts at b[i] inside depth
+// containers, into tr: null, or an array whose first three slots are
+// integers or null. It returns the offset just past the element.
+func decodeTriple(b []byte, i, depth, k int, tr *[3]int64) (int, error) {
+	if end, ok := compactTriple(b, i, tr); ok {
+		return end, nil
+	}
+	*tr = [3]int64{}
 	if i == len(b) || b[i] != '[' {
 		if jsonNull(b, i) {
 			return i + 4, nil
@@ -94,8 +133,14 @@ func decodeTriple(b []byte, i, k int, tr *[3]int64) (int, error) {
 				return 0, fmt.Errorf("triples: element %d, slot %d: want an int64 integer, got %s", k, slot, jsonKind(b, i))
 			}
 			tr[slot], i = v, next
-		} else if i = jsonSkip(b, i); i < 0 {
-			return 0, errTripleSyntax
+		} else {
+			// encoding/json skips the slot, but only after it checked
+			// the value's syntax and depth with the rest of the body.
+			end, nesting := jsonSkip(b, i)
+			if end < 0 || depth+1+nesting > maxNestingDepth || !json.Valid(b[i:end]) {
+				return 0, fmt.Errorf("triples: element %d, slot %d: malformed JSON", k, slot)
+			}
+			i = end
 		}
 		switch i = jsonSpace(b, i); {
 		case i < len(b) && b[i] == ',':
@@ -103,14 +148,39 @@ func decodeTriple(b []byte, i, k int, tr *[3]int64) (int, error) {
 		case i < len(b) && b[i] == ']':
 			return i + 1, nil
 		default:
-			return 0, errTripleSyntax
+			return 0, syntaxError(b, i)
 		}
 	}
 }
 
+// compactTriple decodes the triple at b[i] into tr when it is written
+// as encoders write one, three unsigned integers without whitespace
+// ("[0,17,4096]"), and returns the offset past it. It reports false on
+// anything else, which decodeTriple then reads in full.
+func compactTriple(b []byte, i int, tr *[3]int64) (int, bool) {
+	if i == len(b) || b[i] != '[' {
+		return 0, false
+	}
+	for slot := 0; slot < len(tr); slot++ {
+		i++
+		start := i
+		var v int64
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			v = v*10 + int64(b[i]-'0')
+		}
+		// 18 digits cannot overflow; a leading zero is malformed.
+		if n := i - start; n == 0 || n > 18 || (n > 1 && b[start] == '0') ||
+			i == len(b) || b[i] != ",,]"[slot] {
+			return 0, false
+		}
+		tr[slot] = v
+	}
+	return i + 1, true
+}
+
 // jsonInt64 reads null (as 0) or a JSON integer in int64 range at b[i],
-// returning the value and the offset past it. A number with a fraction
-// or an exponent, and anything else, reports false.
+// returning the value and the offset past it. A number with a fraction,
+// an exponent or a leading zero, and anything else, reports false.
 func jsonInt64(b []byte, i int) (int64, int, bool) {
 	neg := i < len(b) && b[i] == '-'
 	if neg {
@@ -127,11 +197,11 @@ func jsonInt64(b []byte, i int) (int64, int, bool) {
 		}
 		return 0, i + 4, true
 	}
-	// JSON integers have no leading zeros, so more than 19 digits is
-	// past int64, and 19 cannot overflow u. The magnitude may reach
-	// 1<<63 only as MinInt64.
+	// Without leading zeros, more than 19 digits is past int64, and 19
+	// cannot overflow u. The magnitude may reach 1<<63 only as
+	// MinInt64.
 	const limit = uint64(1) << 63
-	if i-digits > 19 || u > limit || (u == limit && !neg) ||
+	if i-digits > 19 || (b[digits] == '0' && i-digits > 1) || u > limit || (u == limit && !neg) ||
 		(i < len(b) && (b[i] == '.' || b[i] == 'e' || b[i] == 'E')) {
 		return 0, 0, false
 	}
@@ -141,10 +211,16 @@ func jsonInt64(b []byte, i int) (int64, int, bool) {
 	return int64(u), i, true
 }
 
+// maxNestingDepth is encoding/json's bound on open arrays and objects:
+// a value nested deeper than this anywhere in a body is an error.
+const maxNestingDepth = 10000
+
 // jsonSkip passes over one JSON value of any type at b[i], up to the
 // comma or bracket that ends it at its own depth, and returns that
-// offset: -1 when the input ends first.
-func jsonSkip(b []byte, i int) int {
+// offset (-1 when the input ends first) and the most arrays and objects
+// the value holds open at once. It does not check syntax: where the
+// value is valid JSON, both answers are exact.
+func jsonSkip(b []byte, i int) (end, nesting int) {
 	depth := 0
 	for ; i < len(b); i++ {
 		switch b[i] {
@@ -155,19 +231,21 @@ func jsonSkip(b []byte, i int) int {
 				}
 			}
 		case '[', '{':
-			depth++
+			if depth++; depth > nesting {
+				nesting = depth
+			}
 		case ']', '}':
 			if depth == 0 {
-				return i
+				return i, nesting
 			}
 			depth--
 		case ',':
 			if depth == 0 {
-				return i
+				return i, nesting
 			}
 		}
 	}
-	return -1
+	return -1, nesting
 }
 
 // jsonSpace returns the offset of the first non-whitespace byte at or
@@ -184,12 +262,16 @@ func jsonNull(b []byte, i int) bool {
 	return bytes.HasPrefix(b[i:], []byte("null"))
 }
 
-// jsonEnd checks that nothing but whitespace follows offset i.
-func jsonEnd(b []byte, i int) error {
-	if jsonSpace(b, i) != len(b) {
-		return errTripleSyntax
+// errUnexpectedEnd is the error of a body that ends inside its
+// document.
+var errUnexpectedEnd = errors.New("unexpected end of JSON input")
+
+// syntaxError describes the malformed JSON at b[i].
+func syntaxError(b []byte, i int) error {
+	if i >= len(b) {
+		return errUnexpectedEnd
 	}
-	return nil
+	return fmt.Errorf("invalid character %q at offset %d", b[i], i)
 }
 
 // jsonKind names the JSON value starting at b[i], for errors.
@@ -207,7 +289,7 @@ func jsonKind(b []byte, i int) string {
 	case c == '[':
 		return "an array"
 	case c == '-' || c >= '0' && c <= '9':
-		return "a non-integer or out-of-range number"
+		return "a number"
 	}
 	return "malformed JSON"
 }

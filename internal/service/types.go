@@ -329,16 +329,18 @@ func readJSON(r *http.Request, v any) error {
 	return decodeBody(body.Bytes(), v)
 }
 
-// decodeBody strictly decodes body, one JSON document, into v.
+// decodeBody strictly decodes body, one JSON document, into v: a
+// schedule or simulate request in one pass (decodeStrict), anything
+// else through encoding/json (decodeStd).
 func decodeBody(body []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return badRequest("bad request body: %v", err)
+	var err error
+	if sb, ok := v.(strictBody); ok {
+		err = decodeStrict(body, sb)
+	} else {
+		err = decodeStd(body, v)
 	}
-	// Trailing garbage after the document is a malformed request.
-	if dec.More() {
-		return badRequest("bad request body: trailing data after JSON document")
+	if err != nil {
+		return badRequest("bad request body: %v", err)
 	}
 	return nil
 }

@@ -24,6 +24,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -264,6 +265,7 @@ type wireDoc interface {
 }
 
 func (res *ScheduleResult) appendBinaryPayload(dst []byte) []byte {
+	dst = slices.Grow(dst, res.binarySizeHint())
 	dst = append(dst, docTypeSchedule)
 	dst = appendString(dst, res.Chosen)
 	dst = appendString(dst, res.Topology)
@@ -288,6 +290,26 @@ func (res *ScheduleResult) appendBinaryPayload(dst []byte) []byte {
 		dst = appendWirePhase(dst, p)
 	}
 	return dst
+}
+
+// binarySizeHint is the room to reserve for res's binary payload,
+// estimated from its strings and its message and phase counts as
+// comm.BinarySizeHint estimates a matrix block, so the payload renders
+// into one buffer in the common case.
+func (res *ScheduleResult) binarySizeHint() int {
+	size := 64 + len(res.Chosen) + len(res.Topology) + len(res.Workload)
+	if mj := res.Matrix; mj != nil {
+		size += binary.MaxVarintLen64 + comm.BinarySizeHint(mj.N, len(mj.Messages))
+	}
+	if sj := res.Schedule; sj != nil {
+		// A phase's count, then a source delta, a destination and a
+		// size per message: 1, 2 and 3 bytes for the paper's sizes.
+		size += len(sj.Algorithm)
+		for _, p := range sj.Phases {
+			size += 2 + 6*len(p)
+		}
+	}
+	return size
 }
 
 // appendWirePhase writes one phase column-oriented: every source
@@ -317,10 +339,18 @@ func appendWirePhase(dst []byte, p WirePhase) []byte {
 // encoded from the triples without building the dense matrix. The wire
 // matrix is a workload echo: NewWireMatrix made it from the computed
 // matrix, or decodeDoc checked it when it re-typed the cached JSON.
+//
+// The block is encoded in place, behind room for the longest length
+// prefix, and moved down over the room its prefix leaves.
 func appendWireMatrix(dst []byte, mj *WireMatrix) []byte {
-	block := comm.AppendBinaryTriples(nil, mj.N, mj.Messages)
-	dst = comm.AppendUvarint(dst, uint64(len(block)))
-	return append(dst, block...)
+	const room = binary.MaxVarintLen64
+	start := len(dst)
+	dst = slices.Grow(dst, room+comm.BinarySizeHint(mj.N, len(mj.Messages)))
+	dst = comm.AppendBinaryTriples(dst[:start+room], mj.N, mj.Messages)
+	block := len(dst) - start - room
+	k := binary.PutUvarint(dst[start:], uint64(block))
+	copy(dst[start+k:], dst[start+room:])
+	return dst[:start+k+block]
 }
 
 func (res *SimulateResult) appendBinaryPayload(dst []byte) []byte {

@@ -621,6 +621,8 @@ func TestBatchValidation(t *testing.T) {
 		{"empty body", `{}`, http.StatusBadRequest},
 		{"empty list", `{"requests":[]}`, http.StatusBadRequest},
 		{"not json", `]`, http.StatusBadRequest},
+		{"trailing brace", `{"requests":[{"matrix":{"n":4,"messages":[[0,1,10]]}}]}}`, http.StatusBadRequest},
+		{"trailing bracket", `{"requests":[{"matrix":{"n":4,"messages":[[0,1,10]]}}]}]`, http.StatusBadRequest},
 		{"too many", fmt.Sprintf(`{"requests":[%s]}`,
 			strings.TrimRight(strings.Repeat(`{},`, maxBatchItems+1), ",")), http.StatusBadRequest},
 	}
