@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync"
 	"unicode/utf8"
 )
 
@@ -41,8 +42,8 @@ type strictBody interface {
 
 // decodeStrict decodes body, one JSON document, into v in one pass.
 func decodeStrict(body []byte, v strictBody) error {
-	d := decoder{b: body, scratch: getTripleScratch()}
-	defer putTripleScratch(d.scratch)
+	d := decoder{b: body, scratch: tripleScratch.Get().(*WireTriples)}
+	defer tripleScratch.Put(d.scratch)
 	i := jsonSpace(body, 0)
 	if i == len(body) {
 		return errUnexpectedEnd
@@ -82,6 +83,41 @@ func decodeStd(body []byte, v any) error {
 type decoder struct {
 	b       []byte
 	scratch *WireTriples
+}
+
+// tripleScratch recycles the decoders' scratch lists, up to
+// maxPooledTriples (1.5 MiB) each.
+var tripleScratch = sync.Pool{New: func() any { return new(WireTriples) }}
+
+const maxPooledTriples = 1 << 16
+
+// triples decodes the triples value at b[i] inside depth containers. A
+// list's length is known only at its closing bracket, so a list decodes
+// into the scratch and is copied out at its exact length. Only where
+// more is left of the body than maxPooledTriples of the smallest
+// element, "[],", can the list outgrow the scratch. Such a list is
+// sized first by counting the brackets of its extent, as UnmarshalJSON
+// does, and decodes straight into its own slice: a near-cap body then
+// holds its triples once, not a grown scratch and a copy beside them.
+func (d *decoder) triples(i, depth int) (WireTriples, int, error) {
+	b := d.b
+	if len(b)-i > 3*maxPooledTriples {
+		end, _ := jsonSkip(b, i)
+		if end < 0 {
+			end = len(b)
+		}
+		return decodeTriples(b, i, depth, make(WireTriples, 0, tripleCap(b[i:end])))
+	}
+	buf, next, err := decodeTriples(b, i, depth, *d.scratch)
+	if err != nil || len(buf) == 0 {
+		return buf, next, err
+	}
+	if cap(buf) <= maxPooledTriples {
+		*d.scratch = buf
+	}
+	out := make(WireTriples, len(buf))
+	copy(out, buf)
+	return out, next, nil
 }
 
 // object decodes the object at b[i] member by member: member decodes
@@ -207,7 +243,7 @@ func (d *decoder) boolField(i int, dst *bool, what string) (int, error) {
 
 // triplesField decodes a WireTriples member into *dst.
 func (d *decoder) triplesField(i, depth int, dst *WireTriples) (int, error) {
-	t, next, err := decodeTriples(d.b, i, depth, d.scratch)
+	t, next, err := d.triples(i, depth)
 	if err != nil {
 		return 0, err
 	}
@@ -232,7 +268,7 @@ func (d *decoder) phasesField(i, depth int, dst *[]WirePhase) (int, error) {
 		return i + 1, nil
 	}
 	for {
-		p, next, err := decodeTriples(b, i, depth+1, d.scratch)
+		p, next, err := d.triples(i, depth+1)
 		if err != nil {
 			return 0, fmt.Errorf("phase %d: %w", len(phases), err)
 		}

@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -79,11 +80,21 @@ var decodeSeeds = []string{
 }
 
 // TestDecodeStrictMatchesStd holds decodeStrict to encoding/json on the
-// seeds, and at encoding/json's nesting bound, which the fuzzer cannot
-// reach: a skipped value may nest only as deep as the bound leaves room
-// for below the containers around it.
+// seeds, and on bodies the fuzzer cannot reach. At encoding/json's
+// nesting bound, a skipped value may nest only as deep as the bound
+// leaves room for below the containers around it. Past 196 KB, a list
+// is sized from its extent before it decodes, which brackets in
+// skipped slots, a missing bracket and a truncated body must not
+// mislead.
 func TestDecodeStrictMatchesStd(t *testing.T) {
 	bodies := append(append(append([]string{}, decodeSeeds...), scheduleRequestSeeds...), simulateRequestSeeds...)
+	long := strings.Repeat("[1,2,3],", 3*maxPooledTriples/8+1)
+	bodies = append(bodies,
+		`{"matrix":{"n":4,"messages":[`+long+`[0,1,2,["[",[[]]],{"]":[]}]]}}`,
+		`{"schedule":{"phases":[[`+long+`[0,1,2]],[[3,4,5]],null,[]]},"matrix":{"messages":[`+long+`null]}}`,
+		`{"matrix":{"messages":[`+long+`[0,1,2]}}`, `{"matrix":{"messages":[`+long+`[0,1,02]]}}`,
+		`{"matrix":{"messages":[`+long, `{"matrix":{"messages":[`+long+`]]]]]]}}`,
+		`{"matrix":{"messages":null},"workload":"`+long+`"}`)
 	nest := func(n int) string { return strings.Repeat("[", n) + strings.Repeat("]", n) }
 	for _, open := range []int{maxNestingDepth - 6, maxNestingDepth - 5, maxNestingDepth - 4, maxNestingDepth - 3} {
 		// Around the skipped slot: the body, the matrix or schedule,
@@ -97,6 +108,92 @@ func TestDecodeStrictMatchesStd(t *testing.T) {
 		decodeAgrees[ScheduleRequest](t, []byte(body))
 		decodeAgrees[SimulateRequest](t, []byte(body))
 	}
+}
+
+// jsonNames returns the JSON names of typ's fields, in their order.
+func jsonNames(typ reflect.Type) []string {
+	var names []string
+	for i := 0; i < typ.NumField(); i++ {
+		name, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+		names = append(names, name)
+	}
+	return names
+}
+
+// fillNonZero sets every exported field under v to a value that is not
+// its type's zero: a pointer gets a filled value, a slice one filled
+// element.
+func fillNonZero(t *testing.T, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		fillNonZero(t, v.Elem())
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				fillNonZero(t, v.Field(i))
+			}
+		}
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+		fillNonZero(t, v.Index(0))
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			fillNonZero(t, v.Index(i))
+		}
+	case reflect.String:
+		v.SetString("x")
+	case reflect.Int, reflect.Int64:
+		v.SetInt(7)
+	case reflect.Bool:
+		v.SetBool(true)
+	default:
+		t.Fatalf("fillNonZero: no value for a %s", v.Type())
+	}
+}
+
+// TestDecoderCoversEveryField ties decodeStrict to the request types:
+// its member lists name exactly the types' JSON fields, and a body
+// that sets every field decodes, with both decoders, to the request it
+// was marshaled from. A field added to a request type and not to
+// decodeStrict fails here, where /v1/schedule or /v1/simulate would
+// answer it "unknown field" and /v1/schedule/batch would not.
+func TestDecoderCoversEveryField(t *testing.T) {
+	for _, c := range []struct {
+		typ   reflect.Type
+		names []string
+	}{
+		{reflect.TypeFor[ScheduleRequest](), scheduleRequestFields},
+		{reflect.TypeFor[SimulateRequest](), simulateRequestFields},
+		{reflect.TypeFor[WireMatrix](), wireMatrixFields},
+		{reflect.TypeFor[WireSchedule](), wireScheduleFields},
+	} {
+		if got := jsonNames(c.typ); !slices.Equal(got, c.names) {
+			t.Errorf("%s has JSON fields %q, decodeStrict knows %q", c.typ, got, c.names)
+		}
+	}
+	decodesFilled[ScheduleRequest](t)
+	decodesFilled[SimulateRequest](t)
+}
+
+// decodesFilled marshals an R whose every field is set and requires
+// decodeStrict, and decodeStd with it, to decode it back.
+func decodesFilled[R any, P interface {
+	*R
+	strictBody
+}](t *testing.T) {
+	t.Helper()
+	var want, got R
+	fillNonZero(t, reflect.ValueOf(&want).Elem())
+	body, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := decodeStrict(body, P(&got)); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("decodeStrict %s: %v, decoded\n%#v", body, err, got)
+	}
+	decodeAgrees[R, P](t, body)
 }
 
 // FuzzDecodeBody holds decodeStrict to its oracle, decodeStd, for both

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"reflect"
 	"testing"
 )
 
@@ -71,6 +72,23 @@ func FuzzScheduleResultJSON(f *testing.F) {
 			t.Fatalf("marshalResult: %v, cap %d:\n got %s\nwant %s", err, cap(got), got, want)
 		}
 	})
+}
+
+// TestAppendJSONCoversEveryField holds appendJSON to json.Marshal on a
+// result whose every field, down through its matrix echo and schedule,
+// is set: a field added to ScheduleResult, WireMatrix or WireSchedule
+// and not to appendJSON fails here instead of vanishing from cached
+// results.
+func TestAppendJSONCoversEveryField(t *testing.T) {
+	res := new(ScheduleResult)
+	fillNonZero(t, reflect.ValueOf(res).Elem())
+	want, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.appendJSON(nil); !bytes.Equal(got, want) {
+		t.Fatalf("appendJSON:\n got %s\nwant %s", got, want)
+	}
 }
 
 // BenchmarkMarshalScheduleResult is the encode stage of the largest

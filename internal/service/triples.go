@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // WireTriples is a list of [src, dst, bytes] triples: the messages of a
@@ -31,17 +30,9 @@ type WireTriples [][3]int64
 // It is a thin wrapper over decodeTriples, the scan the request
 // decoder (decodeStrict) runs over the same bytes inside a body.
 func (t *WireTriples) UnmarshalJSON(b []byte) error {
-	scratch := getTripleScratch()
-	defer putTripleScratch(scratch)
-	// b is the value's own bytes, and every triple opens one bracket,
-	// so a scratch too small for the count is replaced once instead of
-	// grown by doubling. The cap keeps a body of nested brackets from
-	// reserving more than its own element count allows: the smallest
-	// element, "[],", is three bytes.
-	if n := min(bytes.Count(b, []byte{'['}), len(b)/3); cap(*scratch) < n {
-		*scratch = make(WireTriples, 0, n)
-	}
-	out, i, err := decodeTriples(b, jsonSpace(b, 0), 0, scratch)
+	// b is the value's own bytes, so the list is sized before it
+	// decodes.
+	out, i, err := decodeTriples(b, jsonSpace(b, 0), 0, make(WireTriples, 0, tripleCap(b)))
 	if err != nil {
 		return err
 	}
@@ -52,32 +43,25 @@ func (t *WireTriples) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// tripleScratch recycles the buffers triples decode into before they
-// are copied out at their exact length: a list's length is known only
-// at its closing bracket. A buffer grown past maxPooledTriples (1.5
-// MiB) is dropped instead, as releaseBody drops a large body.
-var tripleScratch = sync.Pool{New: func() any { return new(WireTriples) }}
-
-const maxPooledTriples = 1 << 16
-
-func getTripleScratch() *WireTriples { return tripleScratch.Get().(*WireTriples) }
-
-func putTripleScratch(s *WireTriples) {
-	if cap(*s) <= maxPooledTriples {
-		tripleScratch.Put(s)
-	}
+// tripleCap returns the capacity to reserve for the triples list b
+// holds. Every triple opens one bracket, so counting them sizes the
+// list exactly for any real request. The cap keeps a list of nested
+// brackets from reserving more than its own element count allows: the
+// smallest element, "[],", is three bytes.
+func tripleCap(b []byte) int {
+	return max(min(bytes.Count(b, []byte{'['})-1, len(b)/3), 0)
 }
 
 // decodeTriples decodes the triples value at b[i], which depth JSON
-// containers enclose: null, or an array of triples. It returns the
-// triples, copied out of scratch at their exact length, and the offset
+// containers enclose: null, or an array of triples. It appends the
+// triples to dst[:0] and returns the list, nil for null, and the offset
 // just past the value.
 //
 // Nothing has validated b, so the scan checks every byte it passes and
 // answers malformed input with an error, never a panic. The read offset
 // is threaded through plain functions, not kept in a scanner struct, so
 // the hot loops hold it in a register.
-func decodeTriples(b []byte, i, depth int, scratch *WireTriples) (WireTriples, int, error) {
+func decodeTriples(b []byte, i, depth int, dst WireTriples) (WireTriples, int, error) {
 	if jsonNull(b, i) {
 		return nil, i + 4, nil
 	}
@@ -87,21 +71,18 @@ func decodeTriples(b []byte, i, depth int, scratch *WireTriples) (WireTriples, i
 	if i = jsonSpace(b, i+1); i < len(b) && b[i] == ']' {
 		return WireTriples{}, i + 1, nil
 	}
-	buf := (*scratch)[:0]
+	out := dst[:0]
 	for {
 		var tr [3]int64
 		var err error
-		if i, err = decodeTriple(b, i, depth+1, len(buf), &tr); err != nil {
+		if i, err = decodeTriple(b, i, depth+1, len(out), &tr); err != nil {
 			return nil, 0, err
 		}
-		buf = append(buf, tr)
+		out = append(out, tr)
 		switch i = jsonSpace(b, i); {
 		case i < len(b) && b[i] == ',':
 			i = jsonSpace(b, i+1)
 		case i < len(b) && b[i] == ']':
-			*scratch = buf
-			out := make(WireTriples, len(buf))
-			copy(out, buf)
 			return out, i + 1, nil
 		default:
 			return nil, 0, syntaxError(b, i)
@@ -113,9 +94,6 @@ func decodeTriples(b []byte, i, depth int, scratch *WireTriples) (WireTriples, i
 // containers, into tr: null, or an array whose first three slots are
 // integers or null. It returns the offset just past the element.
 func decodeTriple(b []byte, i, depth, k int, tr *[3]int64) (int, error) {
-	if end, ok := compactTriple(b, i, tr); ok {
-		return end, nil
-	}
 	*tr = [3]int64{}
 	if i == len(b) || b[i] != '[' {
 		if jsonNull(b, i) {
@@ -151,31 +129,6 @@ func decodeTriple(b []byte, i, depth, k int, tr *[3]int64) (int, error) {
 			return 0, syntaxError(b, i)
 		}
 	}
-}
-
-// compactTriple decodes the triple at b[i] into tr when it is written
-// as encoders write one, three unsigned integers without whitespace
-// ("[0,17,4096]"), and returns the offset past it. It reports false on
-// anything else, which decodeTriple then reads in full.
-func compactTriple(b []byte, i int, tr *[3]int64) (int, bool) {
-	if i == len(b) || b[i] != '[' {
-		return 0, false
-	}
-	for slot := 0; slot < len(tr); slot++ {
-		i++
-		start := i
-		var v int64
-		for ; i < len(b) && b[i]-'0' <= 9; i++ {
-			v = v*10 + int64(b[i]-'0')
-		}
-		// 18 digits cannot overflow; a leading zero is malformed.
-		if n := i - start; n == 0 || n > 18 || (n > 1 && b[start] == '0') ||
-			i == len(b) || b[i] != ",,]"[slot] {
-			return 0, false
-		}
-		tr[slot] = v
-	}
-	return i + 1, true
 }
 
 // jsonInt64 reads null (as 0) or a JSON integer in int64 range at b[i],
