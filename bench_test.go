@@ -618,10 +618,9 @@ func BenchmarkSimulatorRSNLReused(b *testing.B) {
 
 // warmMachine runs s once on mach, which brings a reused machine to
 // steady state: its first run grows the arenas (6,564 allocations at
-// 1024 nodes), and every later run allocates the same few values (10).
-// Timing from the second run keeps allocs/op independent of the
-// iteration count, which the strict allocs gate on the
-// BenchmarkSimulator family relies on.
+// 1024 nodes), and every later run allocates nothing. Timing from the
+// second run keeps allocs/op independent of the iteration count, which
+// the strict allocs gate on the BenchmarkSimulator family relies on.
 func warmMachine(b *testing.B, mach *ipsc.Machine, s *sched.Schedule) {
 	b.Helper()
 	if _, err := mach.RunS1(s); err != nil {

@@ -19,7 +19,8 @@
 // -strict-allocs-threshold the allowed fraction (default 0.10).
 // allocs/op is deterministic — there is no runner noise to forgive —
 // so the simulator hot-path benchmarks are gated at 10% while ns/op
-// keeps the machine-dependent 25%:
+// keeps the machine-dependent 25%. A measured 0 allocs/op is tracked
+// like any value: against a zero baseline, any allocation fails.
 //
 //	benchgate -baseline BENCH_baseline.json -current BENCH_PR.json \
 //	    -strict-allocs 'BenchmarkSimulator' -strict-allocs-threshold 0.10
@@ -62,11 +63,13 @@ type Report struct {
 	Benchmarks map[string]Metrics `json:"benchmarks"`
 }
 
-// Metrics are the gated quantities of one benchmark.
+// Metrics are the gated quantities of one benchmark. A run without
+// -benchmem measures no allocations: nil tells that apart from a
+// measured zero.
 type Metrics struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
-	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
+	NsPerOp     float64  `json:"ns_per_op"`
+	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
+	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
 }
 
 func run(args []string, stdout io.Writer) error {
@@ -216,12 +219,12 @@ func renderMarkdown(baseline, current *Report, threshold float64) string {
 		switch {
 		case !inBase:
 			fmt.Fprintf(&b, "| %s | — → %s | | — → %s | | 🆕 untracked |\n",
-				name, fmtMetric(cur.NsPerOp), fmtMetric(cur.AllocsPerOp))
+				name, fmtMetric(&cur.NsPerOp), fmtMetric(cur.AllocsPerOp))
 		case !inCur:
 			fmt.Fprintf(&b, "| %s | %s → — | | %s → — | | ❌ missing from PR |\n",
-				name, fmtMetric(base.NsPerOp), fmtMetric(base.AllocsPerOp))
+				name, fmtMetric(&base.NsPerOp), fmtMetric(base.AllocsPerOp))
 		default:
-			nsCell, nsDelta, nsOK := markdownMetric(base.NsPerOp, cur.NsPerOp, threshold)
+			nsCell, nsDelta, nsOK := markdownMetric(&base.NsPerOp, &cur.NsPerOp, threshold)
 			alCell, alDelta, alOK := markdownMetric(base.AllocsPerOp, cur.AllocsPerOp, threshold)
 			status := "✅ ok"
 			if !nsOK || !alOK {
@@ -236,28 +239,25 @@ func renderMarkdown(baseline, current *Report, threshold float64) string {
 }
 
 // markdownMetric formats one before/after cell plus its delta, and
-// reports whether the metric stays inside the gate (mirroring
-// gateMetric: an untracked baseline passes, a vanished current metric
-// fails).
-func markdownMetric(base, cur, threshold float64) (cell, delta string, ok bool) {
-	if base <= 0 {
-		return fmt.Sprintf("— → %s", fmtMetric(cur)), "", true
+// reports whether the metric stays inside the gate (gateMetric's
+// rule).
+func markdownMetric(base, cur *float64, threshold float64) (cell, delta string, ok bool) {
+	cell = fmt.Sprintf("%s → %s", fmtMetric(base), fmtMetric(cur))
+	d, ok := judge(base, cur, threshold)
+	if base != nil && *base > 0 && cur != nil {
+		delta = fmt.Sprintf("%+.1f%%", d*100)
 	}
-	if cur <= 0 {
-		return fmt.Sprintf("%s → —", fmtMetric(base)), "", false
-	}
-	d := (cur - base) / base
-	return fmt.Sprintf("%s → %s", fmtMetric(base), fmtMetric(cur)),
-		fmt.Sprintf("%+.1f%%", d*100), d <= threshold
+	return cell, delta, ok
 }
 
 // fmtMetric renders a metric value compactly (benchmark ns/op values
-// run to nine digits; full precision is noise in a summary table).
-func fmtMetric(v float64) string {
-	if v <= 0 {
+// run to nine digits; full precision is noise in a summary table), and
+// an unmeasured one as a dash.
+func fmtMetric(v *float64) string {
+	if v == nil {
 		return "—"
 	}
-	return strconv.FormatFloat(v, 'g', 5, 64)
+	return strconv.FormatFloat(*v, 'g', 5, 64)
 }
 
 func readReport(path string) (*Report, error) {
@@ -308,9 +308,9 @@ func parseBench(r io.Reader) (*Report, error) {
 			case "ns/op":
 				m.NsPerOp = value
 			case "allocs/op":
-				m.AllocsPerOp = value
+				m.AllocsPerOp = &value
 			case "B/op":
-				m.BytesPerOp = value
+				m.BytesPerOp = &value
 			}
 		}
 		if m.NsPerOp > 0 {
@@ -346,7 +346,7 @@ func compare(baseline, current *Report, threshold float64, strictRe *regexp.Rege
 		if strictRe != nil && strictRe.MatchString(name) {
 			allocThresh = strictThresh
 		}
-		ok1, l1 := gateMetric(name, "ns/op", base.NsPerOp, cur.NsPerOp, threshold)
+		ok1, l1 := gateMetric(name, "ns/op", &base.NsPerOp, &cur.NsPerOp, threshold)
 		ok2, l2 := gateMetric(name, "allocs/op", base.AllocsPerOp, cur.AllocsPerOp, allocThresh)
 		if !ok1 {
 			failures++
@@ -364,21 +364,43 @@ func compare(baseline, current *Report, threshold float64, strictRe *regexp.Rege
 	return lines, failures
 }
 
-func gateMetric(name, unit string, base, cur, threshold float64) (bool, string) {
-	if base <= 0 {
-		return true, fmt.Sprintf("  ok %s %s: untracked (baseline %.4g)", name, unit, base)
+// judge applies the gate to one metric and returns the fractional
+// change it measured. An unmeasured baseline is untracked and passes.
+// A tracked metric vanishing (e.g. -benchmem dropped from the CI
+// invocation leaves every allocs/op unmeasured) fails like a missing
+// benchmark, not as a miraculous -100% improvement. A zero baseline
+// fails on any nonzero value, since no fraction of zero allows one.
+func judge(base, cur *float64, threshold float64) (delta float64, ok bool) {
+	switch {
+	case base == nil:
+		return 0, true
+	case cur == nil:
+		return 0, false
+	case *base <= 0:
+		return 0, *cur <= 0
 	}
-	// A tracked metric vanishing (e.g. -benchmem dropped from the CI
-	// invocation zeroes every allocs/op) must fail like a missing
-	// benchmark, not pass as a miraculous -100% improvement.
-	if cur <= 0 {
-		return false, fmt.Sprintf("FAIL %s %s: tracked metric missing from current report (baseline %.4g)",
-			name, unit, base)
+	delta = (*cur - *base) / *base
+	return delta, delta <= threshold
+}
+
+func gateMetric(name, unit string, base, cur *float64, threshold float64) (bool, string) {
+	delta, ok := judge(base, cur, threshold)
+	mark := "  ok"
+	if !ok {
+		mark = "FAIL"
 	}
-	delta := (cur - base) / base
-	if delta > threshold {
-		return false, fmt.Sprintf("FAIL %s %s: %.4g -> %.4g (%+.1f%%, limit +%.0f%%)",
-			name, unit, base, cur, delta*100, threshold*100)
+	var detail string
+	switch {
+	case base == nil:
+		detail = "untracked (no baseline)"
+	case cur == nil:
+		detail = fmt.Sprintf("tracked metric missing from current report (baseline %.4g)", *base)
+	case *base <= 0:
+		detail = fmt.Sprintf("%.4g -> %.4g (a zero baseline allows none)", *base, *cur)
+	case !ok:
+		detail = fmt.Sprintf("%.4g -> %.4g (%+.1f%%, limit +%.0f%%)", *base, *cur, delta*100, threshold*100)
+	default:
+		detail = fmt.Sprintf("%.4g -> %.4g (%+.1f%%)", *base, *cur, delta*100)
 	}
-	return true, fmt.Sprintf("  ok %s %s: %.4g -> %.4g (%+.1f%%)", name, unit, base, cur, delta*100)
+	return ok, fmt.Sprintf("%s %s %s: %s", mark, name, unit, detail)
 }

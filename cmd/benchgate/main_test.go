@@ -35,18 +35,26 @@ func TestParseBenchOutput(t *testing.T) {
 	if !ok {
 		t.Fatal("BenchmarkSimulatorRSNL missing (suffix not stripped?)")
 	}
-	if sim.NsPerOp != 305929 || sim.AllocsPerOp != 170 || sim.BytesPerOp != 28634 {
+	if sim.NsPerOp != 305929 || *sim.AllocsPerOp != 170 || *sim.BytesPerOp != 28634 {
 		t.Errorf("SimulatorRSNL metrics wrong: %+v", sim)
 	}
-	if seq := report.Benchmarks["BenchmarkCampaignSequential"]; seq.NsPerOp != 311093322 {
-		t.Errorf("CampaignSequential ns/op = %v", seq.NsPerOp)
+	if seq := report.Benchmarks["BenchmarkCampaignSequential"]; seq.NsPerOp != 311093322 || seq.AllocsPerOp != nil {
+		t.Errorf("CampaignSequential ns/op = %v, allocs/op measured: %v", seq.NsPerOp, seq.AllocsPerOp != nil)
 	}
 }
 
+// metrics are one benchmark's metrics; a negative allocs leaves its
+// allocs/op unmeasured.
+func metrics(ns, allocs float64) Metrics {
+	m := Metrics{NsPerOp: ns}
+	if allocs >= 0 {
+		m.AllocsPerOp = &allocs
+	}
+	return m
+}
+
 func report(ns, allocs float64) *Report {
-	return &Report{Benchmarks: map[string]Metrics{
-		"BenchmarkSimulatorRSNL": {NsPerOp: ns, AllocsPerOp: allocs},
-	}}
+	return &Report{Benchmarks: map[string]Metrics{"BenchmarkSimulatorRSNL": metrics(ns, allocs)}}
 }
 
 func TestGatePassesWithinThreshold(t *testing.T) {
@@ -76,9 +84,9 @@ func TestGateFailsOnSyntheticRegression(t *testing.T) {
 	if _, failures := compare(report(1000, 100), empty, 0.25, nil, 0.10); failures != 1 {
 		t.Error("missing tracked benchmark passed the gate")
 	}
-	// A tracked metric dropping to zero (benchmark ran without
+	// A tracked metric going unmeasured (benchmark ran without
 	// -benchmem) is a failure, not a -100% improvement.
-	if _, failures := compare(report(1000, 100), report(1000, 0), 0.25, nil, 0.10); failures != 1 {
+	if _, failures := compare(report(1000, 100), report(1000, -1), 0.25, nil, 0.10); failures != 1 {
 		t.Error("vanished allocs/op metric passed the gate")
 	}
 }
@@ -105,6 +113,81 @@ func TestStrictAllocsGate(t *testing.T) {
 	}
 }
 
+// TestGateZeroBaseline: a measured zero is tracked like any value. A
+// zero baseline passes zero and fails any allocation, under the
+// default and the strict threshold alike; a current zero passes a
+// nonzero baseline; an unmeasured baseline stays untracked, and an
+// unmeasured current value fails a tracked one.
+func TestGateZeroBaseline(t *testing.T) {
+	strict := regexp.MustCompile(`BenchmarkSimulator`)
+	for _, c := range []struct {
+		base, cur float64 // negative: unmeasured
+		fails     bool
+	}{
+		{0, 0, false}, {0, 1, true}, {0, 0.05, true}, {0, -1, true},
+		{100, 0, false}, {-1, 0, false}, {-1, 7, false},
+	} {
+		for _, re := range []*regexp.Regexp{nil, strict} {
+			lines, failures := compare(report(1000, c.base), report(1000, c.cur), 0.25, re, 0.10)
+			if (failures != 0) != c.fails {
+				t.Errorf("allocs/op %v -> %v (strict %v): %d failures, want fails=%v\n%s",
+					c.base, c.cur, re != nil, failures, c.fails, strings.Join(lines, "\n"))
+			}
+			_, _, ok := markdownMetric(metrics(1000, c.base).AllocsPerOp, metrics(1000, c.cur).AllocsPerOp, 0.25)
+			if ok == c.fails {
+				t.Errorf("allocs/op %v -> %v: markdown ok=%v, want %v", c.base, c.cur, ok, !c.fails)
+			}
+		}
+	}
+}
+
+// TestZeroAllocsEndToEnd: a bench line of 0 allocs/op is written to
+// the report as a measured zero, which the strict gate then holds at
+// zero; a baseline without allocs/op leaves them untracked.
+func TestZeroAllocsEndToEnd(t *testing.T) {
+	dir := t.TempDir()
+	benchTxt := filepath.Join(dir, "bench.txt")
+	prJSON := filepath.Join(dir, "BENCH_PR.json")
+	baseJSON := filepath.Join(dir, "BENCH_baseline.json")
+	// gate parses bench into the report, gates it strictly against
+	// baseline, and returns the report and the gate's error.
+	gate := func(bench string, baseline *Report) (string, error) {
+		t.Helper()
+		if err := os.WriteFile(benchTxt, []byte(bench), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := run([]string{"-parse", benchTxt, "-out", prJSON}, &out); err != nil {
+			t.Fatalf("parse mode: %v", err)
+		}
+		raw, _ := json.Marshal(baseline)
+		if err := os.WriteFile(baseJSON, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		pr, err := os.ReadFile(prJSON)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(pr), run([]string{"-baseline", baseJSON, "-current", prJSON,
+			"-strict-allocs", "BenchmarkSimulator", "-strict-allocs-threshold", "0.10"}, &out)
+	}
+	const zero = "BenchmarkSimulatorRSNL-8  10  1000 ns/op  0 B/op  0 allocs/op\n"
+	const one = "BenchmarkSimulatorRSNL-8  10  1000 ns/op  8 B/op  1 allocs/op\n"
+	pr, err := gate(zero, report(1000, 0))
+	if err != nil {
+		t.Errorf("0 allocs/op against a zero baseline: %v", err)
+	}
+	if !strings.Contains(pr, `"allocs_per_op": 0`) {
+		t.Errorf("report drops a measured zero:\n%s", pr)
+	}
+	if _, err := gate(one, report(1000, 0)); err == nil {
+		t.Error("1 allocs/op passed a zero baseline")
+	}
+	if _, err := gate(one, report(1000, -1)); err != nil {
+		t.Errorf("1 allocs/op against an unmeasured baseline: %v", err)
+	}
+}
+
 func TestStrictAllocsEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	benchTxt := filepath.Join(dir, "bench.txt")
@@ -119,7 +202,7 @@ func TestStrictAllocsEndToEnd(t *testing.T) {
 	// Baseline with 15% fewer simulator allocs than the current run:
 	// passes the default gate, fails the 10% strict gate.
 	baseline := &Report{Benchmarks: map[string]Metrics{
-		"BenchmarkSimulatorRSNL": {NsPerOp: 305929, AllocsPerOp: 170 / 1.15},
+		"BenchmarkSimulatorRSNL": metrics(305929, 170/1.15),
 	}}
 	baseJSON := filepath.Join(dir, "BENCH_baseline.json")
 	raw, _ := json.Marshal(baseline)
@@ -171,7 +254,7 @@ func TestEndToEnd(t *testing.T) {
 
 	// Baseline claiming the simulator used to be 30% faster.
 	baseline := &Report{Benchmarks: map[string]Metrics{
-		"BenchmarkSimulatorRSNL": {NsPerOp: 305929 / 1.3, AllocsPerOp: 170},
+		"BenchmarkSimulatorRSNL": metrics(305929/1.3, 170),
 	}}
 	baseJSON := filepath.Join(dir, "BENCH_baseline.json")
 	raw, _ := json.Marshal(baseline)
@@ -188,9 +271,7 @@ func TestEndToEnd(t *testing.T) {
 	}
 
 	// With an honest baseline the same report passes.
-	honest, _ := json.Marshal(&Report{Benchmarks: map[string]Metrics{
-		"BenchmarkSimulatorRSNL": {NsPerOp: 305929, AllocsPerOp: 170},
-	}})
+	honest, _ := json.Marshal(report(305929, 170))
 	if err := os.WriteFile(baseJSON, honest, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -210,8 +291,8 @@ func TestRunNeedsAMode(t *testing.T) {
 func TestMarkdownTable(t *testing.T) {
 	baseline := report(1000, 100)
 	current := report(1300, 100) // +30% ns/op: over the 25% threshold
-	current.Benchmarks["BenchmarkBrandNew"] = Metrics{NsPerOp: 42, AllocsPerOp: 7}
-	baseline.Benchmarks["BenchmarkGone"] = Metrics{NsPerOp: 5, AllocsPerOp: 1}
+	current.Benchmarks["BenchmarkBrandNew"] = metrics(42, 7)
+	baseline.Benchmarks["BenchmarkGone"] = metrics(5, 1)
 
 	doc := renderMarkdown(baseline, current, 0.25)
 	for _, want := range []string{

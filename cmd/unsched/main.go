@@ -173,7 +173,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Fprintf(stderr, "schedule written to %s (reload with sched.ReadSchedule)\n", *saveSched)
+		fmt.Fprintf(stderr, "schedule written to %s\n", *saveSched)
 	}
 	return tw.Flush()
 }

@@ -233,18 +233,38 @@ func TestSaveWritesPhasedSchedules(t *testing.T) {
 		}
 	}
 
-	runCLI(t, "-n", "16", "-alg", "RS_N", "-save", path)
-	f, err := os.Open(path)
+	runCLI(t, "-n", "16", "-alg", "RS_N", "-seed", "3", "-save", path)
+	got, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	s, err := sched.ReadSchedule(f)
+	// The file is what WriteTo writes for the schedule run computes.
+	wl, err := patternSpec("dregular", 16, 8, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := wl.Build(16, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := topologySpec("cube", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alg, _ := sched.Lookup("RS_N")
+	s, err := alg.Build(sched.NewCoreDirect(sp.MustBuild()), m, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.NumPhases() == 0 {
-		t.Error("saved RS_N schedule has no phases")
+		t.Error("RS_N schedule has no phases")
+	}
+	var want bytes.Buffer
+	if _, err := s.WriteTo(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("-save wrote\n%s\nwant the schedule's WriteTo output\n%s", got, want.Bytes())
 	}
 }
 

@@ -325,13 +325,63 @@ func (m *Matrix) WriteTo(w io.Writer) (int64, error) {
 	return written, bw.Flush()
 }
 
-// MaxReadNodes bounds the matrix size Read accepts. The matrix is
-// dense (n^2 entries), so an unbounded header would let a one-line
-// input demand petabytes; 4096 nodes (128 MB) is far beyond any
-// machine this repository models.
+// MaxReadNodes bounds the matrix size every loader accepts
+// (CheckTriples). The matrix is dense (n^2 entries), so an unbounded
+// header would let a one-line input demand petabytes; 4096 nodes (128
+// MB) is far beyond any machine this repository models.
 const MaxReadNodes = 4096
 
-// Read parses the format written by WriteTo.
+// CheckTriples holds msgs, [src, dst, bytes] triples, to the rules of
+// an n-node matrix's nonzero entries (paper §2): n in [1,
+// MaxReadNodes], at most n(n-1) entries, every node in [0, n), no self
+// message, and every size positive. It is the one rule set of every
+// matrix loaded from outside: Read, the binary wire decoders and the
+// unschedd request path apply it. A repeated pair takes the matrix to
+// find, or an order to rule it out; FromTriples rejects one.
+func CheckTriples(n int, msgs [][3]int64) error {
+	if n < 1 || n > MaxReadNodes {
+		return fmt.Errorf("comm: matrix size %d out of range [1,%d]", n, MaxReadNodes)
+	}
+	if limit := n * (n - 1); len(msgs) > limit {
+		return fmt.Errorf("comm: %d messages for n=%d; a matrix holds at most %d", len(msgs), n, limit)
+	}
+	for k, msg := range msgs {
+		src, dst, bytes := msg[0], msg[1], msg[2]
+		switch {
+		case src < 0 || src >= int64(n) || dst < 0 || dst >= int64(n):
+			return fmt.Errorf("comm: message %d: %d->%d: node out of range [0,%d)", k, src, dst, n)
+		case src == dst:
+			return fmt.Errorf("comm: message %d: self message %d->%d", k, src, dst)
+		case bytes <= 0:
+			return fmt.Errorf("comm: message %d: %d->%d: size %d must be positive", k, src, dst, bytes)
+		}
+	}
+	return nil
+}
+
+// FromTriples builds the n-node matrix whose nonzero entries are msgs,
+// in any order. It applies CheckTriples and rejects a repeated pair:
+// keeping either size, or summing them, would answer for a matrix the
+// input did not mean.
+func FromTriples(n int, msgs [][3]int64) (*Matrix, error) {
+	if err := CheckTriples(n, msgs); err != nil {
+		return nil, err
+	}
+	m := MustNew(n)
+	for k, msg := range msgs {
+		at := msg[0]*int64(n) + msg[1]
+		if m.data[at] != 0 {
+			return nil, fmt.Errorf("comm: message %d: repeated pair %d->%d", k, msg[0], msg[1])
+		}
+		m.data[at] = msg[2]
+	}
+	return m, nil
+}
+
+// Read parses the format written by WriteTo: the header, then one
+// "src dst bytes" line per message, in any order. Blank lines and
+// lines starting with # are skipped. The messages are held to
+// FromTriples' rules, whose errors count them from 0 in file order.
 func Read(r io.Reader) (*Matrix, error) {
 	sc := bufio.NewScanner(r)
 	if !sc.Scan() {
@@ -341,13 +391,11 @@ func Read(r io.Reader) (*Matrix, error) {
 	if _, err := fmt.Sscanf(sc.Text(), "n %d", &n); err != nil {
 		return nil, fmt.Errorf("comm: bad header %q: %v", sc.Text(), err)
 	}
-	if n > MaxReadNodes {
-		return nil, fmt.Errorf("comm: matrix size %d exceeds limit %d", n, MaxReadNodes)
-	}
-	m, err := New(n)
-	if err != nil {
+	// Reject a bad size before reading the messages.
+	if err := CheckTriples(n, nil); err != nil {
 		return nil, err
 	}
+	var msgs [][3]int64
 	line := 1
 	for sc.Scan() {
 		line++
@@ -359,31 +407,18 @@ func Read(r io.Reader) (*Matrix, error) {
 		if len(fields) != 3 {
 			return nil, fmt.Errorf("comm: line %d: want 'src dst bytes', got %q", line, text)
 		}
-		src, err := strconv.Atoi(fields[0])
-		if err != nil {
-			return nil, fmt.Errorf("comm: line %d: bad src: %v", line, err)
+		var msg [3]int64
+		for f, name := range [...]string{"src", "dst", "size"} {
+			v, err := strconv.ParseInt(fields[f], 10, 64)
+			if err != nil {
+				return nil, fmt.Errorf("comm: line %d: bad %s: %v", line, name, err)
+			}
+			msg[f] = v
 		}
-		dst, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("comm: line %d: bad dst: %v", line, err)
-		}
-		bytes, err := strconv.ParseInt(fields[2], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("comm: line %d: bad size: %v", line, err)
-		}
-		if src < 0 || src >= n || dst < 0 || dst >= n {
-			return nil, fmt.Errorf("comm: line %d: node out of range [0,%d)", line, n)
-		}
-		if bytes < 0 {
-			return nil, fmt.Errorf("comm: line %d: negative size %d", line, bytes)
-		}
-		m.Set(src, dst, bytes)
+		msgs = append(msgs, msg)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return FromTriples(n, msgs)
 }

@@ -2,6 +2,7 @@ package comm
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -228,5 +229,69 @@ func TestReadSkipsCommentsAndBlanks(t *testing.T) {
 	}
 	if m.At(0, 1) != 10 {
 		t.Error("comment handling broke parsing")
+	}
+}
+
+// tripleCases are triples lists at the edges of CheckTriples and
+// FromTriples, with whether FromTriples builds them.
+var tripleCases = []struct {
+	name string
+	n    int
+	msgs [][3]int64
+	ok   bool
+}{
+	{"empty", 4, nil, true},
+	{"one node", 1, nil, true},
+	{"any order", 3, [][3]int64{{2, 0, 5}, {0, 1, 7}, {1, 2, 9}, {0, 2, 1}}, true},
+	{"full", 2, [][3]int64{{0, 1, 1}, {1, 0, 1}}, true},
+	{"zero nodes", 0, nil, false},
+	{"over the node bound", MaxReadNodes + 1, nil, false},
+	{"more entries than pairs", 2, [][3]int64{{0, 1, 1}, {1, 0, 1}, {0, 1, 1}}, false},
+	{"src out of range", 4, [][3]int64{{4, 1, 10}}, false},
+	{"negative dst", 4, [][3]int64{{0, -1, 10}}, false},
+	{"self message", 4, [][3]int64{{2, 2, 10}}, false},
+	{"zero size", 4, [][3]int64{{0, 1, 0}}, false},
+	{"negative size", 4, [][3]int64{{0, 1, -3}}, false},
+	{"repeated pair", 4, [][3]int64{{0, 1, 10}, {2, 3, 4}, {0, 1, 10}}, false},
+}
+
+func TestFromTriples(t *testing.T) {
+	for _, c := range tripleCases {
+		m, err := FromTriples(c.n, c.msgs)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: FromTriples error %v, want ok=%v", c.name, err, c.ok)
+			continue
+		}
+		if !c.ok {
+			continue
+		}
+		if m.N() != c.n || m.MessageCount() != len(c.msgs) {
+			t.Errorf("%s: built n=%d with %d messages", c.name, m.N(), m.MessageCount())
+		}
+		for _, msg := range c.msgs {
+			if got := m.At(int(msg[0]), int(msg[1])); got != msg[2] {
+				t.Errorf("%s: COM(%d,%d) = %d, want %d", c.name, msg[0], msg[1], got, msg[2])
+			}
+		}
+	}
+}
+
+// TestReadAppliesFromTriples: the text loader accepts a file exactly
+// when FromTriples accepts its messages. It used to keep the last of
+// two lines for one pair and to accept a zero size.
+func TestReadAppliesFromTriples(t *testing.T) {
+	for _, c := range tripleCases {
+		var b strings.Builder
+		fmt.Fprintf(&b, "n %d\n", c.n)
+		for _, msg := range c.msgs {
+			fmt.Fprintf(&b, "%d %d %d\n", msg[0], msg[1], msg[2])
+		}
+		m, err := Read(strings.NewReader(b.String()))
+		if (err == nil) != c.ok {
+			t.Errorf("%s: Read error %v, want ok=%v", c.name, err, c.ok)
+		}
+		if want, _ := FromTriples(c.n, c.msgs); err == nil && want != nil && !m.Equal(want) {
+			t.Errorf("%s: Read built another matrix than FromTriples", c.name)
+		}
 	}
 }

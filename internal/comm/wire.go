@@ -28,7 +28,8 @@ package comm
 //	                               a row: first col+1, then col-prev
 //	sum(c_i) uvarints              message sizes, row-major, each >= 1
 //
-// No trailing bytes are allowed.
+// No trailing bytes are allowed, and the entries must pass
+// CheckTriples: no column equals its row.
 
 import (
 	"encoding/binary"
@@ -46,14 +47,13 @@ const matrixWireHeaderLen = 5 // magic + version
 var matrixWireMagic = [4]byte{'U', 'S', 'W', 'M'}
 
 var (
-	errWireTooShort  = errors.New("comm: binary matrix truncated")
-	errWireMagic     = errors.New("comm: bad binary matrix magic")
-	errWireVersion   = errors.New("comm: unsupported binary matrix version")
-	errWireVarint    = errors.New("comm: bad varint in binary matrix")
-	errWireTrailing  = errors.New("comm: trailing bytes after binary matrix")
-	errWireRowCount  = errors.New("comm: binary matrix row entry count out of range")
-	errWireColumn    = errors.New("comm: binary matrix column out of range")
-	errWireZeroBytes = errors.New("comm: binary matrix message size must be positive")
+	errWireTooShort = errors.New("comm: binary matrix truncated")
+	errWireMagic    = errors.New("comm: bad binary matrix magic")
+	errWireVersion  = errors.New("comm: unsupported binary matrix version")
+	errWireVarint   = errors.New("comm: bad varint in binary matrix")
+	errWireTrailing = errors.New("comm: trailing bytes after binary matrix")
+	errWireRowCount = errors.New("comm: binary matrix row entry count out of range")
+	errWireColumn   = errors.New("comm: binary matrix column out of range")
 )
 
 // AppendUvarint appends the minimal varint encoding of v to dst. It is
@@ -166,48 +166,57 @@ func BinarySizeHint(n, count int) int {
 }
 
 // DecodeMatrixBinary parses the binary wire form produced by
-// AppendBinary. The decoder is total and strict: malformed, truncated,
-// oversized (beyond MaxReadNodes), or non-canonical input — columns
-// out of order, zero sizes, non-minimal varints, trailing bytes —
-// yields an error, never a panic, and any accepted payload re-encodes
-// to exactly the input bytes.
+// AppendBinary: DecodeBinaryTriples, then FromTriples.
 func DecodeMatrixBinary(b []byte) (*Matrix, error) {
+	n, msgs, err := DecodeBinaryTriples(b)
+	if err != nil {
+		return nil, err
+	}
+	return FromTriples(n, msgs)
+}
+
+// DecodeBinaryTriples parses the binary wire form produced by
+// AppendBinary into the matrix's dimension and its nonzero entries as
+// [src, dst, bytes] triples in row-major order, without building the
+// n x n matrix. The decoder is total and strict: malformed, truncated
+// or non-canonical input — columns out of order, non-minimal varints,
+// trailing bytes — and entries CheckTriples rejects yield an error,
+// never a panic, and any accepted payload re-encodes to exactly the
+// input bytes.
+func DecodeBinaryTriples(b []byte) (int, [][3]int64, error) {
 	if len(b) < matrixWireHeaderLen {
-		return nil, errWireTooShort
+		return 0, nil, errWireTooShort
 	}
 	if [4]byte(b[:4]) != matrixWireMagic {
-		return nil, errWireMagic
+		return 0, nil, errWireMagic
 	}
 	if b[4] != MatrixWireVersion {
-		return nil, errWireVersion
+		return 0, nil, errWireVersion
 	}
 	rest := b[matrixWireHeaderLen:]
 	nv, k, err := ReadUvarint(rest)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	rest = rest[k:]
-	if nv < 1 || nv > MaxReadNodes {
-		return nil, fmt.Errorf("comm: binary matrix size %d out of range [1,%d]", nv, MaxReadNodes)
+	// Every row costs at least one byte (its count varint), so a header
+	// promising n rows needs at least n more bytes: what the decoder
+	// allocates stays within a multiple of its input whatever n says,
+	// and CheckTriples bounds n at the end.
+	if nv > uint64(len(rest)) {
+		return 0, nil, errWireTooShort
 	}
 	n := int(nv)
-	// Every row costs at least one byte (its count varint), so a header
-	// promising n rows needs at least n more bytes: check before the
-	// O(n^2) dense allocation so a tiny forged header cannot demand it.
-	if len(rest) < n {
-		return nil, errWireTooShort
-	}
-	m := MustNew(n)
 	counts := make([]int, n)
 	total := uint64(0)
 	for i := 0; i < n; i++ {
 		cv, k, err := ReadUvarint(rest)
 		if err != nil {
-			return nil, err
+			return 0, nil, err
 		}
 		rest = rest[k:]
 		if cv > uint64(n) {
-			return nil, errWireRowCount
+			return 0, nil, errWireRowCount
 		}
 		counts[i] = int(cv)
 		total += cv
@@ -215,45 +224,45 @@ func DecodeMatrixBinary(b []byte) (*Matrix, error) {
 	// Each entry contributes one delta varint and one size varint, each
 	// at least a byte: bound the total before walking the columns.
 	if uint64(len(rest)) < 2*total {
-		return nil, errWireTooShort
+		return 0, nil, errWireTooShort
 	}
 	// Column positions for every row, then every size, row-major.
-	cols := make([]int, 0, total)
+	msgs := make([][3]int64, 0, total)
 	for i := 0; i < n; i++ {
 		prev := -1
 		for e := 0; e < counts[i]; e++ {
 			delta, k, err := ReadUvarint(rest)
 			if err != nil {
-				return nil, err
+				return 0, nil, err
 			}
 			rest = rest[k:]
 			if delta == 0 || delta > uint64(n) {
-				return nil, errWireColumn
+				return 0, nil, errWireColumn
 			}
 			col := prev + int(delta)
 			if col >= n {
-				return nil, errWireColumn
+				return 0, nil, errWireColumn
 			}
-			cols = append(cols, i*n+col)
+			msgs = append(msgs, [3]int64{int64(i), int64(col)})
 			prev = col
 		}
 	}
-	for _, at := range cols {
+	for e := range msgs {
 		size, k, err := ReadUvarint(rest)
 		if err != nil {
-			return nil, err
+			return 0, nil, err
 		}
 		rest = rest[k:]
-		if size == 0 {
-			return nil, errWireZeroBytes
-		}
 		if size > math.MaxInt64 {
-			return nil, fmt.Errorf("comm: binary matrix message size %d overflows int64", size)
+			return 0, nil, fmt.Errorf("comm: binary matrix message size %d overflows int64", size)
 		}
-		m.data[at] = int64(size)
+		msgs[e][2] = int64(size)
 	}
 	if len(rest) != 0 {
-		return nil, errWireTrailing
+		return 0, nil, errWireTrailing
 	}
-	return m, nil
+	if err := CheckTriples(n, msgs); err != nil {
+		return 0, nil, err
+	}
+	return n, msgs, nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -43,6 +44,10 @@ func TestMatrixBinaryRoundTrip(t *testing.T) {
 		}
 		if tr := AppendBinaryTriples(nil, m.N(), triples); !bytes.Equal(tr, enc) {
 			t.Fatalf("matrix %d: encoding its triples differs from encoding the matrix", i)
+		}
+		if n, got, err := DecodeBinaryTriples(enc); err != nil || n != m.N() || !slices.Equal(got, triples) {
+			t.Fatalf("matrix %d: DecodeBinaryTriples = %d, %d triples, %v; want its %d row-major triples",
+				i, n, len(got), err, len(triples))
 		}
 	}
 }
@@ -102,6 +107,20 @@ func TestDecodeMatrixBinaryRejects(t *testing.T) {
 	}
 }
 
+// TestDecodeMatrixBinaryRejectsSelfMessage: a column equal to its row
+// is a canonical block of a diagonal entry, which Matrix.Validate and
+// every scheduler reject. Both decoders reject it first.
+func TestDecodeMatrixBinaryRejectsSelfMessage(t *testing.T) {
+	// n=2: row 0 holds one entry, column 0 (gap 1), of 5 bytes.
+	b := []byte{'U', 'S', 'W', 'M', 1, 2, 1, 0, 1, 5}
+	if m, err := DecodeMatrixBinary(b); err == nil {
+		t.Errorf("DecodeMatrixBinary accepted a self message:\n%v", m)
+	}
+	if _, msgs, err := DecodeBinaryTriples(b); err == nil {
+		t.Errorf("DecodeBinaryTriples accepted a self message: %v", msgs)
+	}
+}
+
 func TestReadUvarintStrict(t *testing.T) {
 	for _, v := range []uint64{0, 1, 127, 128, 300, 1 << 20, math.MaxUint64} {
 		b := AppendUvarint(nil, v)
@@ -123,10 +142,11 @@ func TestReadUvarintStrict(t *testing.T) {
 	}
 }
 
-// FuzzBinaryMatrix proves the wire decoder is total (never panics) and
-// strict: any accepted payload re-encodes byte-identically, so there
-// is exactly one wire form per matrix and cached/hashed bytes are
-// stable.
+// FuzzBinaryMatrix proves the wire decoders are total (never panic)
+// and strict: they accept the same payloads, each a valid matrix, and
+// any accepted payload re-encodes byte-identically from the matrix and
+// from the triples, so there is exactly one wire form per matrix and
+// cached/hashed bytes are stable.
 func FuzzBinaryMatrix(f *testing.F) {
 	rng := rand.New(rand.NewSource(11))
 	m, _ := DRegular(16, 4, 512, rng)
@@ -134,14 +154,25 @@ func FuzzBinaryMatrix(f *testing.F) {
 	f.Add(MustNew(1).EncodeBinary())
 	f.Add([]byte{'U', 'S', 'W', 'M', 1, 2, 0, 0})
 	f.Add([]byte{'U', 'S', 'W', 'M', 1})
+	f.Add([]byte{'U', 'S', 'W', 'M', 1, 2, 1, 0, 1, 5}) // self message
 	f.Fuzz(func(t *testing.T, data []byte) {
+		n, msgs, terr := DecodeBinaryTriples(data)
 		m, err := DecodeMatrixBinary(data)
+		if (err == nil) != (terr == nil) {
+			t.Fatalf("DecodeMatrixBinary error %v, DecodeBinaryTriples error %v", err, terr)
+		}
 		if err != nil {
 			return
+		}
+		if err := m.Validate(); err != nil {
+			t.Fatalf("accepted an invalid matrix: %v", err)
 		}
 		re := m.EncodeBinary()
 		if !bytes.Equal(re, data) {
 			t.Fatalf("accepted payload did not round-trip: %d in, %d out", len(data), len(re))
+		}
+		if tr := AppendBinaryTriples(nil, n, msgs); !bytes.Equal(tr, data) {
+			t.Fatalf("accepted triples did not round-trip: %d in, %d out", len(data), len(tr))
 		}
 	})
 }

@@ -70,16 +70,6 @@ type Options struct {
 	// Budget bounds one Fetch end to end, hedge included; a peer that
 	// cannot answer inside it loses to local compute. <= 0 means 75ms.
 	Budget time.Duration
-	// Hedge fixes the delay before the hedged second attempt; 0 means
-	// adaptive (the observed p90 lookup latency, clamped to
-	// [500us, Budget/2]).
-	Hedge time.Duration
-	// PushQueue bounds the write-behind queue of records awaiting push
-	// to their owner; overflow drops (and counts) the record rather
-	// than block the request path. <= 0 means 256.
-	PushQueue int
-	// PushTimeout bounds one push request. <= 0 means 1s.
-	PushTimeout time.Duration
 	// Decode validates a fetched record body and extracts the cached
 	// value. It must reject corrupt or mis-keyed records with an
 	// error — the service wires the checksummed USCR codec here.
@@ -88,6 +78,20 @@ type Options struct {
 	// Encode frames a value as the record body pushed to its owner —
 	// the inverse of Decode. Required.
 	Encode func(key string, value []byte) (body []byte, err error)
+
+	// Seams for this package's tests, which time the hedge and fill or
+	// stall the push queue; a fleet always runs on their defaults.
+	//
+	// hedge fixes the delay before the hedged second attempt; 0 means
+	// adaptive (the observed p90 lookup latency, clamped to
+	// [500us, Budget/2]).
+	hedge time.Duration
+	// pushQueue bounds the write-behind queue of records awaiting push
+	// to their owner; overflow drops (and counts) the record rather
+	// than block the request path. <= 0 means 256.
+	pushQueue int
+	// pushTimeout bounds one push request. <= 0 means 1s.
+	pushTimeout time.Duration
 }
 
 // PeerStatus is one remote member's reachability, as reported by
@@ -180,11 +184,11 @@ func New(opts Options) (*Fleet, error) {
 	if opts.Budget <= 0 {
 		opts.Budget = 75 * time.Millisecond
 	}
-	if opts.PushQueue <= 0 {
-		opts.PushQueue = 256
+	if opts.pushQueue <= 0 {
+		opts.pushQueue = 256
 	}
-	if opts.PushTimeout <= 0 {
-		opts.PushTimeout = time.Second
+	if opts.pushTimeout <= 0 {
+		opts.pushTimeout = time.Second
 	}
 	f := &Fleet{
 		self:    self,
@@ -208,7 +212,7 @@ func New(opts Options) (*Fleet, error) {
 				DisableCompression: true,
 			},
 		},
-		pushCh:   make(chan pushItem, opts.PushQueue),
+		pushCh:   make(chan pushItem, opts.pushQueue),
 		pushDone: make(chan struct{}),
 	}
 	go f.pushLoop()
@@ -423,12 +427,12 @@ func (f *Fleet) probe(ctx context.Context, base, key string) probeResult {
 }
 
 // hedgeDelay returns how long the first probe may run before the
-// hedged second attempt fires: the configured override, or the
+// hedged second attempt fires: the delay a test fixed, or the
 // observed p90 lookup latency clamped to [500us, Budget/2] (a quarter
 // of the budget before any data exists).
 func (f *Fleet) hedgeDelay() time.Duration {
-	if f.opts.Hedge > 0 {
-		return f.opts.Hedge
+	if f.opts.hedge > 0 {
+		return f.opts.hedge
 	}
 	p90 := f.quantile(0.9)
 	d := time.Duration(p90 * float64(time.Second))
@@ -522,7 +526,7 @@ func (f *Fleet) sendPush(item pushItem) {
 		f.pushErrors.Add(1)
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), f.opts.PushTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), f.opts.pushTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPut, owner+cachePath+item.key, strings.NewReader(string(body)))
 	if err != nil {
@@ -572,7 +576,7 @@ func (f *Fleet) Close(deadline time.Duration) {
 	select {
 	case <-f.pushDone:
 	case <-time.After(deadline):
-		// Something is hung past its own PushTimeout; abandon the drain
+		// Something is hung past its own pushTimeout; abandon the drain
 		// rather than wedge shutdown. The sender goroutine exits when
 		// its in-flight request times out.
 	}

@@ -285,7 +285,7 @@ func TestFetchHedgesToNextRanked(t *testing.T) {
 	defer fastSrv.Close()
 
 	f := newFleet(t, "http://self:1", []string{slowSrv.URL, fastSrv.URL}, func(o *Options) {
-		o.Hedge = 5 * time.Millisecond
+		o.hedge = 5 * time.Millisecond
 		o.Budget = 3 * time.Second
 	})
 	// Find a key whose first-ranked remote is the slow peer.
@@ -324,7 +324,7 @@ func TestFetchFailsOverOnTransportError(t *testing.T) {
 
 	f := newFleet(t, "http://self:1", []string{deadURL, liveSrv.URL}, func(o *Options) {
 		// A generous hedge proves failover is error-driven, not timer-driven.
-		o.Hedge = time.Second
+		o.hedge = time.Second
 		o.Budget = 2 * time.Second
 	})
 	var key string
@@ -370,8 +370,8 @@ func TestPushDropsWhenFull(t *testing.T) {
 	defer close(release)
 
 	f := newFleet(t, "http://self:1", []string{srv.URL}, func(o *Options) {
-		o.PushQueue = 1
-		o.PushTimeout = 5 * time.Second
+		o.pushQueue = 1
+		o.pushTimeout = 5 * time.Second
 	})
 	var key string
 	for i := 0; ; i++ {
@@ -405,7 +405,7 @@ func TestCloseDrainsPushQueue(t *testing.T) {
 	srv := httptest.NewServer(rs.handler())
 	defer srv.Close()
 
-	o := Options{Self: "http://self:1", Peers: []string{srv.URL}, PushQueue: 64}
+	o := Options{Self: "http://self:1", Peers: []string{srv.URL}, pushQueue: 64}
 	identityHooks(&o)
 	f, err := New(o)
 	if err != nil {

@@ -20,12 +20,10 @@ import (
 
 // allocBudgetReusedRun bounds one RunS1 on a warmed 64-node machine.
 // The flat-event engine and the arena-recycled op/attempt state make
-// the event loop itself allocation-free; what remains is the per-run
-// program header slice plus a handful of escaping result values —
-// measured 22 allocs/run. The budget leaves ~2x headroom; a closure
-// or per-message allocation reappearing in the hot path costs
-// thousands and fails unmistakably.
-const allocBudgetReusedRun = 60
+// the event loop allocation-free, and compiling S1 derives each
+// phase's receive side into the machine's scratch, so a reused run
+// allocates nothing: one allocation per phase or per run fails here.
+const allocBudgetReusedRun = 0
 
 func TestReusedRunAllocs(t *testing.T) {
 	cube := hypercube.MustNew(6)

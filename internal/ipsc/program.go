@@ -95,15 +95,16 @@ func (o op) String() string {
 // moving on; no global synchronization separates the phases. This is
 // the execution the paper uses for LP and RS_NL.
 //
-// withBarriers interleaves a global barrier after every phase — the
-// strict phase synchronization the paper's algorithms assume in the
-// abstract and that the S1 scheme was designed to avoid (§6). It
-// exists for the ablation benchmark that prices loose synchrony
-// against global synchronization.
-func appendS1(programs [][]op, s *sched.Schedule, params costmodel.Params, withBarriers bool) [][]op {
+// recv (len >= s.N) is the scratch each phase's receive side is
+// derived into. withBarriers interleaves a global barrier after every
+// phase — the strict phase synchronization the paper's algorithms
+// assume in the abstract and that the S1 scheme was designed to avoid
+// (§6). It exists for the ablation benchmark that prices loose
+// synchrony against global synchronization.
+func appendS1(programs [][]op, s *sched.Schedule, params costmodel.Params, recv []int, withBarriers bool) [][]op {
 	n := s.N
 	for k, p := range s.Phases {
-		recv := p.Recv()
+		recv = p.RecvInto(recv)
 		for i := 0; i < n; i++ {
 			programs[i] = append(programs[i], op{kind: opDelay, cost: params.LoopOverheadUS})
 			j := p.Send[i]
@@ -260,7 +261,7 @@ var phased = []struct {
 	compile compiler
 }{
 	{"S1", func(m *Machine, s *sched.Schedule) ([][]op, error) {
-		return appendS1(m.progArena(), s, m.params, false), nil
+		return appendS1(m.progArena(), s, m.params, m.recvArena(), false), nil
 	}},
 	{"S2", func(m *Machine, s *sched.Schedule) ([][]op, error) {
 		return appendS2(m.progArena(), s, m.params, m.recvArena()), nil
@@ -306,7 +307,7 @@ func (m *Machine) RunLP(s *sched.Schedule) (Result, error) { return m.Run("LP", 
 // global barrier after every phase.
 func (m *Machine) RunS1Barrier(s *sched.Schedule) (Result, error) {
 	return m.runPhased(s, func(m *Machine, s *sched.Schedule) ([][]op, error) {
-		return appendS1(m.progArena(), s, m.params, true), nil
+		return appendS1(m.progArena(), s, m.params, m.recvArena(), true), nil
 	})
 }
 
@@ -361,7 +362,8 @@ func (m *Machine) progArena() [][]op {
 	return progs
 }
 
-// recvArena returns the reusable S2 receive-count scratch.
+// recvArena returns the reusable per-node scratch: S1's receive side
+// of a phase, S2's receive counts.
 func (m *Machine) recvArena() []int {
 	if n := len(m.nodes); cap(m.recvScratch) < n {
 		m.recvScratch = make([]int, n)

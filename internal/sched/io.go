@@ -4,11 +4,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
-// WriteSchedule serializes a schedule in a line-oriented text format:
+// WriteTo serializes a schedule in a line-oriented text format:
 //
 //	schedule <algorithm> n <N> phases <P> ops <Ops>
 //	phase <k>
@@ -45,90 +43,4 @@ func (s *Schedule) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	return written, bw.Flush()
-}
-
-// ReadSchedule parses the format written by WriteTo and validates the
-// structural invariants (one send and one receive per processor per
-// phase).
-func ReadSchedule(r io.Reader) (*Schedule, error) {
-	sc := bufio.NewScanner(r)
-	if !sc.Scan() {
-		return nil, fmt.Errorf("sched: empty schedule input")
-	}
-	header := strings.Fields(sc.Text())
-	if len(header) != 8 || header[0] != "schedule" || header[2] != "n" ||
-		header[4] != "phases" || header[6] != "ops" {
-		return nil, fmt.Errorf("sched: bad header %q", sc.Text())
-	}
-	n, err := strconv.Atoi(header[3])
-	if err != nil || n <= 0 {
-		return nil, fmt.Errorf("sched: bad processor count %q", header[3])
-	}
-	phaseCount, err := strconv.Atoi(header[5])
-	if err != nil || phaseCount < 0 {
-		return nil, fmt.Errorf("sched: bad phase count %q", header[5])
-	}
-	ops, err := strconv.ParseInt(header[7], 10, 64)
-	if err != nil {
-		return nil, fmt.Errorf("sched: bad ops %q", header[7])
-	}
-	s := &Schedule{Algorithm: header[1], N: n, Ops: ops}
-
-	line := 1
-	var cur *Phase
-	recvBusy := make([]bool, n)
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		if strings.HasPrefix(text, "phase ") {
-			idx, err := strconv.Atoi(strings.TrimPrefix(text, "phase "))
-			if err != nil || idx != len(s.Phases) {
-				return nil, fmt.Errorf("sched: line %d: phase header %q out of order", line, text)
-			}
-			s.Phases = append(s.Phases, NewPhase(n))
-			cur = &s.Phases[len(s.Phases)-1]
-			for i := range recvBusy {
-				recvBusy[i] = false
-			}
-			continue
-		}
-		if cur == nil {
-			return nil, fmt.Errorf("sched: line %d: transfer before any phase header", line)
-		}
-		fields := strings.Fields(text)
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("sched: line %d: want 'src dst bytes', got %q", line, text)
-		}
-		src, err1 := strconv.Atoi(fields[0])
-		dst, err2 := strconv.Atoi(fields[1])
-		bytes, err3 := strconv.ParseInt(fields[2], 10, 64)
-		if err1 != nil || err2 != nil || err3 != nil {
-			return nil, fmt.Errorf("sched: line %d: malformed transfer %q", line, text)
-		}
-		if src < 0 || src >= n || dst < 0 || dst >= n || src == dst {
-			return nil, fmt.Errorf("sched: line %d: invalid endpoints %d->%d", line, src, dst)
-		}
-		if bytes <= 0 {
-			return nil, fmt.Errorf("sched: line %d: non-positive size %d", line, bytes)
-		}
-		if cur.Send[src] != -1 {
-			return nil, fmt.Errorf("sched: line %d: P%d sends twice in one phase", line, src)
-		}
-		if recvBusy[dst] {
-			return nil, fmt.Errorf("sched: line %d: node contention at P%d", line, dst)
-		}
-		cur.Send[src] = dst
-		cur.Bytes[src] = bytes
-		recvBusy[dst] = true
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(s.Phases) != phaseCount {
-		return nil, fmt.Errorf("sched: header promises %d phases, found %d", phaseCount, len(s.Phases))
-	}
-	return s, nil
 }

@@ -46,10 +46,13 @@ func (p Phase) Messages() int {
 }
 
 // Recv derives the receive side of the permutation: Recv[j] = i iff
-// Send[i] = j, else -1. It allocates; intended for executors and
-// validators, not inner loops.
-func (p Phase) Recv() []int {
-	recv := make([]int, len(p.Send))
+// Send[i] = j, else -1. It allocates; inner loops use RecvInto.
+func (p Phase) Recv() []int { return p.RecvInto(make([]int, len(p.Send))) }
+
+// RecvInto is Recv into recv, whose length must be at least the
+// phase's width, and returns recv[:width].
+func (p Phase) RecvInto(recv []int) []int {
+	recv = recv[:len(p.Send)]
 	for i := range recv {
 		recv[i] = -1
 	}

@@ -223,10 +223,10 @@ func resolveCampaign(req *CampaignRequest) (expt.Config, []expt.Point, string, e
 	}
 	var net topo.Topology
 	if req.Topology != nil {
-		// buildTopology enforces the maxServiceNodes cap from the spec
+		// resolveTopology enforces the maxServiceNodes cap from the spec
 		// before paying for the build.
 		var err error
-		if net, err = buildTopology(req.Topology, 0); err != nil {
+		if net, err = resolveTopology(req.Topology, 0); err != nil {
 			return fail(err)
 		}
 	} else {

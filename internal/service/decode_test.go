@@ -9,23 +9,100 @@ import (
 )
 
 // decodeAgrees decodes body as an R twice, with decodeStrict and with
-// its oracle decodeStd (json.Decoder refusing unknown fields, then
-// nothing but whitespace), and fails t unless both accept it with
-// values reflect.DeepEqual holds equal or both reject it.
+// oracle, and fails t unless both accept it with values
+// reflect.DeepEqual holds equal or both reject it.
 func decodeAgrees[R any, P interface {
 	*R
 	strictBody
-}](t *testing.T, body []byte) {
+}](t *testing.T, body []byte, oracle func([]byte) (R, error)) {
 	t.Helper()
-	var got, want R
+	var got R
 	gotErr := decodeStrict(body, P(&got))
-	wantErr := decodeStd(body, &want)
+	want, wantErr := oracle(body)
 	if (gotErr == nil) != (wantErr == nil) {
 		t.Fatalf("%T %q: decodeStrict error %v, encoding/json error %v", got, body, gotErr, wantErr)
 	}
 	if gotErr == nil && !reflect.DeepEqual(got, want) {
 		t.Fatalf("%T %q: decodeStrict decoded\n%#v\nencoding/json\n%#v", got, body, got, want)
 	}
+}
+
+// The oracle decodes into mirrors of the request types whose triples
+// lists are plain [][3]int64. encoding/json decodes those itself,
+// where it would decode a WireTriples through UnmarshalJSON, which
+// runs decodeTriples, the scanner decodeStrict runs too.
+type (
+	stdMatrix struct {
+		N        int        `json:"n"`
+		Messages [][3]int64 `json:"messages"`
+	}
+	stdSchedule struct {
+		Algorithm string       `json:"algorithm"`
+		N         int          `json:"n"`
+		Ops       int64        `json:"ops"`
+		Phases    [][][3]int64 `json:"phases"`
+	}
+	stdScheduleRequest struct {
+		Matrix    *stdMatrix    `json:"matrix,omitempty"`
+		Workload  string        `json:"workload,omitempty"`
+		Algorithm string        `json:"algorithm,omitempty"`
+		Topology  *WireTopology `json:"topology,omitempty"`
+		AutoRace  bool          `json:"auto_race,omitempty"`
+		Seed      int64         `json:"seed,omitempty"`
+	}
+	stdSimulateRequest struct {
+		Schedule *stdSchedule  `json:"schedule"`
+		Matrix   *stdMatrix    `json:"matrix,omitempty"`
+		Topology *WireTopology `json:"topology,omitempty"`
+		Params   string        `json:"params,omitempty"`
+		Protocol string        `json:"protocol,omitempty"`
+	}
+)
+
+func (m *stdMatrix) wire() *WireMatrix {
+	if m == nil {
+		return nil
+	}
+	return &WireMatrix{N: m.N, Messages: m.Messages}
+}
+
+func (s *stdSchedule) wire() *WireSchedule {
+	if s == nil {
+		return nil
+	}
+	ws := &WireSchedule{Algorithm: s.Algorithm, N: s.N, Ops: s.Ops}
+	if s.Phases != nil {
+		ws.Phases = make([]WirePhase, len(s.Phases))
+		for k, p := range s.Phases {
+			ws.Phases[k] = p
+		}
+	}
+	return ws
+}
+
+// stdScheduleRequestOf and stdSimulateRequestOf are the oracles:
+// decodeStd (json.Decoder refusing unknown fields, then nothing but
+// whitespace) into the mirror, converted to the request type.
+func stdScheduleRequestOf(body []byte) (ScheduleRequest, error) {
+	var m stdScheduleRequest
+	err := decodeStd(body, &m)
+	return ScheduleRequest{Matrix: m.Matrix.wire(), Workload: m.Workload, Algorithm: m.Algorithm,
+		Topology: m.Topology, AutoRace: m.AutoRace, Seed: m.Seed}, err
+}
+
+func stdSimulateRequestOf(body []byte) (SimulateRequest, error) {
+	var m stdSimulateRequest
+	err := decodeStd(body, &m)
+	return SimulateRequest{Schedule: m.Schedule.wire(), Matrix: m.Matrix.wire(), Topology: m.Topology,
+		Params: m.Params, Protocol: m.Protocol}, err
+}
+
+// bodyDecodesAgree holds decodeStrict to the oracle on body, as a
+// schedule and as a simulate request.
+func bodyDecodesAgree(t *testing.T, body []byte) {
+	t.Helper()
+	decodeAgrees(t, body, stdScheduleRequestOf)
+	decodeAgrees(t, body, stdSimulateRequestOf)
 }
 
 // decodeSeeds are bodies at the edges of encoding/json's rules, beside
@@ -105,8 +182,7 @@ func TestDecodeStrictMatchesStd(t *testing.T) {
 			`{"topology":{"edges":[[0,1,`+nest(open)+`]]}}`)
 	}
 	for _, body := range bodies {
-		decodeAgrees[ScheduleRequest](t, []byte(body))
-		decodeAgrees[SimulateRequest](t, []byte(body))
+		bodyDecodesAgree(t, []byte(body))
 	}
 }
 
@@ -168,21 +244,25 @@ func TestDecoderCoversEveryField(t *testing.T) {
 		{reflect.TypeFor[SimulateRequest](), simulateRequestFields},
 		{reflect.TypeFor[WireMatrix](), wireMatrixFields},
 		{reflect.TypeFor[WireSchedule](), wireScheduleFields},
+		{reflect.TypeFor[stdScheduleRequest](), scheduleRequestFields},
+		{reflect.TypeFor[stdSimulateRequest](), simulateRequestFields},
+		{reflect.TypeFor[stdMatrix](), wireMatrixFields},
+		{reflect.TypeFor[stdSchedule](), wireScheduleFields},
 	} {
 		if got := jsonNames(c.typ); !slices.Equal(got, c.names) {
 			t.Errorf("%s has JSON fields %q, decodeStrict knows %q", c.typ, got, c.names)
 		}
 	}
-	decodesFilled[ScheduleRequest](t)
-	decodesFilled[SimulateRequest](t)
+	decodesFilled(t, stdScheduleRequestOf)
+	decodesFilled(t, stdSimulateRequestOf)
 }
 
 // decodesFilled marshals an R whose every field is set and requires
-// decodeStrict, and decodeStd with it, to decode it back.
+// decodeStrict, and oracle with it, to decode it back.
 func decodesFilled[R any, P interface {
 	*R
 	strictBody
-}](t *testing.T) {
+}](t *testing.T, oracle func([]byte) (R, error)) {
 	t.Helper()
 	var want, got R
 	fillNonZero(t, reflect.ValueOf(&want).Elem())
@@ -193,12 +273,12 @@ func decodesFilled[R any, P interface {
 	if err := decodeStrict(body, P(&got)); err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("decodeStrict %s: %v, decoded\n%#v", body, err, got)
 	}
-	decodeAgrees[R, P](t, body)
+	decodeAgrees[R, P](t, body, oracle)
 }
 
-// FuzzDecodeBody holds decodeStrict to its oracle, decodeStd, for both
-// request types: the same bodies accepted, with reflect.DeepEqual
-// values, and the same rejected.
+// FuzzDecodeBody holds decodeStrict to its oracle, encoding/json into
+// the mirror types, for both request types: the same bodies accepted,
+// with reflect.DeepEqual values, and the same rejected.
 func FuzzDecodeBody(f *testing.F) {
 	for _, seeds := range [][]string{decodeSeeds, scheduleRequestSeeds, simulateRequestSeeds} {
 		for _, seed := range seeds {
@@ -206,8 +286,7 @@ func FuzzDecodeBody(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, body string) {
-		decodeAgrees[ScheduleRequest](t, []byte(body))
-		decodeAgrees[SimulateRequest](t, []byte(body))
+		bodyDecodesAgree(t, []byte(body))
 	})
 }
 

@@ -874,7 +874,7 @@ func (s *Server) scheduleWorkloadJob(ctx context.Context, req *ScheduleRequest) 
 	if req.Topology == nil {
 		return job{}, badRequest("a workload request needs an explicit topology (the workload is sized by the machine)")
 	}
-	net, err := buildTopology(req.Topology, 0)
+	net, err := resolveTopology(req.Topology, 0)
 	if err != nil {
 		return job{}, err
 	}

@@ -345,69 +345,50 @@ func decodeBody(body []byte, v any) error {
 	return nil
 }
 
-// resolveMatrix validates the wire matrix and builds the dense form.
-func resolveMatrix(mj *WireMatrix) (*comm.Matrix, error) {
-	if mj == nil {
-		return nil, badRequest("missing matrix")
-	}
-	if err := mj.check(); err != nil {
-		return nil, err
-	}
-	m, err := comm.New(mj.N)
-	if err != nil {
-		return nil, badRequest("%v", err)
-	}
-	for k, msg := range mj.Messages {
-		src, dst := int(msg[0]), int(msg[1])
-		if m.At(src, dst) != 0 {
-			// Silently overwriting (or summing) ambiguous input would
-			// hand back a 200 for a matrix the client didn't mean.
-			return nil, badRequest("message %d: duplicate entry %d->%d", k, src, dst)
-		}
-		m.Set(src, dst, msg[2])
-	}
-	return m, nil
-}
-
-// check holds a wire matrix to the bounds every matrix the service
-// builds must meet, short of duplicate entries: n in [2,
-// maxServiceNodes], at most n(n-1) entries, each between two distinct
-// nodes in range with a positive size. It builds nothing, so it also
-// guards a cached result's matrix echo (checkEcho).
-func (mj *WireMatrix) check() error {
-	if mj.N < 2 || mj.N > maxServiceNodes {
-		return badRequest("matrix n=%d out of range [2,%d]", mj.N, maxServiceNodes)
-	}
-	if max := mj.N * (mj.N - 1); len(mj.Messages) > max {
-		return badRequest("%d messages for n=%d; a matrix holds at most %d", len(mj.Messages), mj.N, max)
-	}
-	for k, msg := range mj.Messages {
-		src, dst, bytes := msg[0], msg[1], msg[2]
-		if src < 0 || src >= int64(mj.N) || dst < 0 || dst >= int64(mj.N) {
-			return badRequest("message %d: node out of range [0,%d)", k, mj.N)
-		}
-		if src == dst {
-			return badRequest("message %d: self message %d->%d", k, src, dst)
-		}
-		if bytes <= 0 {
-			return badRequest("message %d: size %d must be positive", k, bytes)
-		}
+// checkNodes holds the node count of a request's matrix or schedule
+// to the service's own bounds, n in [2, maxServiceNodes].
+func checkNodes(what string, n int) error {
+	if n < 2 || n > maxServiceNodes {
+		return badRequest("%s n=%d out of range [2,%d]", what, n, maxServiceNodes)
 	}
 	return nil
 }
 
-// checkEcho is check for a cached result's matrix echo, which must
-// also list its entries in strictly ascending row-major order, as
-// NewWireMatrix does (request matrices may use any order):
-// appendWireMatrix encodes the triples as they stand.
+// resolveMatrix builds the dense form of a request's wire matrix,
+// under comm.FromTriples' rules.
+func resolveMatrix(mj *WireMatrix) (*comm.Matrix, error) {
+	if mj == nil {
+		return nil, badRequest("missing matrix")
+	}
+	if err := checkNodes("matrix", mj.N); err != nil {
+		return nil, err
+	}
+	m, err := comm.FromTriples(mj.N, mj.Messages)
+	if err != nil {
+		return nil, badRequest("%v", err)
+	}
+	return m, nil
+}
+
+// checkEcho holds a cached result's matrix echo, which builds nothing,
+// to what resolveMatrix admits, and to strictly ascending row-major
+// order, as NewWireMatrix writes it (request matrices may use any
+// order): appendWireMatrix encodes the triples as they stand, and the
+// order also rules out a repeated pair.
 func (mj *WireMatrix) checkEcho() error {
+	if err := checkNodes("matrix", mj.N); err != nil {
+		return err
+	}
 	for k := 1; k < len(mj.Messages); k++ {
 		a, b := mj.Messages[k-1], mj.Messages[k]
 		if b[0] < a[0] || b[0] == a[0] && b[1] <= a[1] {
 			return badRequest("message %d: matrix echo out of row-major order", k)
 		}
 	}
-	return mj.check()
+	if err := comm.CheckTriples(mj.N, mj.Messages); err != nil {
+		return badRequest("%v", err)
+	}
+	return nil
 }
 
 // NewWireMatrix converts a dense matrix back to wire form.
@@ -420,84 +401,58 @@ func NewWireMatrix(m *comm.Matrix) *WireMatrix {
 	return out
 }
 
-// resolveTopology builds the network a schedule/simulate request
-// targets; nil defaults to the hypercube sized for the matrix's n
-// nodes, and an explicit topology must agree with n.
-func resolveTopology(tj *WireTopology, n int) (topo.Topology, error) {
-	if tj == nil {
+// spec returns the topo.Spec the wire topology names. n > 0 is the
+// request's node count, from a matrix or a schedule: a structured
+// topology may then leave out what n implies, its kind (a cube), a
+// cube's dim and a ring's n. n == 0 (campaigns, workload requests)
+// implies nothing, so a structured cube must name its dim. Every other
+// rule is topo's: Spec.Validate here, Spec.Build after it.
+func (tj *WireTopology) spec(n int) (topo.Spec, error) {
+	if tj.Spec != "" {
+		if tj.Kind != "" || tj.Dim != 0 || tj.W != 0 || tj.H != 0 || tj.N != 0 || len(tj.Edges) != 0 {
+			return topo.Spec{}, badRequest("topology spec %q excludes the structured fields", tj.Spec)
+		}
+		sp, err := topo.ParseSpec(tj.Spec)
+		if err != nil {
+			return topo.Spec{}, badRequest("%v", err)
+		}
+		return sp, nil
+	}
+	sp := topo.Spec{Kind: tj.Kind, Dim: tj.Dim, W: tj.W, H: tj.H, N: tj.N, Edges: tj.Edges}
+	if sp.Kind == "" {
+		sp.Kind = "cube"
+	}
+	switch {
+	case sp.Kind == "cube" && sp.Dim == 0:
+		if n == 0 {
+			return topo.Spec{}, badRequest("cube topology needs dim")
+		}
 		net, err := hypercube.ForNodes(n)
 		if err != nil {
-			return nil, badRequest("%v", err)
+			return topo.Spec{}, badRequest("%v", err)
 		}
-		return net, nil
-	}
-	return buildTopology(tj, n)
-}
-
-// buildTopology converts the wire topology to a topo.Spec and builds
-// it. n > 0 means the caller knows the node count (from a matrix or
-// schedule): a cube may then omit dim, a ring may omit n, and the
-// built topology must have exactly n nodes. n == 0 (campaigns) means
-// the topology itself fixes the machine size, so every extent must be
-// explicit.
-func buildTopology(tj *WireTopology, n int) (topo.Topology, error) {
-	var sp topo.Spec
-	switch {
-	case tj.Spec != "":
-		if tj.Kind != "" || tj.Dim != 0 || tj.W != 0 || tj.H != 0 || tj.N != 0 || len(tj.Edges) != 0 {
-			return nil, badRequest("topology spec %q excludes the structured fields", tj.Spec)
-		}
-		var err error
-		if sp, err = topo.ParseSpec(tj.Spec); err != nil {
-			return nil, badRequest("%v", err)
-		}
-	default:
-		switch tj.Kind {
-		case "", "cube":
-			switch {
-			case tj.Dim > 0:
-				sp = topo.CubeSpec(tj.Dim)
-			case n > 0:
-				net, err := hypercube.ForNodes(n)
-				if err != nil {
-					return nil, badRequest("%v", err)
-				}
-				sp = topo.CubeSpec(net.Dim())
-			default:
-				return nil, badRequest("cube topology needs dim")
-			}
-		case "mesh", "torus":
-			if tj.W <= 0 || tj.H <= 0 {
-				return nil, badRequest("%s topology needs positive w and h", tj.Kind)
-			}
-			if tj.Kind == "mesh" {
-				sp = topo.MeshSpec(tj.W, tj.H)
-			} else {
-				sp = topo.TorusSpec(tj.W, tj.H)
-			}
-		case "ring":
-			size := tj.N
-			if size == 0 {
-				size = n
-			}
-			if size <= 0 {
-				return nil, badRequest("ring topology needs n")
-			}
-			sp = topo.RingSpec(size)
-		case "graph":
-			if tj.N <= 0 {
-				return nil, badRequest("graph topology needs n")
-			}
-			if len(tj.Edges) == 0 {
-				return nil, badRequest("graph topology needs edges")
-			}
-			sp = topo.GraphSpec(tj.N, tj.Edges)
-		default:
-			return nil, badRequest("unknown topology kind %q (want cube, mesh, torus, ring, or graph)", tj.Kind)
-		}
+		sp.Dim = net.Dim()
+	case sp.Kind == "ring" && sp.N == 0:
+		sp.N = n
 	}
 	if err := sp.Validate(); err != nil {
-		return nil, badRequest("%v", err)
+		return topo.Spec{}, badRequest("%v", err)
+	}
+	return sp, nil
+}
+
+// resolveTopology builds the network a request targets: the topology
+// tj names, where nil is a cube of the request's n nodes. n > 0 is the
+// request's node count, which the network must have; n == 0
+// (campaigns, workload requests) lets the topology fix the machine
+// size.
+func resolveTopology(tj *WireTopology, n int) (topo.Topology, error) {
+	if tj == nil {
+		tj = &WireTopology{}
+	}
+	sp, err := tj.spec(n)
+	if err != nil {
+		return nil, err
 	}
 	// Reject size violations from the spec alone, BEFORE Build: a
 	// graph build allocates O(n^2) routing matrices and runs n BFS
@@ -578,8 +533,8 @@ func resolveSchedule(sj *WireSchedule) (*sched.Schedule, error) {
 		return nil, badRequest("an AC schedule carries no phases; send the matrix instead")
 	}
 	n := sj.N
-	if n < 2 || n > maxServiceNodes {
-		return nil, badRequest("schedule n=%d out of range [2,%d]", n, maxServiceNodes)
+	if err := checkNodes("schedule", n); err != nil {
+		return nil, err
 	}
 	// Every real decomposition is far under 4n phases (LP uses n-1,
 	// the randomized schedulers ~d + log d, greedy list scheduling
@@ -590,9 +545,11 @@ func resolveSchedule(sj *WireSchedule) (*sched.Schedule, error) {
 		return nil, badRequest("schedule has %d phases for n=%d; limit %d", len(sj.Phases), n, 4*n)
 	}
 	s := &sched.Schedule{Algorithm: sj.Algorithm, N: n, Ops: sj.Ops}
+	// recvPhase[j] == k+1 once Pj receives in phase k, so one scratch
+	// serves every phase without clearing.
+	recvPhase := make([]int, n)
 	for k, pj := range sj.Phases {
 		p := sched.NewPhase(n)
-		recvBusy := make([]bool, n)
 		for _, msg := range pj {
 			src, dst, bytes := msg[0], msg[1], msg[2]
 			if src < 0 || src >= int64(n) || dst < 0 || dst >= int64(n) {
@@ -607,12 +564,12 @@ func resolveSchedule(sj *WireSchedule) (*sched.Schedule, error) {
 			if p.Send[src] != -1 {
 				return nil, badRequest("phase %d: P%d sends twice", k, src)
 			}
-			if recvBusy[dst] {
+			if recvPhase[dst] == k+1 {
 				return nil, badRequest("phase %d: P%d receives twice", k, dst)
 			}
 			p.Send[src] = int(dst)
 			p.Bytes[src] = bytes
-			recvBusy[dst] = true
+			recvPhase[dst] = k + 1
 		}
 		s.Phases = append(s.Phases, p)
 	}

@@ -512,11 +512,11 @@ func decodeSchedulePayload(r *binReader) *ScheduleResult {
 	if r.boolean() { // matrix present
 		block := r.bytes()
 		if r.err == nil {
-			m, err := comm.DecodeMatrixBinary(block)
+			n, msgs, err := comm.DecodeBinaryTriples(block)
 			if err != nil {
 				r.fail()
 			} else {
-				res.Matrix = NewWireMatrix(m)
+				res.Matrix = &WireMatrix{N: n, Messages: msgs}
 			}
 		}
 	}

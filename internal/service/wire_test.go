@@ -514,6 +514,32 @@ func TestDecodeBinaryResponseTotal(t *testing.T) {
 	}
 }
 
+// TestDecodeBinaryResponseChecksEcho: a result's matrix echo decodes
+// as triples, in row-major order, under comm.CheckTriples, which
+// rejects a self message the block's format allows. Decoding used to
+// build the n x n matrix and accept the diagonal entry.
+func TestDecodeBinaryResponseChecksEcho(t *testing.T) {
+	key := strings.Repeat("ab", 32)
+	for _, c := range []struct {
+		msgs WireTriples
+		ok   bool
+	}{
+		{WireTriples{{0, 1, 64}, {0, 3, 8}, {2, 1, 4096}}, true},
+		{WireTriples{}, true},
+		{WireTriples{{0, 1, 64}, {2, 2, 8}}, false},
+	} {
+		res := &ScheduleResult{Chosen: "AC", Topology: "hypercube-2", Matrix: &WireMatrix{N: 4, Messages: c.msgs}}
+		br, err := DecodeBinaryResponse(envelopeBytes(encBinary, key, false, res.appendBinaryPayload(nil)))
+		if (err == nil) != c.ok {
+			t.Errorf("%v: error %v, want ok=%v", c.msgs, err, c.ok)
+			continue
+		}
+		if c.ok && !reflect.DeepEqual(br.Schedule.Matrix, res.Matrix) {
+			t.Errorf("%v: decoded echo %+v", c.msgs, br.Schedule.Matrix)
+		}
+	}
+}
+
 // TestScheduleBatch drives the streaming endpoint: mixed good and bad
 // items over one connection, every line a well-formed BatchItem,
 // results identical to the synchronous endpoint's, failures isolated

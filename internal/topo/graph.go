@@ -176,9 +176,12 @@ func newGraph(name string, n int, edges [][2]int) (*Graph, error) {
 		})
 	}
 
-	if err := g.buildRoutes(); err != nil {
-		return nil, err
+	// A disconnected graph is rejected by one BFS, before buildRoutes
+	// spends O(n^2) memory on it.
+	if u := g.unreached(); u >= 0 {
+		return nil, fmt.Errorf("topo: graph is disconnected (no path %d->0)", u)
 	}
+	g.buildRoutes()
 	if name == "" {
 		name = fingerprintName(n, canon)
 	}
@@ -209,9 +212,32 @@ func fingerprintName(n int, canon [][2]int) string {
 	return fmt.Sprintf("graph-%dn%de-%x", n, len(canon), h.Sum(nil)[:16])
 }
 
-// buildRoutes runs one BFS per destination to fill the distance and
-// canonical next-hop matrices, and rejects disconnected graphs.
-func (g *Graph) buildRoutes() error {
+// unreached returns the lowest node a BFS from node 0 does not reach,
+// or -1 when the graph is connected: O(n + edges) time and memory.
+func (g *Graph) unreached() int {
+	seen := make([]bool, g.n)
+	seen[0] = true
+	queue := append(make([]int32, 0, g.n), 0)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		for _, w := range g.adjList[g.adjOff[u]:g.adjOff[u+1]] {
+			if !seen[w] {
+				seen[w] = true
+				queue = append(queue, w)
+			}
+		}
+	}
+	for u, ok := range seen {
+		if !ok {
+			return u
+		}
+	}
+	return -1
+}
+
+// buildRoutes runs one BFS per destination of the connected graph to
+// fill the distance and canonical next-hop matrices.
+func (g *Graph) buildRoutes() {
 	n := g.n
 	g.dist = make([]int32, n*n)
 	g.next = make([]int32, n*n)
@@ -244,9 +270,6 @@ func (g *Graph) buildRoutes() error {
 				continue
 			}
 			du := g.dist[u*n+d]
-			if du < 0 {
-				return fmt.Errorf("topo: graph is disconnected (no path %d->%d)", u, d)
-			}
 			for _, w := range g.adjList[g.adjOff[u]:g.adjOff[u+1]] {
 				if g.dist[int(w)*n+d] == du-1 {
 					g.next[u*n+d] = w
@@ -262,7 +285,6 @@ func (g *Graph) buildRoutes() error {
 		}
 	}
 	g.diam = int(diam)
-	return nil
 }
 
 // channel returns the dense index of the directed channel u->w, where

@@ -1,6 +1,7 @@
 package topo_test
 
 import (
+	"runtime"
 	"testing"
 
 	"unsched/internal/topo"
@@ -155,6 +156,23 @@ func TestGraphValidation(t *testing.T) {
 	}
 	if _, err := topo.NewRing(2); err == nil {
 		t.Error("2-ring accepted")
+	}
+}
+
+// TestDisconnectedGraphRejectedCheaply: a disconnected graph is
+// rejected before its O(n^2) route tables are allocated, so a 4096-node
+// graph of one edge, which any topology member can name, costs
+// kilobytes to refuse, not the 128 MiB of its tables.
+func TestDisconnectedGraphRejectedCheaply(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := topo.NewGraph(4096, [][2]int{{0, 1}})
+	runtime.ReadMemStats(&after)
+	if want := "topo: graph is disconnected (no path 2->0)"; err == nil || err.Error() != want {
+		t.Fatalf("error %v, want %q", err, want)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("rejecting a disconnected 4096-node graph allocated %d bytes", got)
 	}
 }
 

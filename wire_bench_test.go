@@ -2,11 +2,11 @@ package unsched
 
 // Wire-format benchmarks, tracked by cmd/benchgate in CI alongside the
 // paper tables: the binary matrix codec against its JSON triple form,
-// the JSON request decode every shipped matrix pays, and the service's
-// negotiated response path end to end over HTTP — cached JSON, cached
-// binary+gzip, and If-None-Match revalidation. Each reports the actual
-// transfer size as wire_bytes so a regression in either speed or
-// compactness trips the gate.
+// a client's JSON decode of a request that ships a matrix, and the
+// service's negotiated response path end to end over HTTP — cached
+// JSON, cached binary+gzip, and If-None-Match revalidation. Each
+// reports the actual transfer size as wire_bytes so a regression in
+// either speed or compactness trips the gate.
 
 import (
 	"bytes"
@@ -70,7 +70,10 @@ func benchWireEncodeBinary(b *testing.B, n int) {
 }
 
 // benchWireDecodeJSON decodes a /v1/schedule body that ships the
-// matrix: the first stage of every such request, hit or miss.
+// matrix the way a client does: json.Unmarshal, whose triples go
+// through WireTriples.UnmarshalJSON. The daemon decodes the same body
+// with decodeStrict, and a repeated body not at all (its body key
+// answers it).
 func benchWireDecodeJSON(b *testing.B, n int) {
 	doc := wireBenchDoc(b, n)
 	body, err := json.Marshal(ScheduleRequest{Matrix: &doc, Algorithm: "RS_NL"})
