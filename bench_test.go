@@ -662,11 +662,51 @@ func BenchmarkSimulatorRSNL_1024(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulatorContendedReused runs the two protocols where all
+// 64 nodes fire at once — AC's send vectors and RS_N's S2 — at the
+// Table 1 row with the most contention (d=48, 128 KB) on one reused
+// machine over the dense cube table. One op is one AC run plus one S2
+// run. It tracks perfbench's ipsc.run_ac_us and ipsc.run_s2_us, the
+// stages where blocked transfers wait for circuits.
+func BenchmarkSimulatorContendedReused(b *testing.B) {
+	cube := hypercube.MustNew(6)
+	params := costmodel.DefaultIPSC860()
+	rng := rand.New(rand.NewSource(11))
+	m, err := comm.DRegular(64, 48, 131072, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	order, err := sched.AC(m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := sched.RSN(m, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mach := newMachine(b, topo.NewRouteTable(cube), params)
+	run := func() {
+		if _, err := mach.RunAC(order, m); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := mach.RunS2(s); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run()
+	run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
 // BenchmarkRouteTableBitset is the occupancy micro-benchmark under the
-// schedulers and the simulator: probe-claim-release of whole routes in
-// a topo.Occupancy over the dense table, word-at-a-time through the
-// table's mask spans. One op is one full probe+claim+probe+release
-// cycle over a route of the 64-node cube.
+// schedulers and the simulator: claim-release of whole routes in a
+// topo.Occupancy over the dense table, word-at-a-time through the
+// table's mask spans. One op is one claim, one blocked claim of the
+// same route and one release over a route of the 64-node cube.
 func BenchmarkRouteTableBitset(b *testing.B) {
 	cube := hypercube.MustNew(6)
 	rt := topo.NewRouteTable(cube)
@@ -679,12 +719,11 @@ func BenchmarkRouteTableBitset(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		src := i & 63
 		dst := (i * 31) & 63
-		if occ.CheckPath(src, dst) {
-			occ.MarkPath(src, dst)
-			if occ.CheckPath(src, dst) && src != dst {
-				b.Fatal("claimed route reads free")
+		if occ.Claim(src, dst) < 0 {
+			if src != dst && occ.Claim(src, dst) < 0 {
+				b.Fatal("claimed route claimed again")
 			}
-			occ.ReleasePath(src, dst)
+			occ.Release(src, dst, nil)
 		}
 	}
 }

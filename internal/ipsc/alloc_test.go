@@ -18,54 +18,84 @@ import (
 	"unsched/internal/topo"
 )
 
-// allocBudgetReusedRun bounds one RunS1 on a warmed 64-node machine.
-// The flat-event engine and the arena-recycled op/attempt state make
-// the event loop allocation-free, and compiling S1 derives each
-// phase's receive side into the machine's scratch, so a reused run
-// allocates nothing: one allocation per phase or per run fails here.
+// allocBudgetReusedRun bounds one run on a warmed 64-node machine,
+// under every protocol. The flat-event engine, the arena-recycled
+// op/attempt state and the flat parked lists make the event loop
+// allocation-free, and compiling S1 derives each phase's receive side
+// into the machine's scratch, so a reused run allocates nothing: one
+// allocation per phase, per run or per blocked transfer fails here.
 const allocBudgetReusedRun = 0
 
 func TestReusedRunAllocs(t *testing.T) {
 	cube := hypercube.MustNew(6)
 	table := topo.NewRouteTable(cube)
 	params := costmodel.DefaultIPSC860()
-	mat, err := comm.DRegular(64, 16, 4096, rand.New(rand.NewSource(7)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := sched.RSNL(mat, cube, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mach, err := NewMachine(table, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func() {
-		if _, err := mach.RunS1(s); err != nil {
+	matrix := func(d int, bytes int64) *comm.Matrix {
+		mat, err := comm.DRegular(64, d, bytes, rand.New(rand.NewSource(7)))
+		if err != nil {
 			t.Fatal(err)
 		}
+		return mat
 	}
-	// mallocs counts one run's allocations. testing.AllocsPerRun would
-	// not do: it runs its function once unmeasured first.
-	mallocs := func() uint64 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		run()
-		runtime.ReadMemStats(&after)
-		return after.Mallocs - before.Mallocs
+	// RS_NL's S1 at a mid-density cell, and every other protocol at the
+	// contended corner where all 64 nodes keep blocking on each other:
+	// d=48 with 128 KB messages.
+	mid, hot := matrix(16, 4096), matrix(48, 131072)
+	schedule := func(s *sched.Schedule, err error) *sched.Schedule {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
-	run() // warm the arenas
-	// The first run leaves every queue FIFO as large as it will need,
-	// so the second allocates no more than the third: a reset that
-	// hands the FIFOs to other times than the first run did grows the
-	// short ones again.
-	if second, third := mallocs(), mallocs(); second > third {
-		t.Errorf("reused RunS1: run 2 allocates %d times, run 3 %d", second, third)
+	rsnlMid := schedule(sched.RSNL(mid, cube, rand.New(rand.NewSource(1))))
+	rsnlHot := schedule(sched.RSNL(hot, cube, rand.New(rand.NewSource(1))))
+	rsnHot := schedule(sched.RSN(hot, rand.New(rand.NewSource(1))))
+	lpHot := schedule(sched.LP(hot))
+	order, err := sched.AC(hot)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := testing.AllocsPerRun(20, run); got > allocBudgetReusedRun {
-		t.Errorf("reused RunS1: %.1f allocs/run, budget %d", got, allocBudgetReusedRun)
+	for _, c := range []struct {
+		name string
+		run  func(m *Machine) (Result, error)
+	}{
+		{"RS_NL/S1", func(m *Machine) (Result, error) { return m.RunS1(rsnlMid) }},
+		{"RS_NL/S1Barrier", func(m *Machine) (Result, error) { return m.RunS1Barrier(rsnlHot) }},
+		{"AC", func(m *Machine) (Result, error) { return m.RunAC(order, hot) }},
+		{"ACAsync", func(m *Machine) (Result, error) { return m.RunACAsync(order, hot) }},
+		{"RS_N/S2", func(m *Machine) (Result, error) { return m.RunS2(rsnHot) }},
+		{"LP", func(m *Machine) (Result, error) { return m.RunLP(lpHot) }},
+	} {
+		mach, err := NewMachine(table, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			if _, err := c.run(mach); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// mallocs counts one run's allocations. testing.AllocsPerRun
+		// would not do: it runs its function once unmeasured first.
+		mallocs := func() uint64 {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run()
+			runtime.ReadMemStats(&after)
+			return after.Mallocs - before.Mallocs
+		}
+		run() // warm the arenas
+		// The first run leaves every queue FIFO as large as it will
+		// need, so the second allocates no more than the third: a reset
+		// that hands the FIFOs to other times than the first run did
+		// grows the short ones again.
+		if second, third := mallocs(), mallocs(); second > third {
+			t.Errorf("reused %s: run 2 allocates %d times, run 3 %d", c.name, second, third)
+		}
+		if got := testing.AllocsPerRun(20, run); got > allocBudgetReusedRun {
+			t.Errorf("reused %s: %.1f allocs/run, budget %d", c.name, got, allocBudgetReusedRun)
+		}
 	}
 }
 

@@ -49,25 +49,41 @@ func TestDeadlockErrorNamesStuckNodes(t *testing.T) {
 }
 
 // TestPendingSummary checks the blocked-attempt renderer used by
-// contention tests: entries are labelled send/xchg by kind and
-// returned sorted regardless of queue order.
+// contention tests, on attempts parked the way a run parks them: on a
+// busy receiver, a busy async sender and a claimed channel. Entries
+// are labelled send/xchg by kind and returned sorted whatever lists
+// hold them.
 func TestPendingSummary(t *testing.T) {
 	m := mustMachine(t, 3)
-	m.attempts = append(m.attempts[:0],
-		attempt{src: 7, dst: 2},
-		attempt{src: 0, dst: 1, exchange: true},
-		attempt{src: 3, dst: 4},
-	)
-	m.pending = append(m.pending[:0], 0, 1, 2)
+	m.busy[2] = busyRx
+	m.busy[3] = busyTx
+	if ch := m.chans.Claim(0, 1); ch >= 0 {
+		t.Fatalf("claim on an empty machine blocked on channel %d", ch)
+	}
+	for _, a := range []attempt{
+		{src: 7, dst: 2, bytes: 4096},
+		{src: 0, dst: 1, exchange: true},
+		{src: 3, dst: 4, bytes: 4096, async: true},
+	} {
+		m.tryOrPark(m.addAttempt(a))
+	}
+	if m.parked[2] != 0 || m.parked[3] != 2 {
+		t.Errorf("receiver 2 holds attempt %d, sender 3 attempt %d; want 0 and 2", m.parked[2], m.parked[3])
+	}
 	got := m.pendingSummary()
 	want := []string{"send 3->4", "send 7->2", "xchg 0->1"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("pendingSummary() = %v, want %v", got, want)
 	}
-	// Empty queue renders empty, not nil-panic.
-	m.pending = m.pending[:0]
+	// Releasing the channel wakes the exchange, and only it.
+	m.release(0, 1)
+	if !reflect.DeepEqual(m.woken, []int32{1}) {
+		t.Errorf("releasing 0->1 woke %v, want [1]", m.woken)
+	}
+	// Nothing parked renders empty, not nil-panic.
+	m.Reset()
 	if got := m.pendingSummary(); len(got) != 0 {
-		t.Errorf("empty pending queue rendered %v", got)
+		t.Errorf("reset machine rendered %v", got)
 	}
 }
 
@@ -131,17 +147,19 @@ func TestMachinesShareRouteTableConcurrently(t *testing.T) {
 	}
 }
 
-// pendingSummary renders the queued attempts sorted, for tests that
+// pendingSummary renders the parked attempts sorted, for tests that
 // inspect blocked state.
 func (m *Machine) pendingSummary() []string {
-	out := make([]string, 0, len(m.pending))
-	for _, ai := range m.pending {
-		a := m.attempts[ai]
-		kind := "send"
-		if a.exchange {
-			kind = "xchg"
+	var out []string
+	for _, head := range m.parked {
+		for ai := head; ai >= 0; ai = m.attempts[ai].next {
+			a := m.attempts[ai]
+			kind := "send"
+			if a.exchange {
+				kind = "xchg"
+			}
+			out = append(out, fmt.Sprintf("%s %d->%d", kind, a.src, a.dst))
 		}
-		out = append(out, fmt.Sprintf("%s %d->%d", kind, a.src, a.dst))
 	}
 	sort.Strings(out)
 	return out

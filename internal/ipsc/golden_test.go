@@ -46,6 +46,7 @@ func goldenWorkloads() []string {
 // renderRuns simulates every golden workload at seeds 1 and 2 under
 // every protocol on one reused machine per golden machine, and renders
 // one line per run with the result's floats as exact bit patterns.
+// Every run must finish with no attempt parked and no channel claimed.
 func renderRuns(t *testing.T) string {
 	t.Helper()
 	var b strings.Builder
@@ -93,6 +94,10 @@ func renderRuns(t *testing.T) string {
 					res, err := r.run()
 					if err != nil {
 						t.Fatalf("%s %s seed %d %s: %v", gm.name, spec, seed, r.protocol, err)
+					}
+					if left := m.pendingSummary(); len(left) != 0 || m.chans.ClaimedCount() != 0 {
+						t.Fatalf("%s %s seed %d %s: run left %v parked and %d channels claimed",
+							gm.name, spec, seed, r.protocol, left, m.chans.ClaimedCount())
 					}
 					fmt.Fprintf(&b, "%s %s seed=%d %s makespan=%016x wait=%016x transfers=%d exchanges=%d\n",
 						gm.name, spec, seed, r.protocol,

@@ -36,14 +36,17 @@
 //     inline in the engine's reusable heap array — no closure per
 //     event;
 //   - transfer attempts live in a machine-owned arena ([]attempt)
-//     addressed by index; the pending-retry queue is a slice of those
-//     indices;
+//     addressed by index. An attempt that cannot start is parked on
+//     the one resource its check found busy — a node's busy byte or a
+//     claimed channel — in a list linked through the arena, and only
+//     a release of that resource wakes it for a retry;
 //   - barrier arrival counts and waiter lists are flat slices indexed
 //     by barrier id (phase number), recycled across runs;
 //   - channel occupancy is one topo.Occupancy, the packed bitset the
-//     schedulers claim routes in too; over a dense topo.RouteTable
-//     its check/claim/release walks go word-at-a-time through the
-//     table's precomputed masks;
+//     schedulers claim routes in too; a circuit is claimed in one
+//     route walk, and over a dense topo.RouteTable its claim and
+//     release walks go word-at-a-time through the table's
+//     precomputed masks;
 //   - per-run programs compile into a machine-owned [][]op arena whose
 //     inner capacities persist across runs.
 //
@@ -53,6 +56,7 @@ package ipsc
 
 import (
 	"fmt"
+	"slices"
 
 	"unsched/internal/costmodel"
 	"unsched/internal/des"
@@ -98,15 +102,20 @@ type Machine struct {
 	nodes  []node
 	// busy packs each node's circuit occupancy into one byte —
 	// busyTx for an active outgoing transfer, busyRx for an incoming
-	// one. tryStart probes these for random peers on every retry, so
+	// one. tryStart probes these for random peers on every try, so
 	// keeping all nodes' flags in a few cache lines matters more than
 	// keeping them next to the rest of the node state.
 	busy []uint8
-	// attempts is the per-run arena of transfer/exchange attempts;
-	// pending queues the arena indices of attempts blocked on
-	// resources, in FIFO order.
+	// attempts is the per-run arena of transfer/exchange attempts.
 	attempts []attempt
-	pending  []int32
+	// parked[r] heads the list of attempts blocked on resource r,
+	// linked through attempt.next and ended by -1: r < n is node r's
+	// busy byte, r >= n is channel r-n. A release moves the lists of
+	// what it frees to woken, which retryPending drains; freed is the
+	// channel scratch a release reports into.
+	parked []int32
+	woken  []int32
+	freed  []int32
 	// barrier state, indexed by barrier id (= phase number): arrival
 	// counts and blocked-node lists, grown on demand and recycled.
 	barrierCount   []int32
@@ -156,14 +165,16 @@ type node struct {
 	outstanding int
 }
 
-// attempt is a transfer or exchange blocked on resources, queued for
-// deterministic retry when circuits free up. Attempts live in the
-// Machine's arena and are addressed by index — in the pending queue
-// and in the completion events that reference them.
+// attempt is a transfer or exchange, tried when it is created and, if
+// its resources are busy, parked until a release wakes it for a
+// retry. Attempts live in the Machine's arena and are addressed by
+// index — in the parked lists and in the completion events that
+// reference them.
 type attempt struct {
 	exchange bool
 	async    bool  // opSendAsync: completion decrements outstanding instead of advancing pc
 	src, dst int32 // for exchange: src < dst pair
+	next     int32 // the next attempt parked on the same resource, or -1
 	bytes    int64
 	backSize int64 // exchange reverse direction
 	queuedAt float64
@@ -200,6 +211,10 @@ func NewMachine(net topo.Topology, params costmodel.Params) (*Machine, error) {
 		chans:  topo.NewOccupancy(rt),
 		params: params,
 		eng:    des.New(),
+		parked: make([]int32, n+rt.NumChannels()),
+	}
+	for r := range m.parked {
+		m.parked[r] = -1
 	}
 	m.eng.SetHandler(m.handle)
 	// Per-node state is carved out of four contiguous allocations so a
@@ -221,15 +236,19 @@ func NewMachine(net topo.Topology, params costmodel.Params) (*Machine, error) {
 
 // Reset returns the machine to its initial state while keeping every
 // backing allocation: the event heap, the channel occupancy, the
-// attempt and barrier arenas, and all per-node vectors. After Reset
-// the machine is indistinguishable from a freshly built one, so a
-// single Machine can drive an arbitrarily long sequence of runs
-// allocation-free.
+// attempt arena and parked lists, the barrier arenas, and all per-node
+// vectors. After Reset the machine is indistinguishable from a freshly
+// built one, so a single Machine can drive an arbitrarily long
+// sequence of runs allocation-free.
 func (m *Machine) Reset() {
 	m.eng.Reset()
 	m.chans.Reset()
 	m.attempts = m.attempts[:0]
-	m.pending = m.pending[:0]
+	// A completed run leaves nothing parked; a failed one may.
+	for r := range m.parked {
+		m.parked[r] = -1
+	}
+	m.woken = m.woken[:0]
 	for i := range m.barrierCount {
 		m.barrierCount[i] = 0
 		m.barrierWaiters[i] = m.barrierWaiters[i][:0]
@@ -388,14 +407,14 @@ func (m *Machine) advance(nd *node) {
 				nd.blocked = true
 				return
 			}
-			m.tryOrQueue(m.addAttempt(attempt{
+			m.tryOrPark(m.addAttempt(attempt{
 				src: int32(nd.id), dst: int32(o.peer), bytes: o.bytes,
 				queuedAt: m.eng.Now(),
 			}))
 			return
 
 		case opSendFire:
-			m.tryOrQueue(m.addAttempt(attempt{
+			m.tryOrPark(m.addAttempt(attempt{
 				src: int32(nd.id), dst: int32(o.peer), bytes: o.bytes,
 				queuedAt: m.eng.Now(),
 			}))
@@ -403,7 +422,7 @@ func (m *Machine) advance(nd *node) {
 
 		case opSendAsync:
 			nd.outstanding++
-			m.tryOrQueue(m.addAttempt(attempt{
+			m.tryOrPark(m.addAttempt(attempt{
 				async: true, src: int32(nd.id), dst: int32(o.peer), bytes: o.bytes,
 				queuedAt: m.eng.Now(),
 			}))
@@ -475,7 +494,7 @@ func (m *Machine) advance(nd *node) {
 				loBytes, hiBytes = hiBytes, loBytes
 			}
 			nd.blocked = true
-			m.tryOrQueue(m.addAttempt(attempt{
+			m.tryOrPark(m.addAttempt(attempt{
 				exchange: true, src: int32(lo), dst: int32(hi),
 				bytes: loBytes, backSize: hiBytes, queuedAt: m.eng.Now(),
 			}))
@@ -515,37 +534,62 @@ func (m *Machine) addAttempt(a attempt) int32 {
 	return int32(len(m.attempts) - 1)
 }
 
-// tryOrQueue starts the attempt if its resources are free, otherwise
-// queues it for retry on the next release.
-func (m *Machine) tryOrQueue(ai int32) {
-	if m.tryStart(ai) {
+// tryOrPark starts the attempt if its resources are free, otherwise
+// parks it on the resource that blocked it. Every attempt comes here
+// when it is created, so arena order is the order attempts first
+// asked for resources.
+func (m *Machine) tryOrPark(ai int32) {
+	r := m.tryStart(ai)
+	if r < 0 {
 		return
 	}
-	m.pending = append(m.pending, ai)
+	if ch := r - len(m.nodes); ch >= 0 {
+		m.chans.Watch(ch)
+	}
+	m.attempts[ai].next = m.parked[r]
+	m.parked[r] = ai
 }
 
-// retryPending re-attempts queued transfers in FIFO order. Called
-// whenever resources are released.
+// wake moves the attempts parked on resource r to the woken set.
+func (m *Machine) wake(r int) {
+	for ai := m.parked[r]; ai >= 0; ai = m.attempts[ai].next {
+		m.woken = append(m.woken, ai)
+	}
+	m.parked[r] = -1
+}
+
+// release frees the channels of the route src->dst and wakes the
+// attempts parked on them.
+func (m *Machine) release(src, dst int32) {
+	m.freed = m.chans.Release(int(src), int(dst), m.freed[:0])
+	for _, ch := range m.freed {
+		m.wake(len(m.nodes) + int(ch))
+	}
+}
+
+// retryPending re-tries the woken attempts in arena order, parking
+// again those still blocked. Called after every release. An attempt
+// that was not woken is parked on a resource that is still held, so it
+// could not start here: trying only the woken ones starts the same
+// attempts, in the same order, as trying every blocked one would.
 func (m *Machine) retryPending() {
-	if len(m.pending) == 0 {
+	if len(m.woken) == 0 {
 		return
 	}
-	remaining := m.pending[:0]
-	for _, ai := range m.pending {
-		if !m.tryStart(ai) {
-			remaining = append(remaining, ai)
-		}
+	slices.Sort(m.woken)
+	for _, ai := range m.woken {
+		m.tryOrPark(ai)
 	}
-	m.pending = remaining
+	m.woken = m.woken[:0]
 }
 
-// tryStart checks resources and, if available, claims them and
-// schedules the completion event. Returns false if the attempt must
-// wait.
-func (m *Machine) tryStart(ai int32) bool {
+// tryStart checks resources and, if available, claims them, schedules
+// the completion event and returns -1. Otherwise it claims nothing and
+// returns the resource that blocked it, numbered as m.parked is.
+func (m *Machine) tryStart(ai int32) int {
 	// Unlike the finish handlers, tryStart never appends to the
 	// attempt arena, so reading through the pointer is safe and skips
-	// a struct copy on every retry.
+	// a struct copy on every try.
 	a := &m.attempts[ai]
 	if a.exchange {
 		return m.tryStartExchange(ai)
@@ -558,19 +602,18 @@ func (m *Machine) tryStart(ai int32) bool {
 	// or idle receiver absorbs fine.
 	short := a.bytes <= m.params.ShortMaxBytes
 	if !short && m.busy[a.dst] != 0 {
-		return false
+		return int(a.dst)
 	}
 	// A node drives at most one outgoing circuit at a time; async
-	// attempts from the same node queue behind the active one.
+	// attempts from the same node wait behind the active one.
 	if a.async && m.busy[a.src]&busyTx != 0 {
-		return false
+		return int(a.src)
 	}
-	if !m.chans.CheckPath(int(a.src), int(a.dst)) {
-		return false
+	if ch := m.chans.Claim(int(a.src), int(a.dst)); ch >= 0 {
+		return len(m.nodes) + ch
 	}
 	hops := m.routes.Hops(int(a.src), int(a.dst))
 	dur := m.params.TransferTime(a.bytes, hops)
-	m.chans.MarkPath(int(a.src), int(a.dst))
 	m.busy[a.src] |= busyTx
 	if !short {
 		m.busy[a.dst] |= busyRx
@@ -578,21 +621,23 @@ func (m *Machine) tryStart(ai int32) bool {
 	m.waitedUS += m.eng.Now() - a.queuedAt
 	m.transfers++
 	m.eng.AfterEvent(dur, evXferDone, ai, 0)
-	return true
+	return -1
 }
 
 // finishTransfer completes the unidirectional transfer attempts[ai]:
 // release the circuit, deliver the message, resume the sender (or
 // settle its async bookkeeping), wake a waiting receiver, and retry
-// the pending queue.
+// the attempts the release woke.
 func (m *Machine) finishTransfer(ai int32) {
 	a := m.attempts[ai]
 	src, dst := &m.nodes[a.src], &m.nodes[a.dst]
 	short := a.bytes <= m.params.ShortMaxBytes
-	m.chans.ReleasePath(int(a.src), int(a.dst))
+	m.release(a.src, a.dst)
 	m.busy[a.src] &^= busyTx
+	m.wake(int(a.src))
 	if !short {
 		m.busy[a.dst] &^= busyRx
+		m.wake(int(a.dst))
 	}
 	dst.arrived[a.src]++
 	dst.received++
@@ -617,15 +662,24 @@ func (m *Machine) finishTransfer(ai int32) {
 	m.retryPending()
 }
 
-func (m *Machine) tryStartExchange(ai int32) bool {
+func (m *Machine) tryStartExchange(ai int32) int {
 	a := &m.attempts[ai]
 	// Both nodes are blocked at their exchange op; their engines are
 	// dedicated. Other circuits may still occupy the routes.
-	if m.busy[a.src] != 0 || m.busy[a.dst] != 0 {
-		return false
+	if m.busy[a.src] != 0 {
+		return int(a.src)
 	}
-	if !m.chans.CheckPath(int(a.src), int(a.dst)) || !m.chans.CheckPath(int(a.dst), int(a.src)) {
-		return false
+	if m.busy[a.dst] != 0 {
+		return int(a.dst)
+	}
+	if ch := m.chans.Claim(int(a.src), int(a.dst)); ch >= 0 {
+		return len(m.nodes) + ch
+	}
+	if ch := m.chans.Claim(int(a.dst), int(a.src)); ch >= 0 {
+		// Give the forward route back. Its channels were free, so
+		// nothing is parked on them and the release wakes no one.
+		m.chans.Release(int(a.src), int(a.dst), nil)
+		return len(m.nodes) + ch
 	}
 	hops := m.routes.Hops(int(a.src), int(a.dst))
 	fwd, rev := 0.0, 0.0
@@ -640,26 +694,26 @@ func (m *Machine) tryStartExchange(ai int32) bool {
 	// a data-less sync phase — LP walks all n-1 of them — costs the
 	// signal flight plus software overhead.
 	dur := m.params.SyncOverheadUS + m.params.SignalTime(hops) + maxf(fwd, rev)
-	m.chans.MarkPath(int(a.src), int(a.dst))
-	m.chans.MarkPath(int(a.dst), int(a.src))
 	m.busy[a.src] = busyTx | busyRx
 	m.busy[a.dst] = busyTx | busyRx
 	m.waitedUS += m.eng.Now() - a.queuedAt
 	m.exchanges++
 	m.eng.AfterEvent(dur, evExchDone, ai, 0)
-	return true
+	return -1
 }
 
 // finishExchange completes the pairwise exchange attempts[ai]: release
 // both circuits, deliver both directions, resume both partners, and
-// retry the pending queue.
+// retry the attempts the release woke.
 func (m *Machine) finishExchange(ai int32) {
 	a := m.attempts[ai]
 	lo, hi := &m.nodes[a.src], &m.nodes[a.dst]
-	m.chans.ReleasePath(int(a.src), int(a.dst))
-	m.chans.ReleasePath(int(a.dst), int(a.src))
+	m.release(a.src, a.dst)
+	m.release(a.dst, a.src)
 	m.busy[a.src] = 0
 	m.busy[a.dst] = 0
+	m.wake(int(a.src))
+	m.wake(int(a.dst))
 	lo.atExchange = false
 	hi.atExchange = false
 	if a.bytes > 0 {

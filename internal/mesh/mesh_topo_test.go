@@ -15,24 +15,25 @@ var _ topo.Topology = (*mesh.Mesh)(nil)
 func TestOccupancyOverMesh(t *testing.T) {
 	m := mesh.MustNew(4, 4, false)
 	occ := topo.NewOccupancy(m)
-	if !occ.CheckPath(0, 3) {
+	if occ.Claim(0, 3) >= 0 { // +X +X +X along row 0
 		t.Fatal("fresh table should be free")
 	}
-	occ.MarkPath(0, 3) // +X +X +X along row 0
-	if occ.CheckPath(0, 1) {
-		t.Error("first +X channel should be claimed")
+	if ch, want := occ.Claim(0, 1), m.RouteIDs(0, 1, nil)[0]; ch != want {
+		t.Errorf("claim of 0->1 blocked on channel %d, want the claimed first +X channel %d", ch, want)
 	}
-	if !occ.CheckPath(1, 0) {
+	if occ.Claim(1, 0) >= 0 {
 		t.Error("reverse channel should be free")
 	}
-	if !occ.CheckPath(4, 7) {
+	if occ.Claim(4, 7) >= 0 {
 		t.Error("row 1 should be free")
 	}
+	occ.Release(1, 0, nil)
+	occ.Release(4, 7, nil)
 	if got := occ.ClaimedCount(); got != 3 {
 		t.Errorf("ClaimedCount = %d", got)
 	}
 	occ.Reset()
-	if !occ.CheckPath(0, 1) {
+	if occ.Claim(0, 1) >= 0 {
 		t.Error("reset should clear claims")
 	}
 }

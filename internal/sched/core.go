@@ -317,15 +317,16 @@ func (c *Core) rsnl(m *comm.Matrix, rng *rand.Rand, pairwise bool) (*Schedule, e
 					continue
 				}
 				ops += int64(c.rt.Hops(x, y))
-				if !occ.CheckPath(x, y) {
+				if occ.Claim(x, y) >= 0 {
 					continue
 				}
-				// Feasible. Upgrade to a pairwise exchange if the
-				// reverse message is still pending and both the
-				// reverse circuit and both endpoints allow it.
+				// Feasible, and the circuit is claimed. Upgrade to a
+				// pairwise exchange if the reverse message is still
+				// pending and both the reverse circuit and both
+				// endpoints allow it.
 				if pairwise && rem[y*n+x] && tsend[y] == -1 && trecv[x] == -1 {
 					ops += int64(c.rt.Hops(y, x))
-					if occ.CheckPath(y, x) {
+					if occ.Claim(y, x) < 0 {
 						_, bytes := ccom.Remove(x, z)
 						backBytes := removeFrom(y, x)
 						p.Send[x], p.Bytes[x] = y, bytes
@@ -334,8 +335,6 @@ func (c *Core) rsnl(m *comm.Matrix, rng *rand.Rand, pairwise bool) (*Schedule, e
 						tsend[y], trecv[x] = x, y
 						rem[x*n+y] = false
 						rem[y*n+x] = false
-						occ.MarkPath(x, y)
-						occ.MarkPath(y, x)
 						break
 					}
 				}
@@ -343,7 +342,6 @@ func (c *Core) rsnl(m *comm.Matrix, rng *rand.Rand, pairwise bool) (*Schedule, e
 				p.Send[x], p.Bytes[x] = y, bytes
 				tsend[x], trecv[y] = y, x
 				rem[x*n+y] = false
-				occ.MarkPath(x, y)
 				break
 			}
 			x = (x + 1) % n
@@ -405,13 +403,12 @@ func (c *Core) RSNLSized(m *comm.Matrix, rng *rand.Rand) (*Schedule, error) {
 					continue
 				}
 				ops += int64(c.rt.Hops(x, y))
-				if !occ.CheckPath(x, y) {
+				if occ.Claim(x, y) >= 0 {
 					continue
 				}
 				_, bytes := ccom.Remove(x, z)
 				p.Send[x], p.Bytes[x] = y, bytes
 				trecv[y] = x
-				occ.MarkPath(x, y)
 				break
 			}
 			x = (x + 1) % n
@@ -670,18 +667,19 @@ func (c *Core) GreedyLargestFirstLinkFree(m *comm.Matrix) (*Schedule, error) {
 		s.Phases = append(s.Phases, NewPhase(n))
 		c.phaseOcc(len(s.Phases) - 1)
 	}
+	// place assigns msg to phase k, whose claim table already holds
+	// its circuit.
 	place := func(k int, msg comm.Message) {
 		c.sendBusy[k*n+msg.Src] = true
 		c.recvBusy[k*n+msg.Dst] = true
 		s.Phases[k].Send[msg.Src] = msg.Dst
 		s.Phases[k].Bytes[msg.Src] = msg.Bytes
-		c.occPool[k].MarkPath(msg.Src, msg.Dst)
 	}
 	for _, msg := range msgs {
 		placed := false
 		for k := 0; k < len(s.Phases); k++ {
 			ops += 1 + int64(c.rt.Hops(msg.Src, msg.Dst))
-			if !c.sendBusy[k*n+msg.Src] && !c.recvBusy[k*n+msg.Dst] && c.occPool[k].CheckPath(msg.Src, msg.Dst) {
+			if !c.sendBusy[k*n+msg.Src] && !c.recvBusy[k*n+msg.Dst] && c.occPool[k].Claim(msg.Src, msg.Dst) < 0 {
 				place(k, msg)
 				placed = true
 				break
@@ -689,7 +687,9 @@ func (c *Core) GreedyLargestFirstLinkFree(m *comm.Matrix) (*Schedule, error) {
 		}
 		if !placed {
 			grow()
-			place(len(s.Phases)-1, msg)
+			k := len(s.Phases) - 1
+			c.occPool[k].Claim(msg.Src, msg.Dst) // an empty table: always free
+			place(k, msg)
 			ops++
 		}
 	}

@@ -214,10 +214,9 @@ func (s *Schedule) validateLinkFree(occ *topo.Occupancy) error {
 			if j < 0 {
 				continue
 			}
-			if !occ.CheckPath(i, j) {
+			if occ.Claim(i, j) >= 0 {
 				return fmt.Errorf("sched: phase %d: link contention on route P%d->P%d", k, i, j)
 			}
-			occ.MarkPath(i, j)
 		}
 	}
 	return nil

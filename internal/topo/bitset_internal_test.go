@@ -12,8 +12,9 @@ import (
 // TestBitsetFallbackMatchesMaskedPath drives the three route walks of
 // an Occupancy — mask spans, per hop (a dense table stripped of its
 // spans, the representation above maskSpanHopLimit) and lazy — through
-// the same randomized mark/release/reset/probe sequence, requiring
-// identical answers and identical claimed channel sets at every step.
+// the same randomized claim/watch/release/reset sequence, requiring
+// the same claim verdicts, the same released watched channels, and
+// identical claimed and watched channel sets at every step.
 func TestBitsetFallbackMatchesMaskedPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(94))
 	for _, net := range []Topology{
@@ -32,29 +33,83 @@ func TestBitsetFallbackMatchesMaskedPath(t *testing.T) {
 		if !walks[2].rt.lazy {
 			t.Fatalf("%s: occupancy over a plain topology should walk lazily", net.Name())
 		}
+		woken := make([][]int32, len(walks))
 		n := net.Nodes()
 		for step := 0; step < 3000; step++ {
 			src, dst := rng.Intn(n), rng.Intn(n)
-			op := rng.Intn(10)
-			for _, o := range walks {
-				switch {
-				case op == 0:
+			switch op := rng.Intn(10); {
+			case op == 0:
+				for _, o := range walks {
 					o.Reset()
-				case op <= 3:
-					o.MarkPath(src, dst)
-				case op <= 5:
-					o.ReleasePath(src, dst)
+				}
+			case op <= 5:
+				ch := walks[0].Claim(src, dst)
+				for w, o := range walks[1:] {
+					if got := o.Claim(src, dst); (got < 0) != (ch < 0) {
+						t.Fatalf("%s step %d: Claim(%d,%d) masked %d, walk %d %d", net.Name(), step, src, dst, ch, w+1, got)
+					}
+				}
+				if ch >= 0 && op <= 3 {
+					for _, o := range walks {
+						o.Watch(ch)
+					}
+				}
+			default:
+				for w, o := range walks {
+					woken[w] = o.Release(src, dst, woken[w][:0])
+					slices.Sort(woken[w])
+				}
+				for w := range walks[1:] {
+					if !slices.Equal(woken[w+1], woken[0]) {
+						t.Fatalf("%s step %d: Release(%d,%d) masked reported %v, walk %d %v",
+							net.Name(), step, src, dst, woken[0], w+1, woken[w+1])
+					}
 				}
 			}
-			free := walks[0].CheckPath(src, dst)
 			for w, o := range walks[1:] {
-				if got := o.CheckPath(src, dst); got != free {
-					t.Fatalf("%s step %d: CheckPath(%d,%d) masked %v, walk %d %v", net.Name(), step, src, dst, free, w+1, got)
-				}
-				if !slices.Equal(o.busy, walks[0].busy) {
-					t.Fatalf("%s step %d: walk %d claims %x, masked %x", net.Name(), step, w+1, o.busy, walks[0].busy)
+				if !slices.Equal(o.busy, walks[0].busy) || o.watched != walks[0].watched {
+					t.Fatalf("%s step %d: walk %d claims %x (%d watched), masked %x (%d watched)",
+						net.Name(), step, w+1, o.busy, o.watched, walks[0].busy, walks[0].watched)
 				}
 			}
+		}
+	}
+}
+
+// TestWatchedOnlyWhileClaimed pins the invariant the simulator's
+// parking relies on: a watch flag lives exactly as long as the claim
+// under it. Releasing a route clears the flags of the channels it
+// frees, a blocked claim rolls back without touching a flag, and
+// Reset clears them all.
+func TestWatchedOnlyWhileClaimed(t *testing.T) {
+	cube := hypercube.MustNew(4)
+	for _, rt := range []*RouteTable{NewRouteTable(cube), NewRouteTableLazy(cube)} {
+		o := NewOccupancy(rt)
+		if o.Claim(0, 15) >= 0 {
+			t.Fatal("fresh table blocked")
+		}
+		ch := o.Claim(1, 15) // shares 0->15's channels past node 1
+		if ch < 0 {
+			t.Fatal("overlapping claim succeeded")
+		}
+		o.Watch(ch)
+		o.Watch(ch)
+		if o.watched != 1 {
+			t.Fatalf("watching one channel twice counts %d", o.watched)
+		}
+		if got := o.Release(0, 15, nil); !slices.Equal(got, []int32{int32(ch)}) {
+			t.Fatalf("release reported %v, want [%d]", got, ch)
+		}
+		if o.watched != 0 || o.ClaimedCount() != 0 {
+			t.Fatalf("release left %d watched, %d claimed", o.watched, o.ClaimedCount())
+		}
+		if o.Claim(0, 15) >= 0 {
+			t.Fatal("released route blocked")
+		}
+		o.Watch(rt.RouteIDs(0, 15, nil)[0])
+		o.Reset()
+		if o.watched != 0 || slices.ContainsFunc(o.watch, func(w uint64) bool { return w != 0 }) {
+			t.Fatal("reset left watch flags")
 		}
 	}
 }

@@ -2,6 +2,7 @@ package topo_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"unsched/internal/hypercube"
@@ -98,11 +99,13 @@ func TestAutoTableChoosesMode(t *testing.T) {
 type unhinted struct{ topo.Topology }
 
 // TestBitsetRouteOpsMatchBoolOccupancy drives an Occupancy over every
-// sweep topology's table and a reference per-channel bool table
-// through the same randomized claim/release/probe sequence, requiring
-// identical answers throughout. (The per-hop and lazy walks are
-// covered against the masked one by the internal
-// TestBitsetFallbackMatchesMaskedPath.)
+// sweep topology's table and a reference per-channel table (claimed,
+// watched) through the same randomized claim/watch/release sequence.
+// A claim must succeed exactly when the reference route is free, and
+// a blocked one must name a claimed channel of its route and claim
+// nothing; a release must report exactly the watched channels it
+// frees. (The per-hop and lazy walks are covered against the masked
+// one by the internal TestBitsetFallbackMatchesMaskedPath.)
 func TestBitsetRouteOpsMatchBoolOccupancy(t *testing.T) {
 	rng := rand.New(rand.NewSource(860))
 	for _, net := range tableTopologies(t) {
@@ -111,38 +114,58 @@ func TestBitsetRouteOpsMatchBoolOccupancy(t *testing.T) {
 			continue
 		}
 		occ := topo.NewOccupancy(topo.NewRouteTable(net))
-		ref := make([]bool, net.NumChannels())
-		refFree := func(src, dst int) bool {
-			for _, id := range net.RouteIDs(src, dst, nil) {
-				if ref[id] {
-					return false
-				}
-			}
-			return true
-		}
-		refSet := func(src, dst int, v bool) {
-			for _, id := range net.RouteIDs(src, dst, nil) {
-				ref[id] = v
-			}
-		}
+		claimed := make([]bool, net.NumChannels())
+		watched := make([]bool, net.NumChannels())
 		type claim struct{ src, dst int }
 		var held []claim
+		var woken []int32
 		for step := 0; step < 2000; step++ {
 			src, dst := rng.Intn(n), rng.Intn(n)
-			if got, want := occ.CheckPath(src, dst), refFree(src, dst); got != want {
-				t.Fatalf("%s step %d: CheckPath(%d,%d) = %v, reference %v",
-					net.Name(), step, src, dst, got, want)
-			}
-			switch {
-			case rng.Intn(3) == 0 && len(held) > 0:
+			route := net.RouteIDs(src, dst, nil)
+			if rng.Intn(3) == 0 && len(held) > 0 {
 				i := rng.Intn(len(held))
 				c := held[i]
-				occ.ReleasePath(c.src, c.dst)
-				refSet(c.src, c.dst, false)
 				held = append(held[:i], held[i+1:]...)
-			case occ.CheckPath(src, dst) && src != dst:
-				occ.MarkPath(src, dst)
-				refSet(src, dst, true)
+				var want []int32
+				for _, id := range net.RouteIDs(c.src, c.dst, nil) {
+					claimed[id] = false
+					if watched[id] {
+						watched[id] = false
+						want = append(want, int32(id))
+					}
+				}
+				woken = occ.Release(c.src, c.dst, woken[:0])
+				slices.Sort(woken)
+				slices.Sort(want)
+				if !slices.Equal(woken, want) {
+					t.Fatalf("%s step %d: Release(%d,%d) reported %v, watched %v",
+						net.Name(), step, c.src, c.dst, woken, want)
+				}
+				continue
+			}
+			free := !slices.ContainsFunc(route, func(id int) bool { return claimed[id] })
+			before := occ.ClaimedCount()
+			ch := occ.Claim(src, dst)
+			switch {
+			case free != (ch < 0):
+				t.Fatalf("%s step %d: Claim(%d,%d) = %d, reference free %v", net.Name(), step, src, dst, ch, free)
+			case ch >= 0:
+				if !slices.Contains(route, ch) || !claimed[ch] {
+					t.Fatalf("%s step %d: Claim(%d,%d) blocked on %d, not a claimed channel of its route",
+						net.Name(), step, src, dst, ch)
+				}
+				if occ.ClaimedCount() != before {
+					t.Fatalf("%s step %d: blocked Claim(%d,%d) changed the claimed count %d -> %d",
+						net.Name(), step, src, dst, before, occ.ClaimedCount())
+				}
+				if rng.Intn(2) == 0 {
+					occ.Watch(ch)
+					watched[ch] = true
+				}
+			default:
+				for _, id := range route {
+					claimed[id] = true
+				}
 				held = append(held, claim{src, dst})
 			}
 		}

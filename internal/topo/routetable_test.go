@@ -138,8 +138,9 @@ func TestRouteTableDiameterBound(t *testing.T) {
 
 // TestOccupancyBackendsAgree drives an Occupancy over a plain topology
 // (routes generated on the fly) and one over its precomputed table
-// through the same randomized Check/Mark/Reset sequence and requires
-// identical observable behaviour at every step.
+// through the same randomized claim/probe/reset sequence and requires
+// identical observable behaviour at every step. A probe is a claim
+// that releases what it took.
 func TestOccupancyBackendsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(1994))
 	for _, net := range tableTopologies(t) {
@@ -150,20 +151,21 @@ func TestOccupancyBackendsAgree(t *testing.T) {
 		fly := topo.NewOccupancy(net)
 		tab := topo.NewOccupancy(topo.NewRouteTable(net))
 		for step := 0; step < 2000; step++ {
-			switch rng.Intn(10) {
-			case 0: // phase boundary
+			op := rng.Intn(10)
+			if op == 0 { // phase boundary
 				fly.Reset()
 				tab.Reset()
-			case 1, 2, 3: // claim a route
-				src, dst := rng.Intn(n), rng.Intn(n)
-				fly.MarkPath(src, dst)
-				tab.MarkPath(src, dst)
-			default: // probe a route
-				src, dst := rng.Intn(n), rng.Intn(n)
-				if f, g := fly.CheckPath(src, dst), tab.CheckPath(src, dst); f != g {
-					t.Fatalf("%s step %d: CheckPath(%d,%d) on-the-fly %v, table %v",
-						net.Name(), step, src, dst, f, g)
-				}
+				continue
+			}
+			src, dst := rng.Intn(n), rng.Intn(n)
+			f, g := fly.Claim(src, dst), tab.Claim(src, dst)
+			if (f < 0) != (g < 0) {
+				t.Fatalf("%s step %d: Claim(%d,%d) on-the-fly %d, table %d",
+					net.Name(), step, src, dst, f, g)
+			}
+			if op > 3 && f < 0 { // a probe
+				fly.Release(src, dst, nil)
+				tab.Release(src, dst, nil)
 			}
 			if f, g := fly.ClaimedCount(), tab.ClaimedCount(); f != g {
 				t.Fatalf("%s step %d: ClaimedCount on-the-fly %d, table %d",

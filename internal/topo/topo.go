@@ -30,23 +30,35 @@ type Topology interface {
 
 // Occupancy is a channel-claim table over a RouteTable: the paper's
 // PATHS array as a packed bitset, one bit per directed channel. The
-// schedulers use it for the Check_Path / Mark_Path operations of RS_NL
+// schedulers claim routes in it for RS_NL's Check_Path / Mark_Path
 // (Figure 4) and for link-free validation; the simulator claims and
 // releases the channels of every circuit it carries in one.
 //
-// How a route is walked depends on the table:
+// A route is claimed in one walk: Claim tests and sets each channel as
+// it goes and, on meeting a claimed one, gives back what it set and
+// names the channel that blocked it. How a route is walked depends on
+// the table:
 //   - mask spans: dense tables under maskSpanHopLimit group each
-//     route's channels by bitset word, so a check or a claim is one
-//     AND or OR per touched word — the hot case;
+//     route's channels by bitset word, so a claim or a release is one
+//     AND and one OR per touched word — the hot case;
 //   - per hop: larger dense tables test one bit per stored hop;
 //   - lazy: lazy tables generate the route into the occupancy's own
 //     scratch, since the table itself is shared read-only.
+//
+// A waiter on a claimed channel flags it with Watch, and the Release
+// that frees a flagged channel reports it; a release with no flag set
+// anywhere skips the test.
 //
 // An Occupancy is not safe for concurrent use; the table under it is.
 type Occupancy struct {
 	rt   *RouteTable
 	busy []uint64 // bit i of busy[i/64] set: channel i claimed
-	buf  []int    // route scratch of the lazy walk
+	// watch flags the claimed channels something waits on; watched
+	// counts the flags. It is allocated by the first Watch, so
+	// occupancies nobody waits on (every scheduler's) never pay for it.
+	watch   []uint64
+	watched int
+	buf     []int // route scratch of the lazy walk
 }
 
 // NewOccupancy returns an empty claim table for t. It walks t itself
@@ -60,85 +72,120 @@ func NewOccupancy(t Topology) *Occupancy {
 	return &Occupancy{rt: rt, busy: make([]uint64, (rt.NumChannels()+63)/64)}
 }
 
-// Reset clears all claims; O(channels/64).
-func (o *Occupancy) Reset() { clear(o.busy) }
-
-// CheckPath reports whether the route src->dst is entirely unclaimed
-// (the paper's Check_Path).
-func (o *Occupancy) CheckPath(src, dst int) bool {
-	rt := o.rt
-	switch {
-	case rt.spanOff != nil:
-		words, masks := rt.spans(src, dst)
-		for i, w := range words {
-			if o.busy[w]&masks[i] != 0 {
-				return false
-			}
-		}
-		return true
-	case rt.lazy:
-		o.buf = rt.t.RouteIDs(src, dst, o.buf[:0])
-		return allClear(o.busy, o.buf)
-	default:
-		return allClear(o.busy, rt.Route(src, dst))
+// Reset clears all claims and watch flags; O(channels/64).
+func (o *Occupancy) Reset() {
+	clear(o.busy)
+	if o.watched != 0 {
+		clear(o.watch)
+		o.watched = 0
 	}
 }
 
-// MarkPath claims every channel on the route src->dst (the paper's
-// Mark_Path).
-func (o *Occupancy) MarkPath(src, dst int) {
+// Claim claims every channel on the route src->dst if none of them is
+// claimed and returns -1 (the paper's Check_Path and Mark_Path in one
+// walk). Otherwise it claims nothing and returns a claimed channel of
+// the route: the one the walk met first.
+func (o *Occupancy) Claim(src, dst int) int {
 	rt := o.rt
 	switch {
 	case rt.spanOff != nil:
 		words, masks := rt.spans(src, dst)
 		for i, w := range words {
+			if hit := o.busy[w] & masks[i]; hit != 0 {
+				for j, v := range words[:i] {
+					o.busy[v] &^= masks[j]
+				}
+				return int(w)<<6 | bits.TrailingZeros64(hit)
+			}
 			o.busy[w] |= masks[i]
 		}
+		return -1
 	case rt.lazy:
 		o.buf = rt.t.RouteIDs(src, dst, o.buf[:0])
-		setBits(o.busy, o.buf, true)
+		return claimIDs(o.busy, o.buf)
 	default:
-		setBits(o.busy, rt.Route(src, dst), true)
+		return claimIDs(o.busy, rt.Route(src, dst))
 	}
 }
 
-// ReleasePath frees every channel on the route src->dst: the
-// simulator's circuit teardown.
-func (o *Occupancy) ReleasePath(src, dst int) {
+// Release frees every channel on the route src->dst: the simulator's
+// circuit teardown. It appends each freed channel that Watch flagged
+// to woken, clears its flag, and returns the extended slice.
+func (o *Occupancy) Release(src, dst int, woken []int32) []int32 {
 	rt := o.rt
 	switch {
 	case rt.spanOff != nil:
 		words, masks := rt.spans(src, dst)
+		if o.watched == 0 {
+			for i, w := range words {
+				o.busy[w] &^= masks[i]
+			}
+			return woken
+		}
 		for i, w := range words {
 			o.busy[w] &^= masks[i]
+			if hit := o.watch[w] & masks[i]; hit != 0 {
+				woken = o.unwatch(w, hit, woken)
+			}
 		}
+		return woken
 	case rt.lazy:
 		o.buf = rt.t.RouteIDs(src, dst, o.buf[:0])
-		setBits(o.busy, o.buf, false)
+		return releaseIDs(o, o.buf, woken)
 	default:
-		setBits(o.busy, rt.Route(src, dst), false)
+		return releaseIDs(o, rt.Route(src, dst), woken)
 	}
 }
 
-// allClear reports whether no channel in ids is set in busy.
-func allClear[T int | int32](busy []uint64, ids []T) bool {
-	for _, id := range ids {
-		if busy[id>>6]&(uint64(1)<<(uint(id)&63)) != 0 {
-			return false
-		}
+// Watch flags the claimed channel ch, so the Release that frees it
+// reports it.
+func (o *Occupancy) Watch(ch int) {
+	if o.watch == nil {
+		o.watch = make([]uint64, len(o.busy))
 	}
-	return true
+	w, bit := ch>>6, uint64(1)<<(uint(ch)&63)
+	if o.watch[w]&bit == 0 {
+		o.watch[w] |= bit
+		o.watched++
+	}
 }
 
-// setBits sets (claim) or clears every channel in ids in busy.
-func setBits[T int | int32](busy []uint64, ids []T, claim bool) {
+// unwatch clears the watch flags hit of word w and appends their
+// channels to woken.
+func (o *Occupancy) unwatch(w int32, hit uint64, woken []int32) []int32 {
+	o.watch[w] &^= hit
+	o.watched -= bits.OnesCount64(hit)
+	for ; hit != 0; hit &= hit - 1 {
+		woken = append(woken, w<<6|int32(bits.TrailingZeros64(hit)))
+	}
+	return woken
+}
+
+// claimIDs is Claim's walk over a route's channel ids.
+func claimIDs[T int | int32](busy []uint64, ids []T) int {
+	for i, id := range ids {
+		w, bit := id>>6, uint64(1)<<(uint(id)&63)
+		if busy[w]&bit != 0 {
+			for _, v := range ids[:i] {
+				busy[v>>6] &^= uint64(1) << (uint(v) & 63)
+			}
+			return int(id)
+		}
+		busy[w] |= bit
+	}
+	return -1
+}
+
+// releaseIDs is Release's walk over a route's channel ids.
+func releaseIDs[T int | int32](o *Occupancy, ids []T, woken []int32) []int32 {
 	for _, id := range ids {
-		if claim {
-			busy[id>>6] |= uint64(1) << (uint(id) & 63)
-		} else {
-			busy[id>>6] &^= uint64(1) << (uint(id) & 63)
+		w, bit := id>>6, uint64(1)<<(uint(id)&63)
+		o.busy[w] &^= bit
+		if o.watched != 0 && o.watch[w]&bit != 0 {
+			woken = o.unwatch(int32(w), bit, woken)
 		}
 	}
+	return woken
 }
 
 // ClaimedCount returns the number of channels currently claimed;

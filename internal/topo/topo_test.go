@@ -1,6 +1,7 @@
 package topo_test
 
 import (
+	"slices"
 	"testing"
 
 	"unsched/internal/hypercube"
@@ -45,16 +46,15 @@ func TestOccupancyAcrossTopologies(t *testing.T) {
 		mesh.MustNew(4, 4, true),
 	} {
 		occ := topo.NewOccupancy(net)
-		if !occ.CheckPath(0, net.Nodes()-1) {
-			t.Fatalf("%s: fresh table not free", net.Name())
+		last := net.Nodes() - 1
+		if ch := occ.Claim(0, last); ch >= 0 {
+			t.Fatalf("%s: fresh table blocked on channel %d", net.Name(), ch)
 		}
-		occ.MarkPath(0, net.Nodes()-1)
-		if occ.CheckPath(0, net.Nodes()-1) {
-			t.Fatalf("%s: marked path still free", net.Name())
+		if ch := occ.Claim(0, last); !slices.Contains(net.RouteIDs(0, last, nil), ch) {
+			t.Fatalf("%s: claimed path claimed again, blocking channel %d", net.Name(), ch)
 		}
-		if occ.ClaimedCount() != net.Hops(0, net.Nodes()-1) {
-			t.Fatalf("%s: claimed %d, hops %d", net.Name(),
-				occ.ClaimedCount(), net.Hops(0, net.Nodes()-1))
+		if occ.ClaimedCount() != net.Hops(0, last) {
+			t.Fatalf("%s: claimed %d, hops %d", net.Name(), occ.ClaimedCount(), net.Hops(0, last))
 		}
 		occ.Reset()
 		if occ.ClaimedCount() != 0 {
@@ -76,10 +76,9 @@ func TestXORPermutationLinkDisjointOn64Nodes(t *testing.T) {
 		// contention-free.
 		for i := 0; i < c.Nodes(); i++ {
 			j := i ^ k
-			if !occ.CheckPath(i, j) {
-				t.Fatalf("k=%d: route %d->%d conflicts with earlier circuit", k, i, j)
+			if ch := occ.Claim(i, j); ch >= 0 {
+				t.Fatalf("k=%d: route %d->%d conflicts with earlier circuit on channel %d", k, i, j, ch)
 			}
-			occ.MarkPath(i, j)
 		}
 	}
 }
@@ -89,19 +88,18 @@ func TestOccupancyManyResetCycles(t *testing.T) {
 	occ := topo.NewOccupancy(net)
 	for cycle := 0; cycle < 10_000; cycle++ {
 		occ.Reset()
-		if !occ.CheckPath(cycle%16, (cycle+7)%16) {
+		if occ.Claim(cycle%16, (cycle+7)%16) >= 0 {
 			t.Fatalf("cycle %d: stale claim", cycle)
 		}
-		occ.MarkPath(cycle%16, (cycle+7)%16)
 	}
 }
 
 func TestSelfRouteAlwaysFree(t *testing.T) {
 	net := mesh.MustNew(3, 3, false)
 	occ := topo.NewOccupancy(net)
-	occ.MarkPath(0, 8)
+	occ.Claim(0, 8)
 	for i := 0; i < 9; i++ {
-		if !occ.CheckPath(i, i) {
+		if occ.Claim(i, i) >= 0 {
 			t.Fatalf("self route at %d blocked", i)
 		}
 	}
