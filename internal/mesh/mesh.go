@@ -19,8 +19,17 @@ type Mesh struct {
 	torus bool
 }
 
-// New returns a w x h mesh.
+// maxNodes is the node limit topo.Spec applies to every machine it
+// builds from a ring, graph, mesh or torus spec.
+const maxNodes = 4096
+
+// New returns a w x h mesh of at most 4,096 nodes.
 func New(w, h int, torus bool) (*Mesh, error) {
+	// Bound w*h by dividing: a product past the int range would wrap to
+	// a small node count.
+	if w >= 1 && h >= 1 && w > maxNodes/h {
+		return nil, fmt.Errorf("mesh: dimensions %dx%d exceed the %d-node limit", w, h, maxNodes)
+	}
 	if w < 1 || h < 1 || w*h < 2 {
 		return nil, fmt.Errorf("mesh: dimensions %dx%d too small", w, h)
 	}

@@ -15,6 +15,16 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(2, 2, true); err == nil {
 		t.Error("2x2 torus accepted")
 	}
+	// 256 * (2^56+1) wraps to 256 in int arithmetic.
+	if m, err := New(256, 1<<56+1, false); err == nil {
+		t.Errorf("overflowing extent accepted as %d nodes", m.Nodes())
+	}
+	if _, err := New(4097, 1, false); err == nil {
+		t.Error("4097-node mesh accepted")
+	}
+	if m, err := New(64, 64, true); err != nil || m.Nodes() != 4096 {
+		t.Errorf("64x64 torus: %v", err)
+	}
 	m, err := New(8, 4, false)
 	if err != nil {
 		t.Fatal(err)

@@ -75,6 +75,10 @@ func TestStructuredTopologyIsSpec(t *testing.T) {
 		{&WireTopology{Kind: "hex", N: 8}, 8, "hex:8", false},
 		{&WireTopology{Kind: "hypercube", Dim: 3}, 8, "", false},
 		{&WireTopology{Kind: "mesh", W: 3, H: 3}, 8, "mesh:3x3", false},
+		{&WireTopology{Kind: "torus", W: 64, H: 64}, 4096, "torus:64x64", true},
+		{&WireTopology{Kind: "torus", W: 65, H: 64}, 0, "torus:65x64", false},
+		// 256 * (2^56+1) wraps to 256 in int arithmetic.
+		{&WireTopology{Kind: "mesh", W: 256, H: 1<<56 + 1}, 256, "mesh:256x72057594037927937", false},
 	} {
 		net, err := resolveTopology(c.tj, c.n)
 		if (err == nil) != c.ok {
@@ -90,6 +94,23 @@ func TestStructuredTopologyIsSpec(t *testing.T) {
 			t.Errorf("spec %q n=%d: error %v, want ok=%v", c.spec, c.n, refErr, c.ok)
 		case c.ok && net.Name() != ref.Name():
 			t.Errorf("%+v n=%d: built %s, spec %q builds %s", c.tj, c.n, net.Name(), c.spec, ref.Name())
+		}
+	}
+}
+
+// TestOverflowingMeshIs400: a mesh whose extent product wraps to the
+// request's node count is a bad request, named by spec or structured.
+// Both forms were once answered 200 on a 256-node machine.
+func TestOverflowingMeshIs400(t *testing.T) {
+	svc, _ := newTestServer(t, Options{Workers: 1})
+	for _, topology := range []string{
+		`{"spec":"mesh:256x72057594037927937"}`,
+		`{"kind":"mesh","w":256,"h":72057594037927937}`,
+	} {
+		body := `{"workload":"uniform:2:64","algorithm":"RS_N","topology":` + topology + `}`
+		rec := serve(svc, "/v1/schedule", body)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `"code":"bad_request"`) {
+			t.Errorf("%s: status %d: %s", topology, rec.Code, rec.Body)
 		}
 	}
 }

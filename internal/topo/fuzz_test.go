@@ -10,8 +10,9 @@ import (
 // FuzzTopologySpec drives the topology rule set that -topo, the
 // daemon's topology member and the campaign endpoint all apply:
 // ParseSpec never panics, an accepted spec validates and its String
-// parses back to an equal spec, and Build never panics on an accepted
-// spec of at most 256 nodes, and builds that many.
+// parses back to an equal spec, an accepted mesh or torus has exactly
+// W*H nodes, and Build never panics on an accepted spec of at most 256
+// nodes, and builds that many.
 func FuzzTopologySpec(f *testing.F) {
 	for _, s := range []string{
 		"cube:6", "hypercube:3", "cube:0", "cube:31", "cube:-1", "cube:x",
@@ -36,6 +37,11 @@ func FuzzTopologySpec(f *testing.F) {
 		}
 		if !reflect.DeepEqual(again, sp) {
 			t.Fatalf("ParseSpec(%q) = %#v, its String %q parses to %#v", s, sp, sp.String(), again)
+		}
+		if sp.Kind == "mesh" || sp.Kind == "torus" {
+			if n := sp.Nodes(); n > 4096 || n/sp.H != sp.W || n%sp.H != 0 {
+				t.Fatalf("%q accepted with %d nodes, not %d x %d within the 4096-node limit", s, n, sp.W, sp.H)
+			}
 		}
 		if sp.Nodes() > 256 {
 			return

@@ -137,6 +137,11 @@ func (sp *Spec) Validate() error {
 			return fmt.Errorf("topo: cube dimension %d out of range [0,30]", sp.Dim)
 		}
 	case "mesh", "torus":
+		// Bound W*H by dividing: a product past the int range would
+		// wrap to a small node count.
+		if sp.W >= 1 && sp.H >= 1 && sp.W > maxGraphNodes/sp.H {
+			return fmt.Errorf("topo: %s %dx%d exceeds the %d-node limit", sp.Kind, sp.W, sp.H, maxGraphNodes)
+		}
 		if sp.W < 1 || sp.H < 1 || sp.W*sp.H < 2 {
 			return fmt.Errorf("topo: %s %dx%d too small", sp.Kind, sp.W, sp.H)
 		}

@@ -116,10 +116,24 @@ func TestSpecParseErrors(t *testing.T) {
 		"graph:4:0-1,1-0",             // duplicate edge
 		"graph:99999:0-1",             // over the node limit
 		fmt.Sprintf("ring:%d", 1<<20), // over the node limit
+		"mesh:4097x1",                 // over the node limit
+		"torus:65x64",                 // over the node limit
+		"mesh:256x72057594037927937",  // 256 * (2^56+1) wraps to 256
+		"torus:4294967296x4294967296", // 2^64 wraps to 0
 	}
 	for _, s := range bad {
 		if _, err := topo.ParseSpec(s); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", s)
+		}
+	}
+	// The largest grids the node limit admits build at full size.
+	for _, s := range []string{"torus:64x64", "mesh:4096x1"} {
+		sp, err := topo.ParseSpec(s)
+		if err != nil {
+			t.Fatalf("ParseSpec(%q): %v", s, err)
+		}
+		if net, err := sp.Build(); err != nil || net.Nodes() != 4096 {
+			t.Errorf("%q: built %v, %v", s, net, err)
 		}
 	}
 	// Disconnection is a Build-time error: the spec parses (structure
