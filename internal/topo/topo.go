@@ -83,8 +83,8 @@ func (o *Occupancy) Reset() {
 
 // Claim claims every channel on the route src->dst if none of them is
 // claimed and returns -1 (the paper's Check_Path and Mark_Path in one
-// walk). Otherwise it claims nothing and returns a claimed channel of
-// the route: the one the walk met first.
+// walk). Otherwise it claims nothing and returns one claimed channel
+// of the route.
 func (o *Occupancy) Claim(src, dst int) int {
 	rt := o.rt
 	switch {
