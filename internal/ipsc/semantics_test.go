@@ -61,6 +61,36 @@ func TestExchangeWaitsForBusyRoute(t *testing.T) {
 	}
 }
 
+// TestExchangeEndWakesBothPartners: an exchange holds both partners'
+// engines, so a long message to either one waits until the exchange
+// ends, and its end must wake the senders parked on both. The compiled
+// protocols never send to a node in mid-exchange, so only a hand-built
+// program reaches this.
+func TestExchangeEndWakesBothPartners(t *testing.T) {
+	m := mustMachine(t, 3)
+	p := params()
+	programs := make([][]op, 8)
+	programs[0] = []op{{kind: opExchange, peer: 1, bytes: 1024}, {kind: opWaitAll}}
+	programs[1] = []op{{kind: opExchange, peer: 0, bytes: 1024}, {kind: opWaitAll}}
+	// One hop each, on channels the exchange does not use.
+	programs[2] = []op{{kind: opSendFire, peer: 0, bytes: 128 * 1024}}
+	programs[3] = []op{{kind: opSendFire, peer: 1, bytes: 128 * 1024}}
+	res, err := m.run(programs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xchg := p.SyncOverheadUS + p.SignalTime(1) + p.TransferTime(1024, 1)
+	want := Result{
+		MakespanUS:     xchg + p.TransferTime(128*1024, 1),
+		Transfers:      2,
+		Exchanges:      1,
+		ResourceWaitUS: 2 * xchg,
+	}
+	if res != want {
+		t.Errorf("run = %+v, want %+v (both sends start when the exchange ends)", res, want)
+	}
+}
+
 func TestShortMessagesBypassReceiverEngine(t *testing.T) {
 	// Two senders fire 64 B messages at one receiver simultaneously;
 	// short protocol means no receiver serialization (only distinct
