@@ -87,6 +87,8 @@ type (
 	// and re-initializes them in place per call — the scheduling-side
 	// mirror of SimMachine's Reset-reuse contract. Create one per
 	// goroutine; schedules are bit-identical to the package functions.
+	// Recycle hands a finished schedule back so the next build reuses
+	// its storage.
 	SchedCore = sched.Core
 	// RouteTable is a CSR-packed precomputation of all n^2
 	// deterministic routes of a Topology: built once (O(n^2 * diameter)

@@ -118,16 +118,20 @@
 // channel-occupancy tables, busy vectors, partition buffers — and
 // re-initializes it in place per call, mirroring SimMachine's
 // Reset-reuse contract: one core per goroutine, any number of
-// schedules, (near) zero allocation beyond the returned Schedule.
-// Core methods consume the identical RNG stream as the package-level
-// functions, so their schedules are bit-identical; the campaign
-// workers and every unschedd worker run on cached cores.
+// schedules. A caller done with a schedule hands it back with Recycle
+// (a send order with RecycleOrder), and the next build reuses its
+// storage, so a recycling core schedules without allocating; a caller
+// that never recycles gets a fresh Schedule per call. Core methods
+// consume the identical RNG stream as the package-level functions, so
+// their schedules are bit-identical; the campaign workers and every
+// unschedd worker run on cached, recycling cores.
 //
 //	table := unsched.NewRouteTable(cube)        // once per topology
 //	core := unsched.NewSchedCoreForTable(table) // once per goroutine
 //	for _, m := range workload {
 //		s, _ := core.RSNL(m, rng) // no per-call scratch allocation
 //		res, _ := mach.RunS1(s)
+//		core.Recycle(s) // s's storage holds the next schedule
 //		...
 //	}
 //

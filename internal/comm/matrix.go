@@ -23,6 +23,9 @@ import (
 type Matrix struct {
 	n    int
 	data []int64 // row-major n*n; data[i*n+j] = bytes Pi sends Pj
+	// perm is DRegularInto's permutation scratch, kept with the matrix
+	// so regenerating into a reused matrix allocates nothing.
+	perm []int
 }
 
 // New returns an n x n all-zero communication matrix. n must be

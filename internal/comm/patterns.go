@@ -93,7 +93,10 @@ func DRegularInto(m *Matrix, d int, bytes int64, rng *rand.Rand) error {
 		return err
 	}
 	m.Zero()
-	perm := make([]int, n)
+	if len(m.perm) != n {
+		m.perm = make([]int, n)
+	}
+	perm := m.perm
 	round := 0
 nextRound:
 	for attempt := 0; round < d && attempt < 20*d; attempt++ {

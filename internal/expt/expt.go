@@ -76,7 +76,7 @@ var Algorithms = []Algorithm{AC, LP, RSN, RSNL}
 // (sched.Algorithm.Fits). It is nil when they all do.
 func FitError(n int) error {
 	for _, alg := range Algorithms {
-		// Every contender is a table entry; runOne fails otherwise.
+		// Every contender is a table entry; runSample fails otherwise.
 		entry, _ := sched.Lookup(string(alg))
 		if err := entry.FitError(n); err != nil {
 			return err
@@ -167,18 +167,15 @@ func (c Config) MeasureCell(d int, msgBytes int64) (map[Algorithm]Cell, error) {
 	return NewRunner(c).MeasureCell(context.Background(), d, msgBytes)
 }
 
-// runOne schedules and simulates one sample under one algorithm on
-// the given reusable machine and scheduler core, returning the run's
-// evaluation artifact: the core's Outcome with the simulated makespan
-// filled in. The algorithm's table entry (sched.Algorithms) names the
-// core method and the protocol it runs under. Core methods consume
-// the identical RNG stream as the package-level functions, so results
-// are bit-identical to the pre-core harness.
-func (c Config) runOne(mach *ipsc.Machine, core *sched.Core, alg Algorithm, m *comm.Matrix, rng *rand.Rand) (sched.Outcome, error) {
-	entry, ok := sched.Lookup(string(alg))
-	if !ok {
-		return sched.Outcome{}, fmt.Errorf("expt: unknown algorithm %q", alg)
-	}
+// runOne schedules and simulates one sample under one algorithm table
+// entry on the given reusable machine and scheduler core, returning
+// the run's evaluation artifact: the core's Outcome with the simulated
+// makespan filled in. The entry names the core method and the protocol
+// it runs under; rng may be nil when the entry is not Randomized. Core
+// methods consume the identical RNG stream as the package-level
+// functions, so results are bit-identical to the pre-core harness.
+// The schedule or send order goes back to the core once simulated.
+func (c Config) runOne(mach *ipsc.Machine, core *sched.Core, entry sched.Algorithm, m *comm.Matrix, rng *rand.Rand) (sched.Outcome, error) {
 	var (
 		res ipsc.Result
 		err error
@@ -189,12 +186,14 @@ func (c Config) runOne(mach *ipsc.Machine, core *sched.Core, alg Algorithm, m *c
 			return sched.Outcome{}, err
 		}
 		res, err = mach.RunAC(order, m)
+		core.RecycleOrder(order)
 	} else {
 		var s *sched.Schedule
 		if s, err = entry.Build(core, m, rng); err != nil {
 			return sched.Outcome{}, err
 		}
 		res, err = mach.Run(entry.Protocol, s)
+		core.Recycle(s)
 	}
 	if err != nil {
 		return sched.Outcome{}, err

@@ -3,6 +3,7 @@ package expt
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sort"
 	"sync"
@@ -112,10 +113,12 @@ type unitResult struct {
 
 // unitScratch is the per-worker reusable state of runSample beyond the
 // machine and core: the workload matrix every cell regenerates into,
-// and the stream-key buffer.
+// the stream-key buffer, and the pattern and scheduling generators,
+// reseeded in place for every stream (stats.Source.Reseed).
 type unitScratch struct {
-	m   *comm.Matrix
-	key []int64
+	m          *comm.Matrix
+	key        []int64
+	pat, sched *rand.Rand
 }
 
 // MeasureCells measures every point of the grid and returns one
@@ -197,12 +200,15 @@ func (r *Runner) MeasureCells(ctx context.Context, points []Point) ([]map[Algori
 			defer wg.Done()
 			// Each worker owns one reusable simulator machine, one
 			// reusable scheduler core over the shared route table, one
-			// reused workload matrix, and one stream source; all are
-			// confined to this goroutine, so the steady-state
-			// generate→schedule→simulate pipeline allocates (near)
-			// nothing per unit. The machine runs over the shared route
-			// table too: transfers then claim and release whole routes
-			// through its word-mask bitset spans.
+			// reused workload matrix, one stream source and two
+			// reseeded generators; all are confined to this goroutine.
+			// Every schedule and send order goes back to the core once
+			// simulated (Core.Recycle), so once the worker's first
+			// units have sized its storage the
+			// generate→schedule→simulate pipeline allocates nothing
+			// per unit (TestRunSampleAllocs). The machine runs over the
+			// shared route table too: transfers then claim and release
+			// whole routes through its word-mask bitset spans.
 			mach, err := ipsc.NewMachine(routes, cfg.Params)
 			if err != nil {
 				fail(err)
@@ -323,9 +329,10 @@ func (r *Runner) MeasureWorkloads(ctx context.Context, specs []workload.Spec) ([
 // sample's communication matrix from its pattern stream into the
 // worker's reused buffer, then schedule and simulate all four
 // algorithms on it, each under its own scheduling stream keyed by
-// (workload key, sample, algorithm). Results land in out (one slot per
-// algorithm); tick, when non-nil, is called after each algorithm
-// completes.
+// (workload key, sample, algorithm). Only a Randomized algorithm's
+// stream is seeded; the others never read one. Results land in out
+// (one slot per algorithm); tick, when non-nil, is called after each
+// algorithm completes.
 func (c Config) runSample(mach *ipsc.Machine, core *sched.Core, src *stats.Source, scratch *unitScratch, sp workload.Spec, sample int, out []unitResult, tick func()) error {
 	key, err := c.buildSample(src, scratch, sp, sample)
 	if err != nil {
@@ -337,9 +344,17 @@ func (c Config) runSample(mach *ipsc.Machine, core *sched.Core, src *stats.Sourc
 	}
 	schedKey := append(key, int64(sample), 0)
 	for algIdx, alg := range Algorithms {
-		schedKey[len(schedKey)-1] = int64(algIdx)
-		schedRNG := src.StreamKeyed(schedKey...)
-		o, err := c.runOne(mach, core, alg, scratch.m, schedRNG)
+		entry, ok := sched.Lookup(string(alg))
+		if !ok {
+			return fmt.Errorf("expt: unknown algorithm %q", alg)
+		}
+		var rng *rand.Rand
+		if entry.Randomized {
+			schedKey[len(schedKey)-1] = int64(algIdx)
+			scratch.sched = src.Reseed(scratch.sched, schedKey...)
+			rng = scratch.sched
+		}
+		o, err := c.runOne(mach, core, entry, scratch.m, rng)
 		if err != nil {
 			return fmt.Errorf("expt: %s %s sample %d: %w", alg, sp, sample, err)
 		}
@@ -372,9 +387,9 @@ func (c Config) runSample(mach *ipsc.Machine, core *sched.Core, src *stats.Sourc
 // pre-workload harness.
 func (c Config) buildSample(src *stats.Source, scratch *unitScratch, sp workload.Spec, sample int) ([]int64, error) {
 	key := sp.AppendKey(append(scratch.key[:0], 0))
-	patRNG := src.StreamKeyed(append(key, int64(sample))...)
+	scratch.pat = src.Reseed(scratch.pat, append(key, int64(sample))...)
 	key[0] = 1 // same workload coordinates, scheduling tag
-	if err := sp.BuildInto(scratch.m, patRNG); err != nil {
+	if err := sp.BuildInto(scratch.m, scratch.pat); err != nil {
 		return nil, err
 	}
 	return key, nil

@@ -100,6 +100,41 @@ func TestCoreGreedyLinkFreeAllocs(t *testing.T) {
 	}
 }
 
+// TestCoreRecycleAllocs holds every table entry to 0 allocations per
+// build on a reused core that gets each output back: once the first
+// builds have sized the recycled storage, a build reuses the schedule
+// (or send order) and its phases and allocates nothing. The generator
+// is reseeded per build, as campaign and daemon workers reseed theirs,
+// so every build has the same phase count.
+func TestCoreRecycleAllocs(t *testing.T) {
+	cube, m := allocWorkload(t)
+	core := NewCore(cube)
+	rng := rand.New(rand.NewSource(1))
+	for _, alg := range Algorithms {
+		build := func() {
+			if alg.Build == nil {
+				o, err := core.AC(m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				core.RecycleOrder(o)
+				return
+			}
+			rng.Seed(1)
+			s, err := alg.Build(core, m, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			core.Recycle(s)
+		}
+		build() // warm the scratch and the recycled storage
+		build()
+		if got := testing.AllocsPerRun(20, build); got != 0 {
+			t.Errorf("%s on a recycling core: %.1f allocs/build, want 0", alg.Tag, got)
+		}
+	}
+}
+
 // TestValidateAllocs bounds what checking a 1,024-node schedule
 // allocates: the n^2-bit set of messages seen (128 KB) and one receiver
 // row, where a dense n x n int64 matrix of them took 8 MiB.

@@ -14,20 +14,25 @@ import (
 // scratch state the scheduling algorithms need — the CCOM row storage,
 // the per-phase channel-occupancy tables, the Trecv/Tsend busy
 // vectors, the pairwise-remaining map, and the partition and sort
-// buffers — and re-initializes them in place on every call, so the
-// steady-state schedule path allocates (near) zero beyond the returned
-// Schedule itself.
+// buffers — and re-initializes them in place on every call.
 //
 // The reuse contract mirrors ipsc.Machine: create one Core per
 // goroutine (a Core is not safe for concurrent use), drive it through
 // its algorithm methods, and it serves an arbitrarily long request
-// sequence without reallocating. Every method re-initializes, in
-// place, exactly the scratch it uses (CCOM via Load, vectors via the
-// scratch sizers, claim tables via per-phase Reset) before reading it
-// — callers never call Reset, and a new algorithm method must follow
-// the same rule rather than rely on it. Schedules produced by a
-// reused Core are bit-identical to ones from the package-level
-// functions given the same inputs and RNG stream.
+// sequence without reallocating its scratch. Every method
+// re-initializes, in place, exactly the scratch it uses (CCOM via
+// Load, vectors via the scratch sizers, claim tables via per-phase
+// Reset) before reading it — callers never call Reset, and a new
+// algorithm method must follow the same rule rather than rely on it.
+// Schedules produced by a reused Core are bit-identical to ones from
+// the package-level functions given the same inputs and RNG stream.
+//
+// The outputs are the caller's. A caller done with a schedule or a
+// send order hands it back with Recycle or RecycleOrder, and the next
+// build reuses its storage, so a worker that recycles every output
+// schedules without allocating once its first builds have sized the
+// storage (0 allocs per build for every table entry). A caller that
+// never recycles gets fresh outputs on every call.
 //
 // Every link-aware method checks and marks routes in a topo.Occupancy
 // over the core's route table. NewCore and NewCoreForTable walk a
@@ -52,8 +57,25 @@ type Core struct {
 	sizes              []int64 // distinct-size scratch (RS_NL_SZ)
 	sizeSeen           map[int64]bool
 
+	// Output storage handed back by Recycle and RecycleOrder, which
+	// the next build reuses: spare's Phases array, the free phases
+	// (every one phaseN wide, at most maxPooledSlots slots in all),
+	// and order's rows.
+	spare  *Schedule
+	phases []Phase
+	phaseN int
+	order  *ACOrder
+
 	last lastRun // metadata of the most recent run (see LastOutcome)
 }
+
+// maxPooledSlots caps the recycled output storage a core keeps, in
+// phase slots (one Send and one Bytes entry, 16 bytes): 4 MiB, which
+// is 4,096 phases at 64 nodes or 256 at 1,024. Without it a 1,024-node
+// LP schedule (1,023 phases, 16.8 MB) would stay pinned in every
+// cached core it was recycled into. A send order is kept while its
+// rows hold at most this many destinations.
+const maxPooledSlots = 1 << 18
 
 // NewCore returns a reusable core for net over topo.NewRouteTable(net)
 // — an O(n^2 * diameter) build when the table is dense, paid once and
@@ -108,6 +130,83 @@ func (c *Core) Reset() {
 	for _, o := range c.occPool {
 		o.Reset()
 	}
+}
+
+// Recycle hands a schedule the caller is done with back to the core.
+// The next schedule the core builds reuses its storage — the
+// *Schedule, its Phases array, and each phase's Send and Bytes, reset
+// in place to silent — and allocates only beyond it. Recycling is the
+// caller's promise not to touch s again (nor to recycle it twice).
+// Phases are reused only by a schedule of their own width: recycling
+// a schedule of another N drops the phases pooled before it, so a core
+// serving several machine sizes (NewCoreDirect(nil)) never hands out
+// a phase of the wrong width. The pool keeps at most maxPooledSlots
+// phase slots; phases beyond that are left to the collector.
+func (c *Core) Recycle(s *Schedule) {
+	if s == nil {
+		return
+	}
+	if s.N != c.phaseN {
+		clear(c.phases)
+		c.phases = c.phases[:0]
+		c.phaseN = s.N
+	}
+	for _, p := range s.Phases {
+		if (len(c.phases)+1)*s.N > maxPooledSlots {
+			break
+		}
+		if len(p.Send) == s.N && len(p.Bytes) == s.N {
+			c.phases = append(c.phases, p)
+		}
+	}
+	clear(s.Phases) // the spare must not keep phases past the cap alive
+	s.Phases = s.Phases[:0]
+	c.spare = s
+}
+
+// RecycleOrder is Recycle for a send order: the next AC or ACShuffled
+// call of the same width refills its rows in place. An order whose rows
+// hold more than maxPooledSlots destinations is not kept.
+func (c *Core) RecycleOrder(o *ACOrder) {
+	if o == nil {
+		return
+	}
+	slots := 0
+	for _, row := range o.Order {
+		slots += cap(row)
+	}
+	if slots <= maxPooledSlots {
+		c.order = o
+	}
+}
+
+// schedule returns an empty schedule of alg on n processors: the
+// recycled one when there is one, else a new one.
+func (c *Core) schedule(alg string, n int) *Schedule {
+	s := c.spare
+	if s == nil {
+		return &Schedule{Algorithm: alg, N: n}
+	}
+	c.spare = nil
+	*s = Schedule{Algorithm: alg, N: n, Phases: s.Phases[:0]}
+	return s
+}
+
+// newPhase returns an empty phase for n processors: a recycled one of
+// that width, reset in place, else NewPhase(n).
+func (c *Core) newPhase(n int) Phase {
+	k := len(c.phases) - 1
+	if k < 0 || c.phaseN != n {
+		return NewPhase(n)
+	}
+	p := c.phases[k]
+	c.phases[k] = Phase{}
+	c.phases = c.phases[:k]
+	for i := range p.Send {
+		p.Send[i] = -1
+	}
+	clear(p.Bytes)
+	return p
 }
 
 // requireNet checks that the core can schedule link-aware algorithms
@@ -195,10 +294,10 @@ func (c *Core) rsn(m *comm.Matrix, rng *rand.Rand, shuffle bool) (*Schedule, err
 	ops += int64(n)
 
 	ccom := &c.ccom
-	s := &Schedule{Algorithm: "RS_N", N: n}
+	s := c.schedule("RS_N", n)
 	trecv := intScratch(&c.trecv, n)
 	for !ccom.Empty() {
-		p := NewPhase(n)
+		p := c.newPhase(n)
 		for i := range trecv {
 			trecv[i] = -1
 		}
@@ -274,7 +373,7 @@ func (c *Core) rsnl(m *comm.Matrix, rng *rand.Rand, pairwise bool) (*Schedule, e
 	}
 
 	occ := c.occupancy()
-	s := &Schedule{Algorithm: "RS_NL", N: n}
+	s := c.schedule("RS_NL", n)
 	tsend := intScratch(&c.tsend, n)
 	trecv := intScratch(&c.trecv, n)
 
@@ -292,7 +391,7 @@ func (c *Core) rsnl(m *comm.Matrix, rng *rand.Rand, pairwise bool) (*Schedule, e
 	}
 
 	for !ccom.Empty() {
-		p := NewPhase(n)
+		p := c.newPhase(n)
 		for i := range trecv {
 			trecv[i] = -1
 			tsend[i] = -1
@@ -372,10 +471,10 @@ func (c *Core) RSNLSized(m *comm.Matrix, rng *rand.Rand) (*Schedule, error) {
 	ops += int64(m.MessageCount())
 
 	occ := c.occupancy()
-	s := &Schedule{Algorithm: "RS_NL_SZ", N: n}
+	s := c.schedule("RS_NL_SZ", n)
 	trecv := intScratch(&c.trecv, n)
 	for !ccom.Empty() {
-		p := NewPhase(n)
+		p := c.newPhase(n)
 		for i := range trecv {
 			trecv[i] = -1
 		}
@@ -468,9 +567,9 @@ func (c *Core) LP(m *comm.Matrix) (*Schedule, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Schedule{Algorithm: "LP", N: n}
+	s := c.schedule("LP", n)
 	for k := 1; k < n; k++ {
-		p := NewPhase(n)
+		p := c.newPhase(n)
 		for i := 0; i < n; i++ {
 			j := i ^ k
 			if b := m.At(i, j); b > 0 {
@@ -497,19 +596,26 @@ func (c *Core) LP(m *comm.Matrix) (*Schedule, error) {
 // --- AC -------------------------------------------------------------
 
 // AC is the reusable-core form of the package-level AC (§3, Figure 1).
-// The send orders are the output, so nothing is pooled.
+// The send orders are the output; a recycled order (RecycleOrder) of
+// the same width is refilled in place.
 func (c *Core) AC(m *comm.Matrix) (*ACOrder, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	n := m.N()
-	o := &ACOrder{N: n, Order: make([][]int, n)}
-	for i := 0; i < n; i++ {
+	o := c.order
+	c.order = nil
+	if o == nil || len(o.Order) != n {
+		o = &ACOrder{N: n, Order: make([][]int, n)}
+	}
+	for i, row := range o.Order {
+		row = row[:0]
 		for j := 0; j < n; j++ {
 			if m.At(i, j) > 0 {
-				o.Order[i] = append(o.Order[i], j)
+				row = append(row, j)
 			}
 		}
+		o.Order[i] = row
 	}
 	// AC has no scheduling phase and the paper charges it zero comp:
 	// sends are issued asynchronously straight off the row.
@@ -543,10 +649,10 @@ func (c *Core) Greedy(m *comm.Matrix) (*Schedule, error) {
 	ccom := &c.ccom
 	var ops int64
 	ops += int64(n) // per-processor row compression, as in RSN
-	s := &Schedule{Algorithm: "GREEDY", N: n}
+	s := c.schedule("GREEDY", n)
 	trecv := intScratch(&c.trecv, n)
 	for !ccom.Empty() {
-		p := NewPhase(n)
+		p := c.newPhase(n)
 		for i := range trecv {
 			trecv[i] = -1
 		}
@@ -608,13 +714,13 @@ func (c *Core) GreedyLargestFirst(m *comm.Matrix) (*Schedule, error) {
 	n := m.N()
 	msgs := c.sortedMsgs(m)
 	var ops int64
-	s := &Schedule{Algorithm: "GREEDY_LF", N: n}
+	s := c.schedule("GREEDY_LF", n)
 	// sendBusy[k*n+i] / recvBusy[k*n+j]: processor engagement per phase.
 	c.sendBusy = c.sendBusy[:0]
 	c.recvBusy = c.recvBusy[:0]
 	grow := func() {
 		c.growBusy(n)
-		s.Phases = append(s.Phases, NewPhase(n))
+		s.Phases = append(s.Phases, c.newPhase(n))
 	}
 	place := func(k int, msg comm.Message) {
 		c.sendBusy[k*n+msg.Src] = true
@@ -657,14 +763,14 @@ func (c *Core) GreedyLargestFirstLinkFree(m *comm.Matrix) (*Schedule, error) {
 	}
 	msgs := c.sortedMsgs(m)
 	var ops int64
-	s := &Schedule{Algorithm: "GREEDY_LF_LINK", N: n}
+	s := c.schedule("GREEDY_LF_LINK", n)
 	c.sendBusy = c.sendBusy[:0]
 	c.recvBusy = c.recvBusy[:0]
 	// The claim table of phase k is always c.occPool[k]: phases open in
 	// order and phaseOcc recycles (or grows) the pool to match.
 	grow := func() {
 		c.growBusy(n)
-		s.Phases = append(s.Phases, NewPhase(n))
+		s.Phases = append(s.Phases, c.newPhase(n))
 		c.phaseOcc(len(s.Phases) - 1)
 	}
 	// place assigns msg to phase k, whose claim table already holds

@@ -29,9 +29,13 @@ type Algorithm struct {
 	// PowerOfTwo marks an algorithm that needs n = 2^k processors:
 	// LP's XOR pairing needs a full address space.
 	PowerOfTwo bool
-	// Build runs the algorithm on c. Every entry receives the caller's
-	// RNG; deterministic algorithms ignore it. Build is nil for AC,
-	// whose output is a send order rather than phases (Core.AC).
+	// Randomized marks an algorithm that reads the RNG Build receives.
+	// The others ignore it, so a caller may pass nil and skip seeding
+	// a generator for them.
+	Randomized bool
+	// Build runs the algorithm on c with the caller's RNG, which only
+	// a Randomized entry reads. Build is nil for AC, whose output is a
+	// send order rather than phases (Core.AC).
 	Build func(c *Core, m *comm.Matrix, rng *rand.Rand) (*Schedule, error)
 }
 
@@ -41,9 +45,9 @@ type Algorithm struct {
 var Algorithms = []Algorithm{
 	{Tag: "AC", Protocol: "AC"},
 	{Tag: "LP", Protocol: "LP", PowerOfTwo: true, Build: ignoreRNG((*Core).LP)},
-	{Tag: "RS_N", Protocol: "S2", Build: (*Core).RSN},
-	{Tag: "RS_NL", Protocol: "S1", Build: (*Core).RSNL},
-	{Tag: "RS_NL_SZ", Protocol: "S1", Build: (*Core).RSNLSized},
+	{Tag: "RS_N", Protocol: "S2", Randomized: true, Build: (*Core).RSN},
+	{Tag: "RS_NL", Protocol: "S1", Randomized: true, Build: (*Core).RSNL},
+	{Tag: "RS_NL_SZ", Protocol: "S1", Randomized: true, Build: (*Core).RSNLSized},
 	{Tag: "GREEDY", Protocol: "S2", Build: ignoreRNG((*Core).Greedy)},
 	{Tag: "GREEDY_LF", Protocol: "S2", Build: ignoreRNG((*Core).GreedyLargestFirst)},
 	{Tag: "GREEDY_LF_LINK", Protocol: "S1", Build: ignoreRNG((*Core).GreedyLargestFirstLinkFree)},

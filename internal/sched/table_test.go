@@ -12,9 +12,11 @@ import (
 // TestTableInvariants pins what consumers of the algorithm table rely
 // on: every phased entry's schedule carries the entry's own tag (the
 // daemon picks a schedule's protocol from that tag), FitsAll and
-// FitError agree with the entries' Fits, and Fits agrees with the
-// core — an entry that fits a machine schedules on it, one that does
-// not is refused.
+// FitError agree with the entries' Fits, Fits agrees with the core —
+// an entry that fits a machine schedules on it, one that does not is
+// refused — and an entry that is not Randomized builds the same
+// schedule with a nil RNG as with a seeded one, so callers may skip
+// seeding it.
 func TestTableInvariants(t *testing.T) {
 	seen := map[string]bool{}
 	for _, alg := range Algorithms {
@@ -58,6 +60,12 @@ func TestTableInvariants(t *testing.T) {
 					}
 					if verr := s.Validate(m); verr != nil {
 						t.Errorf("%s: %s: %v", net.Name(), alg.Tag, verr)
+					}
+					if !alg.Randomized {
+						unseeded, uerr := alg.Build(NewCore(net), m, nil)
+						if uerr != nil || sameBuild(s, unseeded) != "" {
+							t.Errorf("%s: %s is not Randomized but builds differently without an RNG (%v)", net.Name(), alg.Tag, uerr)
+						}
 					}
 				}
 			}

@@ -840,7 +840,7 @@ func (s *Server) scheduleJob(ctx context.Context, req *ScheduleRequest) (job, er
 		seed := effectiveSeed(digest)
 		return job{key: digest.Hex(), ep: epSchedule,
 			compute: func(wk *worker) (wireDoc, error) {
-				res, err := buildSchedule(wk.schedCore(net), m, tag, net, seed)
+				res, err := buildSchedule(wk, m, tag, net, seed)
 				if err != nil {
 					return nil, err
 				}
@@ -887,17 +887,20 @@ func (s *Server) scheduleWorkloadJob(ctx context.Context, req *ScheduleRequest) 
 		seed := effectiveSeed(digest)
 		return job{key: digest.Hex(), ep: epSchedule,
 			compute: func(wk *worker) (wireDoc, error) {
-				patRNG := stats.NewSource(seed).StreamKeyed(sp.Key()...)
-				m, err := sp.Build(net.Nodes(), patRNG)
+				m, err := wk.workloadMatrix(net.Nodes())
+				if err == nil {
+					wk.patRNG = stats.NewSource(seed).Reseed(wk.patRNG, sp.Key()...)
+					err = sp.BuildInto(m, wk.patRNG)
+				}
 				if err != nil {
 					return nil, badRequest("workload %s: %v", sp, err)
 				}
-				res, err := buildSchedule(wk.schedCore(net), m, tag, net, seed)
+				res, err := buildSchedule(wk, m, tag, net, seed)
 				if err != nil {
 					return nil, err
 				}
 				res.Workload = sp.String()
-				res.Matrix = NewWireMatrix(m)
+				res.Matrix = NewWireMatrix(m) // a copy: m is the worker's
 				return res, nil
 			}}
 	}
@@ -916,12 +919,14 @@ func unknownAlgorithm(tag string) error {
 }
 
 // buildSchedule runs the table entry for tag on the worker's reusable
-// core. It is pure in its inputs: everything it returns derives from
-// (matrix, tag, topology, seed) — core reuse cannot change a
+// core, with the worker's generator reseeded to seed when the entry is
+// Randomized. It is pure in its inputs: everything it returns derives
+// from (matrix, tag, topology, seed) — core reuse cannot change a
 // schedule, because core methods consume the identical RNG stream as
 // the package-level functions — which is what makes memoization and
-// deterministic re-computation equivalent.
-func buildSchedule(core *sched.Core, m *comm.Matrix, tag string, net topo.Topology, seed int64) (*ScheduleResult, error) {
+// deterministic re-computation equivalent. The result carries a wire
+// copy of the schedule, so the schedule itself goes back to the core.
+func buildSchedule(wk *worker, m *comm.Matrix, tag string, net topo.Topology, seed int64) (*ScheduleResult, error) {
 	alg, ok := sched.Lookup(tag)
 	if !ok {
 		// Reachable through auto: a calibration store may rank a tag
@@ -939,12 +944,18 @@ func buildSchedule(core *sched.Core, m *comm.Matrix, tag string, net topo.Topolo
 		res.Schedule = &WireSchedule{Algorithm: tag, N: m.N()}
 		return res, nil
 	}
-	sc, err := alg.Build(core, m, rand.New(rand.NewSource(seed)))
+	var rng *rand.Rand
+	if alg.Randomized {
+		rng = wk.schedRNG(seed)
+	}
+	core := wk.schedCore(net)
+	sc, err := alg.Build(core, m, rng)
 	if err != nil {
 		return nil, badRequest("%s: %v", tag, err)
 	}
 	res.LinkFree = core.ValidateLinkFree(sc) == nil
 	res.Schedule = scheduleWire(sc)
+	core.Recycle(sc)
 	return res, nil
 }
 
@@ -1033,11 +1044,13 @@ func (sim *simulation) run(wk *worker) (wireDoc, error) {
 	}
 	var result ipsc.Result
 	if sim.protocol == "AC" {
+		core := wk.schedCore(sim.net)
 		var order *sched.ACOrder
-		if order, err = sched.AC(sim.m); err != nil {
+		if order, err = core.AC(sim.m); err != nil {
 			return nil, badRequest("%v", err)
 		}
 		result, err = mach.RunAC(order, sim.m)
+		core.RecycleOrder(order)
 	} else {
 		result, err = mach.Run(sim.protocol, sim.sc)
 	}

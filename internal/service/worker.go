@@ -3,9 +3,11 @@ package service
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 
+	"unsched/internal/comm"
 	"unsched/internal/costmodel"
 	"unsched/internal/ipsc"
 	"unsched/internal/sched"
@@ -43,10 +45,19 @@ type task struct {
 // daemon-wide through the pool's tableCache, so the O(n^2 * diameter)
 // precompute happens once per topology per daemon, not once per
 // worker.
+//
+// A job also reuses the worker's two generators, reseeded per request
+// (a schedule's stream, a workload's pattern stream), and the matrix a
+// workload job builds into. Each generator is one ~5 KB math/rand
+// source; the matrix is n^2 int64 entries (32 KiB at 64 nodes, 8 MiB at
+// maxCachedMachineNodes), and a larger one is built per request.
 type worker struct {
 	machines map[machineKey]*ipsc.Machine
 	cores    map[string]*sched.Core
 	tables   *tableCache
+
+	rng, patRNG *rand.Rand
+	matrix      *comm.Matrix
 }
 
 // tableCache shares precomputed route tables daemon-wide: across all
@@ -179,6 +190,34 @@ func (w *worker) schedCore(net topo.Topology) *sched.Core {
 	return c
 }
 
+// schedRNG returns the worker's schedule generator reseeded to seed,
+// the stream rand.New(rand.NewSource(seed)) would start.
+func (w *worker) schedRNG(seed int64) *rand.Rand {
+	if w.rng == nil {
+		w.rng = rand.New(rand.NewSource(seed))
+	} else {
+		w.rng.Seed(seed)
+	}
+	return w.rng
+}
+
+// workloadMatrix returns an n-node matrix for a workload job to build
+// into: the worker's own, kept across requests, when n is at most
+// maxCachedMachineNodes, else a fresh one released with the request.
+func (w *worker) workloadMatrix(n int) (*comm.Matrix, error) {
+	if n > maxCachedMachineNodes {
+		return comm.New(n)
+	}
+	if w.matrix == nil || w.matrix.N() != n {
+		m, err := comm.New(n)
+		if err != nil {
+			return nil, err
+		}
+		w.matrix = m
+	}
+	return w.matrix, nil
+}
+
 // pool runs tasks on a fixed set of workers fed by a bounded queue.
 type pool struct {
 	mu     sync.Mutex
@@ -214,8 +253,9 @@ func newPool(workers, queueLen int, shared *tableCache) *pool {
 // runOne executes one task, containing any panic to that task: the
 // worker survives, done is always closed (so single-flight followers
 // are never stranded), and the panic surfaces to the one request that
-// triggered it instead of killing the daemon. The machine and core
-// maps are dropped because a panic may have left cached state mid-run.
+// triggered it instead of killing the daemon. The machines, cores,
+// generators and matrix are dropped because a panic may have left
+// cached state mid-run.
 func runOne(w *worker, t *task) {
 	defer close(t.done)
 	defer func() {
@@ -223,6 +263,7 @@ func runOne(w *worker, t *task) {
 			t.panicked = fmt.Errorf("service: panic serving request: %v", r)
 			w.machines = make(map[machineKey]*ipsc.Machine)
 			w.cores = make(map[string]*sched.Core)
+			w.rng, w.patRNG, w.matrix = nil, nil, nil
 		}
 	}()
 	t.run(w)

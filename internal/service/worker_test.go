@@ -1,11 +1,14 @@
 package service
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
 	"unsched/internal/hypercube"
+	"unsched/internal/ipsc"
+	"unsched/internal/sched"
 	"unsched/internal/topo"
 )
 
@@ -67,5 +70,55 @@ func TestTableCacheColdBuildDoesNotStallOtherTopologies(t *testing.T) {
 	}
 	if tc.get(slow) != a {
 		t.Fatal("a warm get rebuilt the table")
+	}
+}
+
+// TestWorkerReusesRequestState pins the per-request state a worker
+// keeps: its schedule generator is reseeded to exactly the stream a
+// fresh rand.NewSource(seed) starts, a workload matrix up to
+// maxCachedMachineNodes is reused across requests while a larger one
+// is built per request, and a panicking task drops all of it together
+// with the machines and cores.
+func TestWorkerReusesRequestState(t *testing.T) {
+	w := &worker{
+		machines: make(map[machineKey]*ipsc.Machine),
+		cores:    make(map[string]*sched.Core),
+		tables:   newTableCache(),
+	}
+	for _, seed := range []int64{7, 7, -3} {
+		got, want := w.schedRNG(seed), rand.New(rand.NewSource(seed))
+		for i := 0; i < 20; i++ {
+			if g, x := got.Int63(), want.Int63(); g != x {
+				t.Fatalf("seed %d draw %d: worker generator %d, fresh %d", seed, i, g, x)
+			}
+		}
+	}
+
+	small, err := w.workloadMatrix(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := w.workloadMatrix(16); again != small {
+		t.Error("a second 16-node workload job did not reuse the worker's matrix")
+	}
+	if other, _ := w.workloadMatrix(32); other == small || other.N() != 32 {
+		t.Error("a 32-node workload job got the 16-node matrix")
+	}
+	big, err := w.workloadMatrix(maxCachedMachineNodes + 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if big == w.matrix {
+		t.Errorf("the worker kept a %d-node matrix, past maxCachedMachineNodes", big.N())
+	}
+
+	w.patRNG = rand.New(rand.NewSource(1))
+	boom := &task{run: func(*worker) { panic("boom") }, done: make(chan struct{})}
+	runOne(w, boom)
+	if boom.panicked == nil {
+		t.Fatal("panic was not captured on the task")
+	}
+	if w.rng != nil || w.patRNG != nil || w.matrix != nil {
+		t.Error("a panicking task left the worker's generators or matrix in place")
 	}
 }

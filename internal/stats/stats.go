@@ -132,11 +132,25 @@ func splitmix64(x uint64) uint64 {
 // whatever their ranges. Identical keys still produce identical
 // streams — the reproducibility contract is unchanged.
 func (s *Source) StreamKeyed(parts ...int64) *rand.Rand {
+	return s.Reseed(nil, parts...)
+}
+
+// Reseed reseeds r in place to exactly the stream StreamKeyed(parts...)
+// returns, and returns r: a worker that draws one stream per
+// operation keeps one generator instead of allocating a ~5 KB source
+// for each. r must be a generator StreamKeyed or Reseed returned (one
+// over rand.NewSource); its read position is reset with its state. A
+// nil r returns a new generator, as StreamKeyed does.
+func (s *Source) Reseed(r *rand.Rand, parts ...int64) *rand.Rand {
 	x := uint64(s.seed) * 0x9e3779b97f4a7c15
 	for _, p := range parts {
 		x = splitmix64(x ^ uint64(p))
 	}
-	return rand.New(rand.NewSource(int64(x)))
+	if r == nil {
+		return rand.New(rand.NewSource(int64(x)))
+	}
+	r.Seed(int64(x))
+	return r
 }
 
 // Perm returns a random permutation of [0,n) using r.

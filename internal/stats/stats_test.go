@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -119,6 +121,54 @@ func TestSourceStreamsIndependent(t *testing.T) {
 	}
 	if same > 2 {
 		t.Errorf("streams 0 and 1 collided %d/100 times", same)
+	}
+}
+
+// draws takes a fixed mix of draws from r: Int63, Intn, Shuffle,
+// Float64 and Read, whose buffered read position is the one piece of
+// generator state a reseed could leave behind.
+func draws(r *rand.Rand) []int64 {
+	var out []int64
+	for i := 0; i < 5; i++ {
+		out = append(out, r.Int63(), int64(r.Intn(1000+i)))
+	}
+	perm := []int64{0, 1, 2, 3, 4, 5, 6, 7}
+	r.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+	out = append(out, perm...)
+	for i := 0; i < 3; i++ {
+		out = append(out, int64(math.Float64bits(r.Float64())))
+	}
+	buf := make([]byte, 5)
+	r.Read(buf)
+	for _, b := range buf {
+		out = append(out, int64(b))
+	}
+	return out
+}
+
+// TestReseedMatchesStreamKeyed holds Reseed to StreamKeyed's stream:
+// one generator, used and left mid-read, reseeded key after key, must
+// draw exactly what a fresh StreamKeyed generator draws for each key.
+func TestReseedMatchesStreamKeyed(t *testing.T) {
+	src := NewSource(1994)
+	keys := [][]int64{{1, 4, 1024, 0, 2}, {0, 48, 131072, 7}, {3}, {}, {1, 4, 1024, 0, 2}}
+	r := src.StreamKeyed(99)
+	r.Read(make([]byte, 3)) // leave a partly read Int63 behind
+	for _, key := range keys {
+		want := draws(src.StreamKeyed(key...))
+		if got := draws(src.Reseed(r, key...)); !slices.Equal(got, want) {
+			t.Errorf("key %v: Reseed draws %v, StreamKeyed %v", key, got, want)
+		}
+	}
+	if got := src.Reseed(r, 5); got != r {
+		t.Error("Reseed did not return the generator it reseeded")
+	}
+	fresh := src.Reseed(nil, 1, 2)
+	if fresh == nil || fresh == r {
+		t.Fatal("Reseed(nil, ...) did not return a new generator")
+	}
+	if got, want := draws(fresh), draws(src.StreamKeyed(1, 2)); !slices.Equal(got, want) {
+		t.Errorf("Reseed(nil, 1, 2) draws %v, StreamKeyed %v", got, want)
 	}
 }
 

@@ -30,6 +30,7 @@ package topo
 // per-route generation.
 type RouteTable struct {
 	t    Topology
+	name string // t.Name(), formatted once
 	n    int
 	lazy bool
 	// dense storage
@@ -96,7 +97,7 @@ func NewRouteTable(t Topology) *RouteTable {
 // one for machines past the dense budget, and occupancies, scheduler
 // cores and simulator machines wrap a plain topology in one.
 func NewRouteTableLazy(t Topology) *RouteTable {
-	return &RouteTable{t: t, n: t.Nodes(), lazy: true}
+	return &RouteTable{t: t, name: t.Name(), n: t.Nodes(), lazy: true}
 }
 
 // newDenseTable precomputes every route of t, presizing the hop
@@ -104,7 +105,7 @@ func NewRouteTableLazy(t Topology) *RouteTable {
 // the remainder.
 func newDenseTable(t Topology, hint int) *RouteTable {
 	n := t.Nodes()
-	rt := &RouteTable{t: t, n: n, offsets: make([]int32, n*n+1), ids: make([]int32, 0, hint)}
+	rt := &RouteTable{t: t, name: t.Name(), n: n, offsets: make([]int32, n*n+1), ids: make([]int32, 0, hint)}
 	var buf []int
 	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
@@ -167,8 +168,9 @@ func (rt *RouteTable) Topology() Topology { return rt.t }
 func (rt *RouteTable) Lazy() bool { return rt.lazy }
 
 // Name identifies the underlying topology; a RouteTable is
-// transparent in output and cache keys.
-func (rt *RouteTable) Name() string { return rt.t.Name() }
+// transparent in output and cache keys. It is formatted once, at
+// construction, so per-run callers (Core.LastOutcome) allocate nothing.
+func (rt *RouteTable) Name() string { return rt.name }
 
 // Nodes returns the number of processors.
 func (rt *RouteTable) Nodes() int { return rt.n }
