@@ -9,7 +9,10 @@ import (
 	"testing/quick"
 
 	"unsched/internal/comm"
+	"unsched/internal/hypercube"
 	"unsched/internal/mesh"
+	"unsched/internal/topo"
+	"unsched/internal/workload"
 )
 
 func mixedMatrix(t *testing.T, seed int64) *comm.Matrix {
@@ -258,5 +261,67 @@ func TestDensityOnePatternsScheduleInOnePhase(t *testing.T) {
 	}
 	if snl.NumPhases() != 1 {
 		t.Errorf("RS_NL needs %d phases for bit complement (link-free on the cube)", snl.NumPhases())
+	}
+}
+
+// TestRSNLSizedSchedulesPinned pins RS_NL_SZ's output by hash — every
+// phase's sends and sizes, and Ops — on uniform, hot-spot and
+// mixed-size workloads and on matrices whose every message size is
+// distinct, for three machines and three seeds each. How the CCOM rows
+// get size-sorted is an implementation detail; any way of doing it
+// must leave every row in the same order and so pass this unedited.
+func TestRSNLSizedSchedulesPinned(t *testing.T) {
+	specs := []string{
+		"uniform:8:1024", "uniform:16:4096", "hotspot:8:4096:4", "hotspot:16:1024:8",
+		"mixed:4:65536", "mixed:8:65536", "mixed:16:1024", "mixed:32:131072",
+	}
+	want := map[string]string{
+		"hypercube-6": "7670ea35ac7d366b08feb590109fb466140ebbaceb2f07f6387574eed03686e3",
+		"torus-8x8":   "63dd22dea2c51cd0965332b8508457189bebe349f54f806cb122e0fbd82aa80b",
+		"hypercube-8": "1c23c78e77d054adc2505577c05ed7afa7baf0b9b1d43f86e1d6682cb3ea47c4",
+	}
+	for _, net := range []topo.Topology{hypercube.MustNew(6), mesh.MustNew(8, 8, true), hypercube.MustNew(8)} {
+		n := net.Nodes()
+		core := NewCore(net)
+		d := comm.NewDigest()
+		schedule := func(m *comm.Matrix, seed int64) {
+			s, err := core.RSNLSized(m, rand.New(rand.NewSource(seed)))
+			if err != nil {
+				t.Fatalf("%s: %v", net.Name(), err)
+			}
+			d.Int64(s.Ops)
+			d.Int64(int64(len(s.Phases)))
+			for _, p := range s.Phases {
+				for i, j := range p.Send {
+					d.Int64(int64(j))
+					d.Int64(p.Bytes[i])
+				}
+			}
+		}
+		for _, spec := range specs {
+			for seed := int64(1); seed <= 3; seed++ {
+				m, err := workload.MustParseSpec(spec).Build(n, rand.New(rand.NewSource(seed)))
+				if err != nil {
+					t.Fatalf("%s %s: %v", net.Name(), spec, err)
+				}
+				schedule(m, seed)
+			}
+		}
+		for seed := int64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			m, err := comm.DRegular(n, 16, 1, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sizes := rng.Perm(m.MessageCount())
+			for _, msg := range m.Messages() {
+				m.Set(msg.Src, msg.Dst, int64(sizes[0]+1))
+				sizes = sizes[1:]
+			}
+			schedule(m, seed)
+		}
+		if got := d.Hex(); got != want[net.Name()] {
+			t.Errorf("%s: RS_NL_SZ schedules hash %s, pinned %s", net.Name(), got, want[net.Name()])
+		}
 	}
 }
