@@ -9,13 +9,13 @@ import (
 	"unsched/internal/mesh"
 )
 
-// TestBitsetFallbackMatchesMaskedPath drives the three route walks of
-// an Occupancy — mask spans, per hop (a dense table stripped of its
-// spans, the representation above maskSpanHopLimit) and lazy — through
-// the same randomized claim/watch/release/reset sequence, requiring
-// the same claim verdicts, the same released watched channels, and
-// identical claimed and watched channel sets at every step.
-func TestBitsetFallbackMatchesMaskedPath(t *testing.T) {
+// TestDenseWalkMatchesLazyWalk drives the two route walks of an
+// Occupancy — stored ids of a dense table, and ids generated into the
+// occupancy's scratch over a lazy one — through the same randomized
+// claim/watch/release/reset sequence, requiring the same claim
+// verdicts and blocking channels, the same released watched channels,
+// and identical claimed and watched channel sets at every step.
+func TestDenseWalkMatchesLazyWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(94))
 	for _, net := range []Topology{
 		hypercube.MustNew(5),
@@ -23,54 +23,39 @@ func TestBitsetFallbackMatchesMaskedPath(t *testing.T) {
 		mesh.MustNew(8, 8, true),
 		MustNewRing(13),
 	} {
-		masked := NewRouteTable(net)
-		if masked.spanOff == nil {
-			t.Fatalf("%s: small table should carry mask spans", net.Name())
+		dense, lazy := NewOccupancy(NewRouteTable(net)), NewOccupancy(net)
+		if dense.rt.lazy || !lazy.rt.lazy {
+			t.Fatalf("%s: want a dense table and a lazy walk over the plain topology", net.Name())
 		}
-		perHop := *masked
-		perHop.spanOff, perHop.spanWord, perHop.spanMask = nil, nil, nil
-		walks := []*Occupancy{NewOccupancy(masked), NewOccupancy(&perHop), NewOccupancy(net)}
-		if !walks[2].rt.lazy {
-			t.Fatalf("%s: occupancy over a plain topology should walk lazily", net.Name())
-		}
-		woken := make([][]int32, len(walks))
+		var denseWoken, lazyWoken []int32
 		n := net.Nodes()
 		for step := 0; step < 3000; step++ {
 			src, dst := rng.Intn(n), rng.Intn(n)
 			switch op := rng.Intn(10); {
 			case op == 0:
-				for _, o := range walks {
-					o.Reset()
-				}
+				dense.Reset()
+				lazy.Reset()
 			case op <= 5:
-				ch := walks[0].Claim(src, dst)
-				for w, o := range walks[1:] {
-					if got := o.Claim(src, dst); (got < 0) != (ch < 0) {
-						t.Fatalf("%s step %d: Claim(%d,%d) masked %d, walk %d %d", net.Name(), step, src, dst, ch, w+1, got)
-					}
+				ch := dense.Claim(src, dst)
+				if got := lazy.Claim(src, dst); got != ch {
+					t.Fatalf("%s step %d: Claim(%d,%d) dense %d, lazy %d", net.Name(), step, src, dst, ch, got)
 				}
 				if ch >= 0 && op <= 3 {
-					for _, o := range walks {
-						o.Watch(ch)
-					}
+					dense.Watch(ch)
+					lazy.Watch(ch)
 				}
 			default:
-				for w, o := range walks {
-					woken[w] = o.Release(src, dst, woken[w][:0])
-					slices.Sort(woken[w])
-				}
-				for w := range walks[1:] {
-					if !slices.Equal(woken[w+1], woken[0]) {
-						t.Fatalf("%s step %d: Release(%d,%d) masked reported %v, walk %d %v",
-							net.Name(), step, src, dst, woken[0], w+1, woken[w+1])
-					}
+				denseWoken = dense.Release(src, dst, denseWoken[:0])
+				lazyWoken = lazy.Release(src, dst, lazyWoken[:0])
+				if !slices.Equal(denseWoken, lazyWoken) {
+					t.Fatalf("%s step %d: Release(%d,%d) dense reported %v, lazy %v",
+						net.Name(), step, src, dst, denseWoken, lazyWoken)
 				}
 			}
-			for w, o := range walks[1:] {
-				if !slices.Equal(o.busy, walks[0].busy) || o.watched != walks[0].watched {
-					t.Fatalf("%s step %d: walk %d claims %x (%d watched), masked %x (%d watched)",
-						net.Name(), step, w+1, o.busy, o.watched, walks[0].busy, walks[0].watched)
-				}
+			if !slices.Equal(lazy.busy, dense.busy) || lazy.watched != dense.watched ||
+				lazy.watched != 0 && !slices.Equal(lazy.watch, dense.watch) {
+				t.Fatalf("%s step %d: lazy claims %x (%d watched), dense %x (%d watched)",
+					net.Name(), step, lazy.busy, lazy.watched, dense.busy, dense.watched)
 			}
 		}
 	}

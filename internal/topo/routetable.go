@@ -36,30 +36,14 @@ type RouteTable struct {
 	// dense storage
 	offsets []int32 // len n*n+1; route k occupies ids[offsets[k]:offsets[k+1]]
 	ids     []int32 // directed-channel indices of all routes, concatenated
-	// word-mask spans: route k's channels grouped per bitset word, so
-	// occupancy tests touch each word once instead of each hop once.
-	// Built only for tables under maskSpanHopLimit; nil otherwise.
-	spanOff  []int32
-	spanWord []int32
-	spanMask []uint64
 }
 
 // DiameterHinter is optionally implemented by topologies that know
 // their diameter; NewRouteTable uses it to estimate the dense
-// footprint before paying for it and to presize the hop storage in
-// one allocation instead of growing it.
+// footprint before paying for it.
 type DiameterHinter interface {
 	Diameter() int
 }
-
-// maskSpanHopLimit caps the hop-entry count up to which NewRouteTable
-// builds word-mask spans. Spans cost up to 12 bytes per hop on top of
-// the 4-byte ids (they usually merge several hops per word and cost
-// much less), so building them unconditionally could triple the
-// footprint of the largest dense tables; past this limit an Occupancy
-// tests one bit per stored hop instead, which is still
-// allocation-free.
-const maskSpanHopLimit = 1 << 23
 
 // denseHopBudget bounds the footprint of a dense table, in estimated
 // int32 hop entries (~268 MB of hops). It admits every cube, mesh and
@@ -88,7 +72,7 @@ func NewRouteTable(t Topology) *RouteTable {
 	if est > denseHopBudget {
 		return NewRouteTableLazy(t)
 	}
-	return newDenseTable(t, int(est))
+	return newDenseTable(t)
 }
 
 // NewRouteTableLazy wraps t as a RouteTable that stores no routes:
@@ -100,12 +84,17 @@ func NewRouteTableLazy(t Topology) *RouteTable {
 	return &RouteTable{t: t, name: t.Name(), n: t.Nodes(), lazy: true}
 }
 
-// newDenseTable precomputes every route of t, presizing the hop
-// storage to hint entries when it is nonzero and letting append cover
-// the remainder.
-func newDenseTable(t Topology, hint int) *RouteTable {
+// newDenseTable precomputes every route of t. It counts the hops
+// first, so the hop storage is allocated once at its exact size.
+func newDenseTable(t Topology) *RouteTable {
 	n := t.Nodes()
-	rt := &RouteTable{t: t, name: t.Name(), n: n, offsets: make([]int32, n*n+1), ids: make([]int32, 0, hint)}
+	hops := 0
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			hops += t.Hops(src, dst)
+		}
+	}
+	rt := &RouteTable{t: t, name: t.Name(), n: n, offsets: make([]int32, n*n+1), ids: make([]int32, 0, hops)}
 	var buf []int
 	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
@@ -116,48 +105,7 @@ func newDenseTable(t Topology, hint int) *RouteTable {
 			rt.offsets[src*n+dst+1] = int32(len(rt.ids))
 		}
 	}
-	if len(rt.ids) <= maskSpanHopLimit {
-		rt.buildSpans()
-	}
 	return rt
-}
-
-// buildSpans groups every route's channel ids by bitset word. Within
-// one route, all hops landing in the same uint64 word merge into a
-// single (word, mask) span regardless of hop order, so the occupancy
-// test for that word is one AND.
-func (rt *RouteTable) buildSpans() {
-	rt.spanOff = make([]int32, rt.n*rt.n+1)
-	rt.spanWord = make([]int32, 0, len(rt.ids))
-	rt.spanMask = make([]uint64, 0, len(rt.ids))
-	for k := 0; k < rt.n*rt.n; k++ {
-		start := len(rt.spanWord)
-		for _, id := range rt.ids[rt.offsets[k]:rt.offsets[k+1]] {
-			word, bit := id>>6, uint64(1)<<(uint(id)&63)
-			merged := false
-			for s := start; s < len(rt.spanWord); s++ {
-				if rt.spanWord[s] == word {
-					rt.spanMask[s] |= bit
-					merged = true
-					break
-				}
-			}
-			if !merged {
-				rt.spanWord = append(rt.spanWord, word)
-				rt.spanMask = append(rt.spanMask, bit)
-			}
-		}
-		rt.spanOff[k+1] = int32(len(rt.spanWord))
-	}
-}
-
-// spans returns the word-mask spans of the route src->dst: its
-// channels grouped by bitset word, masks[i] the bits in word words[i].
-func (rt *RouteTable) spans(src, dst int) (words []int32, masks []uint64) {
-	k := src*rt.n + dst
-	lo, hi := rt.spanOff[k], rt.spanOff[k+1]
-	words = rt.spanWord[lo:hi]
-	return words, rt.spanMask[lo:hi][:len(words)]
 }
 
 // Topology returns the topology the table was built from.

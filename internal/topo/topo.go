@@ -34,16 +34,12 @@ type Topology interface {
 // (Figure 4) and for link-free validation; the simulator claims and
 // releases the channels of every circuit it carries in one.
 //
-// A route is claimed in one walk: Claim tests and sets each channel as
-// it goes and, on meeting a claimed one, gives back what it set and
-// names the channel that blocked it. How a route is walked depends on
-// the table:
-//   - mask spans: dense tables under maskSpanHopLimit group each
-//     route's channels by bitset word, so a claim or a release is one
-//     AND and one OR per touched word — the hot case;
-//   - per hop: larger dense tables test one bit per stored hop;
-//   - lazy: lazy tables generate the route into the occupancy's own
-//     scratch, since the table itself is shared read-only.
+// A route is claimed in one walk over its channel ids: Claim tests
+// and sets each channel in route order and, on meeting a claimed one,
+// gives back what it set and names the channel that blocked it. A
+// dense table hands the walk the route's stored ids; a lazy one
+// generates them into the occupancy's own scratch, since the table
+// itself is shared read-only. Release walks the same ids.
 //
 // A waiter on a claimed channel flags it with Watch, and the Release
 // that frees a flagged channel reports it; a release with no flag set
@@ -83,58 +79,25 @@ func (o *Occupancy) Reset() {
 
 // Claim claims every channel on the route src->dst if none of them is
 // claimed and returns -1 (the paper's Check_Path and Mark_Path in one
-// walk). Otherwise it claims nothing and returns one claimed channel
-// of the route.
+// walk). Otherwise it claims nothing and returns the first claimed
+// channel along the route.
 func (o *Occupancy) Claim(src, dst int) int {
-	rt := o.rt
-	switch {
-	case rt.spanOff != nil:
-		words, masks := rt.spans(src, dst)
-		for i, w := range words {
-			if hit := o.busy[w] & masks[i]; hit != 0 {
-				for j, v := range words[:i] {
-					o.busy[v] &^= masks[j]
-				}
-				return int(w)<<6 | bits.TrailingZeros64(hit)
-			}
-			o.busy[w] |= masks[i]
-		}
-		return -1
-	case rt.lazy:
-		o.buf = rt.t.RouteIDs(src, dst, o.buf[:0])
+	if o.rt.lazy {
+		o.buf = o.rt.t.RouteIDs(src, dst, o.buf[:0])
 		return claimIDs(o.busy, o.buf)
-	default:
-		return claimIDs(o.busy, rt.Route(src, dst))
 	}
+	return claimIDs(o.busy, o.rt.Route(src, dst))
 }
 
 // Release frees every channel on the route src->dst: the simulator's
 // circuit teardown. It appends each freed channel that Watch flagged
 // to woken, clears its flag, and returns the extended slice.
 func (o *Occupancy) Release(src, dst int, woken []int32) []int32 {
-	rt := o.rt
-	switch {
-	case rt.spanOff != nil:
-		words, masks := rt.spans(src, dst)
-		if o.watched == 0 {
-			for i, w := range words {
-				o.busy[w] &^= masks[i]
-			}
-			return woken
-		}
-		for i, w := range words {
-			o.busy[w] &^= masks[i]
-			if hit := o.watch[w] & masks[i]; hit != 0 {
-				woken = o.unwatch(w, hit, woken)
-			}
-		}
-		return woken
-	case rt.lazy:
-		o.buf = rt.t.RouteIDs(src, dst, o.buf[:0])
+	if o.rt.lazy {
+		o.buf = o.rt.t.RouteIDs(src, dst, o.buf[:0])
 		return releaseIDs(o, o.buf, woken)
-	default:
-		return releaseIDs(o, rt.Route(src, dst), woken)
 	}
+	return releaseIDs(o, o.rt.Route(src, dst), woken)
 }
 
 // Watch flags the claimed channel ch, so the Release that frees it
@@ -148,17 +111,6 @@ func (o *Occupancy) Watch(ch int) {
 		o.watch[w] |= bit
 		o.watched++
 	}
-}
-
-// unwatch clears the watch flags hit of word w and appends their
-// channels to woken.
-func (o *Occupancy) unwatch(w int32, hit uint64, woken []int32) []int32 {
-	o.watch[w] &^= hit
-	o.watched -= bits.OnesCount64(hit)
-	for ; hit != 0; hit &= hit - 1 {
-		woken = append(woken, w<<6|int32(bits.TrailingZeros64(hit)))
-	}
-	return woken
 }
 
 // claimIDs is Claim's walk over a route's channel ids.
@@ -182,7 +134,9 @@ func releaseIDs[T int | int32](o *Occupancy, ids []T, woken []int32) []int32 {
 		w, bit := id>>6, uint64(1)<<(uint(id)&63)
 		o.busy[w] &^= bit
 		if o.watched != 0 && o.watch[w]&bit != 0 {
-			woken = o.unwatch(int32(w), bit, woken)
+			o.watch[w] &^= bit
+			o.watched--
+			woken = append(woken, int32(id))
 		}
 	}
 	return woken
