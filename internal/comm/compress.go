@@ -1,8 +1,10 @@
 package comm
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // Compressed is the paper's n x d matrix CCOM (§4.2): row i holds the
@@ -23,11 +25,16 @@ type Compressed struct {
 	dest  []int   // row-major n*width; destination id or -1
 	size  []int64 // row-major n*width; message bytes, parallel to dest
 	prt   []int   // prt[i]: index of last active column in row i, -1 if empty
-	// partition scratch, reused across PartitionRows calls so the
-	// pairwise-locating pass of RS_NL allocates nothing when a
-	// Compressed is reused (sched.Core keeps one per core).
-	destBuf []int
-	sizeBuf []int64
+	// row scratch of PartitionRows and SortRowsBySize, reused so the
+	// row-ordering passes of RS_NL and RS_NL_SZ allocate nothing when
+	// a Compressed is reused (sched.Core keeps one per core).
+	buf []entry
+}
+
+// entry is one active CCOM slot: a destination and its message size.
+type entry struct {
+	dest int
+	size int64
 }
 
 // NewCompressed builds CCOM from COM, shuffling each row's active
@@ -176,32 +183,41 @@ func (c *Compressed) Remove(i, z int) (dest int, bytes int64) {
 // move pairwise-exchange candidates to the front of each row after the
 // randomizing shuffle.
 func (c *Compressed) PartitionRows(pred func(src, dst int) bool) {
-	if cap(c.destBuf) < c.width {
-		c.destBuf = make([]int, 0, c.width)
-		c.sizeBuf = make([]int64, 0, c.width)
-	}
-	destBuf := c.destBuf
-	sizeBuf := c.sizeBuf
 	for i := 0; i < c.n; i++ {
-		base := i * c.width
-		live := c.prt[i] + 1
-		destBuf = destBuf[:0]
-		sizeBuf = sizeBuf[:0]
-		for z := 0; z < live; z++ {
-			if pred(i, c.dest[base+z]) {
-				destBuf = append(destBuf, c.dest[base+z])
-				sizeBuf = append(sizeBuf, c.size[base+z])
+		z := i * c.width
+		row := c.row(i)
+		for _, first := range [2]bool{true, false} {
+			for _, e := range row {
+				if pred(i, e.dest) == first {
+					c.dest[z], c.size[z] = e.dest, e.size
+					z++
+				}
 			}
 		}
-		for z := 0; z < live; z++ {
-			if !pred(i, c.dest[base+z]) {
-				destBuf = append(destBuf, c.dest[base+z])
-				sizeBuf = append(sizeBuf, c.size[base+z])
-			}
-		}
-		copy(c.dest[base:base+live], destBuf)
-		copy(c.size[base:base+live], sizeBuf)
 	}
+}
+
+// SortRowsBySize stable-sorts the active entries of every row by
+// descending message size, so entries of equal size keep their
+// relative order. The size-aware RS_NL uses it after the randomizing
+// shuffle.
+func (c *Compressed) SortRowsBySize() {
+	for i := 0; i < c.n; i++ {
+		row := c.row(i)
+		slices.SortStableFunc(row, func(a, b entry) int { return cmp.Compare(b.size, a.size) })
+		for z, e := range row {
+			c.dest[i*c.width+z], c.size[i*c.width+z] = e.dest, e.size
+		}
+	}
+}
+
+// row copies the active entries of row i into the row scratch.
+func (c *Compressed) row(i int) []entry {
+	c.buf = c.buf[:0]
+	for z := i * c.width; z <= i*c.width+c.prt[i]; z++ {
+		c.buf = append(c.buf, entry{c.dest[z], c.size[z]})
+	}
+	return c.buf
 }
 
 // RowDests returns the active destinations of row i (a copy, for tests

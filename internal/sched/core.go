@@ -54,8 +54,6 @@ type Core struct {
 	rem                []bool // n*n unscheduled-message map (RS_NL pairwise)
 	msgs               []comm.Message
 	sendBusy, recvBusy []bool
-	sizes              []int64 // distinct-size scratch (RS_NL_SZ)
-	sizeSeen           map[int64]bool
 
 	// Output storage handed back by Recycle and RecycleOrder, which
 	// the next build reuses: spare's Phases array, the free phases
@@ -122,8 +120,6 @@ func (c *Core) Reset() {
 	c.msgs = c.msgs[:0]
 	c.sendBusy = c.sendBusy[:0]
 	c.recvBusy = c.recvBusy[:0]
-	c.sizes = c.sizes[:0]
-	clear(c.sizeSeen)
 	if c.occ != nil {
 		c.occ.Reset()
 	}
@@ -467,7 +463,7 @@ func (c *Core) RSNLSized(m *comm.Matrix, rng *rand.Rand) (*Schedule, error) {
 	ccom := &c.ccom
 	var ops int64
 	ops += int64(n)
-	c.sortRowsBySize(ccom, m)
+	ccom.SortRowsBySize()
 	ops += int64(m.MessageCount())
 
 	occ := c.occupancy()
@@ -517,41 +513,6 @@ func (c *Core) RSNLSized(m *comm.Matrix, rng *rand.Rand) (*Schedule, error) {
 	s.Ops = ops
 	c.noteRun(s.Algorithm, len(s.Phases), ops)
 	return s, nil
-}
-
-// sortRowsBySize reorders every CCOM row into descending message-size
-// order (stable on the shuffled order for equal sizes). CCOM exposes
-// only partition and remove, so sort by repeated partitioning on size
-// thresholds — each distinct size is one pass.
-func (c *Core) sortRowsBySize(ccom *comm.Compressed, m *comm.Matrix) {
-	// Collect the distinct sizes ascending; partitioning from the
-	// smallest threshold upward leaves rows in descending order
-	// (later partitions move larger entries in front, stably).
-	if c.sizeSeen == nil {
-		c.sizeSeen = make(map[int64]bool)
-	} else {
-		clear(c.sizeSeen)
-	}
-	sizes := c.sizes[:0]
-	n := ccom.N()
-	for i := 0; i < n; i++ {
-		for z := 0; z < ccom.Remaining(i); z++ {
-			if b := ccom.SizeAt(i, z); !c.sizeSeen[b] {
-				c.sizeSeen[b] = true
-				sizes = append(sizes, b)
-			}
-		}
-	}
-	for i := 1; i < len(sizes); i++ {
-		for j := i; j > 0 && sizes[j] < sizes[j-1]; j-- {
-			sizes[j], sizes[j-1] = sizes[j-1], sizes[j]
-		}
-	}
-	c.sizes = sizes
-	for _, threshold := range sizes {
-		th := threshold
-		ccom.PartitionRows(func(src, dst int) bool { return m.At(src, dst) >= th })
-	}
 }
 
 // --- LP -------------------------------------------------------------
