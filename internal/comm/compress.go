@@ -211,13 +211,19 @@ func (c *Compressed) SortRowsBySize() {
 	}
 }
 
-// row copies the active entries of row i into the row scratch.
+// row copies the active entries of row i into the row scratch, which
+// it sizes to the row capacity on first use.
 func (c *Compressed) row(i int) []entry {
-	c.buf = c.buf[:0]
-	for z := i * c.width; z <= i*c.width+c.prt[i]; z++ {
-		c.buf = append(c.buf, entry{c.dest[z], c.size[z]})
+	if cap(c.buf) < c.width {
+		c.buf = make([]entry, 0, c.width)
 	}
-	return c.buf
+	lo, hi := i*c.width, i*c.width+c.prt[i]+1
+	buf := c.buf[:0]
+	for z := lo; z < hi; z++ {
+		buf = append(buf, entry{c.dest[z], c.size[z]})
+	}
+	c.buf = buf
+	return buf
 }
 
 // RowDests returns the active destinations of row i (a copy, for tests

@@ -223,44 +223,6 @@ func TestPartitionRowsEmptyAndFull(t *testing.T) {
 	}
 }
 
-// TestSortRowsBySize checks every row against a stable sort of its
-// shuffled entries by descending size — on mixed sizes, where sizes
-// repeat, and with every size distinct — and that a warm Compressed
-// sorts without allocating.
-func TestSortRowsBySize(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	mixed, err := MixedSizes(64, 16, 64, 4096, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	distinct := mixed.Clone()
-	sizes := rng.Perm(distinct.MessageCount())
-	for k, msg := range distinct.Messages() {
-		distinct.Set(msg.Src, msg.Dst, int64(sizes[k]+1))
-	}
-	for _, m := range []*Matrix{mixed, distinct} {
-		c := NewCompressed(m, rand.New(rand.NewSource(16)))
-		want := make([][]Message, m.N())
-		for i := range want {
-			for z := 0; z < c.Remaining(i); z++ {
-				want[i] = append(want[i], Message{Src: i, Dst: c.At(i, z), Bytes: c.SizeAt(i, z)})
-			}
-			sort.SliceStable(want[i], func(a, b int) bool { return want[i][a].Bytes > want[i][b].Bytes })
-		}
-		c.SortRowsBySize()
-		for i, row := range want {
-			for z, msg := range row {
-				if c.At(i, z) != msg.Dst || c.SizeAt(i, z) != msg.Bytes {
-					t.Fatalf("row %d slot %d: (%d, %d), want (%d, %d)", i, z, c.At(i, z), c.SizeAt(i, z), msg.Dst, msg.Bytes)
-				}
-			}
-		}
-		if got := testing.AllocsPerRun(10, c.SortRowsBySize); got != 0 {
-			t.Errorf("warm SortRowsBySize: %.1f allocs, want 0", got)
-		}
-	}
-}
-
 func TestCompressShuffleChangesOrderButNotContent(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	m, err := UniformRandom(64, 16, 128, rng)

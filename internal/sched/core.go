@@ -37,7 +37,7 @@ import (
 // Every link-aware method checks and marks routes in a topo.Occupancy
 // over the core's route table. NewCore and NewCoreForTable walk a
 // table built by topo.NewRouteTable (dense when it fits, so the RS_NL
-// inner loop is a word-mask walk over flat storage); NewCoreDirect
+// inner loop walks stored channel ids in flat storage); NewCoreDirect
 // wraps its topology in a lazy table for one-shot use, which is what
 // the package-level wrapper functions do.
 type Core struct {

@@ -4,7 +4,9 @@ package sched
 // paper defers to [15]) and the remaining ablation variants.
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -99,17 +101,32 @@ func TestRSNLSizedValid(t *testing.T) {
 	}
 }
 
+// TestRSNLSizedRowsDescending checks that size-sorting leaves every
+// CCOM row as a stable sort of its shuffled entries by descending
+// size, on mixed sizes (which repeat) and with every size distinct.
 func TestRSNLSizedRowsDescending(t *testing.T) {
-	m := mixedMatrix(t, 86)
-	ccom := comm.NewCompressed(m, rand.New(rand.NewSource(2)))
-	ccom.SortRowsBySize()
-	for i := 0; i < m.N(); i++ {
-		var prev int64 = 1 << 62
-		for z := 0; z < ccom.Remaining(i); z++ {
-			if sz := ccom.SizeAt(i, z); sz > prev {
-				t.Fatalf("row %d not descending at slot %d: %d after %d", i, z, sz, prev)
-			} else {
-				prev = sz
+	mixed := mixedMatrix(t, 86)
+	distinct := mixed.Clone()
+	sizes := rand.New(rand.NewSource(87)).Perm(distinct.MessageCount())
+	for k, msg := range distinct.Messages() {
+		distinct.Set(msg.Src, msg.Dst, int64(sizes[k]+1))
+	}
+	for _, m := range []*comm.Matrix{mixed, distinct} {
+		ccom := comm.NewCompressed(m, rand.New(rand.NewSource(2)))
+		want := make([][]comm.Message, m.N())
+		for i := range want {
+			for z := 0; z < ccom.Remaining(i); z++ {
+				want[i] = append(want[i], comm.Message{Src: i, Dst: ccom.At(i, z), Bytes: ccom.SizeAt(i, z)})
+			}
+			slices.SortStableFunc(want[i], func(a, b comm.Message) int { return cmp.Compare(b.Bytes, a.Bytes) })
+		}
+		ccom.SortRowsBySize()
+		for i, row := range want {
+			for z, msg := range row {
+				if ccom.At(i, z) != msg.Dst || ccom.SizeAt(i, z) != msg.Bytes {
+					t.Fatalf("row %d slot %d: (%d, %d), want (%d, %d)",
+						i, z, ccom.At(i, z), ccom.SizeAt(i, z), msg.Dst, msg.Bytes)
+				}
 			}
 		}
 	}
