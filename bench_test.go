@@ -583,8 +583,8 @@ func BenchmarkSimulatorRSNL(b *testing.B) {
 // BenchmarkSimulatorRSNLReused is BenchmarkSimulatorRSNL on one
 // reusable Machine over a dense route table — the configuration every
 // campaign worker and daemon worker runs in: routes come from the
-// table's CSR arrays and channel occupancy goes word-at-a-time through
-// its bitset spans. Compare allocs/op against the fresh-machine
+// table's CSR arrays and channel occupancy walks their stored channel
+// ids through one bitset. Compare allocs/op against the fresh-machine
 // benchmark above.
 func BenchmarkSimulatorRSNLReused(b *testing.B) {
 	cube := hypercube.MustNew(6)
@@ -627,9 +627,9 @@ func warmMachine(b *testing.B, mach *ipsc.Machine, s *sched.Schedule) {
 // BenchmarkSimulatorRSNL_1024 scales the reused-machine benchmark to
 // the service's classic 1024-node cap (the dim-10 cube): ~16x the
 // events of the 64-node run through the same flat-event engine, arena
-// state, and word-mask occupancy, so hot-path regressions that only
-// bite at depth — queue scans over more distinct times, bitset spans
-// over 5120 channels — show up here before they show up in a campaign.
+// state, and bitset occupancy, so hot-path regressions that only bite
+// at depth — queue scans over more distinct times, route walks over
+// 5120 channels — show up here before they show up in a campaign.
 func BenchmarkSimulatorRSNL_1024(b *testing.B) {
 	cube := hypercube.MustNew(10)
 	params := costmodel.DefaultIPSC860()
@@ -700,9 +700,9 @@ func BenchmarkSimulatorContendedReused(b *testing.B) {
 
 // BenchmarkRouteTableBitset is the occupancy micro-benchmark under the
 // schedulers and the simulator: claim-release of whole routes in a
-// topo.Occupancy over the dense table, word-at-a-time through the
-// table's mask spans. One op is one claim, one blocked claim of the
-// same route and one release over a route of the 64-node cube.
+// topo.Occupancy over the dense table, one bit per stored hop. One op
+// is one claim, one blocked claim of the same route and one release
+// over a route of the 64-node cube.
 func BenchmarkRouteTableBitset(b *testing.B) {
 	cube := hypercube.MustNew(6)
 	rt := topo.NewRouteTable(cube)

@@ -208,7 +208,7 @@ func (r *Runner) MeasureCells(ctx context.Context, points []Point) ([]map[Algori
 			// generate→schedule→simulate pipeline allocates nothing
 			// per unit (TestRunSampleAllocs). The machine runs over the
 			// shared route table too: transfers then claim and release
-			// whole routes through its word-mask bitset spans.
+			// whole routes by walking its stored channel ids.
 			mach, err := ipsc.NewMachine(routes, cfg.Params)
 			if err != nil {
 				fail(err)

@@ -18,9 +18,9 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files from current output")
 
 // goldenMachines are the machines testdata/runs.golden pins: the
-// paper's cube and a torus over dense tables with mask spans, and the
-// cube again over a lazy table, so each route walk of the channel
-// occupancy carries the same runs.
+// paper's cube and a torus over dense tables, and the cube again over
+// a lazy table, so both route walks of the channel occupancy carry the
+// same runs.
 var goldenMachines = []struct {
 	name string
 	net  func() topo.Topology

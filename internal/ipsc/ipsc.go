@@ -33,8 +33,8 @@
 //
 //   - events are flat typed records (a kind tag plus two int32
 //     operands) dispatched through one des.Engine handler, stored
-//     inline in the engine's reusable heap array — no closure per
-//     event;
+//     inline in the engine's reusable time-bucket queue — no closure
+//     per event;
 //   - transfer attempts live in a machine-owned arena ([]attempt)
 //     addressed by index. An attempt that cannot start is parked on
 //     the one resource its check found busy — a node's busy byte or a
@@ -44,9 +44,9 @@
 //     by barrier id (phase number), recycled across runs;
 //   - channel occupancy is one topo.Occupancy, the packed bitset the
 //     schedulers claim routes in too; a circuit is claimed in one
-//     route walk, and over a dense topo.RouteTable its claim and
-//     release walks go word-at-a-time through the table's
-//     precomputed masks;
+//     walk over its route's channel ids, which a dense
+//     topo.RouteTable stores and a lazy one generates into the
+//     occupancy's scratch;
 //   - per-run programs compile into a machine-owned [][]op arena whose
 //     inner capacities persist across runs.
 //
@@ -86,7 +86,7 @@ const (
 // concurrent use; create one per goroutine.
 //
 // Passing a *topo.RouteTable as the topology (a RouteTable is itself a
-// Topology) makes the machine walk that table — word-at-a-time masks
+// Topology) makes the machine walk that table — the stored routes
 // when it is dense; any other topology is wrapped in a lazy table and
 // routes on the fly.
 type Machine struct {

@@ -84,21 +84,22 @@ func newTableCache() *tableCache {
 }
 
 // maxSharedTables bounds daemon-wide retained route tables. A dense
-// table is capped by topo.NewRouteTable's hop budget (~268 MB worst
-// case, reached only by extreme-but-legal shapes like the 32x32 mesh;
-// the dim-10 cube is ~20 MB) and a lazy table stores no hops at all,
-// so eight retained tables stay bounded even under an adversarial
-// topology mix — and unlike the per-worker caches, this bound does not
-// multiply by worker count.
+// table stores 4 bytes per hop plus 4 per route: 25.2 MB for the
+// dim-10 cube, 93.6 MB for the 32x32 mesh. topo.NewRouteTable keeps a
+// table dense only while its estimated hops fit a 2^26-hop budget
+// (~268 MB), and a lazy table stores no hops at all, so eight retained
+// tables stay bounded even under an adversarial topology mix — and
+// unlike the per-worker caches, this bound does not multiply by worker
+// count.
 const maxSharedTables = 8
 
 // get returns the daemon-shared route table for net, building it on
 // first use. topo.NewRouteTable picks the representation: dense
-// (precomputed CSR routes, word-mask bitset occupancy) when the hop
-// footprint fits its budget, lazy (routes generated on the fly,
-// nothing stored) when it would not — which is what lets the service
-// admit high-diameter shapes like a 64x64 torus that the old footprint
-// gate answered 400. An entry evicted mid-build still hands its table
+// (precomputed CSR routes, each stored once) when the hop footprint
+// fits its budget, lazy (routes generated on the fly, nothing stored)
+// when it would not — which is what lets the service admit
+// high-diameter shapes like a 64x64 torus that the old footprint gate
+// answered 400. An entry evicted mid-build still hands its table
 // to the callers that reached it.
 func (tc *tableCache) get(net topo.Topology) *topo.RouteTable {
 	tc.mu.Lock()

@@ -104,8 +104,8 @@ type unhinted struct{ topo.Topology }
 // A claim must succeed exactly when the reference route is free, and
 // a blocked one must name a claimed channel of its route and claim
 // nothing; a release must report exactly the watched channels it
-// frees. (The per-hop and lazy walks are covered against the masked
-// one by the internal TestBitsetFallbackMatchesMaskedPath.)
+// frees. (The lazy walk is held to the dense one, blocking channel
+// included, by the internal TestDenseWalkMatchesLazyWalk.)
 func TestBitsetRouteOpsMatchBoolOccupancy(t *testing.T) {
 	rng := rand.New(rand.NewSource(860))
 	for _, net := range tableTopologies(t) {

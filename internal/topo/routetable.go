@@ -8,9 +8,10 @@ package topo
 // a route lookup is two array reads and a slice, with no per-call
 // route generation and no pointer chasing.
 //
-// Memory is O(n^2 * diameter): one int32 per route hop plus n^2+1
-// offsets. On the paper's 64-node hypercube that is ~12k hop entries
-// (~64 KB); a 1024-node cube needs ~20 MB. Precomputation costs one
+// Each route is stored once. Memory is O(n^2 * diameter): one int32
+// per route hop plus n^2+1 offsets. On the paper's 64-node hypercube
+// that is 12,288 hop entries (65.5 KB); a 1024-node cube needs 25.2 MB
+// and a 32x32 mesh 93.6 MB. Precomputation costs one Hops and one
 // RouteIDs call per (src, dst) pair, so it pays off as soon as a table
 // is reused for more than a handful of schedules — which is exactly
 // the shape of campaign and service traffic. Build one table per
@@ -19,8 +20,9 @@ package topo
 //
 // A RouteTable is itself a Topology (delegating Name and, in lazy
 // mode, route generation to the topology it wraps), so it can be
-// passed anywhere a Topology goes. An Occupancy over it claims
-// channels by walking its storage instead of generating routes.
+// passed anywhere a Topology goes. An Occupancy over a dense table
+// claims channels by walking the stored ids instead of generating
+// routes.
 //
 // Two storage modes exist, and NewRouteTable picks between them. The
 // dense mode above materializes every route. The lazy mode stores
@@ -47,9 +49,10 @@ type DiameterHinter interface {
 
 // denseHopBudget bounds the footprint of a dense table, in estimated
 // int32 hop entries (~268 MB of hops). It admits every cube, mesh and
-// torus up to 1024 nodes — the worst is the 32x32 mesh at ~33M hops —
-// while high-diameter shapes (a 1024-node ring would need ~2 GB, a
-// 64x64 mesh ~4 GB) get a lazy table instead.
+// torus up to 1024 nodes — the largest estimate is the 32x32 mesh's
+// ~33M hops, of which it stores 22.3M — while high-diameter shapes (a
+// 1024-node ring would need ~1 GB, a 64x64 mesh ~3 GB) get a lazy
+// table instead.
 const denseHopBudget = 1 << 26
 
 // NewRouteTable returns the route table of t, deciding its mode from
